@@ -696,32 +696,32 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
         pooled = _floored_spd(pooled_raw, eps_scale)
         floored = pooled.floored
         ld_pooled = log_det(pooled)
-        terms, commutators, gaps = {}, [], []
-        for ds_seed, (h_raw, c_raw, gap) in per_dataset.items():
+        terms, mats = {}, []
+        for ds_seed, (h_raw, c_raw, _) in per_dataset.items():
             h = _floored_spd(h_raw, eps_scale)
             c = _floored_spd(c_raw, eps_scale)
             floored = floored or h.floored or c.floored
             terms[ds_seed] = log_det(h) - log_det(c) + ld_pooled
-            lam = solve_stationary_covariance(h.matrix, c.matrix, eta,
-                                              mode="general")
-            comm = h.matrix @ lam - lam @ h.matrix
-            commutators.append(float(np.linalg.norm(comm)))
-            gaps.append(gap)
-        return ld_pooled, terms, commutators, gaps, floored
+            mats.append((h.matrix, c.matrix))
+        return ld_pooled, terms, mats, floored
 
-    ld_pooled, terms, commutators, gaps, floored = evaluate(1.0)
+    ld_pooled, terms, mats, floored = evaluate(1.0)
     if floored:
         flags.append("floored-log")
+    commutators = []
+    for h, c in mats:
+        lam = solve_stationary_covariance(h, c, eta, mode="general")
+        commutators.append(float(np.linalg.norm(h @ lam - lam @ h)))
     mean_term = float(np.mean(list(terms.values())))
     core = _sqrt_core(mean_term / (n * eta), flags)
     components = {
         "mean_term": mean_term,
         "logdet_pooled": ld_pooled,
         "commutator_norm_mean": float(np.mean(commutators)),
-        "min_stability_gap": float(np.min(gaps)),
+        "min_stability_gap": min(gap for _, _, gap in per_dataset.values()),
     }
     if floored:
-        _, terms10, _, _, _ = evaluate(FLOOR_SENSITIVITY_SCALE)
+        _, terms10, _, _ = evaluate(FLOOR_SENSITIVITY_SCALE)
         components["core_at_10x_floor"] = _sqrt_core(
             float(np.mean(list(terms10.values()))) / (n * eta), [])
     return BoundReport(

@@ -10,6 +10,11 @@ Convention: ``tr log M`` is evaluated as the log-determinant of the floored
 matrix (sum of logs of floored eigenvalues). The diagonal-only variant is
 exposed separately as :func:`trace_log_diag` for diagnostic curves; it is not
 used inside any bound.
+
+The stationary covariance of SGD around a minimum
+(:func:`solve_stationary_covariance`) is solved in the eigenbasis of the
+Hessian, where the equation decouples entrywise: one symmetric
+eigendecomposition, O(d^3) time and O(d^2) memory, for every mode.
 """
 
 from dataclasses import dataclass, field
@@ -207,17 +212,30 @@ def solve_stationary_covariance(h, c, eta, mode="general", b=1):
     """Solve the discrete stationary-covariance equation for SGD around a minimum.
 
     The returned ``Lambda`` satisfies ``Lambda H + H Lambda - eta H Lambda H = eta C``
-    (mode "general": dense d^2-dimensional vectorized solve). The closed forms:
+    (mode "general"), the fixed point of the linearised chain
+    ``w <- (I - eta H) w + eta C^{1/2} N``. The closed forms:
 
-    - "commuting"           : eta [H (2I - eta H)]^{-1} C, valid when H and C commute.
+    - "commuting"           : eta [H (2I - eta H)]^{-1} C, symmetrized; exact
+      when H and C commute.
     - "hessian-matches-gnc" : ((2/eta) I - H)^{-1}. Assumes the noise covariance
       equals the Hessian (C = H), so the ``c`` argument is ignored.
     - "small-lr"            : (eta / (2b)) I, the small-learning-rate limit; needs
       the batch size ``b``.
 
+    Method: one symmetric eigendecomposition ``H = Q diag(lam) Q^T`` serves the
+    stability check and every H-dependent mode. With ``C~ = Q^T C Q`` the
+    general equation decouples entrywise,
+    ``Lambda~_ij = eta C~_ij / (lam_i + lam_j - eta lam_i lam_j)`` and
+    ``Lambda = Q Lambda~ Q^T``; "commuting" keeps the diagonal kernel
+    ``eta C~_ij (d_i + d_j) / 2`` with ``d_i = 1 / (lam_i (2 - eta lam_i))``.
+    This costs O(d^3) time and O(d^2) memory. The denominators equal
+    ``(1 - (1 - eta lam_i)(1 - eta lam_j)) / eta``; once every eigenvalue lies
+    in (0, 2/eta), both factors ``1 - eta lam`` lie in (-1, 1), so every
+    denominator is strictly positive and the solve is well defined.
+
     Raises StabilityError when an eigenvalue of ``h`` reaches 2/eta (the system
     turns singular at the edge of stability) or is nonpositive where positivity
-    is required.
+    is required; the check runs before any solve.
     """
     if mode not in STATIONARY_MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {STATIONARY_MODES}")
@@ -225,7 +243,10 @@ def solve_stationary_covariance(h, c, eta, mode="general", b=1):
         raise ConfigError(f"eta must be positive, got {eta}")
     h = symmetrize(h)
     d = h.shape[0]
-    eigs = np.linalg.eigvalsh(h)
+    try:
+        eigs, q = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
     if mode == "small-lr":
         _check_stability(eigs, eta, need_positive=False)
@@ -233,27 +254,20 @@ def solve_stationary_covariance(h, c, eta, mode="general", b=1):
 
     if mode == "hessian-matches-gnc":
         _check_stability(eigs, eta, need_positive=False)
-        lam = np.linalg.solve((2.0 / eta) * np.eye(d) - h, np.eye(d))
-        return symmetrize(lam)
+        return symmetrize((q / (2.0 / eta - eigs)) @ q.T)
 
     c = symmetrize(c)
     if c.shape != h.shape:
         raise InvalidInputError("h and c must have the same shape")
     _check_stability(eigs, eta, need_positive=True)
-
+    c_rot = q.T @ c @ q
     if mode == "commuting":
-        lam = np.linalg.solve(h @ (2.0 * np.eye(d) - eta * h), eta * c)
-        return symmetrize(lam)
-
-    # mode == "general": vectorize Lambda H + H Lambda - eta H Lambda H = eta C.
-    # With column-major vec, vec(A X B) = (B^T kron A) vec(X); H is symmetric.
-    eye = np.eye(d)
-    k = np.kron(h, eye) + np.kron(eye, h) - eta * np.kron(h, h)
-    try:
-        vec = np.linalg.solve(k, eta * c.flatten(order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"stationary solve failed: {exc}") from exc
-    return symmetrize(vec.reshape((d, d), order="F"))
+        inv = 1.0 / (eigs * (2.0 - eta * eigs))
+        kernel = (inv[:, None] + inv[None, :]) / 2.0
+    else:
+        kernel = 1.0 / (eigs[:, None] + eigs[None, :]
+                        - eta * np.outer(eigs, eigs))
+    return symmetrize(q @ (eta * c_rot * kernel) @ q.T)
 
 
 def stationary_residual(lam, h, c, eta):

@@ -289,6 +289,63 @@ class TestStationaryCovariance:
             solve_stationary_covariance(np.eye(1), np.eye(1), 0.0)
         assert "general" in STATIONARY_MODES
 
+    def test_general_matches_discrete_lyapunov_d30(self):
+        rng = np.random.default_rng(29)
+        h = random_spd(rng, 30, scale=3.0, min_eig=0.1)
+        c = random_spd(rng, 30)
+        eta = 0.4
+        lam = solve_stationary_covariance(h, c, eta, mode="general")
+        expected = scipy.linalg.solve_discrete_lyapunov(
+            np.eye(30) - eta * h, eta * eta * c
+        )
+        np.testing.assert_allclose(lam, expected, rtol=1e-8, atol=0.0)
+
+    def test_general_d200_non_commuting(self):
+        """A d^2 x d^2 vectorized solve would need 12.8 GB at d = 200."""
+        rng = np.random.default_rng(31)
+        h = random_spd(rng, 200, scale=4.0, min_eig=0.1)
+        c = random_spd(rng, 200, scale=2.0, min_eig=0.01)
+        eta = 0.3
+        assert np.linalg.norm(h @ c - c @ h) > 1.0
+        lam = solve_stationary_covariance(h, c, eta, mode="general")
+        bound = 1e-9 * np.linalg.norm(eta * c)
+        assert stationary_residual(lam, h, c, eta) <= bound
+        np.testing.assert_array_equal(lam, lam.T)
+        assert np.linalg.eigvalsh(lam).min() > 0.0
+
+    def test_general_near_edge_of_stability(self):
+        rng = np.random.default_rng(37)
+        eta = 0.5
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        vals = np.array([0.2, 0.9, 1.5, 2.4, 3.1, (2.0 / eta) * (1.0 - 1e-6)])
+        h = (q * vals) @ q.T
+        c = random_spd(rng, 6)
+        lam = solve_stationary_covariance(h, c, eta, mode="general")
+        assert np.all(np.isfinite(lam))
+        assert np.linalg.eigvalsh(lam).min() > 0.0
+        expected = scipy.linalg.solve_discrete_lyapunov(
+            np.eye(6) - eta * h, eta * eta * c
+        )
+        np.testing.assert_allclose(lam, expected, rtol=1e-4)
+        vals[-1] = 2.0 / eta
+        with pytest.raises(StabilityError) as exc:
+            solve_stationary_covariance((q * vals) @ q.T, c, eta, mode="general")
+        assert exc.value.eigenvalue == pytest.approx(2.0 / eta)
+
+    def test_commuting_mode_on_non_commuting_input(self):
+        """The closed form is eta [H (2I - eta H)]^{-1} C, symmetrized, even
+        when H and C do not commute."""
+        rng = np.random.default_rng(41)
+        h = random_spd(rng, 8, scale=1.5, min_eig=0.2)
+        c = random_spd(rng, 8)
+        eta = 0.35
+        assert np.linalg.norm(h @ c - c @ h) > 0.1
+        lam = solve_stationary_covariance(h, c, eta, mode="commuting")
+        expected = symmetrize(
+            np.linalg.solve(h @ (2.0 * np.eye(8) - eta * h), eta * c)
+        )
+        np.testing.assert_allclose(lam, expected, rtol=1e-10)
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_general_solution_is_spd_with_zero_residual(self, seed):
