@@ -54,6 +54,7 @@ from .gradstats import (
     LooQuantities,
     empirical_gnc,
     full_gradient,
+    gnc_from_grads,
     loo_quantities,
     minibatch_factor,
     minibatch_gnc,

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConfigError, NumericalError, StabilityError
-from .gradstats import minibatch_factor
+from .gradstats import gnc_from_grads, minibatch_factor
 from .linalg import (
     DEFAULT_EPS_REL,
     DEFAULT_FLOOR_ABS,
@@ -159,18 +159,14 @@ def tape_from_records(records, population=False):
             state_step = int(rec.steps[k])
             w = rec.weights[k]
             grads = problem.per_example_grads(w, dataset.features, dataset.labels)
-            mean = grads.mean(axis=0)
-            sigma = grads.T @ grads / len(dataset) - np.outer(mean, mean)
-            raw_c = factor * (sigma + sigma.T) / 2.0
+            sigma, mean = gnc_from_grads(grads)
+            raw_c = factor * sigma
             gnc = _floored_spd(raw_c, 1.0)
             pop_grad = raw_pop = pop = None
             if population:
                 ograds = problem.per_example_grads(w, oracle.features, oracle.labels)
-                om = ograds.mean(axis=0)
-                raw = ograds.T @ ograds / len(oracle) - np.outer(om, om)
-                raw_pop = (raw + raw.T) / 2.0
+                raw_pop, pop_grad = gnc_from_grads(ograds)
                 pop = _floored_spd(raw_pop, 1.0)
-                pop_grad = om
             stats.append(StepStats(
                 step=state_step + 1,
                 eta=rec.config.lr_at(state_step + 1),
@@ -509,16 +505,13 @@ def traj_bound_data_dependent(records, M=1.0, max_enumeration=12, n_subsets=64,
         for k in range(len(rec.steps) - 1):
             w = rec.weights[k]
             grads = problem.per_example_grads(w, dataset.features, dataset.labels)
-            mean = grads.mean(axis=0)
-            sigma = grads.T @ grads / n - np.outer(mean, mean)
+            sigma, _ = gnc_from_grads(grads)
             c_full = _floored_spd(sigma / b, 1.0)
             floored = floored or c_full.floored
             ld_full = log_det(c_full)
             ld_subs = []
             for idx in subsets:
-                sub = grads[idx]
-                gj = sub.mean(axis=0)
-                sj = sub.T @ sub / m - np.outer(gj, gj)
+                sj, _ = gnc_from_grads(grads[idx])
                 cj = _floored_spd(sj / b, 1.0)
                 floored = floored or cj.floored
                 ld_subs.append(log_det(cj))
@@ -687,9 +680,8 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
                 eigenvalue=float(eigs[-1]),
             )
         grads = problem.per_example_grads(w_star, dataset.features, dataset.labels)
-        mean = grads.mean(axis=0)
-        sigma = grads.T @ grads / n - np.outer(mean, mean)
-        c_raw = minibatch_factor(n, b) * (sigma + sigma.T) / 2.0
+        sigma, _ = gnc_from_grads(grads)
+        c_raw = minibatch_factor(n, b) * sigma
         per_dataset[ds_seed] = (h_raw, c_raw, gap)
 
     def evaluate(eps_scale):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfigError
-from .gradstats import minibatch_factor
+from .gradstats import gnc_from_grads, minibatch_factor
 from .linalg import SpdMatrix, log_det, spd_sqrt
 from .problems import build_problem, generate_dataset, population_oracle_sample
 from .seeding import substream
@@ -165,31 +165,22 @@ def sgd_step(problem, w, dataset, batch_indices, eta):
     return w - eta * grad
 
 
-def _noise_transform(problem, w, dataset, b, eps_rel, floor_abs):
-    """Return (factor, sqrt of the floored minibatch covariance or None)."""
-    factor = minibatch_factor(len(dataset), b)
-    if factor == 0.0:
-        return factor, None
+def _noise_transform(problem, w, dataset, factor):
+    """Square root of the floored minibatch covariance ``factor * Sigma`` at w."""
     grads = problem.per_example_grads(w, dataset.features, dataset.labels)
-    mean = grads.mean(axis=0)
-    sigma = grads.T @ grads / len(dataset) - np.outer(mean, mean)
-    c = SpdMatrix.from_matrix(factor * sigma, eps_rel=eps_rel, floor_abs=floor_abs)
-    return factor, spd_sqrt(c)
+    sigma, _ = gnc_from_grads(grads)
+    return spd_sqrt(SpdMatrix.from_matrix(factor * sigma))
 
 
 def sde_step(problem, w, dataset, eta, rng, noise_sqrt=None):
     """One Euler-Maruyama step: w - eta G + eta C^{1/2} N.
 
-    ``noise_sqrt`` lets callers reuse a frozen covariance square root; when
-    omitted it is recomputed from the current state. A full-batch covariance
-    (exactly zero) skips the noise term entirely, so the step degenerates to
-    plain gradient descent bit-for-bit.
+    ``noise_sqrt`` is the covariance square root C^{1/2}, which callers
+    compute and may reuse across steps. ``None`` means no noise term (the
+    full-batch covariance is exactly zero): the step is then plain gradient
+    descent bit-for-bit and draws nothing from ``rng``.
     """
     grad = problem.mean_grad(w, dataset.features, dataset.labels)
-    if noise_sqrt is None:
-        _, noise_sqrt = _noise_transform(
-            problem, w, dataset, b=len(dataset), eps_rel=1e-8, floor_abs=1e-12
-        )
     if noise_sqrt is None:
         return w - eta * grad
     return w - eta * grad + eta * (noise_sqrt @ rng.standard_normal(w.shape[0]))
@@ -262,13 +253,8 @@ def _run(config, dataset, oracle):
         series["dist_init"].append(float(np.linalg.norm(w - w0)))
         if config.log_alignment:
             ograds = problem.per_example_grads(w, oracle.features, oracle.labels)
-            om = ograds.mean(axis=0)
-            pop = SpdMatrix.from_matrix(
-                ograds.T @ ograds / len(oracle) - np.outer(om, om)
-            )
-            sig = SpdMatrix.from_matrix(
-                grads.T @ grads / n - np.outer(mean, mean)
-            )
+            pop = SpdMatrix.from_matrix(gnc_from_grads(ograds)[0])
+            sig = SpdMatrix.from_matrix(gnc_from_grads(grads)[0])
             opt_series["alignment"].append(log_det(pop) - log_det(sig))
         if config.log_lambda1:
             report = spectral.top_eigenvalue(
@@ -294,13 +280,9 @@ def _run(config, dataset, oracle):
                 w = sgd_step(problem, w, dataset, idx, eta)
             elif config.mode == "sde":
                 if factor != 0.0 and (t - 1) % config.cov_refresh == 0:
-                    _, noise_sqrt = _noise_transform(
-                        problem, w, dataset, config.b, 1e-8, 1e-12
-                    )
-                grad = problem.mean_grad(w, dataset.features, dataset.labels)
-                w = prev - eta * grad
-                if noise_sqrt is not None:
-                    w = w + eta * (noise_sqrt @ rng_noise.standard_normal(w.shape[0]))
+                    noise_sqrt = _noise_transform(problem, w, dataset, factor)
+                w = sde_step(problem, w, dataset, eta, rng_noise,
+                             noise_sqrt=noise_sqrt)
             else:  # gld
                 w = gld_step(problem, w, dataset, eta, rng_noise)
             if not np.all(np.isfinite(w)):

@@ -1,5 +1,9 @@
 """Gradient statistics: full gradient, noise covariances, leave-one-out pieces.
 
+``gnc_from_grads`` is the one place the package forms the single-draw
+covariance ``Sigma = g^T g / n - mean mean^T`` from per-example gradients;
+every caller applies its own batch scale to the result.
+
 Naming: ``single_draw_gnc`` is the covariance of one random per-example
 gradient around the full-batch mean (Sigma_t in most derivations);
 ``minibatch_gnc`` rescales it by the without-replacement factor
@@ -53,7 +57,13 @@ def full_gradient(problem, w, dataset):
     return problem.mean_grad(w, dataset.features, dataset.labels)
 
 
-def _gnc_from_grads(grads):
+def gnc_from_grads(grads):
+    """(Sigma, mean) of the rows of an (n, d) per-example gradient array.
+
+    Sigma is the symmetrized single-draw covariance around the mean, with
+    divisor n; scale it by ``minibatch_factor(n, b)`` (or ``1/b`` under the
+    leave-one-out convention) for a batch covariance.
+    """
     n = grads.shape[0]
     mean = grads.mean(axis=0)
     sigma = grads.T @ grads / n - np.outer(mean, mean)
@@ -69,7 +79,7 @@ def empirical_gnc(problem, w, dataset):
     if len(dataset) == 0:
         raise ConfigError("dataset must be nonempty")
     grads = problem.per_example_grads(w, dataset.features, dataset.labels)
-    sigma, _ = _gnc_from_grads(grads)
+    sigma, _ = gnc_from_grads(grads)
     return sigma
 
 
@@ -110,11 +120,9 @@ def loo_quantities(problem, w, dataset, subset, b):
     grads = problem.per_example_grads(
         w, dataset.features[subset], dataset.labels[subset]
     )
-    g_j = grads.mean(axis=0)
-    second = grads.T @ grads / m
-    c_j = (second - np.outer(g_j, g_j)) / b
+    sigma_j, g_j = gnc_from_grads(grads)
     xi = g_j - full_gradient(problem, w, dataset)
-    return LooQuantities(subset=subset, xi=xi, loo_gnc=(c_j + c_j.T) / 2.0)
+    return LooQuantities(subset=subset, xi=xi, loo_gnc=sigma_j / b)
 
 
 def snapshot(problem, w, dataset, b, step=0, oracle_sample=None,
@@ -141,7 +149,7 @@ def snapshot(problem, w, dataset, b, step=0, oracle_sample=None,
         sigma = np.diag(var)
         diagonal_only = True
     else:
-        sigma, _ = _gnc_from_grads(grads)
+        sigma, _ = gnc_from_grads(grads)
     c = factor * sigma
     pop = None
     if oracle_sample is not None:
@@ -152,7 +160,7 @@ def snapshot(problem, w, dataset, b, step=0, oracle_sample=None,
         if diagonal_only:
             pop = np.diag(np.mean(ograds * ograds, axis=0) - omean * omean)
         else:
-            pop, _ = _gnc_from_grads(ograds)
+            pop, _ = gnc_from_grads(ograds)
     return GradSnapshot(
         step=step,
         full_grad=mean,
@@ -163,10 +171,3 @@ def snapshot(problem, w, dataset, b, step=0, oracle_sample=None,
         trace_c=float(np.trace(c)),
         diagonal_only=diagonal_only,
     )
-
-
-def quadratic_moments(spec, w):
-    """Re-export of the analytic quadratic moments, for callers living here."""
-    from .problems import quadratic_population_moments
-
-    return quadratic_population_moments(spec, w)

@@ -21,10 +21,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from .dynamics import TrainConfig, loo_train, run_ensemble, train_run
 from .errors import CapabilityError, ConfigError, GradnoiseError
-from .gradstats import minibatch_factor
+from .gradstats import gnc_from_grads, minibatch_factor
 from .linalg import (
     STATIONARY_MODES,
-    SpdMatrix,
     solve_stationary_covariance,
     stationary_residual,
 )
@@ -40,12 +39,54 @@ from .problems import (
 TRAJECTORY_CSV_HEADER = ("step", "train_loss", "test_loss", "grad_norm_sq",
                          "trace_c", "dist_init", "lambda1", "gap")
 
-TRAJ_BOUNDS = ("traj-isotropic", "traj-langevin", "traj-anisotropic",
-               "traj-data-dependent", "terminal-gradient-accum")
-TERMINAL_BOUNDS = ("terminal-general", "terminal-anisotropic",
-                   "terminal-isotropic", "terminal-loo", "fim-takeuchi")
-SWEEP_BOUNDS = ("terminal-general", "terminal-anisotropic",
-                "terminal-isotropic", "fim-takeuchi")
+# Bound name -> (input family, evaluator(config, input)). The families are
+# "tape" (a TrajectoryTape), "records" (trajectory records), "ensemble" (a
+# TerminalEnsemble) and "pairs" (full / leave-one-out record pairs). The order
+# fixes the row order of bounds.csv. Evaluators look each bound function up on
+# ``bounds_mod`` when called, so a wrapper rebound onto that module (as
+# perfbench's tracer does) reaches them.
+_BOUND_TABLE = {
+    "traj-isotropic": (
+        "tape", lambda c, tape: bounds_mod.traj_bound_isotropic(
+            tape, bounds_mod.GTildeChoice(kind=c.g_tilde), R=c.R)),
+    "traj-langevin": (
+        "tape", lambda c, tape: bounds_mod.traj_bound_langevin(
+            tape, bounds_mod.GTildeChoice(kind=c.g_tilde), R=c.R)),
+    "traj-anisotropic": (
+        "tape", lambda c, tape: bounds_mod.traj_bound_anisotropic(
+            tape, R=c.R)),
+    "traj-data-dependent": (
+        "records", lambda c, records: bounds_mod.traj_bound_data_dependent(
+            records, M=c.M, seed=c.seed)),
+    "terminal-gradient-accum": (
+        "records", lambda c, records: bounds_mod.terminal_bound_gradient_accum(
+            records, R=c.R)),
+    "terminal-general": (
+        "ensemble", lambda c, ens: bounds_mod.terminal_bound_general(
+            ens, R=c.R)),
+    "terminal-anisotropic": (
+        "ensemble", lambda c, ens: bounds_mod.terminal_bound_anisotropic(
+            ens, R=c.R)),
+    "terminal-isotropic": (
+        "ensemble", lambda c, ens: bounds_mod.terminal_bound_isotropic(
+            ens, reference=c.reference, R=c.R)),
+    "terminal-loo": (
+        "pairs", lambda c, pairs: bounds_mod.terminal_bound_loo(
+            pairs, M=c.M)),
+    "fim-takeuchi": (
+        "ensemble", lambda c, ens: bounds_mod.fim_takeuchi_bound(
+            ens, M=c.M)),
+}
+
+
+def _bounds_of(*families):
+    return tuple(name for name, (family, _) in _BOUND_TABLE.items()
+                 if family in families)
+
+
+TRAJ_BOUNDS = _bounds_of("tape", "records")
+TERMINAL_BOUNDS = _bounds_of("ensemble", "pairs")
+SWEEP_BOUNDS = _bounds_of("ensemble")
 
 _TOP_KEYS = {"problem", "train", "bounds", "ensemble", "sweep_n", "seed",
              "oracle_seed", "out_dir", "g_tilde", "R", "M", "reference",
@@ -195,8 +236,7 @@ def load_experiment_config(source, seed_override=None, out_override=None):
         log_alignment=bool(train_raw.get("log_alignment", False)),
     )
     bound_names = tuple(raw.get("bounds", []))
-    known = set(TRAJ_BOUNDS) | set(TERMINAL_BOUNDS)
-    bad = [b for b in bound_names if b not in known]
+    bad = [b for b in bound_names if b not in _BOUND_TABLE]
     if bad:
         raise ConfigError("unknown bound names: " + ", ".join(sorted(bad)))
     g_tilde = raw.get("g_tilde", "population-gradient")
@@ -343,6 +383,15 @@ def cmd_compare(config, out_dir=None, jobs=None):
     return summary
 
 
+def _evaluate_bounds(config, names, inputs):
+    """Reports of the named bounds, in order, each fed its family's input."""
+    reports = []
+    for name in names:
+        family, evaluator = _BOUND_TABLE[name]
+        reports.append(evaluator(config, inputs[family]))
+    return reports
+
+
 def _bounds_outputs(reports, out_dir):
     rows = []
     for rep in reports:
@@ -381,27 +430,12 @@ def cmd_bounds_traj(config, out_dir=None, jobs=None):
     if not names:
         raise ConfigError("no trajectory bounds selected")
     records = _trajectory_records(config)
-    g_choice = bounds_mod.GTildeChoice(kind=config.g_tilde)
-    need_pop = "traj-anisotropic" in names or config.g_tilde == "population-gradient"
-    tape = None
-    if {"traj-isotropic", "traj-langevin", "traj-anisotropic"} & set(names):
-        tape = bounds_mod.tape_from_records(records, population=need_pop)
-    reports = []
-    for name in names:
-        if name == "traj-isotropic":
-            reports.append(bounds_mod.traj_bound_isotropic(
-                tape, g_choice, R=config.R))
-        elif name == "traj-langevin":
-            reports.append(bounds_mod.traj_bound_langevin(
-                tape, g_choice, R=config.R))
-        elif name == "traj-anisotropic":
-            reports.append(bounds_mod.traj_bound_anisotropic(tape, R=config.R))
-        elif name == "traj-data-dependent":
-            reports.append(bounds_mod.traj_bound_data_dependent(
-                records, M=config.M, seed=config.seed))
-        elif name == "terminal-gradient-accum":
-            reports.append(bounds_mod.terminal_bound_gradient_accum(
-                records, R=config.R))
+    inputs = {"records": records}
+    if any(_BOUND_TABLE[name][0] == "tape" for name in names):
+        need_pop = ("traj-anisotropic" in names
+                    or config.g_tilde == "population-gradient")
+        inputs["tape"] = bounds_mod.tape_from_records(records, population=need_pop)
+    reports = _evaluate_bounds(config, names, inputs)
     _bounds_outputs(reports, out_dir)
     return reports
 
@@ -430,30 +464,19 @@ def cmd_bounds_terminal(config, out_dir=None, jobs=None):
              if n in TERMINAL_BOUNDS]
     if not names:
         raise ConfigError("no terminal bounds selected")
-    ensemble = None
-    if set(names) - {"terminal-loo"}:
-        ensemble = run_ensemble(config.train, config.dataset_seeds,
-                                config.run_seeds, jobs=jobs or 1)
-    reports = []
-    for name in names:
-        if name == "terminal-general":
-            reports.append(bounds_mod.terminal_bound_general(ensemble, R=config.R))
-        elif name == "terminal-anisotropic":
-            reports.append(bounds_mod.terminal_bound_anisotropic(
-                ensemble, R=config.R))
-        elif name == "terminal-isotropic":
-            reports.append(bounds_mod.terminal_bound_isotropic(
-                ensemble, reference=config.reference, R=config.R))
-        elif name == "terminal-loo":
-            reports.append(bounds_mod.terminal_bound_loo(
-                _loo_pairs(config), M=config.M))
-        elif name == "fim-takeuchi":
-            reports.append(bounds_mod.fim_takeuchi_bound(ensemble, M=config.M))
-    _bounds_outputs(reports, out_dir)
-    if ensemble is not None:
-        gen = estimate_generalization_error(ensemble)
+    families = {_BOUND_TABLE[name][0] for name in names}
+    inputs = {}
+    if "ensemble" in families:
+        inputs["ensemble"] = run_ensemble(config.train, config.dataset_seeds,
+                                          config.run_seeds, jobs=jobs or 1)
+    if "pairs" in families:
+        inputs["pairs"] = _loo_pairs(config)
+    reports = _evaluate_bounds(config, names, inputs)
+    if "ensemble" in inputs:
+        gen = estimate_generalization_error(inputs["ensemble"])
         for rep in reports:
             rep.components.setdefault("generalization_error_estimate", gen)
+    _bounds_outputs(reports, out_dir)
     return reports
 
 
@@ -479,9 +502,8 @@ def cmd_stationary(config, out_dir=None, jobs=None):
     centered = tail - tail_mean
     empirical = centered.T @ centered / max(tail.shape[0] - 1, 1)
     grads = problem.per_example_grads(tail_mean, dataset.features, dataset.labels)
-    gmean = grads.mean(axis=0)
-    sigma = grads.T @ grads / train.n - np.outer(gmean, gmean)
-    c = minibatch_factor(train.n, train.b) * (sigma + sigma.T) / 2.0
+    sigma, _ = gnc_from_grads(grads)
+    c = minibatch_factor(train.n, train.b) * sigma
     h = problem.exact_hessian(tail_mean, dataset.features, dataset.labels)
     eta = train.lr_at(train.steps)
     modes = config.stationary.get("modes", list(STATIONARY_MODES))
@@ -526,16 +548,8 @@ def cmd_sweep_n(config, out_dir=None, jobs=None):
         ensemble = run_ensemble(train, config.dataset_seeds,
                                 config.run_seeds, jobs=jobs or 1)
         gen = estimate_generalization_error(ensemble)
-        for name in names:
-            if name == "terminal-general":
-                rep = bounds_mod.terminal_bound_general(ensemble, R=config.R)
-            elif name == "terminal-anisotropic":
-                rep = bounds_mod.terminal_bound_anisotropic(ensemble, R=config.R)
-            elif name == "terminal-isotropic":
-                rep = bounds_mod.terminal_bound_isotropic(
-                    ensemble, reference=config.reference, R=config.R)
-            else:
-                rep = bounds_mod.fim_takeuchi_bound(ensemble, M=config.M)
+        reports = _evaluate_bounds(config, names, {"ensemble": ensemble})
+        for name, rep in zip(names, reports):
             rows.append((n, name, rep.core, rep.value, gen, seeds_used))
     if out_dir is not None:
         out = Path(out_dir)

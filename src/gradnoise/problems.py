@@ -219,8 +219,6 @@ class QuadraticProblem:
 
     has_exact_hessian = True
     has_accuracy = False
-    loss_bound_m = None
-    subgaussian_r = None
 
     def __init__(self, spec):
         self.spec = spec
@@ -252,8 +250,6 @@ class LogisticProblem:
 
     has_exact_hessian = True
     has_accuracy = True
-    loss_bound_m = None
-    subgaussian_r = None
 
     def __init__(self, spec):
         self.spec = spec
@@ -321,8 +317,6 @@ class MlpProblem:
 
     has_exact_hessian = False
     has_accuracy = True
-    loss_bound_m = None
-    subgaussian_r = None
 
     def __init__(self, spec):
         self.spec = spec

@@ -105,8 +105,8 @@ class TestStepFunctions:
         ])
         grad = self.problem.mean_grad(self.w, self.dataset.features,
                                       self.dataset.labels)
-        # sde_step defaults to the full-dataset batch size when recomputing,
-        # so compare against b = n... the covariance it used is C at b=len(data).
+        # Without a noise root the step is plain gradient descent: C at
+        # b = len(data) is exactly zero.
         c = minibatch_gnc(empirical_gnc(self.problem, self.w, self.dataset),
                           len(self.dataset), len(self.dataset))
         np.testing.assert_allclose(samples.mean(axis=0), self.w - eta * grad,

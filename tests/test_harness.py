@@ -264,6 +264,9 @@ class TestBoundsCommands:
                 assert "generalization_error_estimate" in rep.components
         payload = json.loads((tmp_path / "bounds.json").read_text())
         assert len(payload) == len(TERMINAL_BOUNDS)
+        gen = reports[0].components["generalization_error_estimate"]
+        for entry in payload:
+            assert entry["components"]["generalization_error_estimate"] == gen
 
     def test_terminal_outputs_independent_of_worker_count(self, tmp_path):
         raw = {
