@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .gradstats import gnc_from_grads, minibatch_factor
 from .linalg import SpdMatrix, log_det, spd_sqrt
 from .problems import build_problem, generate_dataset, population_oracle_sample
@@ -39,7 +39,9 @@ class TrainConfig:
     config needs only one seed while ensembles can vary the two independently.
     ``tail_checkpoints`` weights are captured at the end of the run (spaced
     ``tail_spacing`` steps apart, ending at step T) without paying the logging
-    cost; they feed stationary-covariance estimation.
+    cost; they feed stationary-covariance estimation. ``burn_in`` marks the
+    steps that count as transient: every tail checkpoint must come after it,
+    i.e. ``steps - (tail_checkpoints - 1) * tail_spacing > burn_in``.
     """
 
     spec: object
@@ -80,6 +82,11 @@ class TrainConfig:
             span = (self.tail_checkpoints - 1) * self.tail_spacing
             if span >= self.steps:
                 raise ConfigError("tail checkpoints reach back past step 1")
+            if self.steps - span <= self.burn_in:
+                raise ConfigError(
+                    f"first tail checkpoint (step {self.steps - span}) must come "
+                    f"after burn_in={self.burn_in}"
+                )
         sched = tuple((int(s), float(e)) for s, e in self.lr_schedule)
         if not sched:
             raise ConfigError("lr_schedule must have at least one (step, eta) pair")
@@ -280,7 +287,11 @@ def _run(config, dataset, oracle):
                 w = sgd_step(problem, w, dataset, idx, eta)
             elif config.mode == "sde":
                 if factor != 0.0 and (t - 1) % config.cov_refresh == 0:
-                    noise_sqrt = _noise_transform(problem, w, dataset, factor)
+                    try:
+                        noise_sqrt = _noise_transform(problem, w, dataset, factor)
+                    except InvalidInputError:  # the covariance overflowed
+                        diverged, diverged_step = True, t
+                        break
                 w = sde_step(problem, w, dataset, eta, rng_noise,
                              noise_sqrt=noise_sqrt)
             else:  # gld
@@ -361,6 +372,15 @@ def run_ensemble(config, n_dataset_seeds, n_run_seeds, jobs=1):
     Dataset seeds are ``base + i`` (base = the config's dataset seed), run
     seeds are ``config.seed + j``; results are merged in grid order regardless
     of the worker count.
+
+    A :class:`TerminalRun` keeps only the terminal state, so each run logs
+    only its initial and terminal states whatever the config's ``log_every``
+    (tail checkpoints are captured outside logging). Logging never touches an
+    RNG stream, so every run is bit-identical to ``train_run`` with the same
+    seeds and any cadence, up to divergence: non-finite weights are still
+    caught at every step, but the ``divergence_threshold`` loss test runs
+    only at step T, and a diverged run's final losses are those of its last
+    logged state.
     """
     if n_dataset_seeds < 1 or n_run_seeds < 1:
         raise ConfigError("seed grid must be at least 1 x 1")
@@ -372,7 +392,8 @@ def run_ensemble(config, n_dataset_seeds, n_run_seeds, jobs=1):
     }
 
     def one(i, j):
-        cfg = replace(config, dataset_seed=base_ds + i, seed=config.seed + j)
+        cfg = replace(config, dataset_seed=base_ds + i, seed=config.seed + j,
+                      log_every=config.steps)
         rec = _run(cfg, datasets[base_ds + i], oracle)
         return TerminalRun(
             dataset_seed=base_ds + i,

@@ -17,7 +17,8 @@ Hessian, where the equation decouples entrywise: one symmetric
 eigendecomposition, O(d^3) time and O(d^2) memory, for every mode.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,10 +48,13 @@ def symmetrize(m):
 class SpdMatrix:
     """A symmetric matrix regularized to be positive definite.
 
+    The floored eigenpairs are the stored state. The reconstruction
+    ``matrix`` is derived from them on first access and cached, so callers
+    that only need the eigenpairs (:func:`spd_sqrt`, :func:`log_det`, the
+    ``inv_*`` methods) never pay for it.
+
     Attributes
     ----------
-    matrix : ndarray
-        The floored reconstruction ``Q diag(max(eig, floor)) Q^T``.
     eigenvalues : ndarray
         Floored eigenvalues, ascending.
     eigenvectors : ndarray
@@ -61,9 +65,11 @@ class SpdMatrix:
         negative trace included).
     floored : bool
         True if any raw eigenvalue was below the floor.
+    matrix : ndarray
+        The floored reconstruction ``Q diag(max(eig, floor)) Q^T``,
+        symmetrized; computed lazily and cached.
     """
 
-    matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     floor: float
@@ -82,13 +88,17 @@ class SpdMatrix:
             floor = floor_abs
         floored = bool(np.any(vals < floor))
         vals = np.maximum(vals, floor)
-        mat = symmetrize((vecs * vals) @ vecs.T)
-        return cls(matrix=mat, eigenvalues=vals, eigenvectors=vecs,
+        return cls(eigenvalues=vals, eigenvectors=vecs,
                    floor=float(floor), floored=floored)
+
+    @cached_property
+    def matrix(self):
+        q = self.eigenvectors
+        return symmetrize((q * self.eigenvalues) @ q.T)
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return self.eigenvalues.shape[0]
 
     @property
     def trace(self):

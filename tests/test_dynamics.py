@@ -1,8 +1,12 @@
 """Training-loop tests: determinism, mode couplings, divergence, ensembles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gradnoise import dynamics
+from gradnoise.bounds import terminal_bound_general
 from gradnoise.dynamics import (
     TrainConfig,
     gld_step,
@@ -71,6 +75,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             base_config(tail_checkpoints=41, tail_spacing=1)
         base_config(tail_checkpoints=5, tail_spacing=8)  # span 32 < 40 steps
+        # The first tail step, 40 - 32 = 8, must come after burn_in.
+        base_config(tail_checkpoints=5, tail_spacing=8, burn_in=7)
+        with pytest.raises(ConfigError, match="burn_in"):
+            base_config(tail_checkpoints=5, tail_spacing=8, burn_in=8)
+        base_config(burn_in=39)  # no tail checkpoints: nothing to order
 
     def test_dataset_seed_defaults_to_seed(self):
         assert base_config(seed=9).effective_dataset_seed == 9
@@ -95,23 +104,18 @@ class TestStepFunctions:
                                       self.dataset.labels)
         np.testing.assert_allclose(out, self.w - eta * grad, rtol=1e-14)
 
-    def test_sde_step_moments_match_drift_and_diffusion(self):
-        """Monte Carlo over the one-step kernel: mean w - eta G, cov eta^2 C."""
-        eta, b, draws = 0.1, 4, 60_000
+    def test_sde_step_without_noise_root_is_gradient_descent(self):
+        """``noise_sqrt=None`` means no noise term: the step is w - eta G
+        bit-for-bit and draws nothing from the rng. The diffusion is covered
+        by the supplied-transform test below."""
+        eta = 0.1
         rng = np.random.default_rng(17)
-        samples = np.array([
-            sde_step(self.problem, self.w, self.dataset, eta, rng)
-            for _ in range(draws)
-        ])
+        state = rng.bit_generator.state
+        out = sde_step(self.problem, self.w, self.dataset, eta, rng)
         grad = self.problem.mean_grad(self.w, self.dataset.features,
                                       self.dataset.labels)
-        # Without a noise root the step is plain gradient descent: C at
-        # b = len(data) is exactly zero.
-        c = minibatch_gnc(empirical_gnc(self.problem, self.w, self.dataset),
-                          len(self.dataset), len(self.dataset))
-        np.testing.assert_allclose(samples.mean(axis=0), self.w - eta * grad,
-                                   atol=1e-12)
-        assert np.allclose(np.cov(samples.T), eta * eta * c, atol=1e-12)
+        assert np.array_equal(out, self.w - eta * grad)
+        assert rng.bit_generator.state == state
 
     def test_sde_step_with_supplied_transform_moments(self):
         eta, b, draws = 0.1, 4, 60_000
@@ -342,3 +346,64 @@ class TestEnsemble:
             expected = problem.mean_loss(run.final_w, oracle.features,
                                          oracle.labels)
             assert run.final_test_loss == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("mode, tails", [("sde", 4), ("sgd", 0)])
+    def test_runs_match_standalone_runs_logging_every_step(self, mode, tails):
+        """Ensemble runs log only steps 0 and T; every TerminalRun field must
+        still be bit-equal to a standalone run that logs every step."""
+        cfg = base_config(steps=30, mode=mode, log_every=1,
+                          tail_checkpoints=tails, tail_spacing=3)
+        ens = run_ensemble(cfg, 2, 2)
+        oracle = population_oracle_sample(cfg.spec, cfg.oracle_seed)
+        for run in ens.runs:
+            rec = train_run(replace(cfg, seed=run.run_seed,
+                                    dataset_seed=run.dataset_seed),
+                            oracle=oracle)
+            assert len(rec.steps) == 31
+            assert np.array_equal(run.final_w, rec.final_w)
+            assert np.array_equal(run.w0, rec.w0)
+            if tails:
+                assert np.array_equal(run.tail_weights, rec.tail_weights)
+            else:
+                assert run.tail_weights is None and rec.tail_weights is None
+            assert run.final_train_loss == rec.train_loss[-1]
+            assert run.final_test_loss == rec.test_loss[-1]
+            assert run.diverged is rec.diverged is False
+
+    def test_runs_evaluate_losses_only_at_initial_and_terminal_states(
+            self, monkeypatch):
+        calls = []
+        real_build = dynamics.build_problem
+
+        def counting_build(spec):
+            problem = real_build(spec)
+            mean_loss = problem.mean_loss
+
+            def counted(w, features, labels):
+                calls.append(len(features))
+                return mean_loss(w, features, labels)
+
+            problem.mean_loss = counted
+            return problem
+
+        monkeypatch.setattr(dynamics, "build_problem", counting_build)
+        cfg = base_config(steps=40, mode="sde", log_every=1)
+        run_ensemble(cfg, 1, 2)
+        # Per run: train and oracle loss at steps 0 and T.
+        assert len(calls) == 2 * 2 * 2
+
+    @pytest.mark.parametrize("mode, steps", [("sde", 100), ("sde", 2000),
+                                             ("sgd", 2000)])
+    def test_divergent_ensemble_is_flagged_and_unusable(self, mode, steps):
+        """eta = 2.5 is past 2 / lambda_max = 2 on the unit quadratic, so the
+        iterate grows like 1.5^t. At 100 steps everything stays finite and
+        only the loss test at T catches it. Over 2000 steps the SDE noise
+        covariance overflows near t = 875 and the SGD weights near t = 1750;
+        both are caught at the step they happen."""
+        cfg = base_config(lr_schedule=((1, 2.5),), steps=steps, mode=mode,
+                          tail_checkpoints=3, tail_spacing=2)
+        ens = run_ensemble(cfg, 2, 2)
+        assert all(run.diverged for run in ens.runs)
+        assert all(np.all(np.isfinite(run.final_w)) for run in ens.runs)
+        with pytest.raises(ConfigError):
+            terminal_bound_general(ens)

@@ -117,6 +117,30 @@ class TestSpdMatrix:
         root = spd_sqrt(SpdMatrix.from_matrix(m))
         np.testing.assert_allclose(root @ root, m, rtol=1e-10, atol=1e-12)
 
+    def test_lazy_matrix_equals_eager_reconstruction(self):
+        """``matrix`` is derived on first access from the floored eigenpairs
+        and must equal the reconstruction formerly built in ``from_matrix``."""
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal((3, 7))
+        m = g.T @ g  # rank 3 of 7: the floor lifts four eigenvalues
+        spd = SpdMatrix.from_matrix(m)
+        assert spd.floored
+        assert spd.dim == 7
+        assert "matrix" not in vars(spd)
+        sym = symmetrize(m)
+        vals, vecs = np.linalg.eigh(sym)
+        vals = np.maximum(vals, 1e-8 * (np.trace(sym) / 7))
+        eager = symmetrize((vecs * vals) @ vecs.T)
+        assert np.array_equal(spd.matrix, eager)
+        assert spd.matrix is spd.matrix  # cached, not rebuilt
+
+    def test_sqrt_reads_only_the_eigenpairs(self):
+        rng = np.random.default_rng(17)
+        spd = SpdMatrix.from_matrix(random_spd(rng, 5))
+        spd_sqrt(spd)
+        log_det(spd)
+        assert "matrix" not in vars(spd)
+
 
 class TestLogDet:
     def test_matches_permutation_expansion_d4(self):
