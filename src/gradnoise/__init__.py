@@ -58,7 +58,6 @@ from .gradstats import (
     loo_quantities,
     minibatch_factor,
     minibatch_gnc,
-    population_gnc_estimate,
     snapshot,
 )
 from .harness import (

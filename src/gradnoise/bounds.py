@@ -541,7 +541,7 @@ def traj_bound_data_dependent(records, M=1.0, max_enumeration=12, n_subsets=64,
     )
 
 
-def _terminal_samples(ensemble, use_tails=True):
+def _terminal_samples(ensemble):
     """Per-dataset weight samples: final weights plus tail checkpoints."""
     groups = {}
     skipped = 0
@@ -549,7 +549,7 @@ def _terminal_samples(ensemble, use_tails=True):
         if run.diverged:
             skipped += 1
             continue
-        if use_tails and run.tail_weights is not None:
+        if run.tail_weights is not None:
             rows = run.tail_weights
         else:
             rows = run.final_w[None, :]

@@ -11,7 +11,6 @@ regardless of the batch size.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import spectral
 from .errors import ConfigError, InvalidInputError
 from .gradstats import gnc_from_grads, minibatch_factor
-from .linalg import SpdMatrix, log_det, spd_sqrt
+from .linalg import SpdMatrix, spd_sqrt
 from .problems import build_problem, generate_dataset, population_oracle_sample
 from .seeding import substream
 
@@ -62,8 +61,6 @@ class TrainConfig:
     tail_checkpoints: int = 0
     tail_spacing: int = 1
     log_lambda1: bool = False
-    log_alignment: bool = False
-    divergence_threshold: float = DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -126,17 +123,14 @@ class TrajectoryRecord:
     grad_norm_sq: np.ndarray
     trace_c: np.ndarray
     dist_init: np.ndarray
-    alignment: np.ndarray | None
     lambda1: np.ndarray | None
     gap: np.ndarray | None
-    gap_fig: np.ndarray | None
     weights: np.ndarray | None
     tail_weights: np.ndarray | None
     final_w: np.ndarray
     w0: np.ndarray
     diverged: bool
     diverged_step: int | None
-    cov_refresh: int
 
 
 @dataclass(frozen=True)
@@ -237,7 +231,7 @@ def _run(config, dataset, oracle):
     tails = _tail_steps(config)
     series = {k: [] for k in ("steps", "train_loss", "test_loss",
                               "grad_norm_sq", "trace_c", "dist_init")}
-    opt_series = {"alignment": [], "lambda1": [], "gap": [], "gap_fig": []}
+    opt_series = {"lambda1": [], "gap": []}
     weights = [] if config.record_weights else None
     tail_weights = []
     diverged = False
@@ -245,7 +239,7 @@ def _run(config, dataset, oracle):
 
     def log_state(t, w, eta):
         loss = problem.mean_loss(w, dataset.features, dataset.labels)
-        if not np.isfinite(loss) or loss > config.divergence_threshold:
+        if not np.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
             return False
         series["steps"].append(t)
         series["train_loss"].append(loss)
@@ -258,18 +252,12 @@ def _run(config, dataset, oracle):
         trace_sigma = float(np.mean(np.sum(grads * grads, axis=1)) - mean @ mean)
         series["trace_c"].append(factor * trace_sigma)
         series["dist_init"].append(float(np.linalg.norm(w - w0)))
-        if config.log_alignment:
-            ograds = problem.per_example_grads(w, oracle.features, oracle.labels)
-            pop = SpdMatrix.from_matrix(gnc_from_grads(ograds)[0])
-            sig = SpdMatrix.from_matrix(gnc_from_grads(grads)[0])
-            opt_series["alignment"].append(log_det(pop) - log_det(sig))
         if config.log_lambda1:
             report = spectral.top_eigenvalue(
                 problem, w, dataset, seed=config.seed, seed_labels=("spectral", t)
             )
             opt_series["lambda1"].append(report.lambda_1)
             opt_series["gap"].append(2.0 / eta - report.lambda_1)
-            opt_series["gap_fig"].append(eta / 2.0 - report.lambda_1)
         if config.record_weights:
             weights.append(w.copy())
         return True
@@ -319,17 +307,14 @@ def _run(config, dataset, oracle):
         grad_norm_sq=np.array(series["grad_norm_sq"]),
         trace_c=np.array(series["trace_c"]),
         dist_init=np.array(series["dist_init"]),
-        alignment=np.array(opt_series["alignment"]) if config.log_alignment else None,
         lambda1=np.array(opt_series["lambda1"]) if config.log_lambda1 else None,
         gap=np.array(opt_series["gap"]) if config.log_lambda1 else None,
-        gap_fig=np.array(opt_series["gap_fig"]) if config.log_lambda1 else None,
         weights=np.array(weights) if config.record_weights else None,
         tail_weights=tail_arr,
         final_w=w,
         w0=w0,
         diverged=diverged,
         diverged_step=diverged_step,
-        cov_refresh=config.cov_refresh,
     )
 
 
@@ -366,19 +351,19 @@ def loo_train(config, dataset, subset, oracle=None):
     return _run(sub_config, sub, oracle)
 
 
-def run_ensemble(config, n_dataset_seeds, n_run_seeds, jobs=1):
+def run_ensemble(config, n_dataset_seeds, n_run_seeds):
     """Grid of independent runs over dataset seeds x run seeds.
 
     Dataset seeds are ``base + i`` (base = the config's dataset seed), run
-    seeds are ``config.seed + j``; results are merged in grid order regardless
-    of the worker count.
+    seeds are ``config.seed + j``; the runs execute one after another, in grid
+    order.
 
     A :class:`TerminalRun` keeps only the terminal state, so each run logs
     only its initial and terminal states whatever the config's ``log_every``
     (tail checkpoints are captured outside logging). Logging never touches an
     RNG stream, so every run is bit-identical to ``train_run`` with the same
     seeds and any cadence, up to divergence: non-finite weights are still
-    caught at every step, but the ``divergence_threshold`` loss test runs
+    caught at every step, but the ``DIVERGENCE_THRESHOLD`` loss test runs
     only at step T, and a diverged run's final losses are those of its last
     logged state.
     """
@@ -406,10 +391,6 @@ def run_ensemble(config, n_dataset_seeds, n_run_seeds, jobs=1):
             tail_weights=rec.tail_weights,
         )
 
-    grid = [(i, j) for i in range(n_dataset_seeds) for j in range(n_run_seeds)]
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(lambda ij: one(*ij), grid))
-    else:
-        runs = [one(i, j) for i, j in grid]
-    return TerminalEnsemble(runs=tuple(runs), config=config)
+    runs = tuple(one(i, j) for i in range(n_dataset_seeds)
+                 for j in range(n_run_seeds))
+    return TerminalEnsemble(runs=runs, config=config)

@@ -17,19 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError
-
-DENSE_DIM_CAP = 512
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
 class GradSnapshot:
-    """All gradient statistics of one training state.
-
-    ``diagonal_only`` marks snapshots taken above the dense-matrix cap, where
-    only the diagonals of the covariances are kept (stored as diagonal
-    matrices); bounds consuming them flag their reports accordingly.
-    """
+    """All gradient statistics of one training state."""
 
     step: int
     full_grad: np.ndarray
@@ -38,7 +31,6 @@ class GradSnapshot:
     pop_gnc: np.ndarray | None
     grad_norm_sq: float
     trace_c: float
-    diagonal_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,11 +89,6 @@ def minibatch_gnc(sigma, n, b):
     return minibatch_factor(n, b) * np.asarray(sigma, dtype=float)
 
 
-def population_gnc_estimate(problem, w, oracle_sample):
-    """Plug-in estimate of the population GNC on the oracle sample."""
-    return empirical_gnc(problem, w, oracle_sample)
-
-
 def loo_quantities(problem, w, dataset, subset, b):
     """Subset-J pieces for the data-dependent prior machinery.
 
@@ -125,42 +112,18 @@ def loo_quantities(problem, w, dataset, subset, b):
     return LooQuantities(subset=subset, xi=xi, loo_gnc=sigma_j / b)
 
 
-def snapshot(problem, w, dataset, b, step=0, oracle_sample=None,
-             dense_cap=DENSE_DIM_CAP, diag_fallback=False):
-    """Build a :class:`GradSnapshot` at one state.
-
-    Above ``dense_cap`` parameters the full d x d covariances are not
-    materialized; with ``diag_fallback`` the snapshot keeps diagonal
-    approximations instead (marked ``diagonal_only``), otherwise this raises.
-    """
-    n = len(dataset)
-    factor = minibatch_factor(n, b)
+def snapshot(problem, w, dataset, b, step=0, oracle_sample=None):
+    """Build a :class:`GradSnapshot` at one state."""
+    factor = minibatch_factor(len(dataset), b)
     grads = problem.per_example_grads(w, dataset.features, dataset.labels)
-    mean = grads.mean(axis=0)
-    d = grads.shape[1]
-    diagonal_only = False
-    if d > dense_cap:
-        if not diag_fallback:
-            raise CapabilityError(
-                f"d={d} exceeds the dense-matrix cap {dense_cap}; "
-                "enable the diagonal fallback to proceed"
-            )
-        var = np.mean(grads * grads, axis=0) - mean * mean
-        sigma = np.diag(var)
-        diagonal_only = True
-    else:
-        sigma, _ = gnc_from_grads(grads)
+    sigma, mean = gnc_from_grads(grads)
     c = factor * sigma
     pop = None
     if oracle_sample is not None:
         ograds = problem.per_example_grads(
             w, oracle_sample.features, oracle_sample.labels
         )
-        omean = ograds.mean(axis=0)
-        if diagonal_only:
-            pop = np.diag(np.mean(ograds * ograds, axis=0) - omean * omean)
-        else:
-            pop, _ = gnc_from_grads(ograds)
+        pop, _ = gnc_from_grads(ograds)
     return GradSnapshot(
         step=step,
         full_grad=mean,
@@ -169,5 +132,4 @@ def snapshot(problem, w, dataset, b, step=0, oracle_sample=None,
         pop_gnc=pop,
         grad_norm_sq=float(mean @ mean),
         trace_c=float(np.trace(c)),
-        diagonal_only=diagonal_only,
     )

@@ -3,15 +3,14 @@
 A JSON experiment config fully determines every output file; re-running a
 command with the same config reproduces the files byte for byte. Floats are
 written with the %.17g format (round-trip exact), file writes happen only in
-the orchestrator after runs complete, and the worker count never affects
-results, only wall time.
+the orchestrator after runs complete, and ensembles run serially in a fixed
+grid order.
 
 Exit-code contract for :func:`run_cli`: 0 success, 2 configuration error,
 3 numerical or divergence error.
 """
 
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -102,7 +101,7 @@ _PROBLEM_KEYS = {
 _TRAIN_KEYS = {"n", "b", "lr", "lr_schedule", "steps", "mode", "log_every",
                "record_weights", "burn_in", "init_scale", "w0", "cov_refresh",
                "dataset_seed", "tail_checkpoints", "tail_spacing",
-               "log_lambda1", "log_alignment"}
+               "log_lambda1"}
 _ENSEMBLE_KEYS = {"dataset_seeds", "run_seeds"}
 _STATIONARY_KEYS = {"modes", "b"}
 
@@ -128,6 +127,26 @@ class ExperimentConfig:
     stationary: dict
 
 
+_REQUIRED = object()
+
+
+def _read(cfg, name, cast, default=_REQUIRED):
+    """``cast`` of the value at dotted key ``name``, or ``default`` if absent.
+
+    A missing required key or a value ``cast`` rejects is a ConfigError that
+    names the key.
+    """
+    key = name.rsplit(".", 1)[-1]
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {name}")
+        return default
+    try:
+        return cast(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {name}: {cfg[key]!r}") from exc
+
+
 def _check_keys(section, given, allowed, unknown):
     for key in given:
         if key not in allowed:
@@ -143,35 +162,36 @@ def _parse_problem(cfg, unknown):
     if unknown:
         return None
     if family == "quadratic":
-        dim = int(cfg.get("dim", 1))
+        dim = _read(cfg, "problem.dim", int, 1)
         center = cfg.get("center", 0.0)
         center = np.full(dim, float(center)) if np.isscalar(center) else center
         return QuadraticSpec(
             curvature=cfg.get("curvature", 1.0),
             center=center,
             scatter=cfg.get("scatter", 1.0),
-            pop_oracle_size=int(cfg.get("pop_oracle_size", 10_000)),
+            pop_oracle_size=_read(cfg, "problem.pop_oracle_size", int, 10_000),
         )
     if family == "logistic":
-        dim = int(cfg["dim"])
+        dim = _read(cfg, "problem.dim", int)
         if "mean0" in cfg or "mean1" in cfg:
             mean0, mean1 = cfg["mean0"], cfg["mean1"]
         else:
-            half = 0.5 * float(cfg.get("separation", 2.0)) / np.sqrt(dim)
+            half = 0.5 * _read(cfg, "problem.separation", float, 2.0) / np.sqrt(dim)
             mean1 = np.full(dim, half)
             mean0 = -mean1
         return LogisticSpec(
             dim=dim, mean0=mean0, mean1=mean1, cov=cfg.get("cov", 1.0),
-            balance=float(cfg.get("balance", 0.5)),
-            l2=float(cfg.get("l2", 0.0)),
-            pop_oracle_size=int(cfg.get("pop_oracle_size", 10_000)),
+            balance=_read(cfg, "problem.balance", float, 0.5),
+            l2=_read(cfg, "problem.l2", float, 0.0),
+            pop_oracle_size=_read(cfg, "problem.pop_oracle_size", int, 10_000),
         )
     return MlpSpec(
-        in_dim=int(cfg["in_dim"]), hidden=int(cfg["hidden"]),
-        classes=int(cfg["classes"]),
-        teacher_seed=int(cfg.get("teacher_seed", 0)),
-        teacher_scale=float(cfg.get("teacher_scale", 1.0)),
-        pop_oracle_size=int(cfg.get("pop_oracle_size", 10_000)),
+        in_dim=_read(cfg, "problem.in_dim", int),
+        hidden=_read(cfg, "problem.hidden", int),
+        classes=_read(cfg, "problem.classes", int),
+        teacher_seed=_read(cfg, "problem.teacher_seed", int, 0),
+        teacher_scale=_read(cfg, "problem.teacher_scale", float, 1.0),
+        pop_oracle_size=_read(cfg, "problem.pop_oracle_size", int, 10_000),
     )
 
 
@@ -181,8 +201,9 @@ def _parse_schedule(train):
     if has_lr == has_sched:
         raise ConfigError("train config needs exactly one of lr, lr_schedule")
     if has_lr:
-        return ((1, float(train["lr"])),)
-    return tuple((int(s), float(e)) for s, e in train["lr_schedule"])
+        return ((1, _read(train, "train.lr", float)),)
+    return _read(train, "train.lr_schedule",
+                 lambda pairs: tuple((int(s), float(e)) for s, e in pairs))
 
 
 def load_experiment_config(source, seed_override=None, out_override=None):
@@ -210,30 +231,29 @@ def load_experiment_config(source, seed_override=None, out_override=None):
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
 
-    seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
-    oracle_seed = int(raw.get("oracle_seed", 0))
+    seed = (int(seed_override) if seed_override is not None
+            else _read(raw, "seed", int, 0))
+    oracle_seed = _read(raw, "oracle_seed", int, 0)
     w0 = train_raw.get("w0")
     train = TrainConfig(
         spec=spec,
-        n=int(train_raw["n"]),
-        b=int(train_raw["b"]),
+        n=_read(train_raw, "train.n", int),
+        b=_read(train_raw, "train.b", int),
         lr_schedule=_parse_schedule(train_raw),
-        steps=int(train_raw["steps"]),
+        steps=_read(train_raw, "train.steps", int),
         mode=train_raw.get("mode", "sgd"),
         seed=seed,
-        dataset_seed=(int(train_raw["dataset_seed"])
-                      if "dataset_seed" in train_raw else None),
+        dataset_seed=_read(train_raw, "train.dataset_seed", int, None),
         oracle_seed=oracle_seed,
-        log_every=int(train_raw.get("log_every", 1)),
+        log_every=_read(train_raw, "train.log_every", int, 1),
         record_weights=bool(train_raw.get("record_weights", False)),
-        burn_in=int(train_raw.get("burn_in", 0)),
+        burn_in=_read(train_raw, "train.burn_in", int, 0),
         w0=None if w0 is None else np.asarray(w0, dtype=float),
-        init_scale=float(train_raw.get("init_scale", 1.0)),
-        cov_refresh=int(train_raw.get("cov_refresh", 1)),
-        tail_checkpoints=int(train_raw.get("tail_checkpoints", 0)),
-        tail_spacing=int(train_raw.get("tail_spacing", 1)),
+        init_scale=_read(train_raw, "train.init_scale", float, 1.0),
+        cov_refresh=_read(train_raw, "train.cov_refresh", int, 1),
+        tail_checkpoints=_read(train_raw, "train.tail_checkpoints", int, 0),
+        tail_spacing=_read(train_raw, "train.tail_spacing", int, 1),
         log_lambda1=bool(train_raw.get("log_lambda1", False)),
-        log_alignment=bool(train_raw.get("log_alignment", False)),
     )
     bound_names = tuple(raw.get("bounds", []))
     bad = [b for b in bound_names if b not in _BOUND_TABLE]
@@ -245,22 +265,25 @@ def load_experiment_config(source, seed_override=None, out_override=None):
     reference = raw.get("reference", "grand-mean")
     if reference not in ("grand-mean", "init"):
         raise ConfigError(f"reference must be grand-mean or init, got {reference!r}")
+    compare_seeds = _read(raw, "compare_seeds", int, 10)
+    if compare_seeds < 1:
+        raise ConfigError(f"compare_seeds must be >= 1, got {compare_seeds}")
     return ExperimentConfig(
         spec=spec,
         train=train,
         bound_names=bound_names,
-        dataset_seeds=int(ensemble.get("dataset_seeds", 2)),
-        run_seeds=int(ensemble.get("run_seeds", 2)),
-        sweep_n=tuple(int(x) for x in raw.get("sweep_n", [])),
+        dataset_seeds=_read(ensemble, "ensemble.dataset_seeds", int, 2),
+        run_seeds=_read(ensemble, "ensemble.run_seeds", int, 2),
+        sweep_n=_read(raw, "sweep_n", lambda ns: tuple(int(x) for x in ns), ()),
         seed=seed,
         oracle_seed=oracle_seed,
         out_dir=str(out_override if out_override is not None
                     else raw.get("out_dir", ".")),
         g_tilde=g_tilde,
-        R=float(raw.get("R", 1.0)),
-        M=float(raw.get("M", 1.0)),
+        R=_read(raw, "R", float, 1.0),
+        M=_read(raw, "M", float, 1.0),
         reference=reference,
-        compare_seeds=int(raw.get("compare_seeds", 10)),
+        compare_seeds=compare_seeds,
         stationary=stationary,
     )
 
@@ -307,7 +330,7 @@ def estimate_generalization_error(runs):
     return float(np.mean(gaps))
 
 
-def cmd_train(config, out_dir=None, jobs=None):
+def cmd_train(config, out_dir=None):
     """Run one training process, write trajectory.csv (+ weights.json)."""
     record = train_run(config.train)
     payload = {
@@ -347,7 +370,7 @@ def _mean_curves(records):
     return rows
 
 
-def cmd_compare(config, out_dir=None, jobs=None):
+def cmd_compare(config, out_dir=None):
     """Paired SGD vs SDE runs; seed-averaged curves and terminal agreement."""
     problem = build_problem(config.spec)
     oracle = population_oracle_sample(config.spec, config.oracle_seed)
@@ -424,7 +447,7 @@ def _trajectory_records(config):
     return records
 
 
-def cmd_bounds_traj(config, out_dir=None, jobs=None):
+def cmd_bounds_traj(config, out_dir=None):
     """Evaluate trajectory-based bounds on freshly trained runs."""
     names = [n for n in (config.bound_names or TRAJ_BOUNDS) if n in TRAJ_BOUNDS]
     if not names:
@@ -458,7 +481,7 @@ def _loo_pairs(config):
     return pairs
 
 
-def cmd_bounds_terminal(config, out_dir=None, jobs=None):
+def cmd_bounds_terminal(config, out_dir=None):
     """Evaluate terminal-state bounds on a fresh ensemble."""
     names = [n for n in (config.bound_names or TERMINAL_BOUNDS)
              if n in TERMINAL_BOUNDS]
@@ -468,7 +491,7 @@ def cmd_bounds_terminal(config, out_dir=None, jobs=None):
     inputs = {}
     if "ensemble" in families:
         inputs["ensemble"] = run_ensemble(config.train, config.dataset_seeds,
-                                          config.run_seeds, jobs=jobs or 1)
+                                          config.run_seeds)
     if "pairs" in families:
         inputs["pairs"] = _loo_pairs(config)
     reports = _evaluate_bounds(config, names, inputs)
@@ -480,7 +503,7 @@ def cmd_bounds_terminal(config, out_dir=None, jobs=None):
     return reports
 
 
-def cmd_stationary(config, out_dir=None, jobs=None):
+def cmd_stationary(config, out_dir=None):
     """Solve the stationary covariance and check it against a long SDE tail."""
     if not isinstance(config.spec, QuadraticSpec):
         raise CapabilityError(
@@ -511,7 +534,7 @@ def cmd_stationary(config, out_dir=None, jobs=None):
         "lambda": [[float(x) for x in row] for row in empirical],
         "tail_samples": int(tail.shape[0]),
     }}
-    b_small = int(config.stationary.get("b", train.b))
+    b_small = _read(config.stationary, "stationary.b", int, train.b)
     for mode in modes:
         lam = solve_stationary_covariance(h, c, eta, mode=mode, b=b_small)
         entry = {
@@ -530,7 +553,7 @@ def cmd_stationary(config, out_dir=None, jobs=None):
     return result
 
 
-def cmd_sweep_n(config, out_dir=None, jobs=None):
+def cmd_sweep_n(config, out_dir=None):
     """Sweep the dataset size; one row per (n, bound) plus the measured gap."""
     if not config.sweep_n:
         raise ConfigError("sweep-n needs a nonempty sweep_n list")
@@ -545,8 +568,7 @@ def cmd_sweep_n(config, out_dir=None, jobs=None):
     for n in config.sweep_n:
         train = replace(config.train, n=n,
                         b=min(config.train.b, n))
-        ensemble = run_ensemble(train, config.dataset_seeds,
-                                config.run_seeds, jobs=jobs or 1)
+        ensemble = run_ensemble(train, config.dataset_seeds, config.run_seeds)
         gen = estimate_generalization_error(ensemble)
         reports = _evaluate_bounds(config, names, {"ensemble": ensemble})
         for name, rep in zip(names, reports):
@@ -570,19 +592,6 @@ _COMMANDS = {
 }
 
 
-def resolve_jobs(flag_value=None):
-    """Worker count: --jobs flag, else GRADNOISE_JOBS, else cpu count."""
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    env = os.environ.get("GRADNOISE_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"GRADNOISE_JOBS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def run_cli(argv):
     """Argument parsing and dispatch; returns the process exit code."""
     import argparse
@@ -596,14 +605,13 @@ def run_cli(argv):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=None)
+        p.add_argument("--jobs", type=int, default=None,
+                       help="accepted and ignored: ensembles run serially")
     args = parser.parse_args(argv)
     try:
         config = load_experiment_config(args.config, seed_override=args.seed,
                                         out_override=args.out)
-        jobs = resolve_jobs(args.jobs)
-        result = _COMMANDS[args.command](config, out_dir=config.out_dir,
-                                         jobs=jobs)
+        result = _COMMANDS[args.command](config, out_dir=config.out_dir)
         if args.command == "train" and result[0]["diverged"]:
             print("run diverged at step "
                   f"{result[0]['diverged_step']}; partial record written",

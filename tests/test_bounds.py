@@ -124,12 +124,11 @@ def make_record(config, final_w, w0=None, grad_norm_sq=None, trace_c=None,
         trace_c=zeros.copy() if trace_c is None
         else np.asarray(trace_c, dtype=float),
         dist_init=zeros.copy(),
-        alignment=None, lambda1=None, gap=None, gap_fig=None,
+        lambda1=None, gap=None,
         weights=None, tail_weights=None,
         final_w=final_w,
         w0=np.zeros(d) if w0 is None else np.asarray(w0, dtype=float),
         diverged=diverged, diverged_step=None,
-        cov_refresh=config.cov_refresh,
     )
 
 

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gradnoise.errors import CapabilityError, ConfigError
+from gradnoise.errors import ConfigError
 from gradnoise.gradstats import (
     GradSnapshot,
     empirical_gnc,
@@ -18,7 +18,6 @@ from gradnoise.gradstats import (
     loo_quantities,
     minibatch_factor,
     minibatch_gnc,
-    population_gnc_estimate,
     snapshot,
 )
 from gradnoise.problems import QuadraticSpec, build_problem, generate_dataset
@@ -154,34 +153,8 @@ class TestSnapshot:
         )
         assert snap.trace_c == pytest.approx(np.trace(snap.minibatch_gnc))
         assert snap.pop_gnc is None
-        assert not snap.diagonal_only
 
     def test_population_column_uses_oracle_sample(self):
         problem, dataset = make_problem(d=2, n=6)
         snap = snapshot(problem, np.zeros(2), dataset, b=2, oracle_sample=dataset)
         np.testing.assert_allclose(snap.pop_gnc, snap.single_draw_gnc, atol=1e-14)
-
-    def test_dense_cap_raises_without_fallback(self):
-        problem, dataset = make_problem(d=3, n=6)
-        with pytest.raises(CapabilityError):
-            snapshot(problem, np.zeros(3), dataset, b=2, dense_cap=2)
-
-    def test_diag_fallback_keeps_diagonal(self):
-        problem, dataset = make_problem(d=3, n=6)
-        full = snapshot(problem, np.zeros(3), dataset, b=2)
-        capped = snapshot(problem, np.zeros(3), dataset, b=2, dense_cap=2,
-                          diag_fallback=True)
-        assert capped.diagonal_only
-        np.testing.assert_allclose(np.diag(capped.single_draw_gnc),
-                                   np.diag(full.single_draw_gnc), rtol=1e-10)
-        off_diag = capped.single_draw_gnc - np.diag(np.diag(capped.single_draw_gnc))
-        assert np.all(off_diag == 0.0)
-        assert capped.trace_c == pytest.approx(full.trace_c)
-
-    def test_population_estimate_matches_empirical_on_same_sample(self):
-        problem, dataset = make_problem(d=2, n=10)
-        w = np.array([1.0, -1.0])
-        np.testing.assert_array_equal(
-            population_gnc_estimate(problem, w, dataset),
-            empirical_gnc(problem, w, dataset),
-        )

@@ -8,9 +8,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradnoise import harness
-from gradnoise.dynamics import TerminalRun
+from gradnoise.dynamics import TerminalRun, train_run
 from gradnoise.errors import ConfigError
 from gradnoise.harness import (
     SWEEP_BOUNDS,
@@ -25,7 +27,6 @@ from gradnoise.harness import (
     cmd_train,
     estimate_generalization_error,
     load_experiment_config,
-    resolve_jobs,
     run_cli,
 )
 
@@ -70,6 +71,44 @@ class TestConfigLoading:
         assert "problem.curvatur" in msg
         assert "train.lr_scheduel" in msg
         assert "extra_section" in msg
+
+    @settings(max_examples=60, deadline=None)
+    @given(extra=st.fixed_dictionaries({
+        section: st.sets(st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True),
+                         max_size=3)
+        for section in ("", "train", "ensemble", "stationary", "problem")}))
+    def test_unknown_keys_named_exactly(self, extra):
+        raw = quad_raw()
+        raw["ensemble"] = {"dataset_seeds": 2}
+        raw["stationary"] = {"b": 2}
+        allowed = {"": harness._TOP_KEYS, "train": harness._TRAIN_KEYS,
+                   "ensemble": harness._ENSEMBLE_KEYS,
+                   "stationary": harness._STATIONARY_KEYS,
+                   "problem": harness._PROBLEM_KEYS["quadratic"]}
+        expected = []
+        for section, keys in extra.items():
+            target = raw[section] if section else raw
+            for key in keys - allowed[section]:
+                target[key] = None
+                expected.append(f"{section}.{key}" if section else key)
+        assume(expected)
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(raw)
+        assert str(err.value) == "unknown config keys: " + ", ".join(sorted(expected))
+
+    def test_removed_log_alignment_key_rejected(self):
+        with pytest.raises(ConfigError, match="train.log_alignment"):
+            load_experiment_config(quad_raw(log_alignment=True))
+
+    def test_init_scale_multiplies_initial_weights_exactly(self):
+        def w0(**train):
+            cfg = load_experiment_config(quad_raw(steps=1, **train))
+            return train_run(cfg.train).w0
+
+        default = w0()
+        assert np.all(default != 0.0)
+        np.testing.assert_array_equal(w0(init_scale=2.0), 2.0 * default)
+        assert np.all(w0(init_scale=0.0) == 0.0)
 
     def test_exactly_one_learning_rate_spelling(self):
         raw = quad_raw()
@@ -179,6 +218,31 @@ class TestTrainCommand:
         assert run_cli(["train", "--config", str(path)]) == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, raw", [
+        pytest.param("train.n", {**quad_raw(), "train": {
+            "b": 2, "lr": 0.1, "steps": 5}}, id="train.n"),
+        pytest.param("train.steps", {**quad_raw(), "train": {
+            "n": 8, "b": 2, "lr": 0.1}}, id="train.steps"),
+        pytest.param("problem.dim", {**quad_raw(), "problem": {
+            "family": "logistic"}}, id="problem.dim"),
+        pytest.param("problem.hidden", {**quad_raw(), "problem": {
+            "family": "mlp", "in_dim": 3, "classes": 2}}, id="problem.hidden"),
+        pytest.param("train.lr", quad_raw(lr="fast"), id="train.lr"),
+        pytest.param("train.lr_schedule", {**quad_raw(), "train": {
+            "n": 8, "b": 2, "steps": 5, "lr_schedule": [1, 0.1]}},
+            id="train.lr_schedule"),
+    ])
+    def test_cli_bad_config_values_name_the_key(self, tmp_path, capsys, key, raw):
+        path = write_config(tmp_path, raw)
+        assert run_cli(["train", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_cli_compare_needs_a_seed(self, tmp_path, capsys, seeds):
+        path = write_config(tmp_path, {**quad_raw(), "compare_seeds": seeds})
+        assert run_cli(["compare", "--config", str(path)]) == 2
+        assert "compare_seeds" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def compare_outputs(tmp_path_factory):
@@ -276,11 +340,16 @@ class TestBoundsCommands:
             "ensemble": {"dataset_seeds": 2, "run_seeds": 2},
             "bounds": ["terminal-general", "terminal-isotropic"],
         }
-        cfg = load_experiment_config(raw)
-        cmd_bounds_terminal(cfg, out_dir=tmp_path / "serial", jobs=1)
-        cmd_bounds_terminal(cfg, out_dir=tmp_path / "parallel", jobs=4)
-        assert ((tmp_path / "serial" / "bounds.json").read_bytes()
-                == (tmp_path / "parallel" / "bounds.json").read_bytes())
+        path = write_config(tmp_path, raw)
+        outputs = []
+        for label, flag in (("one", ["--jobs", "1"]), ("four", ["--jobs", "4"]),
+                            ("none", [])):
+            out = tmp_path / label
+            assert run_cli(["bounds-terminal", "--config", str(path),
+                            "--out", str(out)] + flag) == 0
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ("bounds.json", "bounds.csv")})
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestStationaryCommand:
@@ -366,22 +435,3 @@ class TestGeneralizationEstimate:
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
             estimate_generalization_error([])
-
-
-class TestJobResolution:
-    def test_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("GRADNOISE_JOBS", "3")
-        assert resolve_jobs(2) == 2
-
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv("GRADNOISE_JOBS", "3")
-        assert resolve_jobs(None) == 3
-
-    def test_invalid_environment_value(self, monkeypatch):
-        monkeypatch.setenv("GRADNOISE_JOBS", "many")
-        with pytest.raises(ConfigError):
-            resolve_jobs(None)
-
-    def test_default_is_positive(self, monkeypatch):
-        monkeypatch.delenv("GRADNOISE_JOBS", raising=False)
-        assert resolve_jobs(None) >= 1
