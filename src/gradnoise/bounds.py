@@ -456,15 +456,33 @@ def traj_bound_anisotropic(tape, R=1.0):
     )
 
 
-def _loo_index_sets(n, max_enumeration, n_subsets, rng):
-    if n <= max_enumeration:
-        return [np.array([j for j in range(n) if j != i]) for i in range(n)]
-    dropped = rng.choice(n, size=min(n_subsets, n), replace=False)
-    return [np.array([j for j in range(n) if j != i]) for i in sorted(dropped)]
+def _loo_log_det_gap(grads, b, eps_scale):
+    """(mean over all n leave-one-out J of log det C - log det C_J, whether
+    any floor fired); see :func:`traj_bound_data_dependent`."""
+    n, d = grads.shape
+    m = n - 1
+    sigma, mean = gnc_from_grads(grads)
+    c_full = _floored_spd(sigma / b, eps_scale)
+    u = grads - mean
+    lev = np.sum((u @ c_full.eigenvectors) ** 2 / c_full.eigenvalues, axis=1) / b
+    # The closed form holds for C_J only if its interlacing lower bound on
+    # lambda_min clears the floor SpdMatrix.from_matrix would give C_J.
+    trace_j = (n / m) * np.trace(sigma) / b - (n / m**2) * np.sum(u * u, axis=1) / b
+    floor_j = np.maximum(DEFAULT_EPS_REL * eps_scale * trace_j / d,
+                         DEFAULT_FLOOR_ABS * eps_scale)
+    lower_j = (n / m) * c_full.eigenvalues[0] * (1.0 - lev / m)
+    exact = (lower_j > floor_j) & (not c_full.floored)
+    gaps = list(-d * np.log1p(1.0 / m) - np.log1p(-lev[exact] / m))
+    floored = c_full.floored
+    for i in np.flatnonzero(~exact):
+        sj, _ = gnc_from_grads(np.delete(grads, i, axis=0))
+        cj = _floored_spd(sj / b, eps_scale)
+        floored = floored or cj.floored
+        gaps.append(log_det(c_full) - log_det(cj))
+    return float(np.mean(gaps)), floored
 
 
-def traj_bound_data_dependent(records, M=1.0, max_enumeration=12, n_subsets=64,
-                              seed=0):
+def traj_bound_data_dependent(records, M=1.0):
     """Trajectory bound with leave-one-out data-dependent priors.
 
     Uses the within-batch scaling convention C = Sigma/b for both the full
@@ -473,13 +491,21 @@ def traj_bound_data_dependent(records, M=1.0, max_enumeration=12, n_subsets=64,
     (b-1) d/(n-1)^2 plus the mean over leave-one-out subsets J of
     log det C - log det C_J; the core averages sqrt(sum of terms) across
     records, keeping the dataset expectation outside the square root.
+
+    The mean is exact over all n subsets. With m = n - 1 and u_i = g_i - mean,
+    dropping example i gives Sigma_J = (n/m) Sigma - (n/m^2) u_i u_i^T, so by
+    the matrix determinant lemma log det C_J = log det C + d log(n/m)
+    + log1p(-l_i/m) with the leverage l_i = u_i^T Sigma^{-1} u_i. All n
+    leverages come from the eigenpairs of C: O(n d^2 + d^3) per state. Where
+    a floor could touch C or C_J (for instance when example i alone carries
+    a direction) that C_J is built and floored explicitly, at O(n d^2 + d^3)
+    each.
     """
     if not records:
         raise ConfigError("need at least one trajectory record")
     cfg = records[0].config
     n, b = cfg.n, cfg.b
-    m = n - 1
-    if m <= b:
+    if n - 1 <= b:
         raise ConfigError(f"data-dependent bound needs n-1 > b, got n={n}, b={b}")
     d = records[0].final_w.shape[0]
     flags = []
@@ -487,53 +513,40 @@ def traj_bound_data_dependent(records, M=1.0, max_enumeration=12, n_subsets=64,
         flags.append("approximate-cadence")
     if any(rec.diverged for rec in records):
         flags.append("diverged-runs")
-    rng = np.random.default_rng(seed)
-    subsets = _loo_index_sets(n, max_enumeration, n_subsets, rng)
-    if n > max_enumeration:
-        flags.append("sampled-subsets")
     const = (b - 1) * d / (n - 1) ** 2
 
-    floored = False
-    per_record_cores = []
-    mean_terms = None
-    for rec in records:
-        if rec.weights is None:
-            raise ConfigError("data-dependent bound requires record_weights=True")
-        problem = build_problem(rec.config.spec)
-        dataset = generate_dataset(rec.config.spec, rec.dataset_seed, n)
-        terms = []
-        for k in range(len(rec.steps) - 1):
-            w = rec.weights[k]
-            grads = problem.per_example_grads(w, dataset.features, dataset.labels)
-            sigma, _ = gnc_from_grads(grads)
-            c_full = _floored_spd(sigma / b, 1.0)
-            floored = floored or c_full.floored
-            ld_full = log_det(c_full)
-            ld_subs = []
-            for idx in subsets:
-                sj, _ = gnc_from_grads(grads[idx])
-                cj = _floored_spd(sj / b, 1.0)
-                floored = floored or cj.floored
-                ld_subs.append(log_det(cj))
-            terms.append(const + ld_full - float(np.mean(ld_subs)))
-        terms = np.asarray(terms)
-        total = cfg.log_every * float(terms.sum())
-        per_record_cores.append(_sqrt_core(total, flags))
-        mean_terms = terms if mean_terms is None else mean_terms + terms
-    mean_terms = mean_terms / len(records)
+    def per_record_terms(eps_scale):
+        out, floored = [], False
+        for rec in records:
+            if rec.weights is None:
+                raise ConfigError("data-dependent bound requires record_weights=True")
+            problem = build_problem(rec.config.spec)
+            dataset = generate_dataset(rec.config.spec, rec.dataset_seed, n)
+            terms = []
+            for k in range(len(rec.steps) - 1):
+                grads = problem.per_example_grads(
+                    rec.weights[k], dataset.features, dataset.labels)
+                gap, fl = _loo_log_det_gap(grads, b, eps_scale)
+                floored = floored or fl
+                terms.append(const + gap)
+            out.append(np.asarray(terms))
+        return out, floored
+
+    terms, floored = per_record_terms(1.0)
+    core = float(np.mean([_sqrt_core(cfg.log_every * float(t.sum()), flags)
+                          for t in terms]))
+    components = {"per_record_cores_mean": core, "constant_per_step": const}
     if floored:
         flags.append("floored-log")
-    core = float(np.mean(per_record_cores))
+        terms10, _ = per_record_terms(FLOOR_SENSITIVITY_SCALE)
+        components["core_at_10x_floor"] = float(np.mean(
+            [_sqrt_core(cfg.log_every * float(t.sum()), []) for t in terms10]))
     return BoundReport(
         name="trajectory-data-dependent",
         value=M * core,
         core=core,
-        per_step_terms=mean_terms,
-        components={
-            "per_record_cores_mean": core,
-            "constant_per_step": const,
-            "n_subsets": len(subsets),
-        },
+        per_step_terms=np.mean(terms, axis=0),
+        components=components,
         config={"R": None, "M": M, "n": n, "b": b,
                 "eta": cfg.lr_at(cfg.steps), "T": cfg.steps, "g_tilde": None},
         n_runs_used=len(records),

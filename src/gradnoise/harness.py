@@ -56,7 +56,7 @@ _BOUND_TABLE = {
             tape, R=c.R)),
     "traj-data-dependent": (
         "records", lambda c, records: bounds_mod.traj_bound_data_dependent(
-            records, M=c.M, seed=c.seed)),
+            records, M=c.M)),
     "terminal-gradient-accum": (
         "records", lambda c, records: bounds_mod.terminal_bound_gradient_accum(
             records, R=c.R)),
@@ -147,6 +147,17 @@ def _read(cfg, name, cast, default=_REQUIRED):
         raise ConfigError(f"bad value for {name}: {cfg[key]!r}") from exc
 
 
+def _float_array(value):
+    return np.asarray(value, dtype=float)
+
+
+def _name_list(value):
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(x, str) for x in value):
+        raise TypeError("expected a list of names")
+    return tuple(value)
+
+
 def _check_keys(section, given, allowed, unknown):
     for key in given:
         if key not in allowed:
@@ -163,24 +174,26 @@ def _parse_problem(cfg, unknown):
         return None
     if family == "quadratic":
         dim = _read(cfg, "problem.dim", int, 1)
-        center = cfg.get("center", 0.0)
-        center = np.full(dim, float(center)) if np.isscalar(center) else center
+        center = _read(cfg, "problem.center", _float_array, 0.0)
+        center = np.full(dim, float(center)) if np.ndim(center) == 0 else center
         return QuadraticSpec(
-            curvature=cfg.get("curvature", 1.0),
+            curvature=_read(cfg, "problem.curvature", _float_array, 1.0),
             center=center,
-            scatter=cfg.get("scatter", 1.0),
+            scatter=_read(cfg, "problem.scatter", _float_array, 1.0),
             pop_oracle_size=_read(cfg, "problem.pop_oracle_size", int, 10_000),
         )
     if family == "logistic":
         dim = _read(cfg, "problem.dim", int)
         if "mean0" in cfg or "mean1" in cfg:
-            mean0, mean1 = cfg["mean0"], cfg["mean1"]
+            mean0 = _read(cfg, "problem.mean0", _float_array)
+            mean1 = _read(cfg, "problem.mean1", _float_array)
         else:
             half = 0.5 * _read(cfg, "problem.separation", float, 2.0) / np.sqrt(dim)
             mean1 = np.full(dim, half)
             mean0 = -mean1
         return LogisticSpec(
-            dim=dim, mean0=mean0, mean1=mean1, cov=cfg.get("cov", 1.0),
+            dim=dim, mean0=mean0, mean1=mean1,
+            cov=_read(cfg, "problem.cov", _float_array, 1.0),
             balance=_read(cfg, "problem.balance", float, 0.5),
             l2=_read(cfg, "problem.l2", float, 0.0),
             pop_oracle_size=_read(cfg, "problem.pop_oracle_size", int, 10_000),
@@ -221,13 +234,13 @@ def load_experiment_config(source, seed_override=None, out_override=None):
     _check_keys("", raw, _TOP_KEYS, unknown)
     if "problem" not in raw or "train" not in raw:
         raise ConfigError("config must contain 'problem' and 'train' sections")
-    train_raw = dict(raw["train"])
+    train_raw = _read(raw, "train", dict)
     _check_keys("train", train_raw, _TRAIN_KEYS, unknown)
-    ensemble = dict(raw.get("ensemble", {}))
+    ensemble = _read(raw, "ensemble", dict, {})
     _check_keys("ensemble", ensemble, _ENSEMBLE_KEYS, unknown)
-    stationary = dict(raw.get("stationary", {}))
+    stationary = _read(raw, "stationary", dict, {})
     _check_keys("stationary", stationary, _STATIONARY_KEYS, unknown)
-    spec = _parse_problem(dict(raw["problem"]), unknown)
+    spec = _parse_problem(_read(raw, "problem", dict), unknown)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
 
@@ -248,14 +261,14 @@ def load_experiment_config(source, seed_override=None, out_override=None):
         log_every=_read(train_raw, "train.log_every", int, 1),
         record_weights=bool(train_raw.get("record_weights", False)),
         burn_in=_read(train_raw, "train.burn_in", int, 0),
-        w0=None if w0 is None else np.asarray(w0, dtype=float),
+        w0=None if w0 is None else _read(train_raw, "train.w0", _float_array),
         init_scale=_read(train_raw, "train.init_scale", float, 1.0),
         cov_refresh=_read(train_raw, "train.cov_refresh", int, 1),
         tail_checkpoints=_read(train_raw, "train.tail_checkpoints", int, 0),
         tail_spacing=_read(train_raw, "train.tail_spacing", int, 1),
         log_lambda1=bool(train_raw.get("log_lambda1", False)),
     )
-    bound_names = tuple(raw.get("bounds", []))
+    bound_names = _read(raw, "bounds", _name_list, ())
     bad = [b for b in bound_names if b not in _BOUND_TABLE]
     if bad:
         raise ConfigError("unknown bound names: " + ", ".join(sorted(bad)))

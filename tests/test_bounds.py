@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradnoise.bounds import (
+    FLOOR_SENSITIVITY_SCALE,
     BoundReport,
     GTildeChoice,
     StepStats,
@@ -43,7 +44,14 @@ from gradnoise.dynamics import (
     train_run,
 )
 from gradnoise.errors import ConfigError, NumericalError, StabilityError
-from gradnoise.linalg import GaussianDist, SpdMatrix, gaussian_kl
+from gradnoise.linalg import (
+    DEFAULT_EPS_REL,
+    DEFAULT_FLOOR_ABS,
+    GaussianDist,
+    SpdMatrix,
+    gaussian_kl,
+    log_det,
+)
 from gradnoise.problems import (
     Dataset,
     QuadraticSpec,
@@ -420,6 +428,29 @@ class TestAnisotropicTrajectory:
             iso.extra_series["identity_per_step_terms"][0], abs=1e-9)
 
 
+def brute_force_loo_terms(rec, eps_scale=1.0):
+    """Per-step data-dependent terms of one record from all n explicitly
+    built and floored leave-one-out covariances C_J = Sigma_J / b."""
+    cfg = rec.config
+    problem = build_problem(cfg.spec)
+    dataset = generate_dataset(cfg.spec, rec.dataset_seed, cfg.n)
+    n, b = cfg.n, cfg.b
+    d = rec.final_w.shape[0]
+
+    def log_det_c(rows):
+        cov = np.atleast_2d(np.cov(rows.T, bias=True)) / b
+        return log_det(SpdMatrix.from_matrix(
+            cov, eps_rel=DEFAULT_EPS_REL * eps_scale,
+            floor_abs=DEFAULT_FLOOR_ABS * eps_scale))
+
+    terms = []
+    for w in rec.weights[:-1]:
+        grads = problem.per_example_grads(w, dataset.features, dataset.labels)
+        subs = [log_det_c(np.delete(grads, i, axis=0)) for i in range(n)]
+        terms.append((b - 1) * d / (n - 1) ** 2 + log_det_c(grads) - np.mean(subs))
+    return np.array(terms)
+
+
 class TestDataDependentTrajectory:
     def test_per_step_terms_match_gaussian_kl_oracle(self):
         """Under full leave-one-out enumeration the per-step term equals twice
@@ -480,12 +511,38 @@ class TestDataDependentTrajectory:
         with pytest.raises(ConfigError):
             traj_bound_data_dependent([rec])
 
-    def test_sampling_kicks_in_above_the_enumeration_cap(self):
-        cfg = quad_config(n=14, b=1, steps=2)
-        rec = train_run(cfg)
-        report = traj_bound_data_dependent([rec], max_enumeration=12)
-        assert "sampled-subsets" in report.flags
-        assert report.components["n_subsets"] == 14
+    def test_n14_averages_over_all_14_subsets(self):
+        rec = train_run(quad_config(n=14, b=1, steps=2))
+        report = traj_bound_data_dependent([rec])
+        np.testing.assert_allclose(report.per_step_terms,
+                                   brute_force_loo_terms(rec), rtol=0, atol=1e-10)
+
+    def test_closed_form_matches_enumeration_of_all_subsets(self):
+        spec = QuadraticSpec(curvature=np.diag([0.5, 0.8, 1.0, 1.3, 1.6]),
+                             center=np.zeros(5),
+                             scatter=random_spd(np.random.default_rng(3), 5),
+                             pop_oracle_size=100)
+        rec = train_run(quad_config(spec=spec, n=40, b=2, steps=4))
+        report = traj_bound_data_dependent([rec])
+        assert "floored-log" not in report.flags
+        np.testing.assert_allclose(report.per_step_terms,
+                                   brute_force_loo_terms(rec), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [4, 6], ids=["n-below-d", "n-is-d-plus-1"])
+    def test_subsets_a_floor_touches_match_enumeration(self, n):
+        """With d = 5, n = 4 floors C itself; at n = 6 C is full rank but
+        every example carries a direction alone, so every C_J is floored."""
+        spec = QuadraticSpec(curvature=np.diag([0.5, 0.8, 1.0, 1.3, 1.6]),
+                             center=np.zeros(5), scatter=np.eye(5),
+                             pop_oracle_size=100)
+        rec = train_run(quad_config(spec=spec, n=n, b=1, steps=3))
+        report = traj_bound_data_dependent([rec])
+        assert "floored-log" in report.flags
+        np.testing.assert_allclose(report.per_step_terms,
+                                   brute_force_loo_terms(rec), rtol=0, atol=1e-10)
+        terms10 = brute_force_loo_terms(rec, FLOOR_SENSITIVITY_SCALE)
+        assert report.components["core_at_10x_floor"] == pytest.approx(
+            np.sqrt(max(terms10.sum(), 0.0)), abs=1e-10)
 
     def test_value_is_core_times_loss_bound(self):
         rec = train_run(quad_config(steps=2))

@@ -231,6 +231,14 @@ class TestTrainCommand:
         pytest.param("train.lr_schedule", {**quad_raw(), "train": {
             "n": 8, "b": 2, "steps": 5, "lr_schedule": [1, 0.1]}},
             id="train.lr_schedule"),
+        pytest.param("bounds", {**quad_raw(), "bounds": "terminal-general"},
+                     id="bounds"),
+        pytest.param("train", {**quad_raw(), "train": 5}, id="train"),
+        pytest.param("problem.center", {**quad_raw(), "problem": {
+            **quad_raw()["problem"], "center": "abc"}}, id="problem.center"),
+        pytest.param("problem.curvature", {**quad_raw(), "problem": {
+            **quad_raw()["problem"], "curvature": "x"}}, id="problem.curvature"),
+        pytest.param("train.w0", quad_raw(w0="abc"), id="train.w0"),
     ])
     def test_cli_bad_config_values_name_the_key(self, tmp_path, capsys, key, raw):
         path = write_config(tmp_path, raw)
