@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .errors import ConfigError, InvalidInputError
-from .gradstats import gnc_from_grads, minibatch_factor
-from .linalg import SpdMatrix, spd_sqrt
+from .errors import ConfigError
+from .gradstats import minibatch_factor
 from .problems import build_problem, generate_dataset, population_oracle_sample
 from .seeding import substream
 
@@ -167,24 +166,31 @@ def sgd_step(problem, w, dataset, batch_indices, eta):
 
 
 def _noise_transform(problem, w, dataset, factor):
-    """Square root of the floored minibatch covariance ``factor * Sigma`` at w."""
+    """d x n factor F of the minibatch covariance at w: F F^T = factor * Sigma.
+
+    F = sqrt(factor / n) (grads - mean)^T, the scaled centered per-example
+    gradients, so ``F z`` with z ~ N(0, I_n) has covariance exactly
+    ``factor * Sigma`` and no d x d matrix is ever formed.
+    """
     grads = problem.per_example_grads(w, dataset.features, dataset.labels)
-    sigma, _ = gnc_from_grads(grads)
-    return spd_sqrt(SpdMatrix.from_matrix(factor * sigma))
+    return math.sqrt(factor / grads.shape[0]) * (grads - grads.mean(axis=0)).T
 
 
 def sde_step(problem, w, dataset, eta, rng, noise_sqrt=None):
-    """One Euler-Maruyama step: w - eta G + eta C^{1/2} N.
+    """One Euler-Maruyama step: w - eta G + eta F z, z ~ N(0, I_k).
 
-    ``noise_sqrt`` is the covariance square root C^{1/2}, which callers
-    compute and may reuse across steps. ``None`` means no noise term (the
-    full-batch covariance is exactly zero): the step is then plain gradient
-    descent bit-for-bit and draws nothing from ``rng``.
+    ``noise_sqrt`` is any d x k factor F of the noise covariance, F F^T = C:
+    the d x n centered-gradient factor of ``_noise_transform`` or a symmetric
+    root C^{1/2}. The step draws its k = ``noise_sqrt.shape[1]`` normals from
+    ``rng``; callers compute F and may reuse it across steps. ``None`` means
+    no noise term (the full-batch covariance is exactly zero): the step is
+    then plain gradient descent bit-for-bit and draws nothing from ``rng``.
     """
     grad = problem.mean_grad(w, dataset.features, dataset.labels)
     if noise_sqrt is None:
         return w - eta * grad
-    return w - eta * grad + eta * (noise_sqrt @ rng.standard_normal(w.shape[0]))
+    z = rng.standard_normal(noise_sqrt.shape[1])
+    return w - eta * grad + eta * (noise_sqrt @ z)
 
 
 def gld_step(problem, w, dataset, eta, rng):
@@ -211,10 +217,8 @@ def _logged_steps(steps, log_every):
 
 
 def _tail_steps(config):
-    if config.tail_checkpoints == 0:
-        return set()
-    last = config.steps
-    return {last - k * config.tail_spacing for k in range(config.tail_checkpoints)}
+    return {config.steps - k * config.tail_spacing
+            for k in range(config.tail_checkpoints)}
 
 
 def _run(config, dataset, oracle):
@@ -229,9 +233,8 @@ def _run(config, dataset, oracle):
 
     logged = _logged_steps(config.steps, config.log_every)
     tails = _tail_steps(config)
-    series = {k: [] for k in ("steps", "train_loss", "test_loss",
-                              "grad_norm_sq", "trace_c", "dist_init")}
-    opt_series = {"lambda1": [], "gap": []}
+    series = {k: [] for k in ("steps", "train_loss", "test_loss", "grad_norm_sq",
+                              "trace_c", "dist_init", "lambda1", "gap")}
     weights = [] if config.record_weights else None
     tail_weights = []
     diverged = False
@@ -256,8 +259,8 @@ def _run(config, dataset, oracle):
             report = spectral.top_eigenvalue(
                 problem, w, dataset, seed=config.seed, seed_labels=("spectral", t)
             )
-            opt_series["lambda1"].append(report.lambda_1)
-            opt_series["gap"].append(2.0 / eta - report.lambda_1)
+            series["lambda1"].append(report.lambda_1)
+            series["gap"].append(2.0 / eta - report.lambda_1)
         if config.record_weights:
             weights.append(w.copy())
         return True
@@ -275,11 +278,7 @@ def _run(config, dataset, oracle):
                 w = sgd_step(problem, w, dataset, idx, eta)
             elif config.mode == "sde":
                 if factor != 0.0 and (t - 1) % config.cov_refresh == 0:
-                    try:
-                        noise_sqrt = _noise_transform(problem, w, dataset, factor)
-                    except InvalidInputError:  # the covariance overflowed
-                        diverged, diverged_step = True, t
-                        break
+                    noise_sqrt = _noise_transform(problem, w, dataset, factor)
                 w = sde_step(problem, w, dataset, eta, rng_noise,
                              noise_sqrt=noise_sqrt)
             else:  # gld
@@ -288,16 +287,12 @@ def _run(config, dataset, oracle):
                 diverged, diverged_step, w = True, t, prev
                 break
             if t in tails:
-                tail_weights.append((t, w.copy()))
+                tail_weights.append(w.copy())
             if t in logged:
                 if not log_state(t, w, eta):
                     diverged, diverged_step = True, t
                     break
 
-    tail_weights.sort(key=lambda item: item[0])
-    tail_arr = (
-        np.array([wt for _, wt in tail_weights]) if tail_weights else None
-    )
     return TrajectoryRecord(
         config=config,
         dataset_seed=config.effective_dataset_seed,
@@ -307,10 +302,10 @@ def _run(config, dataset, oracle):
         grad_norm_sq=np.array(series["grad_norm_sq"]),
         trace_c=np.array(series["trace_c"]),
         dist_init=np.array(series["dist_init"]),
-        lambda1=np.array(opt_series["lambda1"]) if config.log_lambda1 else None,
-        gap=np.array(opt_series["gap"]) if config.log_lambda1 else None,
+        lambda1=np.array(series["lambda1"]) if config.log_lambda1 else None,
+        gap=np.array(series["gap"]) if config.log_lambda1 else None,
         weights=np.array(weights) if config.record_weights else None,
-        tail_weights=tail_arr,
+        tail_weights=np.array(tail_weights) if tail_weights else None,
         final_w=w,
         w0=w0,
         diverged=diverged,

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .dynamics import TrainConfig, loo_train, run_ensemble, train_run
+from .dynamics import MODES, TrainConfig, loo_train, run_ensemble, train_run
 from .errors import CapabilityError, ConfigError, GradnoiseError
-from .gradstats import gnc_from_grads, minibatch_factor
+from .gradstats import empirical_gnc, minibatch_gnc
 from .linalg import (
     STATIONARY_MODES,
     solve_stationary_covariance,
@@ -124,7 +124,7 @@ class ExperimentConfig:
     M: float
     reference: str
     compare_seeds: int
-    stationary: dict
+    stationary: dict  # "modes": tuple of STATIONARY_MODES names, "b": int
 
 
 _REQUIRED = object()
@@ -144,18 +144,39 @@ def _read(cfg, name, cast, default=_REQUIRED):
     try:
         return cast(cfg[key])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {name}: {cfg[key]!r}") from exc
+        raise ConfigError(f"bad value for {name}: {cfg[key]!r} ({exc})") from exc
 
 
 def _float_array(value):
     return np.asarray(value, dtype=float)
 
 
-def _name_list(value):
-    if not isinstance(value, (list, tuple)) or not all(
-            isinstance(x, str) for x in value):
-        raise TypeError("expected a list of names")
-    return tuple(value)
+def _names_in(allowed):
+    """Cast to a tuple of names, each one of ``allowed``."""
+    def cast(value):
+        if not isinstance(value, (list, tuple)) or not all(
+                isinstance(x, str) for x in value):
+            raise TypeError("expected a list of names")
+        bad = [x for x in value if x not in allowed]
+        if bad:
+            raise ValueError("unknown names " + ", ".join(sorted(bad)))
+        return tuple(value)
+    return cast
+
+
+def _one_of(*allowed):
+    """Cast accepting exactly one of the strings ``allowed``."""
+    def cast(value):
+        if value not in allowed:
+            raise ValueError("expected one of " + ", ".join(allowed))
+        return value
+    return cast
+
+
+def _json_bool(value):
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
 
 
 def _check_keys(section, given, allowed, unknown):
@@ -165,10 +186,7 @@ def _check_keys(section, given, allowed, unknown):
 
 
 def _parse_problem(cfg, unknown):
-    family = cfg.get("family")
-    if family not in _PROBLEM_KEYS:
-        raise ConfigError(
-            f"problem.family must be one of {sorted(_PROBLEM_KEYS)}, got {family!r}")
+    family = _read(cfg, "problem.family", _one_of(*_PROBLEM_KEYS))
     _check_keys("problem", cfg, _PROBLEM_KEYS[family], unknown)
     if unknown:
         return None
@@ -225,15 +243,17 @@ def load_experiment_config(source, seed_override=None, out_override=None):
     Every unknown key anywhere in the document is collected and reported in
     one ConfigError, so a typo'd config fails loudly and completely.
     """
+    raw = source
     if isinstance(source, (str, Path)):
-        with open(source) as f:
-            raw = json.load(f)
-    else:
-        raw = dict(source)
+        try:
+            with open(source) as f:
+                raw = json.load(f)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {source}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {source} is a {type(raw).__name__}, not an object")
     unknown = []
     _check_keys("", raw, _TOP_KEYS, unknown)
-    if "problem" not in raw or "train" not in raw:
-        raise ConfigError("config must contain 'problem' and 'train' sections")
     train_raw = _read(raw, "train", dict)
     _check_keys("train", train_raw, _TRAIN_KEYS, unknown)
     ensemble = _read(raw, "ensemble", dict, {})
@@ -254,37 +274,30 @@ def load_experiment_config(source, seed_override=None, out_override=None):
         b=_read(train_raw, "train.b", int),
         lr_schedule=_parse_schedule(train_raw),
         steps=_read(train_raw, "train.steps", int),
-        mode=train_raw.get("mode", "sgd"),
+        mode=_read(train_raw, "train.mode", _one_of(*MODES), "sgd"),
         seed=seed,
         dataset_seed=_read(train_raw, "train.dataset_seed", int, None),
         oracle_seed=oracle_seed,
         log_every=_read(train_raw, "train.log_every", int, 1),
-        record_weights=bool(train_raw.get("record_weights", False)),
+        record_weights=_read(train_raw, "train.record_weights", _json_bool, False),
         burn_in=_read(train_raw, "train.burn_in", int, 0),
         w0=None if w0 is None else _read(train_raw, "train.w0", _float_array),
         init_scale=_read(train_raw, "train.init_scale", float, 1.0),
         cov_refresh=_read(train_raw, "train.cov_refresh", int, 1),
         tail_checkpoints=_read(train_raw, "train.tail_checkpoints", int, 0),
         tail_spacing=_read(train_raw, "train.tail_spacing", int, 1),
-        log_lambda1=bool(train_raw.get("log_lambda1", False)),
+        log_lambda1=_read(train_raw, "train.log_lambda1", _json_bool, False),
     )
-    bound_names = _read(raw, "bounds", _name_list, ())
-    bad = [b for b in bound_names if b not in _BOUND_TABLE]
-    if bad:
-        raise ConfigError("unknown bound names: " + ", ".join(sorted(bad)))
-    g_tilde = raw.get("g_tilde", "population-gradient")
-    if g_tilde not in ("zero", "population-gradient"):
-        raise ConfigError(f"g_tilde must be zero or population-gradient, got {g_tilde!r}")
-    reference = raw.get("reference", "grand-mean")
-    if reference not in ("grand-mean", "init"):
-        raise ConfigError(f"reference must be grand-mean or init, got {reference!r}")
     compare_seeds = _read(raw, "compare_seeds", int, 10)
     if compare_seeds < 1:
         raise ConfigError(f"compare_seeds must be >= 1, got {compare_seeds}")
+    stationary_b = _read(stationary, "stationary.b", int, train.b)
+    if stationary_b < 1:
+        raise ConfigError(f"stationary.b must be >= 1, got {stationary_b}")
     return ExperimentConfig(
         spec=spec,
         train=train,
-        bound_names=bound_names,
+        bound_names=_read(raw, "bounds", _names_in(_BOUND_TABLE), ()),
         dataset_seeds=_read(ensemble, "ensemble.dataset_seeds", int, 2),
         run_seeds=_read(ensemble, "ensemble.run_seeds", int, 2),
         sweep_n=_read(raw, "sweep_n", lambda ns: tuple(int(x) for x in ns), ()),
@@ -292,12 +305,17 @@ def load_experiment_config(source, seed_override=None, out_override=None):
         oracle_seed=oracle_seed,
         out_dir=str(out_override if out_override is not None
                     else raw.get("out_dir", ".")),
-        g_tilde=g_tilde,
+        g_tilde=_read(raw, "g_tilde", _one_of("zero", "population-gradient"),
+                      "population-gradient"),
         R=_read(raw, "R", float, 1.0),
         M=_read(raw, "M", float, 1.0),
-        reference=reference,
+        reference=_read(raw, "reference", _one_of("grand-mean", "init"),
+                        "grand-mean"),
         compare_seeds=compare_seeds,
-        stationary=stationary,
+        stationary={
+            "modes": _read(stationary, "stationary.modes",
+                           _names_in(STATIONARY_MODES), STATIONARY_MODES),
+            "b": stationary_b},
     )
 
 
@@ -525,8 +543,7 @@ def cmd_stationary(config, out_dir=None):
     if train.tail_checkpoints == 0:
         d = config.spec.dim
         train = replace(train, tail_checkpoints=max(4 * d, 8), tail_spacing=d)
-    if train.mode != "sde":
-        train = replace(train, mode="sde")
+    train = replace(train, mode="sde")
     record = train_run(train)
     if record.diverged:
         raise GradnoiseError(
@@ -537,19 +554,16 @@ def cmd_stationary(config, out_dir=None):
     tail_mean = tail.mean(axis=0)
     centered = tail - tail_mean
     empirical = centered.T @ centered / max(tail.shape[0] - 1, 1)
-    grads = problem.per_example_grads(tail_mean, dataset.features, dataset.labels)
-    sigma, _ = gnc_from_grads(grads)
-    c = minibatch_factor(train.n, train.b) * sigma
+    c = minibatch_gnc(empirical_gnc(problem, tail_mean, dataset), train.n, train.b)
     h = problem.exact_hessian(tail_mean, dataset.features, dataset.labels)
     eta = train.lr_at(train.steps)
-    modes = config.stationary.get("modes", list(STATIONARY_MODES))
     result = {"eta": eta, "modes": {}, "empirical": {
         "lambda": [[float(x) for x in row] for row in empirical],
         "tail_samples": int(tail.shape[0]),
     }}
-    b_small = _read(config.stationary, "stationary.b", int, train.b)
-    for mode in modes:
-        lam = solve_stationary_covariance(h, c, eta, mode=mode, b=b_small)
+    for mode in config.stationary["modes"]:
+        lam = solve_stationary_covariance(h, c, eta, mode=mode,
+                                          b=config.stationary["b"])
         entry = {
             "lambda": [[float(x) for x in row] for row in lam],
             "residual": stationary_residual(lam, h, c, eta),

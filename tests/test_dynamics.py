@@ -17,7 +17,7 @@ from gradnoise.dynamics import (
     train_run,
 )
 from gradnoise.errors import ConfigError
-from gradnoise.gradstats import empirical_gnc, minibatch_gnc
+from gradnoise.gradstats import empirical_gnc, minibatch_factor, minibatch_gnc
 from gradnoise.linalg import solve_stationary_covariance
 from gradnoise.problems import (
     QuadraticSpec,
@@ -139,6 +139,24 @@ class TestStepFunctions:
                                    atol=5 * eta * eta * np.diag(c).max()
                                    / np.sqrt(draws / 2.0))
 
+    def test_sde_step_with_gradient_factor_draws_n_normals(self):
+        """The d x n centered-gradient factor F satisfies F F^T = C, and the
+        step is w - eta G + eta F z bit for bit, with z the next n normals of
+        the rng and nothing else drawn."""
+        eta, n = 0.1, len(self.dataset)
+        factor = minibatch_factor(n, 4)
+        f = dynamics._noise_transform(self.problem, self.w, self.dataset, factor)
+        assert f.shape == (2, n)
+        c = minibatch_gnc(empirical_gnc(self.problem, self.w, self.dataset), n, 4)
+        np.testing.assert_allclose(f @ f.T, c, rtol=1e-12, atol=1e-15)
+        rng, replay = np.random.default_rng(29), np.random.default_rng(29)
+        out = sde_step(self.problem, self.w, self.dataset, eta, rng, noise_sqrt=f)
+        z = replay.standard_normal(n)
+        grad = self.problem.mean_grad(self.w, self.dataset.features,
+                                      self.dataset.labels)
+        assert np.array_equal(out, self.w - eta * grad + eta * (f @ z))
+        assert rng.bit_generator.state == replay.bit_generator.state
+
     def test_gld_step_moments(self):
         eta, draws = 0.2, 50_000
         rng = np.random.default_rng(23)
@@ -173,6 +191,32 @@ class TestTrainRun:
         assert np.array_equal(sgd.final_w, sde.final_w)
         assert np.array_equal(sgd.train_loss, sde.train_loss)
         assert not np.array_equal(sgd.final_w, gld.final_w)
+
+    def test_sde_noise_stays_in_the_centered_gradient_span(self):
+        """With n <= d the minibatch covariance has rank n - 1: every noise
+        increment w_t - (w_{t-1} - eta G) must lie in span{A (x_i - mean)},
+        with no component of a floored full-rank root in other directions."""
+        rng = np.random.default_rng(31)
+        m = rng.standard_normal((6, 6))
+        a = m @ m.T / 6 + 0.5 * np.eye(6)
+        spec = quad_spec(d=6, a=a)
+        eta = 0.1
+        cfg = TrainConfig(spec=spec, n=4, b=1, lr_schedule=((1, eta),),
+                          steps=20, mode="sde", seed=3, log_every=1,
+                          record_weights=True)
+        rec = train_run(cfg)
+        assert not rec.diverged and len(rec.weights) == 21
+        problem = build_problem(spec)
+        dataset = generate_dataset(spec, cfg.effective_dataset_seed, cfg.n)
+        x = dataset.features
+        u, sv, _ = np.linalg.svd(a @ (x - x.mean(axis=0)).T, full_matrices=False)
+        basis = u[:, sv > 1e-12 * sv[0]]
+        assert basis.shape[1] == cfg.n - 1
+        for prev, cur in zip(rec.weights[:-1], rec.weights[1:]):
+            inc = cur - (prev - eta * problem.mean_grad(prev, x, dataset.labels))
+            off_span = inc - basis @ (basis.T @ inc)
+            assert np.linalg.norm(inc) > 0
+            assert np.linalg.norm(off_span) <= 1e-10 * np.linalg.norm(inc)
 
     def test_geometric_contraction_on_noiseless_quadratic(self):
         """scatter = 0 makes every z equal to the center, so full-batch GD is
@@ -386,9 +430,9 @@ class TestEnsemble:
     def test_divergent_ensemble_is_flagged_and_unusable(self, mode, steps):
         """eta = 2.5 is past 2 / lambda_max = 2 on the unit quadratic, so the
         iterate grows like 1.5^t. At 100 steps everything stays finite and
-        only the loss test at T catches it. Over 2000 steps the SDE noise
-        covariance overflows near t = 875 and the SGD weights near t = 1750;
-        both are caught at the step they happen."""
+        only the loss test at T catches it. Over 2000 steps the SDE and SGD
+        weights both overflow near t = 1750 and are caught at the step they
+        happen."""
         cfg = base_config(lr_schedule=((1, 2.5),), steps=steps, mode=mode,
                           tail_checkpoints=3, tail_spacing=2)
         ens = run_ensemble(cfg, 2, 2)

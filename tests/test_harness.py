@@ -47,6 +47,12 @@ def write_config(tmp_path, raw, name="config.json"):
     return path
 
 
+def write_text(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return path
+
+
 class TestConfigLoading:
     def test_dict_and_file_sources_agree(self, tmp_path):
         raw = quad_raw()
@@ -239,6 +245,11 @@ class TestTrainCommand:
         pytest.param("problem.curvature", {**quad_raw(), "problem": {
             **quad_raw()["problem"], "curvature": "x"}}, id="problem.curvature"),
         pytest.param("train.w0", quad_raw(w0="abc"), id="train.w0"),
+        pytest.param("train.record_weights", quad_raw(record_weights="false"),
+                     id="train.record_weights"),
+        pytest.param("train.log_lambda1", quad_raw(log_lambda1=1),
+                     id="train.log_lambda1"),
+        pytest.param("train.mode", quad_raw(mode="langevin"), id="train.mode"),
     ])
     def test_cli_bad_config_values_name_the_key(self, tmp_path, capsys, key, raw):
         path = write_config(tmp_path, raw)
@@ -250,6 +261,38 @@ class TestTrainCommand:
         path = write_config(tmp_path, {**quad_raw(), "compare_seeds": seeds})
         assert run_cli(["compare", "--config", str(path)]) == 2
         assert "compare_seeds" in capsys.readouterr().err
+
+
+class TestCli:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda tmp: tmp / "missing.json", id="missing"),
+        pytest.param(lambda tmp: tmp, id="directory"),
+        pytest.param(lambda tmp: write_text(tmp, "{bad json"), id="bad-json"),
+        pytest.param(lambda tmp: write_config(tmp, "problemtrain"),
+                     id="top-level-string"),
+        pytest.param(lambda tmp: write_config(tmp, [quad_raw()]),
+                     id="top-level-list"),
+    ])
+    def test_unreadable_config_file_exits_2_naming_the_path(
+            self, tmp_path, capsys, make):
+        path = make(tmp_path)
+        assert run_cli(["train", "--config", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, section", [
+        ("stationary.modes", {"modes": "general"}),
+        ("stationary.modes", {"modes": ["general", "genral"]}),
+        ("stationary.b", {"b": 0}),
+    ])
+    def test_bad_stationary_section_fails_before_training(
+            self, tmp_path, capsys, monkeypatch, key, section):
+        calls = []
+        monkeypatch.setattr(harness, "train_run",
+                            lambda *a, **k: calls.append(a))
+        path = write_config(tmp_path, {**quad_raw(), "stationary": section})
+        assert run_cli(["stationary", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
