@@ -12,12 +12,15 @@ Expectations over datasets and over algorithmic randomness are plug-in
 estimates: statistics are averaged across whatever records or ensemble
 members are supplied, and ``n_runs_used`` records how many that was. When a
 covariance floor activates inside a log-determinant the report is flagged
-``floored-log`` and a sensitivity value recomputed at 10x the floor is
-attached, so bound values never silently depend on the regularizer.
+``floored-log`` and ``core_at_10x_floor`` is attached: the same bound with
+every floor raised tenfold, from the same eigendecompositions
+(:meth:`SpdMatrix.refloored`), so bound values never silently depend on the
+regularizer.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -25,9 +28,9 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .errors import ConfigError, NumericalError, StabilityError
 from .gradstats import gnc_from_grads, minibatch_factor
 from .linalg import (
-    DEFAULT_EPS_REL,
     DEFAULT_FLOOR_ABS,
     SpdMatrix,
+    eigenvalue_floor,
     log_det,
     solve_stationary_covariance,
     trace_log_diag,
@@ -81,11 +84,10 @@ class StepStats:
     step: int
     eta: float
     grad: np.ndarray
-    raw_gnc: np.ndarray
     gnc: SpdMatrix
     trace_c: float
     pop_grad: np.ndarray | None
-    raw_pop_gnc: np.ndarray | None
+    trace_pop: float | None
     pop_gnc: SpdMatrix | None
 
 
@@ -117,14 +119,6 @@ class TrajectoryTape:
     @property
     def n_steps(self):
         return len(self.runs[0])
-
-
-def _floored_spd(raw, eps_scale):
-    return SpdMatrix.from_matrix(
-        raw,
-        eps_rel=DEFAULT_EPS_REL * eps_scale,
-        floor_abs=DEFAULT_FLOOR_ABS * eps_scale,
-    )
 
 
 def tape_from_records(records, population=False):
@@ -161,21 +155,20 @@ def tape_from_records(records, population=False):
             grads = problem.per_example_grads(w, dataset.features, dataset.labels)
             sigma, mean = gnc_from_grads(grads)
             raw_c = factor * sigma
-            gnc = _floored_spd(raw_c, 1.0)
-            pop_grad = raw_pop = pop = None
+            pop_grad = trace_pop = pop = None
             if population:
                 ograds = problem.per_example_grads(w, oracle.features, oracle.labels)
                 raw_pop, pop_grad = gnc_from_grads(ograds)
-                pop = _floored_spd(raw_pop, 1.0)
+                trace_pop = float(np.trace(raw_pop))
+                pop = SpdMatrix.from_matrix(raw_pop)
             stats.append(StepStats(
                 step=state_step + 1,
                 eta=rec.config.lr_at(state_step + 1),
                 grad=mean,
-                raw_gnc=raw_c,
-                gnc=gnc,
+                gnc=SpdMatrix.from_matrix(raw_c),
                 trace_c=float(np.trace(raw_c)),
                 pop_grad=pop_grad,
-                raw_pop_gnc=raw_pop,
+                trace_pop=trace_pop,
                 pop_gnc=pop,
             ))
         runs.append(tuple(stats))
@@ -294,7 +287,7 @@ def traj_bound_isotropic(tape, g_choice=None, R=1.0):
                 gt = _reference_gradient(g_choice, st, d)
                 diff = st.grad - gt
                 h1_vals.append(float(diff @ diff) + st.trace_c)
-                mat = st.gnc if eps_scale == 1.0 else _floored_spd(st.raw_gnc, eps_scale)
+                mat = st.gnc.refloored(eps_scale)
                 floored = floored or mat.floored
                 h2_vals.append(log_det(mat))
             h1 = float(np.mean(h1_vals))
@@ -320,7 +313,7 @@ def traj_bound_isotropic(tape, g_choice=None, R=1.0):
     if g_choice.kind == "population-gradient":
         id_h1 = np.empty(tape.n_steps)
         for k in range(tape.n_steps):
-            vals = [np.trace(run[k].raw_pop_gnc) / tape.b for run in tape.runs]
+            vals = [run[k].trace_pop / tape.b for run in tape.runs]
             id_h1[k] = float(np.mean(vals))
         with np.errstate(divide="ignore"):
             id_terms = d * np.log(id_h1 / d) - h2s
@@ -418,12 +411,8 @@ def traj_bound_anisotropic(tape, R=1.0):
         for k in range(tape.n_steps):
             vals, dvals = [], []
             for run in tape.runs:
-                st = run[k]
-                if eps_scale == 1.0:
-                    pop, c = st.pop_gnc, st.gnc
-                else:
-                    pop = _floored_spd(st.raw_pop_gnc, eps_scale)
-                    c = _floored_spd(st.raw_gnc, eps_scale)
+                pop = run[k].pop_gnc.refloored(eps_scale)
+                c = run[k].gnc.refloored(eps_scale)
                 floored = floored or pop.floored or c.floored
                 vals.append(log_det(pop) - log_det(c) - log_b)
                 dvals.append(trace_log_diag(pop.matrix)
@@ -456,30 +445,37 @@ def traj_bound_anisotropic(tape, R=1.0):
     )
 
 
-def _loo_log_det_gap(grads, b, eps_scale):
-    """(mean over all n leave-one-out J of log det C - log det C_J, whether
-    any floor fired); see :func:`traj_bound_data_dependent`."""
+def _loo_log_det_gaps(grads, b):
+    """[(mean over all n leave-one-out J of log det C - log det C_J, whether
+    any floor fired)] at 1x and at FLOOR_SENSITIVITY_SCALE x the floor; see
+    :func:`traj_bound_data_dependent`."""
     n, d = grads.shape
     m = n - 1
     sigma, mean = gnc_from_grads(grads)
-    c_full = _floored_spd(sigma / b, eps_scale)
+    c_full = SpdMatrix.from_matrix(sigma / b)
     u = grads - mean
+    # Where C is unfloored its floored and raw eigenvalues agree, so the
+    # leverages and the interlacing bound serve both floor scales.
     lev = np.sum((u @ c_full.eigenvectors) ** 2 / c_full.eigenvalues, axis=1) / b
-    # The closed form holds for C_J only if its interlacing lower bound on
-    # lambda_min clears the floor SpdMatrix.from_matrix would give C_J.
     trace_j = (n / m) * np.trace(sigma) / b - (n / m**2) * np.sum(u * u, axis=1) / b
-    floor_j = np.maximum(DEFAULT_EPS_REL * eps_scale * trace_j / d,
-                         DEFAULT_FLOOR_ABS * eps_scale)
     lower_j = (n / m) * c_full.eigenvalues[0] * (1.0 - lev / m)
-    exact = (lower_j > floor_j) & (not c_full.floored)
-    gaps = list(-d * np.log1p(1.0 / m) - np.log1p(-lev[exact] / m))
-    floored = c_full.floored
-    for i in np.flatnonzero(~exact):
+
+    @cache
+    def c_j(i):
         sj, _ = gnc_from_grads(np.delete(grads, i, axis=0))
-        cj = _floored_spd(sj / b, eps_scale)
-        floored = floored or cj.floored
-        gaps.append(log_det(c_full) - log_det(cj))
-    return float(np.mean(gaps)), floored
+        return SpdMatrix.from_matrix(sj / b)
+
+    out = []
+    for scale in (1.0, FLOOR_SENSITIVITY_SCALE):
+        c = c_full.refloored(scale)
+        # The closed form holds for C_J only if its interlacing lower bound
+        # on lambda_min clears the floor C_J would get.
+        exact = (lower_j > eigenvalue_floor(trace_j / d, scale)) & (not c.floored)
+        cjs = [c_j(i).refloored(scale) for i in np.flatnonzero(~exact)]
+        gaps = np.concatenate([-d * np.log1p(1.0 / m) - np.log1p(-lev[exact] / m),
+                               [log_det(c) - log_det(cj) for cj in cjs]])
+        out.append((float(np.mean(gaps)), c.floored or any(cj.floored for cj in cjs)))
+    return out
 
 
 def traj_bound_data_dependent(records, M=1.0):
@@ -499,7 +495,8 @@ def traj_bound_data_dependent(records, M=1.0):
     leverages come from the eigenpairs of C: O(n d^2 + d^3) per state. Where
     a floor could touch C or C_J (for instance when example i alone carries
     a direction) that C_J is built and floored explicitly, at O(n d^2 + d^3)
-    each.
+    each. The 10x-floor sensitivity terms come from the same pass: each C and
+    C_J is decomposed once and refloored.
     """
     if not records:
         raise ConfigError("need at least one trajectory record")
@@ -515,37 +512,36 @@ def traj_bound_data_dependent(records, M=1.0):
         flags.append("diverged-runs")
     const = (b - 1) * d / (n - 1) ** 2
 
-    def per_record_terms(eps_scale):
-        out, floored = [], False
-        for rec in records:
-            if rec.weights is None:
-                raise ConfigError("data-dependent bound requires record_weights=True")
-            problem = build_problem(rec.config.spec)
-            dataset = generate_dataset(rec.config.spec, rec.dataset_seed, n)
-            terms = []
-            for k in range(len(rec.steps) - 1):
-                grads = problem.per_example_grads(
-                    rec.weights[k], dataset.features, dataset.labels)
-                gap, fl = _loo_log_det_gap(grads, b, eps_scale)
-                floored = floored or fl
-                terms.append(const + gap)
-            out.append(np.asarray(terms))
-        return out, floored
+    # terms[r][k] holds record r's step-k term at 1x and at 10x the floor.
+    terms, floored = [], False
+    for rec in records:
+        if rec.weights is None:
+            raise ConfigError("data-dependent bound requires record_weights=True")
+        problem = build_problem(rec.config.spec)
+        dataset = generate_dataset(rec.config.spec, rec.dataset_seed, n)
+        rows = []
+        for k in range(len(rec.steps) - 1):
+            grads = problem.per_example_grads(
+                rec.weights[k], dataset.features, dataset.labels)
+            (gap, fl), (gap10, _) = _loo_log_det_gaps(grads, b)
+            floored = floored or fl
+            rows.append((const + gap, const + gap10))
+        terms.append(np.reshape(rows, (-1, 2)))
 
-    terms, floored = per_record_terms(1.0)
-    core = float(np.mean([_sqrt_core(cfg.log_every * float(t.sum()), flags)
-                          for t in terms]))
+    def mean_core(col, flags):
+        return float(np.mean([_sqrt_core(cfg.log_every * float(t[:, col].sum()),
+                                         flags) for t in terms]))
+
+    core = mean_core(0, flags)
     components = {"per_record_cores_mean": core, "constant_per_step": const}
     if floored:
         flags.append("floored-log")
-        terms10, _ = per_record_terms(FLOOR_SENSITIVITY_SCALE)
-        components["core_at_10x_floor"] = float(np.mean(
-            [_sqrt_core(cfg.log_every * float(t.sum()), []) for t in terms10]))
+        components["core_at_10x_floor"] = mean_core(1, [])
     return BoundReport(
         name="trajectory-data-dependent",
         value=M * core,
         core=core,
-        per_step_terms=np.mean(terms, axis=0),
+        per_step_terms=np.mean([t[:, 0] for t in terms], axis=0),
         components=components,
         config={"R": None, "M": M, "n": n, "b": b,
                 "eta": cfg.lr_at(cfg.steps), "T": cfg.steps, "g_tilde": None},
@@ -602,21 +598,20 @@ def terminal_bound_general(ensemble, R=1.0):
     d = next(iter(groups.values())).shape[1]
     if min(counts.values()) < 4 * d:
         flags.append("undersampled-covariance")
-    all_rows = np.vstack(list(groups.values()))
-    _, pooled_raw = _covariance(all_rows)
-    pooled_scale = max(float(np.trace(pooled_raw)), DEFAULT_FLOOR_ABS)
-    within_raw = {k: _covariance(v)[1] for k, v in groups.items()}
+    pooled = SpdMatrix.from_matrix(_covariance(np.vstack(list(groups.values())))[1])
+    within = {k: SpdMatrix.from_matrix(_covariance(v)[1]) for k, v in groups.items()}
+    pooled_scale = max(pooled.mean_eigenvalue, DEFAULT_FLOOR_ABS / d)
     deterministic = any(
-        float(np.trace(w)) <= 1e-18 * pooled_scale for w in within_raw.values()
+        w.mean_eigenvalue <= 1e-18 * pooled_scale for w in within.values()
     )
 
     def evaluate(eps_scale):
-        pooled = _floored_spd(pooled_raw, eps_scale)
-        floored = pooled.floored
-        ld_pooled = log_det(pooled)
+        pooled_s = pooled.refloored(eps_scale)
+        floored = pooled_s.floored
+        ld_pooled = log_det(pooled_s)
         terms = {}
-        for k, raw in within_raw.items():
-            mat = _floored_spd(raw, eps_scale)
+        for k, w in within.items():
+            mat = w.refloored(eps_scale)
             floored = floored or mat.floored
             terms[k] = ld_pooled - log_det(mat)
         return ld_pooled, terms, floored
@@ -675,8 +670,7 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
     cfg = ensemble.config
     n, b = cfg.n, cfg.b
     eta = cfg.lr_at(cfg.steps)
-    all_rows = np.vstack(list(groups.values()))
-    _, pooled_raw = _covariance(all_rows)
+    pooled = SpdMatrix.from_matrix(_covariance(np.vstack(list(groups.values())))[1])
     problem = build_problem(cfg.spec)
 
     per_dataset = {}
@@ -694,29 +688,27 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
             )
         grads = problem.per_example_grads(w_star, dataset.features, dataset.labels)
         sigma, _ = gnc_from_grads(grads)
-        c_raw = minibatch_factor(n, b) * sigma
-        per_dataset[ds_seed] = (h_raw, c_raw, gap)
+        c = SpdMatrix.from_matrix(minibatch_factor(n, b) * sigma)
+        per_dataset[ds_seed] = (SpdMatrix.from_matrix(h_raw), c, gap)
 
     def evaluate(eps_scale):
-        pooled = _floored_spd(pooled_raw, eps_scale)
-        floored = pooled.floored
-        ld_pooled = log_det(pooled)
-        terms, mats = {}, []
-        for ds_seed, (h_raw, c_raw, _) in per_dataset.items():
-            h = _floored_spd(h_raw, eps_scale)
-            c = _floored_spd(c_raw, eps_scale)
+        pooled_s = pooled.refloored(eps_scale)
+        floored = pooled_s.floored
+        ld_pooled = log_det(pooled_s)
+        terms = {}
+        for ds_seed, (h, c, _) in per_dataset.items():
+            h, c = h.refloored(eps_scale), c.refloored(eps_scale)
             floored = floored or h.floored or c.floored
             terms[ds_seed] = log_det(h) - log_det(c) + ld_pooled
-            mats.append((h.matrix, c.matrix))
-        return ld_pooled, terms, mats, floored
+        return ld_pooled, terms, floored
 
-    ld_pooled, terms, mats, floored = evaluate(1.0)
+    ld_pooled, terms, floored = evaluate(1.0)
     if floored:
         flags.append("floored-log")
     commutators = []
-    for h, c in mats:
-        lam = solve_stationary_covariance(h, c, eta, mode="general")
-        commutators.append(float(np.linalg.norm(h @ lam - lam @ h)))
+    for h, c, _ in per_dataset.values():
+        lam = solve_stationary_covariance(h.matrix, c.matrix, eta, mode="general")
+        commutators.append(float(np.linalg.norm(h.matrix @ lam - lam @ h.matrix)))
     mean_term = float(np.mean(list(terms.values())))
     core = _sqrt_core(mean_term / (n * eta), flags)
     components = {
@@ -726,7 +718,7 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
         "min_stability_gap": min(gap for _, _, gap in per_dataset.values()),
     }
     if floored:
-        _, terms10, _, _ = evaluate(FLOOR_SENSITIVITY_SCALE)
+        _, terms10, _ = evaluate(FLOOR_SENSITIVITY_SCALE)
         components["core_at_10x_floor"] = _sqrt_core(
             float(np.mean(list(terms10.values()))) / (n * eta), [])
     return BoundReport(
@@ -963,7 +955,7 @@ def fim_takeuchi_bound(ensemble, M=1.0):
         dataset = generate_dataset(cfg.spec, ds_seed, n)
         w_star = rows.mean(axis=0)
         h_raw = dense_hessian(problem, w_star, dataset.features, dataset.labels)
-        h = _floored_spd(h_raw, 1.0)
+        h = SpdMatrix.from_matrix(h_raw)
         floored = floored or h.floored
         ograds = problem.per_example_grads(w_star, oracle.features, oracle.labels)
         fim = ograds.T @ ograds / len(oracle)

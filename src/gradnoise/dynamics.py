@@ -86,8 +86,9 @@ class TrainConfig:
         sched = tuple((int(s), float(e)) for s, e in self.lr_schedule)
         if not sched:
             raise ConfigError("lr_schedule must have at least one (step, eta) pair")
-        if any(e <= 0 for _, e in sched):
-            raise ConfigError("every learning rate in the schedule must be positive")
+        if not all(0 < e < math.inf for _, e in sched):
+            raise ConfigError("every learning rate in lr_schedule must be positive "
+                              f"and finite, got {[e for _, e in sched]}")
         if sorted(sched) != list(sched):
             raise ConfigError("lr_schedule must be sorted by step")
         if sched[0][0] > 1:
@@ -146,16 +147,10 @@ class TerminalRun:
 
 @dataclass(frozen=True)
 class TerminalEnsemble:
-    """Terminal states of a dataset-seed x run-seed grid, grouped by dataset."""
+    """Terminal states of a dataset-seed x run-seed grid, in grid order."""
 
     runs: tuple
     config: TrainConfig
-
-    def groups(self):
-        by_dataset = {}
-        for run in self.runs:
-            by_dataset.setdefault(run.dataset_seed, []).append(run)
-        return by_dataset
 
 
 def sgd_step(problem, w, dataset, batch_indices, eta):

@@ -147,6 +147,13 @@ def _read(cfg, name, cast, default=_REQUIRED):
         raise ConfigError(f"bad value for {name}: {cfg[key]!r} ({exc})") from exc
 
 
+def _positive_int(value):
+    value = int(value)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
 def _float_array(value):
     return np.asarray(value, dtype=float)
 
@@ -191,7 +198,7 @@ def _parse_problem(cfg, unknown):
     if unknown:
         return None
     if family == "quadratic":
-        dim = _read(cfg, "problem.dim", int, 1)
+        dim = _read(cfg, "problem.dim", _positive_int, 1)
         center = _read(cfg, "problem.center", _float_array, 0.0)
         center = np.full(dim, float(center)) if np.ndim(center) == 0 else center
         return QuadraticSpec(
@@ -201,7 +208,7 @@ def _parse_problem(cfg, unknown):
             pop_oracle_size=_read(cfg, "problem.pop_oracle_size", int, 10_000),
         )
     if family == "logistic":
-        dim = _read(cfg, "problem.dim", int)
+        dim = _read(cfg, "problem.dim", _positive_int)
         if "mean0" in cfg or "mean1" in cfg:
             mean0 = _read(cfg, "problem.mean0", _float_array)
             mean1 = _read(cfg, "problem.mean1", _float_array)
@@ -288,12 +295,8 @@ def load_experiment_config(source, seed_override=None, out_override=None):
         tail_spacing=_read(train_raw, "train.tail_spacing", int, 1),
         log_lambda1=_read(train_raw, "train.log_lambda1", _json_bool, False),
     )
-    compare_seeds = _read(raw, "compare_seeds", int, 10)
-    if compare_seeds < 1:
-        raise ConfigError(f"compare_seeds must be >= 1, got {compare_seeds}")
-    stationary_b = _read(stationary, "stationary.b", int, train.b)
-    if stationary_b < 1:
-        raise ConfigError(f"stationary.b must be >= 1, got {stationary_b}")
+    compare_seeds = _read(raw, "compare_seeds", _positive_int, 10)
+    stationary_b = _read(stationary, "stationary.b", _positive_int, train.b)
     return ExperimentConfig(
         spec=spec,
         train=train,

@@ -4,7 +4,7 @@ Everything downstream (noise covariances, KL divergences, stationary
 covariances) is built on the small set of primitives in this module. Matrices
 are plain numpy arrays at the boundaries; positive-definiteness is made
 explicit through :class:`SpdMatrix`, which carries its eigendecomposition and
-the eigenvalue floor that was applied.
+applies the eigenvalue floor; :func:`eigenvalue_floor` is the one floor rule.
 
 Convention: ``tr log M`` is evaluated as the log-determinant of the floored
 matrix (sum of logs of floored eigenvalues). The diagonal-only variant is
@@ -17,7 +17,7 @@ Hessian, where the equation decouples entrywise: one symmetric
 eigendecomposition, O(d^3) time and O(d^2) memory, for every mode.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -44,52 +44,81 @@ def symmetrize(m):
     return (m + m.T) / 2.0
 
 
+def eigenvalue_floor(mean_eigenvalue, scale=1.0):
+    """The eigenvalue floor of a symmetric matrix whose eigenvalues average
+    ``mean_eigenvalue`` (``tr(M)/d``).
+
+    ``scale * DEFAULT_EPS_REL * tr(M)/d``, replaced by ``scale *
+    DEFAULT_FLOOR_ABS`` wherever that relative floor is smaller (zero or
+    negative trace included). Elementwise on arrays.
+    """
+    return np.maximum(DEFAULT_EPS_REL * scale * mean_eigenvalue,
+                      DEFAULT_FLOOR_ABS * scale)
+
+
 @dataclass(frozen=True)
 class SpdMatrix:
     """A symmetric matrix regularized to be positive definite.
 
-    The floored eigenpairs are the stored state. The reconstruction
-    ``matrix`` is derived from them on first access and cached, so callers
-    that only need the eigenpairs (:func:`spd_sqrt`, :func:`log_det`, the
-    ``inv_*`` methods) never pay for it.
+    The stored state is the unfloored eigendecomposition, ``tr(M)/d`` and the
+    floor scale; the floored eigenvalues, the floor, the ``floored`` flag and
+    the reconstruction ``matrix`` are derived from it on first access and
+    cached. So :meth:`refloored` views the same eigenpairs under another
+    floor without a new decomposition, bit-identical to a fresh
+    ``from_matrix`` at that scale, and callers that only need the eigenpairs
+    (:func:`spd_sqrt`, :func:`log_det`, the ``inv_*`` methods) never pay for
+    the reconstruction.
 
     Attributes
     ----------
-    eigenvalues : ndarray
-        Floored eigenvalues, ascending.
+    raw_eigenvalues : ndarray
+        Eigenvalues of the symmetrized input, ascending, before flooring.
     eigenvectors : ndarray
-        Orthonormal eigenvectors, one per column, matching ``eigenvalues``.
+        Orthonormal eigenvectors, one per column, matching the eigenvalues.
+    mean_eigenvalue : float
+        ``tr(M)/d`` of the symmetrized input; sets the relative floor.
+    scale : float
+        Multiplier on both default floors (see :func:`eigenvalue_floor`).
     floor : float
-        The eigenvalue floor actually applied: ``eps_rel * tr(M)/d``, replaced
-        by ``floor_abs`` whenever the relative floor underflows (zero or
-        negative trace included).
+        The eigenvalue floor applied, ``eigenvalue_floor(mean_eigenvalue,
+        scale)``.
+    eigenvalues : ndarray
+        Floored eigenvalues, ``max(raw_eigenvalues, floor)``.
     floored : bool
         True if any raw eigenvalue was below the floor.
     matrix : ndarray
-        The floored reconstruction ``Q diag(max(eig, floor)) Q^T``,
-        symmetrized; computed lazily and cached.
+        The floored reconstruction ``Q diag(eigenvalues) Q^T``, symmetrized.
     """
 
-    eigenvalues: np.ndarray
+    raw_eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    floor: float
-    floored: bool
+    mean_eigenvalue: float
+    scale: float = 1.0
 
     @classmethod
-    def from_matrix(cls, m, eps_rel=DEFAULT_EPS_REL, floor_abs=DEFAULT_FLOOR_ABS):
+    def from_matrix(cls, m, scale=1.0):
         sym = symmetrize(m)
-        d = sym.shape[0]
         try:
             vals, vecs = np.linalg.eigh(sym)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-        floor = eps_rel * (np.trace(sym) / d)
-        if not floor > floor_abs:
-            floor = floor_abs
-        floored = bool(np.any(vals < floor))
-        vals = np.maximum(vals, floor)
-        return cls(eigenvalues=vals, eigenvectors=vecs,
-                   floor=float(floor), floored=floored)
+        return cls(vals, vecs, float(np.trace(sym) / sym.shape[0]), scale)
+
+    def refloored(self, scale):
+        """The same eigenpairs under ``scale`` times both default floors."""
+        return self if scale == self.scale else replace(self, scale=scale)
+
+    @cached_property
+    def floor(self):
+        return float(eigenvalue_floor(self.mean_eigenvalue, self.scale))
+
+    @cached_property
+    def eigenvalues(self):
+        return np.maximum(self.raw_eigenvalues, self.floor)
+
+    @cached_property
+    def floored(self):
+        return bool(np.any(self.raw_eigenvalues < self.floor))
 
     @cached_property
     def matrix(self):

@@ -45,8 +45,6 @@ from gradnoise.dynamics import (
 )
 from gradnoise.errors import ConfigError, NumericalError, StabilityError
 from gradnoise.linalg import (
-    DEFAULT_EPS_REL,
-    DEFAULT_FLOOR_ABS,
     GaussianDist,
     SpdMatrix,
     gaussian_kl,
@@ -54,6 +52,7 @@ from gradnoise.linalg import (
 )
 from gradnoise.problems import (
     Dataset,
+    QuadraticProblem,
     QuadraticSpec,
     build_problem,
     generate_dataset,
@@ -75,11 +74,10 @@ def make_step(grad, raw_gnc, step=1, eta=0.1, pop_grad=None, raw_pop=None,
         step=step,
         eta=eta,
         grad=np.asarray(grad, dtype=float),
-        raw_gnc=raw,
         gnc=gnc,
         trace_c=float(np.trace(raw)) if trace_c is None else float(trace_c),
         pop_grad=None if pop_grad is None else np.asarray(pop_grad, dtype=float),
-        raw_pop_gnc=None if raw_pop is None else np.asarray(raw_pop, dtype=float),
+        trace_pop=None if raw_pop is None else float(np.trace(raw_pop)),
         pop_gnc=pop,
     )
 
@@ -439,9 +437,7 @@ def brute_force_loo_terms(rec, eps_scale=1.0):
 
     def log_det_c(rows):
         cov = np.atleast_2d(np.cov(rows.T, bias=True)) / b
-        return log_det(SpdMatrix.from_matrix(
-            cov, eps_rel=DEFAULT_EPS_REL * eps_scale,
-            floor_abs=DEFAULT_FLOOR_ABS * eps_scale))
+        return log_det(SpdMatrix.from_matrix(cov, eps_scale))
 
     terms = []
     for w in rec.weights[:-1]:
@@ -544,6 +540,26 @@ class TestDataDependentTrajectory:
         assert report.components["core_at_10x_floor"] == pytest.approx(
             np.sqrt(max(terms10.sum(), 0.0)), abs=1e-10)
 
+    def test_one_replay_and_one_eigh_per_matrix_when_floored(self, monkeypatch):
+        """n = 4 < d = 5 floors C at every state, so every C_J is built
+        explicitly; the 10x pass reuses those decompositions and gradients."""
+        spec = QuadraticSpec(curvature=np.diag([0.5, 0.8, 1.0, 1.3, 1.6]),
+                             center=np.zeros(5), scatter=np.eye(5),
+                             pop_oracle_size=100)
+        rec = train_run(quad_config(spec=spec, n=4, b=1, steps=3))
+        eighs, grad_passes = [], []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda m: eighs.append(m) or eigh(m))
+        per_example_grads = QuadraticProblem.per_example_grads
+        monkeypatch.setattr(QuadraticProblem, "per_example_grads",
+                            lambda *a: grad_passes.append(a) or per_example_grads(*a))
+        report = traj_bound_data_dependent([rec])
+        assert "core_at_10x_floor" in report.components
+        assert len(grad_passes) == 3
+        # One for the problem's scatter root, then C and its 4 C_J per state.
+        assert len(eighs) == 1 + 3 * (1 + 4)
+
     def test_value_is_core_times_loss_bound(self):
         rec = train_run(quad_config(steps=2))
         report = traj_bound_data_dependent([rec], M=4.0)
@@ -590,7 +606,7 @@ class TestTapeFromRecords:
         assert st0.eta == 0.1
         mean = grads.mean(axis=0)
         sigma = grads.T @ grads / cfg.n - np.outer(mean, mean)
-        np.testing.assert_allclose(st0.raw_gnc, sigma, atol=1e-12)  # b=1 factor 1
+        np.testing.assert_allclose(st0.gnc.matrix, sigma, atol=1e-12)  # b=1 factor 1
 
 
 class TestTerminalGeneral:
@@ -635,6 +651,16 @@ class TestTerminalGeneral:
             np.log(1e-12), rel=1e-6)
         # Raising the floor tenfold shrinks the gap: direct cap evidence.
         assert report.components["core_at_10x_floor"] < report.core
+
+    def test_10x_floor_reuses_the_1x_eigendecompositions(self, monkeypatch):
+        ens = manual_ensemble(self.cfg, {0: [[1.0], [1.0]], 1: [[-1.0], [-1.0]]})
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda m: calls.append(m) or eigh(m))
+        report = terminal_bound_general(ens)
+        assert "core_at_10x_floor" in report.components
+        assert len(calls) == 3  # pooled and two within-dataset covariances
 
     def test_negative_mean_term_gives_zero_core_and_flag(self):
         v = np.sqrt(10.0)
@@ -1004,7 +1030,8 @@ class TestFimTakeuchi:
         oracle = population_oracle_sample(ens.config.spec,
                                           ens.config.oracle_seed)
         traces = []
-        for ds, runs in ens.groups().items():
+        for ds in dict.fromkeys(r.dataset_seed for r in ens.runs):
+            runs = [r for r in ens.runs if r.dataset_seed == ds]
             w_star = np.mean([r.final_w for r in runs], axis=0)
             dataset = generate_dataset(ens.config.spec, ds, ens.config.n)
             h = problem.exact_hessian(w_star, dataset.features, dataset.labels)

@@ -359,7 +359,9 @@ class TestEnsemble:
         cfg = base_config(steps=10, seed=100, dataset_seed=40)
         ens = run_ensemble(cfg, n_dataset_seeds=3, n_run_seeds=4)
         assert len(ens.runs) == 12
-        groups = ens.groups()
+        groups = {}
+        for run in ens.runs:
+            groups.setdefault(run.dataset_seed, []).append(run)
         assert sorted(groups) == [40, 41, 42]
         assert all(len(g) == 4 for g in groups.values())
         run_seeds = {r.run_seed for r in ens.runs}

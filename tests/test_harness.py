@@ -250,6 +250,20 @@ class TestTrainCommand:
         pytest.param("train.log_lambda1", quad_raw(log_lambda1=1),
                      id="train.log_lambda1"),
         pytest.param("train.mode", quad_raw(mode="langevin"), id="train.mode"),
+        pytest.param("problem.dim", {**quad_raw(), "problem": {
+            **quad_raw()["problem"], "dim": 0}}, id="problem.dim-quadratic-0"),
+        pytest.param("problem.dim", {**quad_raw(), "problem": {
+            **quad_raw()["problem"], "dim": -1}}, id="problem.dim-quadratic-neg"),
+        pytest.param("problem.dim", {**quad_raw(), "problem": {
+            "family": "logistic", "dim": 0}}, id="problem.dim-logistic-0"),
+        pytest.param("lr_schedule", quad_raw(lr=float("nan")), id="lr-nan"),
+        pytest.param("lr_schedule", quad_raw(lr="inf"), id="lr-inf"),
+        pytest.param("lr_schedule", {**quad_raw(), "train": {
+            "n": 8, "b": 2, "steps": 5, "lr_schedule": [[1, float("nan")]]}},
+            id="lr_schedule-nan"),
+        pytest.param("lr_schedule", {**quad_raw(), "train": {
+            "n": 8, "b": 2, "steps": 5, "lr_schedule": [[1, 0.1], [3, "inf"]]}},
+            id="lr_schedule-inf"),
     ])
     def test_cli_bad_config_values_name_the_key(self, tmp_path, capsys, key, raw):
         path = write_config(tmp_path, raw)

@@ -85,7 +85,7 @@ class TestSpdMatrix:
 
     def test_flooring_lifts_small_eigenvalues(self):
         m = np.diag([1.0, 1e-15])
-        spd = SpdMatrix.from_matrix(m, eps_rel=1e-8)
+        spd = SpdMatrix.from_matrix(m)
         assert spd.floored
         expected_floor = 1e-8 * np.trace(m) / 2.0
         assert spd.floor == pytest.approx(expected_floor)
@@ -133,6 +133,31 @@ class TestSpdMatrix:
         eager = symmetrize((vecs * vals) @ vecs.T)
         assert np.array_equal(spd.matrix, eager)
         assert spd.matrix is spd.matrix  # cached, not rebuilt
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 1e4])
+    @pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "zero"])
+    def test_refloored_equals_a_fresh_decomposition_bit_for_bit(
+            self, monkeypatch, kind, scale):
+        """``refloored(s)`` reuses the eigenpairs, yet every derived field is
+        the one a new decomposition floored at ``s`` times the floors gives."""
+        rng = np.random.default_rng(29)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        g = rng.standard_normal((2, 5))
+        m = {"full-rank": (q * [2.0, 1.0, 0.5, 3e-8, 1e-6]) @ q.T,
+             "rank-deficient": g.T @ g,
+             "zero": np.zeros((5, 5))}[kind]
+        spd = SpdMatrix.from_matrix(m)
+        fresh = SpdMatrix.from_matrix(m, scale)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("refloored ran an eigendecomposition")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        view = spd.refloored(scale)
+        assert view.floor == fresh.floor
+        assert view.floored == fresh.floored
+        assert np.array_equal(view.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(view.matrix, fresh.matrix)
 
     def test_sqrt_reads_only_the_eigenpairs(self):
         rng = np.random.default_rng(17)
