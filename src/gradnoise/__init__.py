@@ -91,7 +91,6 @@ from .problems import (
 )
 from .spectral import (
     SpectralReport,
-    figure_gap,
     hessian_trace,
     spectral_report,
     stability_gap,

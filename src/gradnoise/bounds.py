@@ -10,12 +10,19 @@ contract.
 
 Expectations over datasets and over algorithmic randomness are plug-in
 estimates: statistics are averaged across whatever records or ensemble
-members are supplied, and ``n_runs_used`` records how many that was. When a
-covariance floor activates inside a log-determinant the report is flagged
-``floored-log`` and ``core_at_10x_floor`` is attached: the same bound with
-every floor raised tenfold, from the same eigendecompositions
+members are supplied, and ``n_runs_used`` records how many that was.
+
+Six bounds use eigenvalue-floored matrices: trajectory isotropic,
+anisotropic and data-dependent, terminal general and anisotropic, and
+fim-takeuchi. Each is written as a function of the floor scale and goes
+through one rule (:func:`_floor_sensitive`): when a floor fires at 1x the
+report is flagged ``floored-log`` and ``core_at_10x_floor`` is attached, the
+same core with every floor raised tenfold, from the same eigendecompositions
 (:meth:`SpdMatrix.refloored`), so bound values never silently depend on the
-regularizer.
+regularizer. Every report is built by :func:`_report`: the core is a mean of
+square roots over groups (records, dataset seeds, or a single group), over a
+constant divisor for fim-takeuchi; each root argument is clipped at 0, and
+the report is flagged ``nonpositive-sum`` once if any was negative.
 """
 
 import warnings
@@ -239,20 +246,68 @@ def isotropic_terminal_kl(sigma_sq, msd, d, eta, b):
                   + (msd + d * base) / sigma_sq)
 
 
-def _sqrt_core(total, flags):
-    if total < 0:
+def _core(roots, divisor=1.0):
+    """Mean of the square roots of ``roots``, each clipped at 0, over
+    ``divisor``: the one shape every core takes."""
+    return float(np.mean([np.sqrt(max(r, 0.0)) for r in roots])) / divisor
+
+
+def _floor_sensitive(evaluate, flags, components, divisor=1.0):
+    """Apply the floor-sensitivity rule to a bound written as a function of
+    the floor scale.
+
+    ``evaluate(scale)`` returns ``(roots, floored, *detail)`` with every
+    eigenvalue floor at ``scale`` times its default, the core being
+    ``_core(roots, divisor)``. If a floor fires at 1x, ``floored-log`` joins
+    ``flags`` and ``core_at_10x_floor`` joins ``components``. Returns the 1x
+    ``(roots, *detail)``.
+    """
+    roots, floored, *detail = evaluate(1.0)
+    if floored:
+        flags.append("floored-log")
+        components["core_at_10x_floor"] = _core(
+            evaluate(FLOOR_SENSITIVITY_SCALE)[0], divisor)
+    return roots, *detail
+
+
+def _report(name, roots, flags, components, n_runs_used, setting, R=None,
+            M=None, g_tilde=None, divisor=1.0, per_step_terms=None,
+            extra_series=None):
+    """The one BoundReport constructor.
+
+    ``core`` is ``_core(roots, divisor)``, flagged ``nonpositive-sum`` once
+    if any root argument was clipped; ``value`` is ``core`` times whichever
+    of R and M the bound uses. ``setting`` holds the run shape ``n``, ``b``,
+    ``eta`` and ``T``.
+    """
+    if any(r < 0 for r in roots):
         flags.append("nonpositive-sum")
-        return 0.0
-    return float(np.sqrt(total))
+    core = _core(roots, divisor)
+    return BoundReport(
+        name=name,
+        value=(M if R is None else R) * core,
+        core=core,
+        per_step_terms=per_step_terms,
+        components=components,
+        config={"R": R, "M": M, **setting, "g_tilde": g_tilde},
+        n_runs_used=n_runs_used,
+        flags=tuple(flags),
+        extra_series=extra_series,
+    )
 
 
-def _tape_config_dict(tape, R, M, g_choice=None):
-    eta_final = tape.runs[0][-1].eta if tape.runs[0] else None
-    return {
-        "R": R, "M": M, "n": tape.n, "b": tape.b, "eta": eta_final,
-        "T": tape.total_steps,
-        "g_tilde": None if g_choice is None else g_choice.kind,
-    }
+def _run_setting(cfg):
+    return {"n": cfg.n, "b": cfg.b, "eta": cfg.lr_at(cfg.steps), "T": cfg.steps}
+
+
+def _tape_setting(tape):
+    return {"n": tape.n, "b": tape.b, "T": tape.total_steps,
+            "eta": tape.runs[0][-1].eta if tape.runs[0] else None}
+
+
+def _tape_flags(tape):
+    return (["diverged-runs"] if tape.any_diverged else []) + (
+        ["approximate-cadence"] if tape.approximate else [])
 
 
 def traj_bound_isotropic(tape, g_choice=None, R=1.0):
@@ -268,14 +323,10 @@ def traj_bound_isotropic(tape, g_choice=None, R=1.0):
     """
     if g_choice is None:
         g_choice = GTildeChoice(kind="zero")
-    flags = []
-    if tape.any_diverged:
-        flags.append("diverged-runs")
-    if tape.approximate:
-        flags.append("approximate-cadence")
+    flags = _tape_flags(tape)
     d = tape.dim
 
-    def per_step(eps_scale):
+    def evaluate(scale):
         terms = np.empty(tape.n_steps)
         h1s = np.empty(tape.n_steps)
         h2s = np.empty(tape.n_steps)
@@ -287,7 +338,7 @@ def traj_bound_isotropic(tape, g_choice=None, R=1.0):
                 gt = _reference_gradient(g_choice, st, d)
                 diff = st.grad - gt
                 h1_vals.append(float(diff @ diff) + st.trace_c)
-                mat = st.gnc.refloored(eps_scale)
+                mat = st.gnc.refloored(scale)
                 floored = floored or mat.floored
                 h2_vals.append(log_det(mat))
             h1 = float(np.mean(h1_vals))
@@ -296,19 +347,17 @@ def traj_bound_isotropic(tape, g_choice=None, R=1.0):
                 raise NumericalError(f"h1 <= 0 at step {tape.runs[0][k].step}")
             terms[k] = d * np.log(h1 / d) - h2
             h1s[k], h2s[k] = h1, h2
-        return terms, h1s, h2s, floored
+        total = tape.scale * float(terms.sum())
+        return [total / tape.n], floored, total, terms, h1s, h2s
 
-    terms, h1s, h2s, floored = per_step(1.0)
-    total = tape.scale * float(terms.sum())
-    if floored:
-        flags.append("floored-log")
-    core = _sqrt_core(total / tape.n, flags)
-    components = {
+    components = {}
+    roots, total, terms, h1s, h2s = _floor_sensitive(evaluate, flags, components)
+    components.update({
         "term_sum": total,
         "h1_mean": float(h1s.mean()),
         "h2_mean": float(h2s.mean()),
         "sigma_star_sq_final": float(h1s[-1] / d),
-    }
+    })
     extra = {"h1": h1s, "h2": h2s}
     if g_choice.kind == "population-gradient":
         id_h1 = np.empty(tape.n_steps)
@@ -321,21 +370,10 @@ def traj_bound_isotropic(tape, g_choice=None, R=1.0):
         extra["identity_per_step_terms"] = id_terms
         components["h1_identity_mean"] = float(id_h1.mean())
         components["h1_discrepancy_mean"] = float(np.mean(np.abs(h1s - id_h1)))
-    if floored:
-        terms10, _, _, _ = per_step(FLOOR_SENSITIVITY_SCALE)
-        total10 = tape.scale * float(terms10.sum())
-        components["core_at_10x_floor"] = _sqrt_core(total10 / tape.n, [])
-    return BoundReport(
-        name="trajectory-isotropic",
-        value=R * core,
-        core=core,
-        per_step_terms=terms,
-        components=components,
-        config=_tape_config_dict(tape, R, None, g_choice),
-        n_runs_used=tape.n_runs,
-        flags=tuple(flags),
-        extra_series=extra,
-    )
+    return _report("trajectory-isotropic", roots, flags, components,
+                   tape.n_runs, _tape_setting(tape), R=R,
+                   g_tilde=g_choice.kind, per_step_terms=terms,
+                   extra_series=extra)
 
 
 def traj_bound_langevin(tape, g_choice=None, R=1.0):
@@ -349,13 +387,8 @@ def traj_bound_langevin(tape, g_choice=None, R=1.0):
     """
     if g_choice is None:
         g_choice = GTildeChoice(kind="zero")
-    flags = []
-    if tape.mode != "gld":
-        flags.append("counterfactual-mode")
-    if tape.any_diverged:
-        flags.append("diverged-runs")
-    if tape.approximate:
-        flags.append("approximate-cadence")
+    flags = ["counterfactual-mode"] if tape.mode != "gld" else []
+    flags += _tape_flags(tape)
     d = tape.dim
     terms = np.empty(tape.n_steps)
     loose = np.empty(tape.n_steps)
@@ -369,21 +402,12 @@ def traj_bound_langevin(tape, g_choice=None, R=1.0):
         terms[k] = np.log1p(x)
         loose[k] = x
     total = tape.scale * float(terms.sum())
-    core = _sqrt_core(d * total / tape.n, flags)
-    return BoundReport(
-        name="trajectory-langevin",
-        value=R * core,
-        core=core,
-        per_step_terms=terms,
-        components={
-            "term_sum": total,
-            "loose_term_sum": tape.scale * float(loose.sum()),
-        },
-        config=_tape_config_dict(tape, R, None, g_choice),
-        n_runs_used=tape.n_runs,
-        flags=tuple(flags),
-        extra_series={"loose_per_step_terms": loose},
-    )
+    components = {"term_sum": total,
+                  "loose_term_sum": tape.scale * float(loose.sum())}
+    return _report("trajectory-langevin", [d * total / tape.n], flags,
+                   components, tape.n_runs, _tape_setting(tape), R=R,
+                   g_tilde=g_choice.kind, per_step_terms=terms,
+                   extra_series={"loose_per_step_terms": loose})
 
 
 def traj_bound_anisotropic(tape, R=1.0):
@@ -396,59 +420,42 @@ def traj_bound_anisotropic(tape, R=1.0):
     """
     if not tape.has_population:
         raise ConfigError("anisotropic bound needs a tape built with population=True")
-    flags = []
-    if tape.any_diverged:
-        flags.append("diverged-runs")
-    if tape.approximate:
-        flags.append("approximate-cadence")
+    flags = _tape_flags(tape)
     d = tape.dim
     log_b = d * np.log(tape.b)
 
-    def per_step(eps_scale):
+    def evaluate(scale):
         terms = np.empty(tape.n_steps)
         diag_terms = np.empty(tape.n_steps)
         floored = False
         for k in range(tape.n_steps):
             vals, dvals = [], []
             for run in tape.runs:
-                pop = run[k].pop_gnc.refloored(eps_scale)
-                c = run[k].gnc.refloored(eps_scale)
+                pop = run[k].pop_gnc.refloored(scale)
+                c = run[k].gnc.refloored(scale)
                 floored = floored or pop.floored or c.floored
                 vals.append(log_det(pop) - log_det(c) - log_b)
                 dvals.append(trace_log_diag(pop.matrix)
                              - trace_log_diag(c.matrix) - log_b)
             terms[k] = float(np.mean(vals))
             diag_terms[k] = float(np.mean(dvals))
-        return terms, diag_terms, floored
+        total = tape.scale * float(terms.sum())
+        return [total / tape.n], floored, total, terms, diag_terms
 
-    terms, diag_terms, floored = per_step(1.0)
-    if floored:
-        flags.append("floored-log")
-    total = tape.scale * float(terms.sum())
-    core = _sqrt_core(total / tape.n, flags)
-    components = {"term_sum": total,
-                  "diag_term_sum": tape.scale * float(diag_terms.sum())}
-    if floored:
-        terms10, _, _ = per_step(FLOOR_SENSITIVITY_SCALE)
-        components["core_at_10x_floor"] = _sqrt_core(
-            tape.scale * float(terms10.sum()) / tape.n, [])
-    return BoundReport(
-        name="trajectory-anisotropic",
-        value=R * core,
-        core=core,
-        per_step_terms=terms,
-        components=components,
-        config=_tape_config_dict(tape, R, None),
-        n_runs_used=tape.n_runs,
-        flags=tuple(flags),
-        extra_series={"diag_alignment": diag_terms},
-    )
+    components = {}
+    roots, total, terms, diag_terms = _floor_sensitive(evaluate, flags, components)
+    components.update({"term_sum": total,
+                       "diag_term_sum": tape.scale * float(diag_terms.sum())})
+    return _report("trajectory-anisotropic", roots, flags, components,
+                   tape.n_runs, _tape_setting(tape), R=R,
+                   per_step_terms=terms,
+                   extra_series={"diag_alignment": diag_terms})
 
 
 def _loo_log_det_gaps(grads, b):
-    """[(mean over all n leave-one-out J of log det C - log det C_J, whether
-    any floor fired)] at 1x and at FLOOR_SENSITIVITY_SCALE x the floor; see
-    :func:`traj_bound_data_dependent`."""
+    """{floor scale: (mean over all n leave-one-out J of log det C - log det
+    C_J, whether any floor fired)} at 1x and at FLOOR_SENSITIVITY_SCALE x the
+    floor; see :func:`traj_bound_data_dependent`."""
     n, d = grads.shape
     m = n - 1
     sigma, mean = gnc_from_grads(grads)
@@ -465,7 +472,7 @@ def _loo_log_det_gaps(grads, b):
         sj, _ = gnc_from_grads(np.delete(grads, i, axis=0))
         return SpdMatrix.from_matrix(sj / b)
 
-    out = []
+    out = {}
     for scale in (1.0, FLOOR_SENSITIVITY_SCALE):
         c = c_full.refloored(scale)
         # The closed form holds for C_J only if its interlacing lower bound
@@ -474,7 +481,7 @@ def _loo_log_det_gaps(grads, b):
         cjs = [c_j(i).refloored(scale) for i in np.flatnonzero(~exact)]
         gaps = np.concatenate([-d * np.log1p(1.0 / m) - np.log1p(-lev[exact] / m),
                                [log_det(c) - log_det(cj) for cj in cjs]])
-        out.append((float(np.mean(gaps)), c.floored or any(cj.floored for cj in cjs)))
+        out[scale] = (float(np.mean(gaps)), c.floored or any(cj.floored for cj in cjs))
     return out
 
 
@@ -512,59 +519,49 @@ def traj_bound_data_dependent(records, M=1.0):
         flags.append("diverged-runs")
     const = (b - 1) * d / (n - 1) ** 2
 
-    # terms[r][k] holds record r's step-k term at 1x and at 10x the floor.
-    terms, floored = [], False
+    # terms[scale][r] holds record r's per-step terms at that floor scale.
+    terms = {1.0: [], FLOOR_SENSITIVITY_SCALE: []}
+    floored = False
     for rec in records:
         if rec.weights is None:
             raise ConfigError("data-dependent bound requires record_weights=True")
         problem = build_problem(rec.config.spec)
         dataset = generate_dataset(rec.config.spec, rec.dataset_seed, n)
-        rows = []
-        for k in range(len(rec.steps) - 1):
-            grads = problem.per_example_grads(
-                rec.weights[k], dataset.features, dataset.labels)
-            (gap, fl), (gap10, _) = _loo_log_det_gaps(grads, b)
-            floored = floored or fl
-            rows.append((const + gap, const + gap10))
-        terms.append(np.reshape(rows, (-1, 2)))
+        gaps = [_loo_log_det_gaps(problem.per_example_grads(
+                    w, dataset.features, dataset.labels), b)
+                for w in rec.weights[:-1]]
+        floored = floored or any(g[1.0][1] for g in gaps)
+        for scale, rows in terms.items():
+            rows.append(np.array([const + g[scale][0] for g in gaps]))
 
-    def mean_core(col, flags):
-        return float(np.mean([_sqrt_core(cfg.log_every * float(t[:, col].sum()),
-                                         flags) for t in terms]))
+    def evaluate(scale):
+        return [cfg.log_every * float(t.sum()) for t in terms[scale]], floored
 
-    core = mean_core(0, flags)
-    components = {"per_record_cores_mean": core, "constant_per_step": const}
-    if floored:
-        flags.append("floored-log")
-        components["core_at_10x_floor"] = mean_core(1, [])
-    return BoundReport(
-        name="trajectory-data-dependent",
-        value=M * core,
-        core=core,
-        per_step_terms=np.mean([t[:, 0] for t in terms], axis=0),
-        components=components,
-        config={"R": None, "M": M, "n": n, "b": b,
-                "eta": cfg.lr_at(cfg.steps), "T": cfg.steps, "g_tilde": None},
-        n_runs_used=len(records),
-        flags=tuple(flags),
-    )
+    components = {"constant_per_step": const}
+    roots, = _floor_sensitive(evaluate, flags, components)
+    components["per_record_cores_mean"] = _core(roots)
+    return _report("trajectory-data-dependent", roots, flags, components,
+                   len(records), _run_setting(cfg), M=M,
+                   per_step_terms=np.mean(terms[1.0], axis=0))
+
+
+def _usable_runs(ensemble):
+    """The non-diverged runs of an ensemble and the flags they raise."""
+    runs = [r for r in ensemble.runs if not r.diverged]
+    if not runs:
+        raise ConfigError("ensemble has no usable (non-diverged) runs")
+    return runs, [] if len(runs) == len(ensemble.runs) else ["diverged-runs"]
 
 
 def _terminal_samples(ensemble):
-    """Per-dataset weight samples: final weights plus tail checkpoints."""
+    """Per-dataset weight samples (final weights plus tail checkpoints) of
+    the usable runs, their flags, and how many runs they come from."""
+    runs, flags = _usable_runs(ensemble)
     groups = {}
-    skipped = 0
-    for run in ensemble.runs:
-        if run.diverged:
-            skipped += 1
-            continue
-        if run.tail_weights is not None:
-            rows = run.tail_weights
-        else:
-            rows = run.final_w[None, :]
+    for run in runs:
+        rows = run.final_w[None, :] if run.tail_weights is None else run.tail_weights
         groups.setdefault(run.dataset_seed, []).append(rows)
-    groups = {k: np.vstack(v) for k, v in groups.items()}
-    return groups, skipped
+    return {k: np.vstack(v) for k, v in groups.items()}, flags, len(runs)
 
 
 def _covariance(rows):
@@ -584,12 +581,7 @@ def terminal_bound_general(ensemble, R=1.0):
     report carries the deterministic-failure flag rather than pretending the
     bound is finite.
     """
-    groups, skipped = _terminal_samples(ensemble)
-    if not groups:
-        raise ConfigError("ensemble has no usable (non-diverged) runs")
-    flags = []
-    if skipped:
-        flags.append("diverged-runs")
+    groups, flags, n_used = _terminal_samples(ensemble)
     if len(groups) == 1:
         flags.append("single-dataset-group")
     counts = {k: v.shape[0] for k, v in groups.items()}
@@ -599,53 +591,27 @@ def terminal_bound_general(ensemble, R=1.0):
     if min(counts.values()) < 4 * d:
         flags.append("undersampled-covariance")
     pooled = SpdMatrix.from_matrix(_covariance(np.vstack(list(groups.values())))[1])
-    within = {k: SpdMatrix.from_matrix(_covariance(v)[1]) for k, v in groups.items()}
+    within = [SpdMatrix.from_matrix(_covariance(v)[1]) for v in groups.values()]
     pooled_scale = max(pooled.mean_eigenvalue, DEFAULT_FLOOR_ABS / d)
-    deterministic = any(
-        w.mean_eigenvalue <= 1e-18 * pooled_scale for w in within.values()
-    )
+    deterministic = any(w.mean_eigenvalue <= 1e-18 * pooled_scale for w in within)
+    n = ensemble.config.n
 
-    def evaluate(eps_scale):
-        pooled_s = pooled.refloored(eps_scale)
-        floored = pooled_s.floored
+    def evaluate(scale):
+        pooled_s = pooled.refloored(scale)
+        within_s = [w.refloored(scale) for w in within]
         ld_pooled = log_det(pooled_s)
-        terms = {}
-        for k, w in within.items():
-            mat = w.refloored(eps_scale)
-            floored = floored or mat.floored
-            terms[k] = ld_pooled - log_det(mat)
-        return ld_pooled, terms, floored
+        mean_term = float(np.mean([ld_pooled - log_det(w) for w in within_s]))
+        floored = pooled_s.floored or any(w.floored for w in within_s)
+        return [mean_term / (2.0 * n)], floored, ld_pooled, mean_term
 
-    ld_pooled, terms, floored = evaluate(1.0)
-    if floored:
-        flags.append("floored-log")
+    components = {"min_group_samples": min(counts.values())}
+    roots, ld_pooled, mean_term = _floor_sensitive(evaluate, flags, components)
     if deterministic:
         flags.extend(["deterministic-failure", "flooring-cap"])
-    mean_term = float(np.mean(list(terms.values())))
-    n = ensemble.config.n
-    core = _sqrt_core(mean_term / (2.0 * n), flags)
-    components = {
-        "mean_term": mean_term,
-        "logdet_pooled": ld_pooled,
-        "mean_logdet_within": ld_pooled - mean_term,
-        "min_group_samples": min(counts.values()),
-    }
-    if floored:
-        _, terms10, _ = evaluate(FLOOR_SENSITIVITY_SCALE)
-        components["core_at_10x_floor"] = _sqrt_core(
-            float(np.mean(list(terms10.values()))) / (2.0 * n), [])
-    cfg = ensemble.config
-    return BoundReport(
-        name="terminal-general",
-        value=R * core,
-        core=core,
-        per_step_terms=None,
-        components=components,
-        config={"R": R, "M": None, "n": n, "b": cfg.b,
-                "eta": cfg.lr_at(cfg.steps), "T": cfg.steps, "g_tilde": None},
-        n_runs_used=len(ensemble.runs) - skipped,
-        flags=tuple(flags),
-    )
+    components.update({"mean_term": mean_term, "logdet_pooled": ld_pooled,
+                       "mean_logdet_within": ld_pooled - mean_term})
+    return _report("terminal-general", roots, flags, components, n_used,
+                   _run_setting(ensemble.config), R=R)
 
 
 def terminal_bound_anisotropic(ensemble, R=1.0):
@@ -659,12 +625,7 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
     commutator norms between H and the stationary solve are reported as
     condition diagnostics.
     """
-    groups, skipped = _terminal_samples(ensemble)
-    if not groups:
-        raise ConfigError("ensemble has no usable (non-diverged) runs")
-    flags = []
-    if skipped:
-        flags.append("diverged-runs")
+    groups, flags, n_used = _terminal_samples(ensemble)
     if len(groups) == 1:
         flags.append("single-dataset-group")
     cfg = ensemble.config
@@ -673,7 +634,7 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
     pooled = SpdMatrix.from_matrix(_covariance(np.vstack(list(groups.values())))[1])
     problem = build_problem(cfg.spec)
 
-    per_dataset = {}
+    per_dataset, gaps = [], []
     for ds_seed, rows in groups.items():
         dataset = generate_dataset(cfg.spec, ds_seed, n)
         w_star = rows.mean(axis=0)
@@ -689,49 +650,28 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
         grads = problem.per_example_grads(w_star, dataset.features, dataset.labels)
         sigma, _ = gnc_from_grads(grads)
         c = SpdMatrix.from_matrix(minibatch_factor(n, b) * sigma)
-        per_dataset[ds_seed] = (SpdMatrix.from_matrix(h_raw), c, gap)
+        per_dataset.append((SpdMatrix.from_matrix(h_raw), c))
+        gaps.append(gap)
 
-    def evaluate(eps_scale):
-        pooled_s = pooled.refloored(eps_scale)
-        floored = pooled_s.floored
+    def evaluate(scale):
+        pooled_s = pooled.refloored(scale)
+        mats = [(h.refloored(scale), c.refloored(scale)) for h, c in per_dataset]
         ld_pooled = log_det(pooled_s)
-        terms = {}
-        for ds_seed, (h, c, _) in per_dataset.items():
-            h, c = h.refloored(eps_scale), c.refloored(eps_scale)
-            floored = floored or h.floored or c.floored
-            terms[ds_seed] = log_det(h) - log_det(c) + ld_pooled
-        return ld_pooled, terms, floored
+        mean_term = float(np.mean([log_det(h) - log_det(c) + ld_pooled
+                                   for h, c in mats]))
+        floored = pooled_s.floored or any(h.floored or c.floored for h, c in mats)
+        return [mean_term / (n * eta)], floored, ld_pooled, mean_term
 
-    ld_pooled, terms, floored = evaluate(1.0)
-    if floored:
-        flags.append("floored-log")
+    components = {"min_stability_gap": min(gaps)}
+    roots, ld_pooled, mean_term = _floor_sensitive(evaluate, flags, components)
     commutators = []
-    for h, c, _ in per_dataset.values():
+    for h, c in per_dataset:
         lam = solve_stationary_covariance(h.matrix, c.matrix, eta, mode="general")
         commutators.append(float(np.linalg.norm(h.matrix @ lam - lam @ h.matrix)))
-    mean_term = float(np.mean(list(terms.values())))
-    core = _sqrt_core(mean_term / (n * eta), flags)
-    components = {
-        "mean_term": mean_term,
-        "logdet_pooled": ld_pooled,
-        "commutator_norm_mean": float(np.mean(commutators)),
-        "min_stability_gap": min(gap for _, _, gap in per_dataset.values()),
-    }
-    if floored:
-        _, terms10, _ = evaluate(FLOOR_SENSITIVITY_SCALE)
-        components["core_at_10x_floor"] = _sqrt_core(
-            float(np.mean(list(terms10.values()))) / (n * eta), [])
-    return BoundReport(
-        name="terminal-anisotropic",
-        value=R * core,
-        core=core,
-        per_step_terms=None,
-        components=components,
-        config={"R": R, "M": None, "n": n, "b": b, "eta": eta,
-                "T": cfg.steps, "g_tilde": None},
-        n_runs_used=len(ensemble.runs) - skipped,
-        flags=tuple(flags),
-    )
+    components.update({"mean_term": mean_term, "logdet_pooled": ld_pooled,
+                       "commutator_norm_mean": float(np.mean(commutators))})
+    return _report("terminal-anisotropic", roots, flags, components, n_used,
+                   _run_setting(cfg), R=R)
 
 
 def terminal_bound_isotropic(ensemble, reference="grand-mean", R=1.0):
@@ -742,10 +682,7 @@ def terminal_bound_isotropic(ensemble, reference="grand-mean", R=1.0):
     form), or an explicit vector. The core is
     sqrt((d/n) log((2b/(eta d)) msd + 1)), nonnegative by construction.
     """
-    runs = [r for r in ensemble.runs if not r.diverged]
-    if not runs:
-        raise ConfigError("ensemble has no usable (non-diverged) runs")
-    flags = [] if len(runs) == len(ensemble.runs) else ["diverged-runs"]
+    runs, flags = _usable_runs(ensemble)
     finals = np.array([r.final_w for r in runs])
     d = finals.shape[1]
     if isinstance(reference, str) and reference == "grand-mean":
@@ -769,24 +706,14 @@ def terminal_bound_isotropic(ensemble, reference="grand-mean", R=1.0):
     n, b = cfg.n, cfg.b
     eta = cfg.lr_at(cfg.steps)
     inner = (2.0 * b / (eta * d)) * msd + 1.0
-    core = float(np.sqrt((d / n) * np.log(inner)))
-    ref_name = reference if isinstance(reference, str) else "custom"
-    return BoundReport(
-        name="terminal-isotropic",
-        value=R * core,
-        core=core,
-        per_step_terms=None,
-        components={
-            "mean_sq_distance": msd,
-            "inner": inner,
-            "sigma_star_sq": msd / d + eta / (2.0 * b),
-            "reference": ref_name,
-        },
-        config={"R": R, "M": None, "n": n, "b": b, "eta": eta,
-                "T": cfg.steps, "g_tilde": None},
-        n_runs_used=len(runs),
-        flags=tuple(flags),
-    )
+    components = {
+        "mean_sq_distance": msd,
+        "inner": inner,
+        "sigma_star_sq": msd / d + eta / (2.0 * b),
+        "reference": reference if isinstance(reference, str) else "custom",
+    }
+    return _report("terminal-isotropic", [(d / n) * np.log(inner)], flags,
+                   components, len(runs), _run_setting(cfg), R=R)
 
 
 def terminal_bound_gradient_accum(records, R=1.0):
@@ -819,18 +746,9 @@ def terminal_bound_gradient_accum(records, R=1.0):
     d = records[0].final_w.shape[0]
     n, b, T = cfg.n, cfg.b, cfg.steps
     inner = (4.0 * b * T * eta / d) * mean_sum + 1.0
-    core = float(np.sqrt((d / n) * np.log(inner)))
-    return BoundReport(
-        name="terminal-gradient-accumulation",
-        value=R * core,
-        core=core,
-        per_step_terms=None,
-        components={"accumulated_sum": mean_sum, "inner": inner},
-        config={"R": R, "M": None, "n": n, "b": b, "eta": eta, "T": T,
-                "g_tilde": None},
-        n_runs_used=len(records),
-        flags=tuple(flags),
-    )
+    return _report("terminal-gradient-accumulation", [(d / n) * np.log(inner)],
+                   flags, {"accumulated_sum": mean_sum, "inner": inner},
+                   len(records), {**_run_setting(cfg), "eta": eta}, R=R)
 
 
 def terminal_bound_loo(pairs, M=1.0):
@@ -863,33 +781,20 @@ def terminal_bound_loo(pairs, M=1.0):
     flags = []
     if any(f.diverged or l.diverged for f, l in pairs):
         flags.append("diverged-runs")
-    cores = []
     sq_means = []
     frob = []
     for key, members in groups.items():
         sq = [float(np.sum((f.final_w - l.final_w) ** 2)) for f, l in members]
-        mean_sq = float(np.mean(sq))
-        sq_means.append(mean_sq)
-        cores.append(float(np.sqrt((b / (2.0 * eta)) * mean_sq)))
+        sq_means.append(float(np.mean(sq)))
         if len(members) >= 2:
             _, cov_full = _covariance(np.array([f.final_w for f, _ in members]))
             _, cov_loo = _covariance(np.array([l.final_w for _, l in members]))
             frob.append(float(np.linalg.norm(cov_full - cov_loo)))
-    core = float(np.mean(cores))
     components = {"mean_sq_shift": float(np.mean(sq_means)), "n_groups": len(groups)}
     if frob:
         components["lambda_frobenius_distance_mean"] = float(np.mean(frob))
-    return BoundReport(
-        name="terminal-loo",
-        value=M * core,
-        core=core,
-        per_step_terms=None,
-        components=components,
-        config={"R": None, "M": M, "n": cfg.n, "b": b, "eta": eta,
-                "T": cfg.steps, "g_tilde": None},
-        n_runs_used=len(pairs),
-        flags=tuple(flags),
-    )
+    return _report("terminal-loo", [(b / (2.0 * eta)) * s for s in sq_means],
+                   flags, components, len(pairs), _run_setting(cfg), M=M)
 
 
 def influence_estimate(problem, w_star, dataset, index, cg_tol=1e-10,
@@ -939,44 +844,31 @@ def fim_takeuchi_bound(ensemble, M=1.0):
     gradients F. The core is (1/(2n)) times the mean over dataset seeds of
     sqrt(tr(H^{-1} F)).
     """
-    groups, skipped = _terminal_samples(ensemble)
-    if not groups:
-        raise ConfigError("ensemble has no usable (non-diverged) runs")
+    groups, flags, n_used = _terminal_samples(ensemble)
     cfg = ensemble.config
     n = cfg.n
     problem = build_problem(cfg.spec)
     oracle = population_oracle_sample(cfg.spec, cfg.oracle_seed)
-    flags = []
-    if skipped:
-        flags.append("diverged-runs")
-    traces = {}
-    floored = False
+    per_dataset = []
     for ds_seed, rows in groups.items():
         dataset = generate_dataset(cfg.spec, ds_seed, n)
         w_star = rows.mean(axis=0)
-        h_raw = dense_hessian(problem, w_star, dataset.features, dataset.labels)
-        h = SpdMatrix.from_matrix(h_raw)
-        floored = floored or h.floored
+        h = SpdMatrix.from_matrix(
+            dense_hessian(problem, w_star, dataset.features, dataset.labels))
         ograds = problem.per_example_grads(w_star, oracle.features, oracle.labels)
-        fim = ograds.T @ ograds / len(oracle)
-        traces[ds_seed] = h.inv_trace_product(fim)
-    if floored:
-        flags.append("floored-log")
-    core = float(np.mean([np.sqrt(max(t, 0.0)) for t in traces.values()])) / (2.0 * n)
-    return BoundReport(
-        name="fim-takeuchi",
-        value=M * core,
-        core=core,
-        per_step_terms=None,
-        components={
-            "mean_trace": float(np.mean(list(traces.values()))),
-            "max_trace": float(np.max(list(traces.values()))),
-        },
-        config={"R": None, "M": M, "n": n, "b": cfg.b,
-                "eta": cfg.lr_at(cfg.steps), "T": cfg.steps, "g_tilde": None},
-        n_runs_used=len(ensemble.runs) - skipped,
-        flags=tuple(flags),
-    )
+        per_dataset.append((h, ograds.T @ ograds / len(oracle)))
+
+    def evaluate(scale):
+        hs = [h.refloored(scale) for h, _ in per_dataset]
+        traces = [h.inv_trace_product(fim) for h, (_, fim) in zip(hs, per_dataset)]
+        return traces, any(h.floored for h in hs)
+
+    components = {}
+    traces, = _floor_sensitive(evaluate, flags, components, 2.0 * n)
+    components.update({"mean_trace": float(np.mean(traces)),
+                       "max_trace": float(np.max(traces))})
+    return _report("fim-takeuchi", traces, flags, components, n_used,
+                   _run_setting(cfg), M=M, divisor=2.0 * n)
 
 
 def report_to_json_dict(report):

@@ -154,8 +154,18 @@ def _positive_int(value):
     return value
 
 
+def _finite_float(value):
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _float_array(value):
-    return np.asarray(value, dtype=float)
+    value = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise ValueError("entries must be finite")
+    return value
 
 
 def _names_in(allowed):
@@ -200,7 +210,11 @@ def _parse_problem(cfg, unknown):
     if family == "quadratic":
         dim = _read(cfg, "problem.dim", _positive_int, 1)
         center = _read(cfg, "problem.center", _float_array, 0.0)
-        center = np.full(dim, float(center)) if np.ndim(center) == 0 else center
+        if np.ndim(center) == 0:
+            center = np.full(dim, float(center))
+        elif "dim" in cfg and center.shape != (dim,):
+            raise ConfigError(f"bad value for problem.center: shape "
+                              f"{center.shape} does not match problem.dim {dim}")
         return QuadraticSpec(
             curvature=_read(cfg, "problem.curvature", _float_array, 1.0),
             center=center,
@@ -213,14 +227,15 @@ def _parse_problem(cfg, unknown):
             mean0 = _read(cfg, "problem.mean0", _float_array)
             mean1 = _read(cfg, "problem.mean1", _float_array)
         else:
-            half = 0.5 * _read(cfg, "problem.separation", float, 2.0) / np.sqrt(dim)
+            sep = _read(cfg, "problem.separation", _finite_float, 2.0)
+            half = 0.5 * sep / np.sqrt(dim)
             mean1 = np.full(dim, half)
             mean0 = -mean1
         return LogisticSpec(
             dim=dim, mean0=mean0, mean1=mean1,
             cov=_read(cfg, "problem.cov", _float_array, 1.0),
-            balance=_read(cfg, "problem.balance", float, 0.5),
-            l2=_read(cfg, "problem.l2", float, 0.0),
+            balance=_read(cfg, "problem.balance", _finite_float, 0.5),
+            l2=_read(cfg, "problem.l2", _finite_float, 0.0),
             pop_oracle_size=_read(cfg, "problem.pop_oracle_size", int, 10_000),
         )
     return MlpSpec(
@@ -228,7 +243,7 @@ def _parse_problem(cfg, unknown):
         hidden=_read(cfg, "problem.hidden", int),
         classes=_read(cfg, "problem.classes", int),
         teacher_seed=_read(cfg, "problem.teacher_seed", int, 0),
-        teacher_scale=_read(cfg, "problem.teacher_scale", float, 1.0),
+        teacher_scale=_read(cfg, "problem.teacher_scale", _finite_float, 1.0),
         pop_oracle_size=_read(cfg, "problem.pop_oracle_size", int, 10_000),
     )
 
@@ -289,7 +304,7 @@ def load_experiment_config(source, seed_override=None, out_override=None):
         record_weights=_read(train_raw, "train.record_weights", _json_bool, False),
         burn_in=_read(train_raw, "train.burn_in", int, 0),
         w0=None if w0 is None else _read(train_raw, "train.w0", _float_array),
-        init_scale=_read(train_raw, "train.init_scale", float, 1.0),
+        init_scale=_read(train_raw, "train.init_scale", _finite_float, 1.0),
         cov_refresh=_read(train_raw, "train.cov_refresh", int, 1),
         tail_checkpoints=_read(train_raw, "train.tail_checkpoints", int, 0),
         tail_spacing=_read(train_raw, "train.tail_spacing", int, 1),
@@ -301,17 +316,17 @@ def load_experiment_config(source, seed_override=None, out_override=None):
         spec=spec,
         train=train,
         bound_names=_read(raw, "bounds", _names_in(_BOUND_TABLE), ()),
-        dataset_seeds=_read(ensemble, "ensemble.dataset_seeds", int, 2),
-        run_seeds=_read(ensemble, "ensemble.run_seeds", int, 2),
-        sweep_n=_read(raw, "sweep_n", lambda ns: tuple(int(x) for x in ns), ()),
+        dataset_seeds=_read(ensemble, "ensemble.dataset_seeds", _positive_int, 2),
+        run_seeds=_read(ensemble, "ensemble.run_seeds", _positive_int, 2),
+        sweep_n=_read(raw, "sweep_n", lambda ns: tuple(map(_positive_int, ns)), ()),
         seed=seed,
         oracle_seed=oracle_seed,
         out_dir=str(out_override if out_override is not None
                     else raw.get("out_dir", ".")),
         g_tilde=_read(raw, "g_tilde", _one_of("zero", "population-gradient"),
                       "population-gradient"),
-        R=_read(raw, "R", float, 1.0),
-        M=_read(raw, "M", float, 1.0),
+        R=_read(raw, "R", _finite_float, 1.0),
+        M=_read(raw, "M", _finite_float, 1.0),
         reference=_read(raw, "reference", _one_of("grand-mean", "init"),
                         "grand-mean"),
         compare_seeds=compare_seeds,

@@ -92,13 +92,6 @@ def stability_gap(lambda_1, eta):
     return 2.0 / eta - float(lambda_1)
 
 
-def figure_gap(lambda_1, eta):
-    """The eta/2 - lambda_1 variant used in some diagnostic plots."""
-    if eta <= 0:
-        raise ConfigError("eta must be positive")
-    return eta / 2.0 - float(lambda_1)
-
-
 def spectral_report(problem, w, dataset, eta=None, tol=1e-6, max_iter=500,
                     n_probes=256, seed=0):
     """Full spectral summary: top eigenvalue, trace estimate, stability gap."""

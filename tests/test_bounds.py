@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradnoise import linalg
 from gradnoise.bounds import (
     FLOOR_SENSITIVITY_SCALE,
     BoundReport,
@@ -52,6 +53,7 @@ from gradnoise.linalg import (
 )
 from gradnoise.problems import (
     Dataset,
+    LogisticSpec,
     QuadraticProblem,
     QuadraticSpec,
     build_problem,
@@ -1054,6 +1056,57 @@ class TestFimTakeuchi:
         ens = self.quad_ensemble(1.0, 1.0, 2, {0: [np.zeros(2), np.zeros(2)]})
         report = fim_takeuchi_bound(ens, M=5.0)
         assert report.value == report.core * 5.0
+
+
+def _floored_bound_runs():
+    """Bound name -> zero-argument evaluation on an input that floors.
+
+    With d = 5 and n = 4 every mini-batch GNC and leave-one-out covariance is
+    rank-deficient. The terminal ensemble is logistic with d = 3, n = 2 and
+    two samples per group, so H, C_T and each within-group covariance floor,
+    and the oracle Fisher has mass along the floored Hessian directions.
+    Each call builds its SpdMatrix objects afresh, under whatever floors
+    ``linalg`` holds at that moment.
+    """
+    spec = QuadraticSpec(curvature=np.diag([0.5, 0.8, 1.0, 1.3, 1.6]),
+                         center=np.zeros(5), scatter=np.eye(5),
+                         pop_oracle_size=100)
+    records = [train_run(quad_config(spec=spec, n=4, b=1, steps=3, seed=s,
+                                     dataset_seed=s)) for s in (0, 1)]
+    cfg = TrainConfig(
+        spec=LogisticSpec(dim=3, mean0=-0.5 * np.ones(3), mean1=0.5 * np.ones(3),
+                          pop_oracle_size=200),
+        n=2, b=1, lr_schedule=((1, 0.1),), steps=10)
+    ens = manual_ensemble(cfg, {0: [[0.3, 0.5, 0.1], [-0.2, -0.4, 0.6]],
+                                1: [[1.1, -0.6, 0.2], [0.4, 0.9, -0.3]]})
+    return {
+        "traj-isotropic": lambda: traj_bound_isotropic(
+            tape_from_records(records)),
+        "traj-anisotropic": lambda: traj_bound_anisotropic(
+            tape_from_records(records, population=True)),
+        "traj-data-dependent": lambda: traj_bound_data_dependent(records),
+        "terminal-general": lambda: terminal_bound_general(ens),
+        "terminal-anisotropic": lambda: terminal_bound_anisotropic(ens),
+        "fim-takeuchi": lambda: fim_takeuchi_bound(ens),
+    }
+
+
+@pytest.mark.parametrize("name", list(_floored_bound_runs()))
+def test_floored_report_carries_the_core_at_10x_floor(monkeypatch, name):
+    """Every floor-aware bound flags ``floored-log`` exactly when it attaches
+    ``core_at_10x_floor``, and that component is the bound's core with both
+    default floors raised tenfold."""
+    run = _floored_bound_runs()[name]
+    report = run()
+    assert "floored-log" in report.flags
+    assert ("floored-log" in report.flags) == (
+        "core_at_10x_floor" in report.components)
+    monkeypatch.setattr(linalg, "DEFAULT_EPS_REL",
+                        FLOOR_SENSITIVITY_SCALE * linalg.DEFAULT_EPS_REL)
+    monkeypatch.setattr(linalg, "DEFAULT_FLOOR_ABS",
+                        FLOOR_SENSITIVITY_SCALE * linalg.DEFAULT_FLOOR_ABS)
+    assert report.components["core_at_10x_floor"] == pytest.approx(
+        run().core, rel=1e-9)
 
 
 class TestReportSerialization:

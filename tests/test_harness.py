@@ -264,11 +264,37 @@ class TestTrainCommand:
         pytest.param("lr_schedule", {**quad_raw(), "train": {
             "n": 8, "b": 2, "steps": 5, "lr_schedule": [[1, 0.1], [3, "inf"]]}},
             id="lr_schedule-inf"),
+        pytest.param("R", {**quad_raw(), "R": "nan"}, id="R-nan"),
+        pytest.param("M", {**quad_raw(), "M": "inf"}, id="M-inf"),
+        pytest.param("train.init_scale", quad_raw(init_scale="nan"),
+                     id="train.init_scale-nan"),
+        pytest.param("problem.separation", {**quad_raw(), "problem": {
+            "family": "logistic", "dim": 2, "separation": "nan"}},
+            id="problem.separation-nan"),
+        pytest.param("problem.l2", {**quad_raw(), "problem": {
+            "family": "logistic", "dim": 2, "l2": "nan"}}, id="problem.l2-nan"),
+        pytest.param("problem.center", {**quad_raw(), "problem": {
+            **quad_raw()["problem"], "center": [0, 0, 0]}},
+            id="problem.center-vs-dim"),
+        pytest.param("ensemble.dataset_seeds", {
+            **quad_raw(), "ensemble": {"dataset_seeds": 0}},
+            id="ensemble.dataset_seeds-0"),
+        pytest.param("ensemble.run_seeds", {
+            **quad_raw(), "ensemble": {"run_seeds": 0}},
+            id="ensemble.run_seeds-0"),
+        pytest.param("sweep_n", {**quad_raw(), "sweep_n": [8, 0]},
+                     id="sweep_n-0"),
     ])
     def test_cli_bad_config_values_name_the_key(self, tmp_path, capsys, key, raw):
         path = write_config(tmp_path, raw)
         assert run_cli(["train", "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_vector_center_without_dim_sets_the_dimension(self):
+        problem = {**quad_raw()["problem"], "center": [0, 0, 0]}
+        del problem["dim"]
+        config = load_experiment_config({**quad_raw(), "problem": problem})
+        assert config.spec.dim == 3
 
     @pytest.mark.parametrize("seeds", [0, -1])
     def test_cli_compare_needs_a_seed(self, tmp_path, capsys, seeds):

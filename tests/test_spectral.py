@@ -14,7 +14,6 @@ from gradnoise.problems import (
     generate_dataset,
 )
 from gradnoise.spectral import (
-    figure_gap,
     hessian_trace,
     spectral_report,
     stability_gap,
@@ -133,15 +132,9 @@ class TestStabilityGap:
         assert stability_gap(20.0, 0.1) == pytest.approx(0.0)
         assert stability_gap(3.0, 1.0) == pytest.approx(-1.0)
 
-    def test_figure_variant(self):
-        assert figure_gap(3.0, 0.1) == pytest.approx(0.05 - 3.0)
-        assert figure_gap(0.0, 2.0) == pytest.approx(1.0)
-
     def test_eta_must_be_positive(self):
         with pytest.raises(ConfigError):
             stability_gap(1.0, 0.0)
-        with pytest.raises(ConfigError):
-            figure_gap(1.0, -0.1)
 
     def test_gap_sign_predicts_stationary_solvability(self):
         """Positive gap: the commuting closed form succeeds. Negative gap:
