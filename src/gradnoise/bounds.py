@@ -48,6 +48,7 @@ from .problems import (
     generate_dataset,
     population_oracle_sample,
 )
+from .spectral import stability_gap
 
 FLOOR_SENSITIVITY_SCALE = 10.0
 
@@ -128,6 +129,23 @@ class TrajectoryTape:
         return len(self.runs[0])
 
 
+def _shared_config(records):
+    """The config of the first trajectory record. Every record must share its
+    n, b, steps, schedule, cadence and mode, which the record-fed bounds read
+    from it."""
+    if not records:
+        raise ConfigError("need at least one trajectory record")
+    first = records[0].config
+    shared = (first.n, first.b, first.steps, first.lr_schedule,
+              first.log_every, first.mode)
+    for rec in records:
+        c = rec.config
+        if (c.n, c.b, c.steps, c.lr_schedule, c.log_every, c.mode) != shared:
+            raise ConfigError("trajectory records must share n, b, steps, "
+                              "schedule, cadence, and mode")
+    return first
+
+
 def tape_from_records(records, population=False):
     """Build a TrajectoryTape by re-evaluating gradients at logged weights.
 
@@ -135,19 +153,9 @@ def tape_from_records(records, population=False):
     their shape-determining config fields. Statistics at the final logged
     state are not included: sums run over pre-update states only.
     """
-    if not records:
-        raise ConfigError("need at least one trajectory record")
-    first = records[0].config
-    for rec in records:
-        if rec.weights is None:
-            raise ConfigError("tape requires record_weights=True runs")
-        c = rec.config
-        if (c.n, c.b, c.steps, c.lr_schedule, c.log_every, c.mode) != (
-            first.n, first.b, first.steps, first.lr_schedule,
-            first.log_every, first.mode,
-        ):
-            raise ConfigError("tape records must share n, b, steps, schedule, "
-                              "cadence, and mode")
+    first = _shared_config(records)
+    if any(rec.weights is None for rec in records):
+        raise ConfigError("tape requires record_weights=True runs")
     oracle = population_oracle_sample(first.spec, first.oracle_seed) if population else None
     runs = []
     any_diverged = any(rec.diverged for rec in records)
@@ -505,9 +513,7 @@ def traj_bound_data_dependent(records, M=1.0):
     each. The 10x-floor sensitivity terms come from the same pass: each C and
     C_J is decomposed once and refloored.
     """
-    if not records:
-        raise ConfigError("need at least one trajectory record")
-    cfg = records[0].config
+    cfg = _shared_config(records)
     n, b = cfg.n, cfg.b
     if n - 1 <= b:
         raise ConfigError(f"data-dependent bound needs n-1 > b, got n={n}, b={b}")
@@ -640,7 +646,7 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
         w_star = rows.mean(axis=0)
         h_raw = dense_hessian(problem, w_star, dataset.features, dataset.labels)
         eigs = np.linalg.eigvalsh((h_raw + h_raw.T) / 2.0)
-        gap = 2.0 / eta - float(eigs[-1])
+        gap = stability_gap(eigs[-1], eta)
         if gap <= 0:
             raise StabilityError(
                 f"top Hessian eigenvalue {eigs[-1]:.6g} exceeds 2/eta = "
@@ -724,9 +730,7 @@ def terminal_bound_gradient_accum(records, R=1.0):
     the origin; a nonzero initialization is flagged, as is a logging cadence
     above 1 (rescaled sum) and a nonconstant schedule (largest eta used).
     """
-    if not records:
-        raise ConfigError("need at least one trajectory record")
-    cfg = records[0].config
+    cfg = _shared_config(records)
     flags = []
     if any(rec.diverged for rec in records):
         flags.append("diverged-runs")

@@ -255,7 +255,7 @@ def _run(config, dataset, oracle):
                 problem, w, dataset, seed=config.seed, seed_labels=("spectral", t)
             )
             series["lambda1"].append(report.lambda_1)
-            series["gap"].append(2.0 / eta - report.lambda_1)
+            series["gap"].append(spectral.stability_gap(report.lambda_1, eta))
         if config.record_weights:
             weights.append(w.copy())
         return True

@@ -12,7 +12,7 @@ Exit-code contract for :func:`run_cli`: 0 success, 2 configuration error,
 
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,77 +87,60 @@ TRAJ_BOUNDS = _bounds_of("tape", "records")
 TERMINAL_BOUNDS = _bounds_of("ensemble", "pairs")
 SWEEP_BOUNDS = _bounds_of("ensemble")
 
-_TOP_KEYS = {"problem", "train", "bounds", "ensemble", "sweep_n", "seed",
-             "oracle_seed", "out_dir", "g_tilde", "R", "M", "reference",
-             "compare_seeds", "stationary"}
-_PROBLEM_KEYS = {
-    "quadratic": {"family", "dim", "curvature", "center", "scatter",
-                  "pop_oracle_size"},
-    "logistic": {"family", "dim", "mean0", "mean1", "separation", "cov",
-                 "balance", "l2", "pop_oracle_size"},
-    "mlp": {"family", "in_dim", "hidden", "classes", "teacher_seed",
-            "teacher_scale", "pop_oracle_size"},
-}
-_TRAIN_KEYS = {"n", "b", "lr", "lr_schedule", "steps", "mode", "log_every",
-               "record_weights", "burn_in", "init_scale", "w0", "cov_refresh",
-               "dataset_seed", "tail_checkpoints", "tail_spacing",
-               "log_lambda1"}
-_ENSEMBLE_KEYS = {"dataset_seeds", "run_seeds"}
-_STATIONARY_KEYS = {"modes", "b"}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; see the README for the JSON schema."""
+    """Validated experiment description; see the README for the JSON schema.
+
+    A top-level or ``ensemble`` key the JSON config leaves out takes the
+    field default here.
+    """
 
     spec: object
     train: TrainConfig
-    bound_names: tuple
-    dataset_seeds: int
-    run_seeds: int
-    sweep_n: tuple
-    seed: int
-    oracle_seed: int
-    out_dir: str
-    g_tilde: str
-    R: float
-    M: float
-    reference: str
-    compare_seeds: int
     stationary: dict  # "modes": tuple of STATIONARY_MODES names, "b": int
+    bound_names: tuple = ()
+    dataset_seeds: int = 2
+    run_seeds: int = 2
+    sweep_n: tuple = ()
+    seed: int = 0
+    oracle_seed: int = 0
+    out_dir: str = "."
+    g_tilde: str = "population-gradient"
+    R: float = 1.0
+    M: float = 1.0
+    reference: str = "grand-mean"
+    compare_seeds: int = 10
 
 
-_REQUIRED = object()
+def _int_at_least(low):
+    """Cast to an int >= ``low``; a bool or a non-integral number is rejected."""
+    def cast(value):
+        if isinstance(value, bool) or int(value) != value:
+            raise TypeError("expected an integer")
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return int(value)
+    return cast
 
 
-def _read(cfg, name, cast, default=_REQUIRED):
-    """``cast`` of the value at dotted key ``name``, or ``default`` if absent.
-
-    A missing required key or a value ``cast`` rejects is a ConfigError that
-    names the key.
-    """
-    key = name.rsplit(".", 1)[-1]
-    if key not in cfg:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {name}")
-        return default
-    try:
-        return cast(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {name}: {cfg[key]!r} ({exc})") from exc
-
-
-def _positive_int(value):
-    value = int(value)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
+_COUNT = _int_at_least(1)
+_SEED = _int_at_least(0)
 
 
 def _finite_float(value):
+    if isinstance(value, bool):
+        raise TypeError("expected a number")
     value = float(value)
     if not np.isfinite(value):
         raise ValueError("must be finite")
+    return value
+
+
+def _rate(value):
+    value = _finite_float(value)
+    if value <= 0:
+        raise ValueError("must be > 0")
     return value
 
 
@@ -196,74 +179,107 @@ def _json_bool(value):
     return value
 
 
-def _check_keys(section, given, allowed, unknown):
-    for key in given:
-        if key not in allowed:
-            unknown.append(f"{section}.{key}" if section else key)
+# Each config section's accepted keys, each with the cast that checks its
+# value's type and range. A key the config leaves out is not passed on, so the
+# field default of ExperimentConfig, TrainConfig or the problem spec applies.
+_TOP = {
+    "problem": dict, "train": dict, "ensemble": dict, "stationary": dict,
+    "bounds": _names_in(_BOUND_TABLE),
+    "sweep_n": lambda ns: tuple(map(_COUNT, ns)),
+    "seed": _SEED, "oracle_seed": _SEED, "out_dir": str,
+    "g_tilde": _one_of("zero", "population-gradient"),
+    "R": _finite_float, "M": _finite_float,
+    "reference": _one_of("grand-mean", "init"),
+    "compare_seeds": _COUNT,
+}
+_TRAIN = {
+    "n": _COUNT, "b": _COUNT, "steps": _COUNT, "lr": _rate,
+    "lr_schedule": lambda pairs: tuple(
+        (_int_at_least(-np.inf)(step), _rate(eta)) for step, eta in pairs),
+    "mode": _one_of(*MODES), "dataset_seed": _SEED, "log_every": _COUNT,
+    "record_weights": _json_bool, "burn_in": _int_at_least(0),
+    "init_scale": _finite_float,
+    "w0": lambda w0: None if w0 is None else _float_array(w0),
+    "cov_refresh": _COUNT, "tail_checkpoints": _int_at_least(0),
+    "tail_spacing": _COUNT, "log_lambda1": _json_bool,
+}
+_ENSEMBLE = {"dataset_seeds": _COUNT, "run_seeds": _COUNT}
+_STATIONARY = {"modes": _names_in(STATIONARY_MODES), "b": _COUNT}
+# problem.family -> the keys that family takes besides family itself and
+# pop_oracle_size, which every family takes.
+_PROBLEM = {
+    "quadratic": {"dim": _COUNT, "curvature": _float_array,
+                  "center": _float_array, "scatter": _float_array},
+    "logistic": {"dim": _COUNT, "mean0": _float_array, "mean1": _float_array,
+                 "separation": _finite_float, "cov": _float_array,
+                 "balance": _finite_float, "l2": _finite_float},
+    "mlp": {"in_dim": _COUNT, "hidden": _COUNT, "classes": _int_at_least(2),
+            "teacher_seed": _SEED, "teacher_scale": _finite_float},
+}
 
 
-def _parse_problem(cfg, unknown):
-    family = _read(cfg, "problem.family", _one_of(*_PROBLEM_KEYS))
-    _check_keys("problem", cfg, _PROBLEM_KEYS[family], unknown)
-    if unknown:
-        return None
+def _cast(name, value, cast):
+    """``cast(value)``; a value the cast rejects is a ConfigError naming ``name``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {name}: {value!r} ({exc})") from exc
+
+
+def _section(name, cfg, table, unknown):
+    """The keys of config section ``cfg``, each cast by ``table``; the dotted
+    names of keys the table lacks are appended to ``unknown``."""
+    values = {}
+    for key, value in cfg.items():
+        dotted = f"{name}.{key}" if name else key
+        if key in table:
+            values[key] = _cast(dotted, value, table[key])
+        else:
+            unknown.append(dotted)
+    return values
+
+
+def _build(cls, section, values, **given):
+    """``cls(**given, **values)``; a field with no default that neither
+    supplies is a ConfigError naming the key ``section.field``."""
+    for f in fields(cls):
+        if (f.name not in values and f.name not in given
+                and f.default is MISSING and f.default_factory is MISSING):
+            raise ConfigError(f"missing required key {section}.{f.name}")
+    return cls(**given, **values)
+
+
+def _spec(family, problem):
+    """The problem spec of the cast ``problem`` keys. The defaults written
+    here (quadratic dim 1, curvature, scatter and center; logistic
+    separation 2) are those no spec field carries."""
     if family == "quadratic":
-        dim = _read(cfg, "problem.dim", _positive_int, 1)
-        center = _read(cfg, "problem.center", _float_array, 0.0)
+        dim = problem.pop("dim", None)
+        center = problem.pop("center", 0.0)
         if np.ndim(center) == 0:
-            center = np.full(dim, float(center))
-        elif "dim" in cfg and center.shape != (dim,):
+            center = np.full(dim or 1, float(center))
+        elif dim is not None and center.shape != (dim,):
             raise ConfigError(f"bad value for problem.center: shape "
                               f"{center.shape} does not match problem.dim {dim}")
-        return QuadraticSpec(
-            curvature=_read(cfg, "problem.curvature", _float_array, 1.0),
-            center=center,
-            scatter=_read(cfg, "problem.scatter", _float_array, 1.0),
-            pop_oracle_size=_read(cfg, "problem.pop_oracle_size", int, 10_000),
-        )
+        return QuadraticSpec(center=center,
+                             **{"curvature": 1.0, "scatter": 1.0, **problem})
     if family == "logistic":
-        dim = _read(cfg, "problem.dim", _positive_int)
-        if "mean0" in cfg or "mean1" in cfg:
-            mean0 = _read(cfg, "problem.mean0", _float_array)
-            mean1 = _read(cfg, "problem.mean1", _float_array)
-        else:
-            sep = _read(cfg, "problem.separation", _finite_float, 2.0)
-            half = 0.5 * sep / np.sqrt(dim)
-            mean1 = np.full(dim, half)
-            mean0 = -mean1
-        return LogisticSpec(
-            dim=dim, mean0=mean0, mean1=mean1,
-            cov=_read(cfg, "problem.cov", _float_array, 1.0),
-            balance=_read(cfg, "problem.balance", _finite_float, 0.5),
-            l2=_read(cfg, "problem.l2", _finite_float, 0.0),
-            pop_oracle_size=_read(cfg, "problem.pop_oracle_size", int, 10_000),
-        )
-    return MlpSpec(
-        in_dim=_read(cfg, "problem.in_dim", int),
-        hidden=_read(cfg, "problem.hidden", int),
-        classes=_read(cfg, "problem.classes", int),
-        teacher_seed=_read(cfg, "problem.teacher_seed", int, 0),
-        teacher_scale=_read(cfg, "problem.teacher_scale", _finite_float, 1.0),
-        pop_oracle_size=_read(cfg, "problem.pop_oracle_size", int, 10_000),
-    )
-
-
-def _parse_schedule(train):
-    has_lr = "lr" in train
-    has_sched = "lr_schedule" in train
-    if has_lr == has_sched:
-        raise ConfigError("train config needs exactly one of lr, lr_schedule")
-    if has_lr:
-        return ((1, _read(train, "train.lr", float)),)
-    return _read(train, "train.lr_schedule",
-                 lambda pairs: tuple((int(s), float(e)) for s, e in pairs))
+        separation = problem.pop("separation", 2.0)
+        if "dim" in problem and not {"mean0", "mean1"} & problem.keys():
+            dim = problem["dim"]
+            problem["mean1"] = np.full(dim, 0.5 * separation / np.sqrt(dim))
+            problem["mean0"] = -problem["mean1"]
+        return _build(LogisticSpec, "problem", problem)
+    return _build(MlpSpec, "problem", problem)
 
 
 def load_experiment_config(source, seed_override=None, out_override=None):
     """Parse and validate a config from a JSON path or an in-memory dict.
 
     Every unknown key anywhere in the document is collected and reported in
-    one ConfigError, so a typo'd config fails loudly and completely.
+    one ConfigError, so a typo'd config fails loudly and completely; a value
+    its key's cast rejects is a ConfigError naming the dotted key.
+    ``seed_override`` (the CLI's ``--seed``) replaces the ``seed`` key.
     """
     raw = source
     if isinstance(source, (str, Path)):
@@ -275,66 +291,37 @@ def load_experiment_config(source, seed_override=None, out_override=None):
     if not isinstance(raw, dict):
         raise ConfigError(f"config {source} is a {type(raw).__name__}, not an object")
     unknown = []
-    _check_keys("", raw, _TOP_KEYS, unknown)
-    train_raw = _read(raw, "train", dict)
-    _check_keys("train", train_raw, _TRAIN_KEYS, unknown)
-    ensemble = _read(raw, "ensemble", dict, {})
-    _check_keys("ensemble", ensemble, _ENSEMBLE_KEYS, unknown)
-    stationary = _read(raw, "stationary", dict, {})
-    _check_keys("stationary", stationary, _STATIONARY_KEYS, unknown)
-    spec = _parse_problem(_read(raw, "problem", dict), unknown)
+    top = _section("", raw, _TOP, unknown)
+    problem = top.pop("problem", {})
+    family = _cast("problem.family", problem.pop("family", None),
+                   _one_of(*_PROBLEM))
+    problem = _section("problem", problem,
+                       {"pop_oracle_size": _COUNT, **_PROBLEM[family]}, unknown)
+    train = _section("train", top.pop("train", {}), _TRAIN, unknown)
+    ensemble = _section("ensemble", top.pop("ensemble", {}), _ENSEMBLE, unknown)
+    stationary = _section("stationary", top.pop("stationary", {}), _STATIONARY,
+                          unknown)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
 
-    seed = (int(seed_override) if seed_override is not None
-            else _read(raw, "seed", int, 0))
-    oracle_seed = _read(raw, "oracle_seed", int, 0)
-    w0 = train_raw.get("w0")
-    train = TrainConfig(
-        spec=spec,
-        n=_read(train_raw, "train.n", int),
-        b=_read(train_raw, "train.b", int),
-        lr_schedule=_parse_schedule(train_raw),
-        steps=_read(train_raw, "train.steps", int),
-        mode=_read(train_raw, "train.mode", _one_of(*MODES), "sgd"),
-        seed=seed,
-        dataset_seed=_read(train_raw, "train.dataset_seed", int, None),
-        oracle_seed=oracle_seed,
-        log_every=_read(train_raw, "train.log_every", int, 1),
-        record_weights=_read(train_raw, "train.record_weights", _json_bool, False),
-        burn_in=_read(train_raw, "train.burn_in", int, 0),
-        w0=None if w0 is None else _read(train_raw, "train.w0", _float_array),
-        init_scale=_read(train_raw, "train.init_scale", _finite_float, 1.0),
-        cov_refresh=_read(train_raw, "train.cov_refresh", int, 1),
-        tail_checkpoints=_read(train_raw, "train.tail_checkpoints", int, 0),
-        tail_spacing=_read(train_raw, "train.tail_spacing", int, 1),
-        log_lambda1=_read(train_raw, "train.log_lambda1", _json_bool, False),
-    )
-    compare_seeds = _read(raw, "compare_seeds", _positive_int, 10)
-    stationary_b = _read(stationary, "stationary.b", _positive_int, train.b)
+    if seed_override is not None:
+        top["seed"] = _cast("--seed", seed_override, _SEED)
+    if out_override is not None:
+        top["out_dir"] = str(out_override)
+    if "bounds" in top:
+        top["bound_names"] = top.pop("bounds")
+    if ("lr" in train) == ("lr_schedule" in train):
+        raise ConfigError("train config needs exactly one of lr, lr_schedule")
+    schedule = (train.pop("lr_schedule") if "lr_schedule" in train
+                else ((1, train.pop("lr")),))
+    spec = _spec(family, problem)
+    seeds = {key: top[key] for key in ("seed", "oracle_seed") if key in top}
+    train = _build(TrainConfig, "train", train, spec=spec, lr_schedule=schedule,
+                   **seeds)
     return ExperimentConfig(
-        spec=spec,
-        train=train,
-        bound_names=_read(raw, "bounds", _names_in(_BOUND_TABLE), ()),
-        dataset_seeds=_read(ensemble, "ensemble.dataset_seeds", _positive_int, 2),
-        run_seeds=_read(ensemble, "ensemble.run_seeds", _positive_int, 2),
-        sweep_n=_read(raw, "sweep_n", lambda ns: tuple(map(_positive_int, ns)), ()),
-        seed=seed,
-        oracle_seed=oracle_seed,
-        out_dir=str(out_override if out_override is not None
-                    else raw.get("out_dir", ".")),
-        g_tilde=_read(raw, "g_tilde", _one_of("zero", "population-gradient"),
-                      "population-gradient"),
-        R=_read(raw, "R", _finite_float, 1.0),
-        M=_read(raw, "M", _finite_float, 1.0),
-        reference=_read(raw, "reference", _one_of("grand-mean", "init"),
-                        "grand-mean"),
-        compare_seeds=compare_seeds,
-        stationary={
-            "modes": _read(stationary, "stationary.modes",
-                           _names_in(STATIONARY_MODES), STATIONARY_MODES),
-            "b": stationary_b},
-    )
+        spec=spec, train=train,
+        stationary={"modes": STATIONARY_MODES, "b": train.b, **stationary},
+        **ensemble, **top)
 
 
 def _fmt(x):

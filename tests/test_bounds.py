@@ -611,6 +611,15 @@ class TestTapeFromRecords:
         np.testing.assert_allclose(st0.gnc.matrix, sigma, atol=1e-12)  # b=1 factor 1
 
 
+@pytest.mark.parametrize("bound", [
+    tape_from_records, traj_bound_data_dependent, terminal_bound_gradient_accum])
+@pytest.mark.parametrize("field, values", [("n", (6, 8)), ("steps", (3, 5))])
+def test_record_fed_bounds_reject_mismatched_records(bound, field, values):
+    records = [train_run(quad_config(**{field: v})) for v in values]
+    with pytest.raises(ConfigError, match="must share"):
+        bound(records)
+
+
 class TestTerminalGeneral:
     def setup_method(self):
         self.cfg = TrainConfig(

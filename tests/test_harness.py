@@ -4,6 +4,7 @@ These run the real subcommands end to end against tiny problems, asserting on
 exit codes, file schemas, and byte-level reproducibility of the outputs.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradnoise import harness
-from gradnoise.dynamics import TerminalRun, train_run
+from gradnoise.dynamics import TerminalRun, TrainConfig, train_run
 from gradnoise.errors import ConfigError
 from gradnoise.harness import (
     SWEEP_BOUNDS,
@@ -41,6 +42,23 @@ def quad_raw(**train_overrides):
     }
 
 
+# Optional train keys -> valid values next to n=8, b=2, steps=40 and a 2-d
+# problem: the tail checkpoints reach back at most 20 steps, past burn_in <= 5.
+OPTIONAL_TRAIN = {
+    "mode": st.sampled_from(["sgd", "sde", "gld"]),
+    "dataset_seed": st.integers(0, 2**32),
+    "log_every": st.integers(1, 50),
+    "record_weights": st.booleans(),
+    "burn_in": st.integers(0, 5),
+    "init_scale": st.floats(0.0, 10.0),
+    "w0": st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+    "cov_refresh": st.integers(1, 10),
+    "tail_checkpoints": st.integers(0, 5),
+    "tail_spacing": st.integers(1, 5),
+    "log_lambda1": st.booleans(),
+}
+
+
 def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -66,6 +84,25 @@ class TestConfigLoading:
             np.testing.assert_array_equal(cfg.spec.curvature, np.eye(2))
         assert from_dict.out_dir == from_file.out_dir == "."
 
+    @settings(max_examples=60, deadline=None)
+    @given(given_keys=st.fixed_dictionaries({}, optional=OPTIONAL_TRAIN))
+    def test_train_section_round_trips(self, tmp_path_factory, given_keys):
+        raw = {**quad_raw(), "train": {"n": 8, "b": 2, "lr": 0.1, "steps": 40,
+                                       **given_keys}}
+        from_dict = load_experiment_config(raw)
+        from_file = load_experiment_config(
+            write_config(tmp_path_factory.mktemp("cfg"), raw))
+        for a, b in ((from_dict, from_file), (from_dict.spec, from_file.spec),
+                     (from_dict.train, from_file.train)):
+            for field in dataclasses.fields(a):
+                if field.name not in ("spec", "train"):
+                    np.testing.assert_array_equal(getattr(a, field.name),
+                                                  getattr(b, field.name))
+        defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        for key in OPTIONAL_TRAIN:
+            expected = given_keys.get(key, defaults[key])
+            np.testing.assert_array_equal(getattr(from_dict.train, key), expected)
+
     def test_all_unknown_keys_reported_at_once(self):
         raw = quad_raw()
         raw["problem"]["curvatur"] = 2.0
@@ -87,10 +124,19 @@ class TestConfigLoading:
         raw = quad_raw()
         raw["ensemble"] = {"dataset_seeds": 2}
         raw["stationary"] = {"b": 2}
-        allowed = {"": harness._TOP_KEYS, "train": harness._TRAIN_KEYS,
-                   "ensemble": harness._ENSEMBLE_KEYS,
-                   "stationary": harness._STATIONARY_KEYS,
-                   "problem": harness._PROBLEM_KEYS["quadratic"]}
+        allowed = {
+            "": {"problem", "train", "bounds", "ensemble", "sweep_n", "seed",
+                 "oracle_seed", "out_dir", "g_tilde", "R", "M", "reference",
+                 "compare_seeds", "stationary"},
+            "train": {"n", "b", "lr", "lr_schedule", "steps", "mode",
+                      "log_every", "record_weights", "burn_in", "init_scale",
+                      "w0", "cov_refresh", "dataset_seed", "tail_checkpoints",
+                      "tail_spacing", "log_lambda1"},
+            "ensemble": {"dataset_seeds", "run_seeds"},
+            "stationary": {"modes", "b"},
+            "problem": {"family", "dim", "curvature", "center", "scatter",
+                        "pop_oracle_size"},
+        }
         expected = []
         for section, keys in extra.items():
             target = raw[section] if section else raw
@@ -256,14 +302,58 @@ class TestTrainCommand:
             **quad_raw()["problem"], "dim": -1}}, id="problem.dim-quadratic-neg"),
         pytest.param("problem.dim", {**quad_raw(), "problem": {
             "family": "logistic", "dim": 0}}, id="problem.dim-logistic-0"),
-        pytest.param("lr_schedule", quad_raw(lr=float("nan")), id="lr-nan"),
-        pytest.param("lr_schedule", quad_raw(lr="inf"), id="lr-inf"),
-        pytest.param("lr_schedule", {**quad_raw(), "train": {
+        pytest.param("train.lr", quad_raw(lr=float("nan")), id="lr-nan"),
+        pytest.param("train.lr", quad_raw(lr="inf"), id="lr-inf"),
+        pytest.param("train.lr", quad_raw(lr=0), id="lr-0"),
+        pytest.param("train.lr_schedule", {**quad_raw(), "train": {
             "n": 8, "b": 2, "steps": 5, "lr_schedule": [[1, float("nan")]]}},
             id="lr_schedule-nan"),
-        pytest.param("lr_schedule", {**quad_raw(), "train": {
+        pytest.param("train.lr_schedule", {**quad_raw(), "train": {
             "n": 8, "b": 2, "steps": 5, "lr_schedule": [[1, 0.1], [3, "inf"]]}},
             id="lr_schedule-inf"),
+        pytest.param("train.lr_schedule", {**quad_raw(), "train": {
+            "n": 8, "b": 2, "steps": 5, "lr_schedule": [[1, 0.1], [3, -0.1]]}},
+            id="lr_schedule-negative"),
+        pytest.param("train.lr_schedule", {**quad_raw(), "train": {
+            "n": 8, "b": 2, "steps": 5, "lr_schedule": [[1.5, 0.1]]}},
+            id="lr_schedule-fractional-step"),
+        pytest.param("train.n", quad_raw(n=2.7), id="train.n-fractional"),
+        pytest.param("train.steps", quad_raw(steps=True), id="train.steps-true"),
+        pytest.param("train.log_every", quad_raw(log_every=True),
+                     id="train.log_every-true"),
+        pytest.param("train.log_every", quad_raw(log_every=0),
+                     id="train.log_every-0"),
+        pytest.param("train.cov_refresh", quad_raw(cov_refresh=0),
+                     id="train.cov_refresh-0"),
+        pytest.param("train.tail_spacing", quad_raw(tail_spacing=0),
+                     id="train.tail_spacing-0"),
+        pytest.param("train.b", quad_raw(b=0), id="train.b-0"),
+        pytest.param("train.n", quad_raw(n=0), id="train.n-0"),
+        pytest.param("train.steps", quad_raw(steps=0), id="train.steps-0"),
+        pytest.param("train.burn_in", quad_raw(burn_in=-1),
+                     id="train.burn_in-neg"),
+        pytest.param("train.tail_checkpoints", quad_raw(tail_checkpoints=-1),
+                     id="train.tail_checkpoints-neg"),
+        pytest.param("problem.pop_oracle_size", {**quad_raw(), "problem": {
+            **quad_raw()["problem"], "pop_oracle_size": 0}},
+            id="problem.pop_oracle_size-0"),
+        pytest.param("problem.hidden", {**quad_raw(), "problem": {
+            "family": "mlp", "in_dim": 3, "hidden": 0, "classes": 2}},
+            id="problem.hidden-0"),
+        pytest.param("problem.in_dim", {**quad_raw(), "problem": {
+            "family": "mlp", "in_dim": 0, "hidden": 3, "classes": 2}},
+            id="problem.in_dim-0"),
+        pytest.param("problem.classes", {**quad_raw(), "problem": {
+            "family": "mlp", "in_dim": 3, "hidden": 3, "classes": 0}},
+            id="problem.classes-0"),
+        pytest.param("seed", {**quad_raw(), "seed": -1}, id="seed-neg"),
+        pytest.param("oracle_seed", {**quad_raw(), "oracle_seed": -1},
+                     id="oracle_seed-neg"),
+        pytest.param("train.dataset_seed", quad_raw(dataset_seed=-1),
+                     id="train.dataset_seed-neg"),
+        pytest.param("problem.teacher_seed", {**quad_raw(), "problem": {
+            "family": "mlp", "in_dim": 3, "hidden": 3, "classes": 2,
+            "teacher_seed": -1}}, id="problem.teacher_seed-neg"),
         pytest.param("R", {**quad_raw(), "R": "nan"}, id="R-nan"),
         pytest.param("M", {**quad_raw(), "M": "inf"}, id="M-inf"),
         pytest.param("train.init_scale", quad_raw(init_scale="nan"),
@@ -289,6 +379,11 @@ class TestTrainCommand:
         path = write_config(tmp_path, raw)
         assert run_cli(["train", "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_cli_negative_seed_override_names_the_flag(self, tmp_path, capsys):
+        path = write_config(tmp_path, quad_raw())
+        assert run_cli(["train", "--config", str(path), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_vector_center_without_dim_sets_the_dimension(self):
         problem = {**quad_raw()["problem"], "center": [0, 0, 0]}
