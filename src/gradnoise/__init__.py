@@ -89,12 +89,6 @@ from .problems import (
     population_oracle_sample,
     quadratic_population_moments,
 )
-from .spectral import (
-    SpectralReport,
-    hessian_trace,
-    spectral_report,
-    stability_gap,
-    top_eigenvalue,
-)
+from .spectral import SpectralReport, stability_gap, top_eigenvalue
 
 __version__ = "0.1.0"

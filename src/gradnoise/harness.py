@@ -11,6 +11,7 @@ Exit-code contract for :func:`run_cli`: 0 success, 2 configuration error,
 """
 
 import json
+import numbers
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -128,8 +129,13 @@ _COUNT = _int_at_least(1)
 _SEED = _int_at_least(0)
 
 
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _finite_float(value):
-    if isinstance(value, bool):
+    """Cast a JSON number to a finite float; a bool or a string is rejected."""
+    if not _is_number(value):
         raise TypeError("expected a number")
     value = float(value)
     if not np.isfinite(value):
@@ -137,14 +143,23 @@ def _finite_float(value):
     return value
 
 
-def _rate(value):
-    value = _finite_float(value)
-    if value <= 0:
-        raise ValueError("must be > 0")
-    return value
+def _float_where(test, message):
+    """Cast to a finite float for which ``test`` holds."""
+    def cast(value):
+        value = _finite_float(value)
+        if not test(value):
+            raise ValueError(message)
+        return value
+    return cast
+
+
+_rate = _float_where(lambda x: x > 0, "must be > 0")
 
 
 def _float_array(value):
+    """Cast a JSON number or nested list of numbers to a finite float array."""
+    if not all(map(_is_number, np.asarray(value, dtype=object).ravel())):
+        raise TypeError("expected numbers")
     value = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(value)):
         raise ValueError("entries must be finite")
@@ -212,7 +227,9 @@ _PROBLEM = {
                   "center": _float_array, "scatter": _float_array},
     "logistic": {"dim": _COUNT, "mean0": _float_array, "mean1": _float_array,
                  "separation": _finite_float, "cov": _float_array,
-                 "balance": _finite_float, "l2": _finite_float},
+                 "balance": _float_where(lambda x: 0 < x < 1,
+                                         "must lie in (0, 1)"),
+                 "l2": _float_where(lambda x: x >= 0, "must be >= 0")},
     "mlp": {"in_dim": _COUNT, "hidden": _COUNT, "classes": _int_at_least(2),
             "teacher_seed": _SEED, "teacher_scale": _finite_float},
 }

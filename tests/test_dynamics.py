@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradnoise import dynamics
 from gradnoise.bounds import terminal_bound_general
@@ -20,11 +22,13 @@ from gradnoise.errors import ConfigError
 from gradnoise.gradstats import empirical_gnc, minibatch_factor, minibatch_gnc
 from gradnoise.linalg import solve_stationary_covariance
 from gradnoise.problems import (
+    MlpSpec,
     QuadraticSpec,
     build_problem,
     generate_dataset,
     population_oracle_sample,
 )
+from gradnoise.spectral import top_eigenvalue
 
 
 def quad_spec(d=2, a=None, scatter=None, center=None):
@@ -278,6 +282,25 @@ class TestTrainRun:
         assert rec.diverged_step is not None
         assert len(rec.steps) < 41
         assert np.all(np.isfinite(rec.final_w))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_lambda1_is_deterministic_and_free_of_the_start_vector(self, seed):
+        """Two runs give bit-identical lambda1; a different start vector at
+        each logged state gives the same eigenvalue to 1e-10."""
+        spec = MlpSpec(in_dim=3, hidden=4, classes=3, teacher_seed=1,
+                       pop_oracle_size=50)
+        cfg = TrainConfig(spec=spec, n=30, b=5, lr_schedule=((1, 0.2),),
+                          steps=20, seed=seed, log_every=5, log_lambda1=True,
+                          record_weights=True)
+        rec = train_run(cfg)
+        np.testing.assert_array_equal(train_run(cfg).lambda1, rec.lambda1)
+        problem = build_problem(spec)
+        dataset = generate_dataset(spec, cfg.effective_dataset_seed, cfg.n)
+        for t, w, lam in zip(rec.steps, rec.weights, rec.lambda1):
+            other = top_eigenvalue(problem, w, dataset, seed=seed,
+                                   seed_labels=("spectral", int(t) + 1))
+            assert other.lambda_1 == pytest.approx(lam, rel=1e-10)
 
     def test_tail_checkpoints_end_at_terminal_step(self):
         cfg = base_config(steps=40, tail_checkpoints=4, tail_spacing=3,

@@ -363,6 +363,14 @@ class TestTrainCommand:
             id="problem.separation-nan"),
         pytest.param("problem.l2", {**quad_raw(), "problem": {
             "family": "logistic", "dim": 2, "l2": "nan"}}, id="problem.l2-nan"),
+        pytest.param("R", {**quad_raw(), "R": "2"}, id="R-numeric-string"),
+        pytest.param("problem.cov", {**quad_raw(), "problem": {
+            "family": "logistic", "dim": 2, "cov": True}}, id="problem.cov-true"),
+        pytest.param("problem.balance", {**quad_raw(), "problem": {
+            "family": "logistic", "dim": 2, "balance": 1.5}},
+            id="problem.balance-1.5"),
+        pytest.param("problem.l2", {**quad_raw(), "problem": {
+            "family": "logistic", "dim": 2, "l2": -1}}, id="problem.l2-neg"),
         pytest.param("problem.center", {**quad_raw(), "problem": {
             **quad_raw()["problem"], "center": [0, 0, 0]}},
             id="problem.center-vs-dim"),

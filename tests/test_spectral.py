@@ -1,4 +1,4 @@
-"""Power-iteration and Hutchinson probes against dense eigendecompositions."""
+"""Lanczos and Hutchinson probes against dense eigendecompositions."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,9 @@ from gradnoise.problems import (
     dense_hessian,
     generate_dataset,
 )
-from gradnoise.spectral import (
-    hessian_trace,
-    spectral_report,
-    stability_gap,
-    top_eigenvalue,
-)
+from gradnoise.seeding import substream
+from gradnoise.spectral import stability_gap, top_eigenvalue
+from oracles import hessian_trace, spectral_report
 
 
 def quadratic_problem(a):
@@ -28,6 +25,28 @@ def quadratic_problem(a):
     problem = build_problem(spec)
     dataset = generate_dataset(spec, seed=0, n=4)
     return problem, dataset
+
+
+class CountingProblem:
+    """Wraps a problem and counts its Hessian-vector products."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.dim = problem.dim
+        self.calls = 0
+
+    def hvp(self, w, features, labels, v):
+        self.calls += 1
+        return self.problem.hvp(w, features, labels, v)
+
+
+def mlp_state():
+    """A d = 75 MLP problem, its dataset and a random weight vector."""
+    spec = MlpSpec(in_dim=5, hidden=8, classes=3, teacher_seed=1)
+    problem = build_problem(spec)
+    dataset = generate_dataset(spec, seed=2, n=80)
+    w = np.random.default_rng(4).standard_normal(problem.dim) * 0.5
+    return problem, dataset, w
 
 
 class TestTopEigenvalue:
@@ -47,15 +66,56 @@ class TestTopEigenvalue:
         )
 
     def test_identity_converges_immediately(self):
+        """Every start vector is an eigenvector of I, so the Krylov space is
+        invariant after one product and Lanczos stops within a few."""
         problem, dataset = quadratic_problem(np.eye(2))
         report = top_eigenvalue(problem, np.zeros(2), dataset)
         assert report.converged
-        assert report.iterations_used == 1
+        assert report.iterations_used <= 3
         assert report.lambda_1 == pytest.approx(1.0)
 
+    def test_iterations_used_counts_hessian_vector_products(self):
+        problem, dataset, w = mlp_state()
+        counted = CountingProblem(problem)
+        report = top_eigenvalue(counted, w, dataset)
+        assert report.iterations_used == counted.calls > 1
+
+    def test_matches_dense_hessian_for_mlp(self):
+        """At d = 75 the signed largest-magnitude eigenvalue agrees with the
+        dense solver to 1e-12 relative at the default tolerance."""
+        problem, dataset, w = mlp_state()
+        assert problem.dim >= 50
+        h = dense_hessian(problem, w, dataset.features, dataset.labels)
+        vals = np.linalg.eigvalsh(h)
+        report = top_eigenvalue(problem, w, dataset)
+        assert report.converged
+        assert report.lambda_1 == pytest.approx(vals[np.argmax(np.abs(vals))],
+                                                rel=1e-12)
+
+    def test_one_dimensional_hessian_takes_one_product(self):
+        problem, dataset = quadratic_problem(np.array([[2.5]]))
+        counted = CountingProblem(problem)
+        report = top_eigenvalue(counted, np.zeros(1), dataset)
+        assert report.converged
+        assert report.lambda_1 == pytest.approx(2.5, rel=1e-15)
+        assert report.iterations_used == counted.calls == 1
+
+    def test_unconverged_reports_start_rayleigh_quotient(self):
+        """A clustered spectrum does not converge in one ARPACK restart; the
+        report is then the finite Rayleigh quotient of the start vector."""
+        vals = np.linspace(0.9, 1.0, 60)
+        problem, dataset = quadratic_problem(np.diag(vals))
+        report = top_eigenvalue(problem, np.zeros(60), dataset, max_iter=1)
+        assert not report.converged
+        v0 = substream(0, "spectral").standard_normal(60)
+        v0 /= np.linalg.norm(v0)
+        assert np.isfinite(report.lambda_1)
+        assert report.lambda_1 == pytest.approx(v0 @ (vals * v0), rel=1e-12)
+        np.testing.assert_array_equal(report.vector, v0)
+
     def test_negative_dominant_eigenvalue_keeps_sign(self):
-        """Curvature diag(-5, 1): power iteration locks onto magnitude, the
-        Rayleigh quotient restores the sign."""
+        """Curvature diag(-5, 1): the largest-magnitude eigenvalue is -5, and
+        it is reported with its sign."""
         problem, dataset = quadratic_problem(np.diag([-5.0, 1.0]))
         report = top_eigenvalue(problem, np.zeros(2), dataset)
         assert report.lambda_1 == pytest.approx(-5.0, rel=1e-6)
@@ -65,9 +125,11 @@ class TestTopEigenvalue:
                              scatter=1.0, pop_oracle_size=50)
         problem = build_problem(spec)
         dataset = generate_dataset(spec, seed=0, n=4)
-        report = top_eigenvalue(problem, np.zeros(2), dataset)
+        counted = CountingProblem(problem)
+        report = top_eigenvalue(counted, np.zeros(2), dataset)
         assert report.converged
         assert report.lambda_1 == 0.0
+        assert report.iterations_used == counted.calls >= 1
 
     def test_matches_dense_solver_on_random_spd(self):
         rng = np.random.default_rng(31)
