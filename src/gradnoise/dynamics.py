@@ -55,8 +55,6 @@ class TrainConfig:
     record_weights: bool = False
     burn_in: int = 0
     w0: np.ndarray | None = None
-    init_scale: float = 1.0
-    cov_refresh: int = 1
     tail_checkpoints: int = 0
     tail_spacing: int = 1
     log_lambda1: bool = False
@@ -70,8 +68,8 @@ class TrainConfig:
             raise ConfigError("steps must be >= 1")
         if not 0 <= self.burn_in < self.steps:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < steps")
-        if self.log_every < 1 or self.cov_refresh < 1 or self.tail_spacing < 1:
-            raise ConfigError("log_every, cov_refresh, tail_spacing must be >= 1")
+        if self.log_every < 1 or self.tail_spacing < 1:
+            raise ConfigError("log_every, tail_spacing must be >= 1")
         if self.tail_checkpoints < 0:
             raise ConfigError("tail_checkpoints must be >= 0")
         if self.tail_checkpoints > 0:
@@ -202,7 +200,7 @@ def _initial_weights(config, problem):
             )
         return config.w0.copy()
     rng = substream(config.seed, "init")
-    return config.init_scale * rng.standard_normal(problem.dim) / math.sqrt(problem.dim)
+    return rng.standard_normal(problem.dim) / math.sqrt(problem.dim)
 
 
 def _logged_steps(steps, log_every):
@@ -272,7 +270,8 @@ def _run(config, dataset, oracle):
                 idx = np.sort(rng_batch.choice(n, size=config.b, replace=False))
                 w = sgd_step(problem, w, dataset, idx, eta)
             elif config.mode == "sde":
-                if factor != 0.0 and (t - 1) % config.cov_refresh == 0:
+                if factor != 0.0 and (noise_sqrt is None
+                                      or not problem.has_constant_noise):
                     noise_sqrt = _noise_transform(problem, w, dataset, factor)
                 w = sde_step(problem, w, dataset, eta, rng_noise,
                              noise_sqrt=noise_sqrt)

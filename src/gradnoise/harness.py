@@ -93,14 +93,15 @@ SWEEP_BOUNDS = _bounds_of("ensemble")
 class ExperimentConfig:
     """Validated experiment description; see the README for the JSON schema.
 
-    A top-level or ``ensemble`` key the JSON config leaves out takes the
-    field default here.
+    A top-level, ``ensemble`` or ``stationary`` key the JSON config leaves
+    out takes the field default here (``stationary.modes`` fills
+    ``stationary_modes``).
     """
 
     spec: object
     train: TrainConfig
-    stationary: dict  # "modes": tuple of STATIONARY_MODES names, "b": int
     bound_names: tuple = ()
+    stationary_modes: tuple = STATIONARY_MODES
     dataset_seeds: int = 2
     run_seeds: int = 2
     sweep_n: tuple = ()
@@ -213,13 +214,12 @@ _TRAIN = {
         (_int_at_least(-np.inf)(step), _rate(eta)) for step, eta in pairs),
     "mode": _one_of(*MODES), "dataset_seed": _SEED, "log_every": _COUNT,
     "record_weights": _json_bool, "burn_in": _int_at_least(0),
-    "init_scale": _finite_float,
     "w0": lambda w0: None if w0 is None else _float_array(w0),
-    "cov_refresh": _COUNT, "tail_checkpoints": _int_at_least(0),
-    "tail_spacing": _COUNT, "log_lambda1": _json_bool,
+    "tail_checkpoints": _int_at_least(0), "tail_spacing": _COUNT,
+    "log_lambda1": _json_bool,
 }
 _ENSEMBLE = {"dataset_seeds": _COUNT, "run_seeds": _COUNT}
-_STATIONARY = {"modes": _names_in(STATIONARY_MODES), "b": _COUNT}
+_STATIONARY = {"modes": _names_in(STATIONARY_MODES)}
 # problem.family -> the keys that family takes besides family itself and
 # pop_oracle_size, which every family takes.
 _PROBLEM = {
@@ -327,6 +327,8 @@ def load_experiment_config(source, seed_override=None, out_override=None):
         top["out_dir"] = str(out_override)
     if "bounds" in top:
         top["bound_names"] = top.pop("bounds")
+    if "modes" in stationary:
+        top["stationary_modes"] = stationary["modes"]
     if ("lr" in train) == ("lr_schedule" in train):
         raise ConfigError("train config needs exactly one of lr, lr_schedule")
     schedule = (train.pop("lr_schedule") if "lr_schedule" in train
@@ -335,10 +337,7 @@ def load_experiment_config(source, seed_override=None, out_override=None):
     seeds = {key: top[key] for key in ("seed", "oracle_seed") if key in top}
     train = _build(TrainConfig, "train", train, spec=spec, lr_schedule=schedule,
                    **seeds)
-    return ExperimentConfig(
-        spec=spec, train=train,
-        stationary={"modes": STATIONARY_MODES, "b": train.b, **stationary},
-        **ensemble, **top)
+    return ExperimentConfig(spec=spec, train=train, **ensemble, **top)
 
 
 def _fmt(x):
@@ -583,9 +582,8 @@ def cmd_stationary(config, out_dir=None):
         "lambda": [[float(x) for x in row] for row in empirical],
         "tail_samples": int(tail.shape[0]),
     }}
-    for mode in config.stationary["modes"]:
-        lam = solve_stationary_covariance(h, c, eta, mode=mode,
-                                          b=config.stationary["b"])
+    for mode in config.stationary_modes:
+        lam = solve_stationary_covariance(h, c, eta, mode=mode, b=train.b)
         entry = {
             "lambda": [[float(x) for x in row] for row in lam],
             "residual": stationary_residual(lam, h, c, eta),

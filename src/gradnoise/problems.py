@@ -215,10 +215,15 @@ def _softmax(logits):
 
 
 class QuadraticProblem:
-    """ℓ(w, z) = 0.5 (w - z)^T A (w - z); Hessian A everywhere."""
+    """ℓ(w, z) = 0.5 (w - z)^T A (w - z); Hessian A everywhere.
+
+    The centered per-example gradients (x̄ - x_i) A do not depend on w, so
+    neither does the gradient-noise covariance (``has_constant_noise``).
+    """
 
     has_exact_hessian = True
     has_accuracy = False
+    has_constant_noise = True
 
     def __init__(self, spec):
         self.spec = spec
@@ -250,6 +255,7 @@ class LogisticProblem:
 
     has_exact_hessian = True
     has_accuracy = True
+    has_constant_noise = False
 
     def __init__(self, spec):
         self.spec = spec
@@ -317,6 +323,7 @@ class MlpProblem:
 
     has_exact_hessian = False
     has_accuracy = True
+    has_constant_noise = False
 
     def __init__(self, spec):
         self.spec = spec

@@ -159,12 +159,12 @@ def test_criterion_04_stationary_covariance_long_run():
         small = solve_stationary_covariance(a, c, eta, mode="small-lr", b=b)
         assert np.array_equal(small, (eta / (2 * b)) * np.eye(d))
 
-        # The quadratic GNC is state-independent, so freezing the noise
-        # covariance at the start is exact and keeps the run fast.
+        # The quadratic GNC is state-independent, so the run builds its
+        # noise factor once, at w_ref, which keeps it fast.
         cfg = TrainConfig(spec=spec, n=n, b=b, lr_schedule=((1, eta),),
                           steps=1_000_000, mode="sde", seed=0, dataset_seed=0,
-                          log_every=1_000_000, cov_refresh=1_000_000,
-                          tail_checkpoints=2000, tail_spacing=25, w0=w_ref)
+                          log_every=1_000_000, tail_checkpoints=2000,
+                          tail_spacing=25, w0=w_ref)
         record = train_run(cfg)
         assert not record.diverged
         empirical = np.cov(record.tail_weights.T, ddof=1)

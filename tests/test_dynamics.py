@@ -22,6 +22,7 @@ from gradnoise.errors import ConfigError
 from gradnoise.gradstats import empirical_gnc, minibatch_factor, minibatch_gnc
 from gradnoise.linalg import solve_stationary_covariance
 from gradnoise.problems import (
+    LogisticSpec,
     MlpSpec,
     QuadraticSpec,
     build_problem,
@@ -222,6 +223,38 @@ class TestTrainRun:
             assert np.linalg.norm(inc) > 0
             assert np.linalg.norm(off_span) <= 1e-10 * np.linalg.norm(inc)
 
+    @pytest.mark.parametrize("spec, b, builds", [
+        pytest.param(quad_spec(), 3, 1, id="quadratic"),
+        pytest.param(quad_spec(), 12, 0, id="quadratic-full-batch"),
+        pytest.param(LogisticSpec(dim=2, mean0=[-1.0, 0.0], mean1=[1.0, 0.0],
+                                  pop_oracle_size=50), 3, 25, id="logistic"),
+        pytest.param(MlpSpec(in_dim=2, hidden=3, classes=2, pop_oracle_size=50),
+                     3, 25, id="mlp"),
+    ])
+    def test_noise_factor_is_rebuilt_only_where_it_depends_on_w(
+            self, monkeypatch, spec, b, builds):
+        """The quadratic's noise factor is built once per run (none at b = n,
+        where the noise is zero); logistic and MLP rebuild it every step."""
+        calls = []
+        real = dynamics._noise_transform
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "_noise_transform", counting)
+        train_run(base_config(spec=spec, b=b, mode="sde", steps=25))
+        assert len(calls) == builds
+
+    def test_quadratic_noise_factor_does_not_depend_on_w(self):
+        spec = quad_spec(d=3, a=np.diag([0.5, 1.0, 2.0]))
+        problem = build_problem(spec)
+        dataset = generate_dataset(spec, 0, 10)
+        at = [dynamics._noise_transform(problem, w, dataset, 0.25)
+              for w in (np.zeros(3), np.array([3.0, -1.0, 0.5]))]
+        np.testing.assert_allclose(at[0], at[1], rtol=0, atol=1e-14)
+        assert problem.has_constant_noise
+
     def test_geometric_contraction_on_noiseless_quadratic(self):
         """scatter = 0 makes every z equal to the center, so full-batch GD is
         w <- (1 - eta) w exactly; 200 steps shrink the iterate by 0.9^200."""
@@ -330,8 +363,8 @@ class TestStationaryBehavior:
         assert np.mean((tails - center) ** 2) == pytest.approx(lam, rel=0.12)
 
     def test_sde_tail_covariance_matches_general_solve(self):
-        """d = 2 SDE with frozen noise (exact for quadratics: the GNC does not
-        depend on the iterate) against the Kronecker stationary solve."""
+        """d = 2 SDE, whose noise factor is built once (the quadratic GNC does
+        not depend on the iterate), against the Kronecker stationary solve."""
         a = np.diag([0.6, 1.1])
         spec = QuadraticSpec(curvature=a, center=np.zeros(2),
                              scatter=np.diag([0.8, 0.5]), pop_oracle_size=50)
@@ -340,8 +373,7 @@ class TestStationaryBehavior:
         w_star = dataset.features.mean(axis=0)
         cfg = TrainConfig(spec=spec, n=n, b=b, lr_schedule=((1, eta),),
                           steps=steps, mode="sde", seed=7, log_every=steps,
-                          w0=w_star, cov_refresh=steps,
-                          tail_checkpoints=3000, tail_spacing=10)
+                          w0=w_star, tail_checkpoints=3000, tail_spacing=10)
         rec = train_run(cfg)
         problem = build_problem(spec)
         c = minibatch_gnc(empirical_gnc(problem, w_star, dataset), n, b)

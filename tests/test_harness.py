@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradnoise import harness
-from gradnoise.dynamics import TerminalRun, TrainConfig, train_run
+from gradnoise.dynamics import TerminalRun, TrainConfig
 from gradnoise.errors import ConfigError
 from gradnoise.harness import (
+    STATIONARY_MODES,
     SWEEP_BOUNDS,
     TERMINAL_BOUNDS,
     TRAJ_BOUNDS,
@@ -50,9 +51,7 @@ OPTIONAL_TRAIN = {
     "log_every": st.integers(1, 50),
     "record_weights": st.booleans(),
     "burn_in": st.integers(0, 5),
-    "init_scale": st.floats(0.0, 10.0),
     "w0": st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
-    "cov_refresh": st.integers(1, 10),
     "tail_checkpoints": st.integers(0, 5),
     "tail_spacing": st.integers(1, 5),
     "log_lambda1": st.booleans(),
@@ -123,17 +122,17 @@ class TestConfigLoading:
     def test_unknown_keys_named_exactly(self, extra):
         raw = quad_raw()
         raw["ensemble"] = {"dataset_seeds": 2}
-        raw["stationary"] = {"b": 2}
+        raw["stationary"] = {"modes": ["general", "small-lr"]}
         allowed = {
             "": {"problem", "train", "bounds", "ensemble", "sweep_n", "seed",
                  "oracle_seed", "out_dir", "g_tilde", "R", "M", "reference",
                  "compare_seeds", "stationary"},
             "train": {"n", "b", "lr", "lr_schedule", "steps", "mode",
-                      "log_every", "record_weights", "burn_in", "init_scale",
-                      "w0", "cov_refresh", "dataset_seed", "tail_checkpoints",
-                      "tail_spacing", "log_lambda1"},
+                      "log_every", "record_weights", "burn_in", "w0",
+                      "dataset_seed", "tail_checkpoints", "tail_spacing",
+                      "log_lambda1"},
             "ensemble": {"dataset_seeds", "run_seeds"},
-            "stationary": {"modes", "b"},
+            "stationary": {"modes"},
             "problem": {"family", "dim", "curvature", "center", "scatter",
                         "pop_oracle_size"},
         }
@@ -148,19 +147,23 @@ class TestConfigLoading:
             load_experiment_config(raw)
         assert str(err.value) == "unknown config keys: " + ", ".join(sorted(expected))
 
-    def test_removed_log_alignment_key_rejected(self):
-        with pytest.raises(ConfigError, match="train.log_alignment"):
-            load_experiment_config(quad_raw(log_alignment=True))
+    @pytest.mark.parametrize("dotted, value", [
+        pytest.param(dotted, value, id=dotted) for dotted, value in (
+            ("train.log_alignment", True), ("train.cov_refresh", 10),
+            ("train.init_scale", 2.0), ("stationary.b", 2))])
+    def test_removed_key_rejected(self, dotted, value):
+        section, key = dotted.split(".")
+        raw = quad_raw()
+        raw[section] = {**raw.get(section, {}), key: value}
+        with pytest.raises(ConfigError,
+                           match=f"^unknown config keys: {dotted}$"):
+            load_experiment_config(raw)
 
-    def test_init_scale_multiplies_initial_weights_exactly(self):
-        def w0(**train):
-            cfg = load_experiment_config(quad_raw(steps=1, **train))
-            return train_run(cfg.train).w0
-
-        default = w0()
-        assert np.all(default != 0.0)
-        np.testing.assert_array_equal(w0(init_scale=2.0), 2.0 * default)
-        assert np.all(w0(init_scale=0.0) == 0.0)
+    def test_stationary_modes_default_to_all_four(self):
+        default = load_experiment_config(quad_raw())
+        assert default.stationary_modes == STATIONARY_MODES
+        raw = {**quad_raw(), "stationary": {"modes": ["small-lr"]}}
+        assert load_experiment_config(raw).stationary_modes == ("small-lr",)
 
     def test_exactly_one_learning_rate_spelling(self):
         raw = quad_raw()
@@ -554,7 +557,7 @@ class TestStationaryCommand:
                         "scatter": [1.0, 0.6], "pop_oracle_size": 300},
             "train": {"n": 40, "b": 4, "lr": 0.1, "steps": 4000, "mode": "sde",
                       "log_every": 4000, "tail_checkpoints": 400,
-                      "tail_spacing": 5, "cov_refresh": 4000},
+                      "tail_spacing": 5},
         }
         cfg = load_experiment_config(raw)
         result = cmd_stationary(cfg, out_dir=tmp_path)
