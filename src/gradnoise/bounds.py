@@ -826,8 +826,10 @@ def influence_estimate(problem, w_star, dataset, index, cg_tol=1e-10,
     if not np.any(g):
         return np.zeros(problem.dim)
 
+    hess = problem.hessian_operator(w_star, dataset.features, dataset.labels)
+
     def matvec(v):
-        hv = problem.hvp(w_star, dataset.features, dataset.labels, v)
+        hv = hess(v)
         return hv + damping * v if damping else hv
 
     op = LinearOperator((problem.dim, problem.dim), matvec=matvec, dtype=float)

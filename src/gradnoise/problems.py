@@ -15,6 +15,11 @@ Three families cover the assumption regimes the analysis needs:
   hand-written (backpropagation and its forward-over-reverse directional
   derivative); there is no autodiff anywhere in the package.
 
+Every family's ``hessian_operator(w, features, labels)`` computes what the
+Hessian at ``w`` needs once and returns the map ``v -> H v``; ``hvp`` is one
+application of it, and callers that apply H many times at one state build
+the operator once.
+
 Population-level expectations are analytic for the quadratic family and are
 otherwise estimated on a large "population oracle" sample drawn from a stream
 disjoint from every training dataset.
@@ -243,8 +248,12 @@ class QuadraticProblem:
     def mean_grad(self, w, features, labels):
         return self.a @ (w - features.mean(axis=0))
 
+    def hessian_operator(self, w, features, labels):
+        a = self.a
+        return lambda v: a @ np.asarray(v, dtype=float)
+
     def hvp(self, w, features, labels, v):
-        return self.a @ np.asarray(v, dtype=float)
+        return self.hessian_operator(w, features, labels)(v)
 
     def exact_hessian(self, w, features, labels):
         return self.a.copy()
@@ -276,7 +285,10 @@ class LogisticProblem:
     def per_example_grads(self, w, features, labels):
         sign, m = self._margins(w, features, labels)
         coef = -sign / (1.0 + np.exp(m))  # -sign * sigmoid(-margin)
-        return coef[:, None] * features + self.l2 * w
+        grads = coef[:, None] * features
+        if self.l2:
+            grads += self.l2 * w
+        return grads
 
     def mean_grad(self, w, features, labels):
         sign, m = self._margins(w, features, labels)
@@ -287,10 +299,18 @@ class LogisticProblem:
         p = 1.0 / (1.0 + np.exp(-(features @ w)))
         return p * (1.0 - p)
 
-    def hvp(self, w, features, labels, v):
-        v = np.asarray(v, dtype=float)
+    def hessian_operator(self, w, features, labels):
         r = self._curvatures(w, features)
-        return features.T @ (r * (features @ v)) / len(r) + self.l2 * v
+        n, l2 = len(r), self.l2
+
+        def apply(v):
+            v = np.asarray(v, dtype=float)
+            return features.T @ (r * (features @ v)) / n + l2 * v
+
+        return apply
+
+    def hvp(self, w, features, labels, v):
+        return self.hessian_operator(w, features, labels)(v)
 
     def exact_hessian(self, w, features, labels):
         r = self._curvatures(w, features)
@@ -316,9 +336,11 @@ class MlpProblem:
     """One-hidden-layer tanh network with softmax cross-entropy.
 
     The flat parameter vector packs (W1, b1, W2, b2) in that order. Gradients
-    come from hand-derived backpropagation; ``hvp`` applies the R-operator
-    (directional derivative of the backward pass), so a Hessian-vector product
-    costs roughly two backward passes and needs no second-order symbolic work.
+    come from hand-derived backpropagation. ``hessian_operator`` runs the
+    forward pass, softmax and backward seeds once per state and returns the
+    R-operator (directional derivative of the backward pass) at that state, so
+    each Hessian-vector product after the first costs roughly two backward
+    passes and needs no second-order symbolic work.
     """
 
     has_exact_hessian = False
@@ -396,30 +418,38 @@ class MlpProblem:
             d_logits.T @ hid, d_logits.sum(axis=0),
         )
 
-    def hvp(self, w, features, labels, v):
+    def hessian_operator(self, w, features, labels):
         w1, b1, w2, b2, pre, hid, logits = self._forward(w, features)
-        v1, c1, v2, c2 = self.unpack(v)
         n = features.shape[0]
         probs, d_logits = self._backward_seeds(logits, labels)
         d_hid = d_logits @ w2
-        d_pre = (1.0 - hid * hid) * d_hid
+        tanh_deriv = 1.0 - hid * hid
+        two_hid = 2.0 * hid
 
-        # Forward sweep of the R-operator.
-        r_pre = features @ v1.T + c1
-        r_hid = (1.0 - hid * hid) * r_pre
-        r_logits = hid @ v2.T + r_hid @ w2.T + c2
-        r_probs = probs * r_logits - probs * np.sum(probs * r_logits, axis=1, keepdims=True)
+        def apply(v):
+            v1, c1, v2, c2 = self.unpack(v)
+            # Forward sweep of the R-operator.
+            r_pre = features @ v1.T + c1
+            r_hid = tanh_deriv * r_pre
+            r_logits = hid @ v2.T + r_hid @ w2.T + c2
+            p_r = probs * r_logits
+            # d_logits is probs minus a constant, so it moves with the softmax.
+            r_dlogits = p_r - probs * np.sum(p_r, axis=1, keepdims=True)
 
-        # Backward sweep: differentiate each gradient quantity along v.
-        r_dlogits = r_probs
-        r_dhid = d_logits @ v2 + r_dlogits @ w2
-        r_dpre = (1.0 - hid * hid) * r_dhid - 2.0 * hid * r_hid * d_hid
-        return self.pack(
-            r_dpre.T @ features / n,
-            r_dpre.sum(axis=0) / n,
-            (r_dlogits.T @ hid + d_logits.T @ r_hid) / n,
-            r_dlogits.sum(axis=0) / n,
-        )
+            # Backward sweep: differentiate each gradient quantity along v.
+            r_dhid = d_logits @ v2 + r_dlogits @ w2
+            r_dpre = tanh_deriv * r_dhid - two_hid * r_hid * d_hid
+            return self.pack(
+                r_dpre.T @ features / n,
+                r_dpre.sum(axis=0) / n,
+                (r_dlogits.T @ hid + d_logits.T @ r_hid) / n,
+                r_dlogits.sum(axis=0) / n,
+            )
+
+        return apply
+
+    def hvp(self, w, features, labels, v):
+        return self.hessian_operator(w, features, labels)(v)
 
     def accuracy(self, w, features, labels):
         *_, logits = self._forward(w, features)
@@ -442,15 +472,19 @@ def build_problem(spec):
 
 
 def dense_hessian(problem, w, features, labels):
-    """Dense Hessian: exact when the problem provides it, else HVP columns."""
+    """Dense Hessian: exact when the problem provides it, else HVP columns.
+
+    The columns come from one Hessian operator built at ``w``.
+    """
     if problem.has_exact_hessian:
         return problem.exact_hessian(w, features, labels)
     d = problem.dim
+    hess = problem.hessian_operator(w, features, labels)
     h = np.empty((d, d))
     basis = np.zeros(d)
     for j in range(d):
         basis[j] = 1.0
-        h[:, j] = problem.hvp(w, features, labels, basis)
+        h[:, j] = hess(basis)
         basis[j] = 0.0
     return (h + h.T) / 2.0
 

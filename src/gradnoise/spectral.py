@@ -1,7 +1,10 @@
 """Hessian spectral probes built on matrix-vector products only.
 
-Nothing here forms a dense Hessian; everything goes through ``problem.hvp``,
-so the probes scale to dimensions where materializing the matrix would not.
+Nothing here forms a dense Hessian. Each probe builds the problem's Hessian
+operator once at its weight vector (``problem.hessian_operator``) and applies
+it to one vector at a time, so the state-dependent work (for the MLP, the
+forward pass) is done once per state rather than once per product, and the
+probes scale to dimensions where materializing the matrix would not.
 """
 
 from dataclasses import dataclass
@@ -50,13 +53,14 @@ def top_eigenvalue(problem, w, dataset, tol=1e-6, max_iter=500, seed=0,
     d = problem.dim
     v0 = rng.standard_normal(d)
     v0 /= np.linalg.norm(v0)
+    hess = problem.hessian_operator(w, dataset.features, dataset.labels)
     hvps = 0
     nonzero = False
 
     def hvp(v):
         nonlocal hvps, nonzero
         hvps += 1
-        hv = problem.hvp(w, dataset.features, dataset.labels, v)
+        hv = hess(v)
         nonzero = nonzero or bool(hv.any())
         return hv
 

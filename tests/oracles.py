@@ -20,10 +20,11 @@ def hessian_trace(problem, w, dataset, n_probes=256, seed=0):
     if n_probes < 1:
         raise ConfigError("n_probes must be >= 1")
     rng = substream(seed, "hutchinson")
+    hess = problem.hessian_operator(w, dataset.features, dataset.labels)
     total = 0.0
     for _ in range(n_probes):
         z = rng.integers(0, 2, size=problem.dim) * 2.0 - 1.0
-        total += float(z @ problem.hvp(w, dataset.features, dataset.labels, z))
+        total += float(z @ hess(z))
     return total / n_probes
 
 

@@ -35,6 +35,9 @@ def mlp_spec():
 
 
 ALL_SPECS = [quadratic_spec(), logistic_spec(), mlp_spec()]
+# The logistic gradient adds its L2 term only when l2 is nonzero: check both.
+GRAD_SPECS = ALL_SPECS + [
+    pytest.param(logistic_spec(l2=0.0), id="logistic-two-gaussians-no-l2")]
 
 
 class TestDerivatives:
@@ -47,7 +50,7 @@ class TestDerivatives:
         w = np.random.default_rng(2).standard_normal(problem.dim) * 0.5
         check_mean_grad(problem, w, data.features, data.labels)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    @pytest.mark.parametrize("spec", GRAD_SPECS, ids=lambda s: s.family)
     def test_per_example_grads(self, spec):
         problem = build_problem(spec)
         data = generate_dataset(spec, seed=1, n=8)
@@ -61,7 +64,7 @@ class TestDerivatives:
         w = np.random.default_rng(4).standard_normal(problem.dim) * 0.5
         check_hvp(problem, w, data.features, data.labels)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    @pytest.mark.parametrize("spec", GRAD_SPECS, ids=lambda s: s.family)
     def test_per_example_grads_average_to_mean_grad(self, spec):
         problem = build_problem(spec)
         data = generate_dataset(spec, seed=5, n=10)
@@ -82,6 +85,16 @@ class TestDerivatives:
         v = np.random.default_rng(9).standard_normal(problem.dim)
         np.testing.assert_allclose(h @ v, problem.hvp(w, data.features, data.labels, v),
                                    rtol=1e-8, atol=1e-10)
+
+    def test_dense_hessian_runs_one_forward_pass(self, mlp_forward_calls):
+        """All d columns of a d = 75 MLP Hessian share one forward pass."""
+        spec = MlpSpec(in_dim=5, hidden=8, classes=3, teacher_seed=1)
+        problem = build_problem(spec)
+        assert problem.dim == 75
+        data = generate_dataset(spec, seed=2, n=80)
+        w = np.random.default_rng(4).standard_normal(problem.dim) * 0.5
+        dense_hessian(problem, w, data.features, data.labels)
+        assert len(mlp_forward_calls) == 1
 
     def test_logistic_exact_hessian_matches_dense(self):
         spec = logistic_spec()

@@ -28,16 +28,21 @@ def quadratic_problem(a):
 
 
 class CountingProblem:
-    """Wraps a problem and counts its Hessian-vector products."""
+    """Wraps a problem and counts applications of its Hessian operator."""
 
     def __init__(self, problem):
         self.problem = problem
         self.dim = problem.dim
         self.calls = 0
 
-    def hvp(self, w, features, labels, v):
-        self.calls += 1
-        return self.problem.hvp(w, features, labels, v)
+    def hessian_operator(self, w, features, labels):
+        hess = self.problem.hessian_operator(w, features, labels)
+
+        def counted(v):
+            self.calls += 1
+            return hess(v)
+
+        return counted
 
 
 def mlp_state():
@@ -79,6 +84,14 @@ class TestTopEigenvalue:
         counted = CountingProblem(problem)
         report = top_eigenvalue(counted, w, dataset)
         assert report.iterations_used == counted.calls > 1
+
+    def test_one_forward_pass_per_call(self, mlp_forward_calls):
+        """All of a call's Hessian-vector products share one forward pass."""
+        problem, dataset, w = mlp_state()
+        assert problem.dim == 75
+        report = top_eigenvalue(problem, w, dataset)
+        assert report.iterations_used > 1
+        assert len(mlp_forward_calls) == 1
 
     def test_matches_dense_hessian_for_mlp(self):
         """At d = 75 the signed largest-magnitude eigenvalue agrees with the
