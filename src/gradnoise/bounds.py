@@ -42,12 +42,7 @@ from .linalg import (
     solve_stationary_covariance,
     trace_log_diag,
 )
-from .problems import (
-    build_problem,
-    dense_hessian,
-    generate_dataset,
-    population_oracle_sample,
-)
+from .problems import build_problem, dense_hessian
 from .spectral import stability_gap
 
 FLOOR_SENSITIVITY_SCALE = 10.0
@@ -150,18 +145,19 @@ def tape_from_records(records, population=False):
     """Build a TrajectoryTape by re-evaluating gradients at logged weights.
 
     Records must have been produced with ``record_weights=True`` and share
-    their shape-determining config fields. Statistics at the final logged
-    state are not included: sums run over pre-update states only.
+    their shape-determining config fields. Each record's gradients are taken
+    on the dataset it carries, and with ``population`` on its oracle sample.
+    Statistics at the final logged state are not included: sums run over
+    pre-update states only.
     """
     first = _shared_config(records)
     if any(rec.weights is None for rec in records):
         raise ConfigError("tape requires record_weights=True runs")
-    oracle = population_oracle_sample(first.spec, first.oracle_seed) if population else None
     runs = []
     any_diverged = any(rec.diverged for rec in records)
     for rec in records:
         problem = build_problem(rec.config.spec)
-        dataset = generate_dataset(rec.config.spec, rec.dataset_seed, rec.config.n)
+        dataset, oracle = rec.dataset, rec.oracle
         factor = minibatch_factor(rec.config.n, rec.config.b)
         stats = []
         for k in range(len(rec.steps) - 1):
@@ -532,9 +528,8 @@ def traj_bound_data_dependent(records, M=1.0):
         if rec.weights is None:
             raise ConfigError("data-dependent bound requires record_weights=True")
         problem = build_problem(rec.config.spec)
-        dataset = generate_dataset(rec.config.spec, rec.dataset_seed, n)
         gaps = [_loo_log_det_gaps(problem.per_example_grads(
-                    w, dataset.features, dataset.labels), b)
+                    w, rec.dataset.features, rec.dataset.labels), b)
                 for w in rec.weights[:-1]]
         floored = floored or any(g[1.0][1] for g in gaps)
         for scale, rows in terms.items():
@@ -642,7 +637,7 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
 
     per_dataset, gaps = [], []
     for ds_seed, rows in groups.items():
-        dataset = generate_dataset(cfg.spec, ds_seed, n)
+        dataset = ensemble.datasets[ds_seed]
         w_star = rows.mean(axis=0)
         h_raw = dense_hessian(problem, w_star, dataset.features, dataset.labels)
         eigs = np.linalg.eigvalsh((h_raw + h_raw.T) / 2.0)
@@ -854,10 +849,10 @@ def fim_takeuchi_bound(ensemble, M=1.0):
     cfg = ensemble.config
     n = cfg.n
     problem = build_problem(cfg.spec)
-    oracle = population_oracle_sample(cfg.spec, cfg.oracle_seed)
+    oracle = ensemble.oracle
     per_dataset = []
     for ds_seed, rows in groups.items():
-        dataset = generate_dataset(cfg.spec, ds_seed, n)
+        dataset = ensemble.datasets[ds_seed]
         w_star = rows.mean(axis=0)
         h = SpdMatrix.from_matrix(
             dense_hessian(problem, w_star, dataset.features, dataset.labels))

@@ -18,7 +18,7 @@ import numpy as np
 from . import spectral
 from .errors import ConfigError
 from .gradstats import minibatch_factor
-from .problems import build_problem, generate_dataset, population_oracle_sample
+from .problems import Dataset, build_problem, generate_dataset, population_oracle_sample
 from .seeding import substream
 
 MODES = ("sgd", "sde", "gld")
@@ -111,10 +111,13 @@ class TrainConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Per-logged-step series plus terminal state of one run."""
+    """Per-logged-step series plus terminal state of one run, with the
+    ``dataset`` it trained on and the ``oracle`` sample it was evaluated on."""
 
     config: TrainConfig
     dataset_seed: int
+    dataset: Dataset
+    oracle: Dataset
     steps: np.ndarray
     train_loss: np.ndarray
     test_loss: np.ndarray
@@ -145,10 +148,14 @@ class TerminalRun:
 
 @dataclass(frozen=True)
 class TerminalEnsemble:
-    """Terminal states of a dataset-seed x run-seed grid, in grid order."""
+    """Terminal states of a dataset-seed x run-seed grid, in grid order, with
+    the ``datasets`` the runs trained on (keyed by dataset seed) and the
+    ``oracle`` sample they were evaluated on."""
 
     runs: tuple
     config: TrainConfig
+    datasets: dict
+    oracle: Dataset
 
 
 def sgd_step(problem, w, dataset, batch_indices, eta):
@@ -290,6 +297,8 @@ def _run(config, dataset, oracle):
     return TrajectoryRecord(
         config=config,
         dataset_seed=config.effective_dataset_seed,
+        dataset=dataset,
+        oracle=oracle,
         steps=np.array(series["steps"], dtype=int),
         train_loss=np.array(series["train_loss"]),
         test_loss=np.array(series["test_loss"]),
@@ -310,8 +319,9 @@ def _run(config, dataset, oracle):
 def train_run(config, dataset=None, oracle=None):
     """Run one training process; deterministic given the config.
 
-    ``dataset``/``oracle`` can be passed to share them across runs (ensembles
-    do); by default they are generated from the config's seeds.
+    ``dataset``/``oracle`` can be passed to share them across runs (seed
+    grids do); by default they are drawn from the config's seeds. The record
+    carries both.
     """
     if dataset is None:
         dataset = generate_dataset(config.spec, config.effective_dataset_seed, config.n)
@@ -325,7 +335,7 @@ def loo_train(config, dataset, subset, oracle=None):
 
     The subset must be larger than the batch size. Passing the full index set
     reproduces ``train_run`` exactly, which is the comparability contract the
-    paired leave-one-out bound relies on.
+    paired leave-one-out bound relies on. The record's dataset is S_J.
     """
     subset = np.asarray(sorted(int(i) for i in subset), dtype=int)
     m = subset.shape[0]
@@ -340,12 +350,29 @@ def loo_train(config, dataset, subset, oracle=None):
     return _run(sub_config, sub, oracle)
 
 
-def run_ensemble(config, n_dataset_seeds, n_run_seeds):
-    """Grid of independent runs over dataset seeds x run seeds.
+def seed_grid(config, n_dataset_seeds, n_run_seeds):
+    """The runs of a dataset-seed x run-seed grid and the oracle sample.
 
-    Dataset seeds are ``base + i`` (base = the config's dataset seed), run
-    seeds are ``config.seed + j``; the runs execute one after another, in grid
-    order.
+    Returns ``(cells, oracle)``: ``cells`` lists ``(run config, dataset)`` in
+    grid order, dataset seed ``base + i`` outer (base = the config's dataset
+    seed) and run seed ``config.seed + j`` inner. Each dataset and the oracle
+    are drawn once; every run of a dataset seed shares its dataset object.
+    """
+    if n_dataset_seeds < 1 or n_run_seeds < 1:
+        raise ConfigError("seed grid must be at least 1 x 1")
+    base = config.effective_dataset_seed
+    oracle = population_oracle_sample(config.spec, config.oracle_seed)
+    cells = []
+    for i in range(n_dataset_seeds):
+        dataset = generate_dataset(config.spec, base + i, config.n)
+        cells += [(replace(config, dataset_seed=base + i, seed=config.seed + j),
+                   dataset) for j in range(n_run_seeds)]
+    return cells, oracle
+
+
+def run_ensemble(config, n_dataset_seeds, n_run_seeds):
+    """Terminal states of the :func:`seed_grid` runs of ``config``, run one
+    after another in grid order.
 
     A :class:`TerminalRun` keeps only the terminal state, so each run logs
     only its initial and terminal states whatever the config's ``log_every``
@@ -356,30 +383,19 @@ def run_ensemble(config, n_dataset_seeds, n_run_seeds):
     only at step T, and a diverged run's final losses are those of its last
     logged state.
     """
-    if n_dataset_seeds < 1 or n_run_seeds < 1:
-        raise ConfigError("seed grid must be at least 1 x 1")
-    base_ds = config.effective_dataset_seed
-    oracle = population_oracle_sample(config.spec, config.oracle_seed)
-    datasets = {
-        base_ds + i: generate_dataset(config.spec, base_ds + i, config.n)
-        for i in range(n_dataset_seeds)
-    }
-
-    def one(i, j):
-        cfg = replace(config, dataset_seed=base_ds + i, seed=config.seed + j,
-                      log_every=config.steps)
-        rec = _run(cfg, datasets[base_ds + i], oracle)
-        return TerminalRun(
-            dataset_seed=base_ds + i,
-            run_seed=config.seed + j,
+    cells, oracle = seed_grid(config, n_dataset_seeds, n_run_seeds)
+    runs = []
+    for cfg, dataset in cells:
+        rec = _run(replace(cfg, log_every=cfg.steps), dataset, oracle)
+        runs.append(TerminalRun(
+            dataset_seed=rec.dataset_seed,
+            run_seed=cfg.seed,
             final_w=rec.final_w,
             w0=rec.w0,
             final_train_loss=float(rec.train_loss[-1]) if len(rec.train_loss) else float("nan"),
             final_test_loss=float(rec.test_loss[-1]) if len(rec.test_loss) else float("nan"),
             diverged=rec.diverged,
             tail_weights=rec.tail_weights,
-        )
-
-    runs = tuple(one(i, j) for i in range(n_dataset_seeds)
-                 for j in range(n_run_seeds))
-    return TerminalEnsemble(runs=runs, config=config)
+        ))
+    return TerminalEnsemble(runs=tuple(runs), config=config,
+                            datasets={d.seed: d for _, d in cells}, oracle=oracle)

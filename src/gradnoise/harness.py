@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .dynamics import MODES, TrainConfig, loo_train, run_ensemble, train_run
+from .dynamics import MODES, TrainConfig, loo_train, run_ensemble, seed_grid, train_run
 from .errors import CapabilityError, ConfigError, GradnoiseError
 from .gradstats import empirical_gnc, minibatch_gnc
 from .linalg import (
@@ -348,6 +348,13 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
+def _out_dir(out_dir):
+    """``out_dir`` as a Path, created with its parents if missing."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
@@ -373,13 +380,16 @@ def _trajectory_rows(record):
 
 
 def estimate_generalization_error(runs):
-    """Mean over runs of (oracle-sample loss - training loss) at W_T."""
-    if hasattr(runs, "runs"):
-        runs = runs.runs
+    """Mean over the non-diverged runs (of an ensemble, or a sequence of
+    runs) of (oracle-sample loss - training loss) at W_T.
+
+    A diverged run's losses are those of its last logged state, not of W_T,
+    so it is left out, as every bound leaves it out.
+    """
+    runs = [r for r in getattr(runs, "runs", runs) if not r.diverged]
     if not runs:
-        raise ConfigError("no runs supplied")
-    gaps = [r.final_test_loss - r.final_train_loss for r in runs]
-    return float(np.mean(gaps))
+        raise ConfigError("no non-diverged runs to estimate the gap from")
+    return float(np.mean([r.final_test_loss - r.final_train_loss for r in runs]))
 
 
 def cmd_train(config, out_dir=None):
@@ -392,8 +402,7 @@ def cmd_train(config, out_dir=None):
         "rows": len(record.steps),
     }
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(out_dir)
         _write_csv(out / "trajectory.csv", TRAJECTORY_CSV_HEADER,
                    _trajectory_rows(record))
         if record.weights is not None:
@@ -427,11 +436,11 @@ def cmd_compare(config, out_dir=None):
     problem = build_problem(config.spec)
     oracle = population_oracle_sample(config.spec, config.oracle_seed)
     recs = {"sgd": [], "sde": []}
-    for j in range(config.compare_seeds):
+    for seed in range(config.seed, config.seed + config.compare_seeds):
+        dataset = generate_dataset(config.spec, seed, config.train.n)
         for mode in ("sgd", "sde"):
-            cfg = replace(config.train, mode=mode, seed=config.seed + j,
-                          dataset_seed=config.seed + j)
-            recs[mode].append(train_run(cfg, oracle=oracle))
+            cfg = replace(config.train, mode=mode, seed=seed, dataset_seed=seed)
+            recs[mode].append(train_run(cfg, dataset, oracle))
     summary = {
         "n_seeds": config.compare_seeds,
         "diverged_runs": sum(r.diverged for rs in recs.values() for r in rs),
@@ -449,8 +458,7 @@ def cmd_compare(config, out_dir=None):
         summary["accuracy_abs_diff"] = abs(
             summary["terminal_accuracy_sgd"] - summary["terminal_accuracy_sde"])
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(out_dir)
         for mode in ("sgd", "sde"):
             _write_csv(out / f"compare_{mode}.csv", TRAJECTORY_CSV_HEADER,
                        _mean_curves(recs[mode]))
@@ -479,8 +487,7 @@ def _bounds_outputs(reports, out_dir):
             rep.config.get("eta"), rep.config.get("T"),
         ))
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(out_dir)
         _write_json(out / "bounds.json",
                     [bounds_mod.report_to_json_dict(r) for r in reports])
         _write_csv(out / "bounds.csv",
@@ -489,14 +496,9 @@ def _bounds_outputs(reports, out_dir):
 
 
 def _trajectory_records(config):
-    records = []
-    base = config.train.effective_dataset_seed
-    for i in range(config.dataset_seeds):
-        for j in range(config.run_seeds):
-            cfg = replace(config.train, record_weights=True,
-                          dataset_seed=base + i, seed=config.seed + j)
-            records.append(train_run(cfg))
-    return records
+    train = replace(config.train, seed=config.seed, record_weights=True)
+    cells, oracle = seed_grid(train, config.dataset_seeds, config.run_seeds)
+    return [train_run(cfg, dataset, oracle) for cfg, dataset in cells]
 
 
 def cmd_bounds_traj(config, out_dir=None):
@@ -516,20 +518,15 @@ def cmd_bounds_traj(config, out_dir=None):
 
 
 def _loo_pairs(config):
+    """(full, leave-one-out) record pairs over the seed grid; dataset seed s
+    leaves out example s mod n."""
+    cells, oracle = seed_grid(replace(config.train, seed=config.seed),
+                              config.dataset_seeds, config.run_seeds)
     pairs = []
-    base = config.train.effective_dataset_seed
-    n = config.train.n
-    for i in range(config.dataset_seeds):
-        ds_seed = base + i
-        dataset = generate_dataset(config.spec, ds_seed, n)
-        drop = ds_seed % n
-        subset = [k for k in range(n) if k != drop]
-        for j in range(config.run_seeds):
-            cfg = replace(config.train, dataset_seed=ds_seed,
-                          seed=config.seed + j)
-            full = train_run(cfg, dataset=dataset)
-            loo = loo_train(cfg, dataset, subset)
-            pairs.append((full, loo))
+    for cfg, dataset in cells:
+        subset = [k for k in range(cfg.n) if k != dataset.seed % cfg.n]
+        pairs.append((train_run(cfg, dataset, oracle),
+                      loo_train(cfg, dataset, subset, oracle)))
     return pairs
 
 
@@ -570,7 +567,7 @@ def cmd_stationary(config, out_dir=None):
         raise GradnoiseError(
             f"stationary run diverged at step {record.diverged_step}")
     problem = build_problem(config.spec)
-    dataset = generate_dataset(config.spec, train.effective_dataset_seed, train.n)
+    dataset = record.dataset
     tail = record.tail_weights
     tail_mean = tail.mean(axis=0)
     centered = tail - tail_mean
@@ -594,9 +591,7 @@ def cmd_stationary(config, out_dir=None):
                 float(np.linalg.norm(empirical - lam)) / denom if denom else None)
         result["modes"][mode] = entry
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "stationary.json", result)
+        _write_json(_out_dir(out_dir) / "stationary.json", result)
     return result
 
 
@@ -621,9 +616,7 @@ def cmd_sweep_n(config, out_dir=None):
         for name, rep in zip(names, reports):
             rows.append((n, name, rep.core, rep.value, gen, seeds_used))
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "sweep.csv",
+        _write_csv(_out_dir(out_dir) / "sweep.csv",
                    ("n", "bound", "core", "value", "gen_error", "seeds_used"),
                    rows)
     return rows

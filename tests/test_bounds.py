@@ -58,6 +58,7 @@ from gradnoise.problems import (
     QuadraticSpec,
     build_problem,
     generate_dataset,
+    population_oracle_sample,
 )
 
 
@@ -120,10 +121,13 @@ def make_record(config, final_w, w0=None, grad_norm_sq=None, trace_c=None,
             steps = np.append(steps, config.steps)
     k = len(steps)
     zeros = np.zeros(k)
+    if dataset_seed is None:
+        dataset_seed = config.effective_dataset_seed
     return TrajectoryRecord(
         config=config,
-        dataset_seed=config.effective_dataset_seed
-        if dataset_seed is None else dataset_seed,
+        dataset_seed=dataset_seed,
+        dataset=generate_dataset(config.spec, dataset_seed, config.n),
+        oracle=population_oracle_sample(config.spec, config.oracle_seed),
         steps=np.asarray(steps),
         train_loss=zeros.copy(),
         test_loss=zeros.copy(),
@@ -140,6 +144,16 @@ def make_record(config, final_w, w0=None, grad_norm_sq=None, trace_c=None,
     )
 
 
+def ensemble_of(config, runs):
+    """A TerminalEnsemble of hand-built ``runs``, carrying a dataset drawn
+    for each of their dataset seeds and the config's oracle sample."""
+    datasets = {r.dataset_seed: generate_dataset(config.spec, r.dataset_seed,
+                                                 config.n) for r in runs}
+    return TerminalEnsemble(
+        runs=tuple(runs), config=config, datasets=datasets,
+        oracle=population_oracle_sample(config.spec, config.oracle_seed))
+
+
 def manual_ensemble(config, finals_by_dataset, w0=None):
     runs = []
     for ds_seed, finals in finals_by_dataset.items():
@@ -153,7 +167,7 @@ def manual_ensemble(config, finals_by_dataset, w0=None):
                 final_train_loss=0.0, final_test_loss=0.0,
                 diverged=False, tail_weights=None,
             ))
-    return TerminalEnsemble(runs=tuple(runs), config=config)
+    return ensemble_of(config, runs)
 
 
 class TestGTildeChoice:
@@ -559,8 +573,9 @@ class TestDataDependentTrajectory:
         report = traj_bound_data_dependent([rec])
         assert "core_at_10x_floor" in report.components
         assert len(grad_passes) == 3
-        # One for the problem's scatter root, then C and its 4 C_J per state.
-        assert len(eighs) == 1 + 3 * (1 + 4)
+        # C and its 4 C_J per state; the record carries its dataset, so no
+        # draw takes the problem's scatter root.
+        assert len(eighs) == 3 * (1 + 4)
 
     def test_value_is_core_times_loss_bound(self):
         rec = train_run(quad_config(steps=2))
@@ -697,8 +712,7 @@ class TestTerminalGeneral:
                                 final_w=np.array([1e9]), w0=np.zeros(1),
                                 final_train_loss=np.inf, final_test_loss=np.inf,
                                 diverged=True, tail_weights=None))
-        report = terminal_bound_general(
-            TerminalEnsemble(runs=tuple(runs), config=self.cfg))
+        report = terminal_bound_general(ensemble_of(self.cfg, runs))
         assert "diverged-runs" in report.flags
         assert report.n_runs_used == 4
 
@@ -1035,8 +1049,6 @@ class TestFimTakeuchi:
                                  {0: [rng.standard_normal(3)] * 2,
                                   1: [rng.standard_normal(3)] * 2})
         report = fim_takeuchi_bound(ens)
-        from gradnoise.problems import population_oracle_sample
-
         problem = build_problem(ens.config.spec)
         oracle = population_oracle_sample(ens.config.spec,
                                           ens.config.oracle_seed)

@@ -185,6 +185,15 @@ class TestTrainRun:
         assert np.array_equal(a.final_w, b.final_w)
         assert np.array_equal(a.train_loss, b.train_loss)
 
+    def test_record_carries_its_dataset_and_oracle(self):
+        cfg = base_config(steps=5, seed=9, dataset_seed=2, oracle_seed=4)
+        rec = train_run(cfg)
+        dataset = generate_dataset(cfg.spec, 2, cfg.n)
+        oracle = population_oracle_sample(cfg.spec, 4)
+        for carried, fresh in ((rec.dataset, dataset), (rec.oracle, oracle)):
+            assert np.array_equal(carried.features, fresh.features)
+            assert np.array_equal(carried.labels, fresh.labels)
+
     def test_full_batch_sde_collapses_to_gd(self):
         """At b = n the minibatch covariance is exactly zero, the noise draw is
         skipped, and SGD, SDE, and GD coincide bit for bit; GLD keeps its
@@ -400,6 +409,15 @@ class TestLooTrain:
         loo = loo_train(cfg, dataset, [i for i in range(cfg.n) if i != 4])
         assert not np.array_equal(full.final_w, loo.final_w)
 
+    def test_record_carries_the_subset_it_trained_on(self):
+        cfg = base_config(steps=5, b=3)
+        dataset = generate_dataset(cfg.spec, cfg.effective_dataset_seed, cfg.n)
+        subset = [i for i in range(cfg.n) if i != 4]
+        loo = loo_train(cfg, dataset, subset)
+        assert len(loo.dataset) == cfg.n - 1
+        assert np.array_equal(loo.dataset.features, dataset.features[subset])
+        assert np.array_equal(loo.dataset.labels, dataset.labels[subset])
+
     def test_subset_not_larger_than_batch(self):
         cfg = base_config(b=3)
         dataset = generate_dataset(cfg.spec, cfg.effective_dataset_seed, cfg.n)
@@ -421,6 +439,17 @@ class TestEnsemble:
         assert all(len(g) == 4 for g in groups.values())
         run_seeds = {r.run_seed for r in ens.runs}
         assert run_seeds == {100, 101, 102, 103}
+
+    def test_ensemble_carries_the_grid_datasets_and_oracle(self):
+        cfg = base_config(steps=5, seed=100, dataset_seed=40)
+        ens = run_ensemble(cfg, n_dataset_seeds=3, n_run_seeds=2)
+        assert sorted(ens.datasets) == [40, 41, 42]
+        for seed, dataset in ens.datasets.items():
+            fresh = generate_dataset(cfg.spec, seed, cfg.n)
+            assert np.array_equal(dataset.features, fresh.features)
+            assert np.array_equal(dataset.labels, fresh.labels)
+        oracle = population_oracle_sample(cfg.spec, cfg.oracle_seed)
+        assert np.array_equal(ens.oracle.features, oracle.features)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradnoise import harness
+from gradnoise import harness, problems
 from gradnoise.dynamics import TerminalRun, TrainConfig
 from gradnoise.errors import ConfigError
 from gradnoise.harness import (
@@ -632,3 +632,66 @@ class TestGeneralizationEstimate:
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
             estimate_generalization_error([])
+
+    def test_diverged_runs_are_left_out(self):
+        """A diverged run's losses are those of its last logged state, not
+        of W_T, so its gap must not enter the mean."""
+        def run(train, test, diverged):
+            return TerminalRun(dataset_seed=0, run_seed=0, final_w=np.zeros(1),
+                               w0=np.zeros(1), final_train_loss=train,
+                               final_test_loss=test, diverged=diverged,
+                               tail_weights=None)
+        runs = [run(0.2, 0.5, False), run(0.4, 0.5, False), run(3.0, 9.0, True)]
+        assert estimate_generalization_error(runs) == pytest.approx(0.2)
+        with pytest.raises(ConfigError):
+            estimate_generalization_error(runs[2:])
+
+
+def quad_problem(dim=2):
+    return {"family": "quadratic", "dim": dim, "curvature": 1.0,
+            "scatter": 1.0, "pop_oracle_size": 300}
+
+
+TERMINAL_TRAIN = {"n": 8, "b": 2, "lr": 0.1, "steps": 60, "mode": "sde",
+                  "tail_checkpoints": 6, "tail_spacing": 2, "log_every": 60}
+GRID = {"dataset_seeds": 2, "run_seeds": 3}
+D = GRID["dataset_seeds"]
+
+
+class TestDrawCounts:
+    """Every command draws each dataset of its dataset-seed x run-seed grid,
+    and the oracle, once; runs and bounds read the data the runs carry."""
+
+    @pytest.mark.parametrize("command, raw, draws", [
+        pytest.param(cmd_bounds_traj, {
+            "problem": quad_problem(),
+            "train": {"n": 6, "b": 1, "lr": 0.1, "steps": 5},
+            "ensemble": GRID}, D + 1, id="bounds-traj"),
+        pytest.param(cmd_bounds_terminal, {
+            "problem": quad_problem(), "train": TERMINAL_TRAIN, "ensemble": GRID,
+            "bounds": ["terminal-general", "terminal-anisotropic",
+                       "terminal-isotropic", "fim-takeuchi"]},
+            D + 1, id="bounds-terminal"),
+        pytest.param(cmd_bounds_terminal, {
+            "problem": quad_problem(), "train": TERMINAL_TRAIN, "ensemble": GRID,
+            "bounds": ["terminal-general", "terminal-anisotropic",
+                       "terminal-isotropic", "terminal-loo", "fim-takeuchi"]},
+            2 * (D + 1), id="bounds-terminal-with-loo"),
+        pytest.param(cmd_compare, {
+            "problem": quad_problem(),
+            "train": {"n": 8, "b": 2, "lr": 0.1, "steps": 10},
+            "compare_seeds": 3}, 3 + 1, id="compare"),
+        pytest.param(cmd_stationary, {
+            "problem": quad_problem(),
+            "train": {"n": 20, "b": 4, "lr": 0.1, "steps": 200, "mode": "sde",
+                      "log_every": 200, "tail_checkpoints": 20,
+                      "tail_spacing": 5}}, 2, id="stationary"),
+    ])
+    def test_draw_count(self, monkeypatch, command, raw, draws):
+        cfg = load_experiment_config(raw)
+        calls = []
+        sample = problems._sample
+        monkeypatch.setattr(problems, "_sample",
+                            lambda *a: calls.append(a) or sample(*a))
+        command(cfg)
+        assert len(calls) == draws
