@@ -12,7 +12,6 @@ import dataclasses
 import numpy as np
 
 from gradnoise import (
-    GTildeChoice,
     QuadraticSpec,
     TrainConfig,
     tape_from_records,
@@ -38,10 +37,9 @@ def main():
     records = [train_run(dataclasses.replace(base, seed=s)) for s in range(4)]
     tape = tape_from_records(records, population=True)
 
-    pop_prior = GTildeChoice("population-gradient")
     reports = [
         traj_bound_isotropic(tape),
-        traj_bound_isotropic(tape, pop_prior),
+        traj_bound_isotropic(tape, "population-gradient"),
         traj_bound_langevin(tape),
         traj_bound_anisotropic(tape),
         traj_bound_data_dependent(records),

@@ -9,7 +9,6 @@ estimators on the results.
 
 from .bounds import (
     BoundReport,
-    GTildeChoice,
     TrajectoryTape,
     anisotropic_prior_objective,
     fim_takeuchi_bound,
@@ -29,8 +28,6 @@ from .bounds import (
     traj_bound_langevin,
 )
 from .dynamics import (
-    TerminalEnsemble,
-    TerminalRun,
     TrainConfig,
     TrajectoryRecord,
     gld_step,

@@ -2,7 +2,9 @@
 
 Two families live here. Trajectory bounds fold per-step KL surrogate terms
 over an entire run (statistics taken at each pre-update state); terminal
-bounds look only at the distribution of final weights across an ensemble.
+bounds look only at the distribution of final weights across an ensemble,
+a sequence of TrajectoryRecords sharing their run shape (the records of
+``dynamics.run_ensemble``), grouped by the seed of the dataset each carries.
 Every estimator returns a BoundReport whose ``core`` is the bound with the
 loss-range constants R and M set to 1 and whose ``value`` is exactly
 ``core * R`` or ``core * M``; which constant applies is part of each bound's
@@ -46,25 +48,6 @@ from .problems import build_problem, dense_hessian
 from .spectral import stability_gap
 
 FLOOR_SENSITIVITY_SCALE = 10.0
-
-
-@dataclass(frozen=True)
-class GTildeChoice:
-    """Reference gradient entering the trajectory priors.
-
-    The reference must not depend on the training sample, so the options are
-    zero, the population gradient (estimated from the oracle sample), or a
-    fixed custom vector applied at every step.
-    """
-
-    kind: str = "zero"
-    custom_vector: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "population-gradient", "custom"):
-            raise ConfigError(f"unknown g-tilde kind {self.kind!r}")
-        if self.kind == "custom" and self.custom_vector is None:
-            raise ConfigError("custom g-tilde requires custom_vector")
 
 
 @dataclass
@@ -201,18 +184,20 @@ def tape_from_records(records, population=False):
     )
 
 
-def _reference_gradient(choice, stats, dim):
-    if choice.kind == "zero":
+def _reference_gradient(g_tilde, stats, dim):
+    """The reference gradient entering the trajectory priors at one step.
+
+    It must not depend on the training sample: ``g_tilde`` is "zero" or
+    "population-gradient" (estimated from the oracle sample).
+    """
+    if g_tilde == "zero":
         return np.zeros(dim)
-    if choice.kind == "population-gradient":
-        if stats.pop_grad is None:
-            raise ConfigError("population-gradient g-tilde needs a tape built "
-                              "with population=True")
-        return stats.pop_grad
-    vec = np.asarray(choice.custom_vector, dtype=float)
-    if vec.shape != (dim,):
-        raise ConfigError(f"custom g-tilde has shape {vec.shape}, expected ({dim},)")
-    return vec
+    if g_tilde != "population-gradient":
+        raise ConfigError(f"unknown g-tilde kind {g_tilde!r}")
+    if stats.pop_grad is None:
+        raise ConfigError("population-gradient g-tilde needs a tape built "
+                          "with population=True")
+    return stats.pop_grad
 
 
 def isotropic_step_kl(sigma_sq, h1, h2, d):
@@ -314,19 +299,18 @@ def _tape_flags(tape):
         ["approximate-cadence"] if tape.approximate else [])
 
 
-def traj_bound_isotropic(tape, g_choice=None, R=1.0):
+def traj_bound_isotropic(tape, g_tilde="zero", R=1.0):
     """Trajectory bound with the best isotropic Gaussian prior per step.
 
     Per accumulated step the term is d log(h1/d) - h2 with h1 the mean of
-    ||G_t - g_tilde||^2 + tr C_t across runs and h2 the mean log-determinant
-    of the floored mini-batch GNC; the core is sqrt of (1/n) times the
-    (cadence-rescaled) sum. With the population-gradient reference the report
-    also carries the identity estimate of h1 (population GNC trace over b)
-    and the per-step terms it induces, which is the form the anisotropic
-    comparison applies to.
+    ||G_t - g_tilde||^2 + tr C_t across runs (``g_tilde`` is "zero" or
+    "population-gradient", see :func:`_reference_gradient`) and h2 the mean
+    log-determinant of the floored mini-batch GNC; the core is sqrt of (1/n)
+    times the (cadence-rescaled) sum. With the population-gradient reference
+    the report also carries the identity estimate of h1 (population GNC
+    trace over b) and the per-step terms it induces, which is the form the
+    anisotropic comparison applies to.
     """
-    if g_choice is None:
-        g_choice = GTildeChoice(kind="zero")
     flags = _tape_flags(tape)
     d = tape.dim
 
@@ -339,8 +323,7 @@ def traj_bound_isotropic(tape, g_choice=None, R=1.0):
             h1_vals, h2_vals = [], []
             for run in tape.runs:
                 st = run[k]
-                gt = _reference_gradient(g_choice, st, d)
-                diff = st.grad - gt
+                diff = st.grad - _reference_gradient(g_tilde, st, d)
                 h1_vals.append(float(diff @ diff) + st.trace_c)
                 mat = st.gnc.refloored(scale)
                 floored = floored or mat.floored
@@ -363,7 +346,7 @@ def traj_bound_isotropic(tape, g_choice=None, R=1.0):
         "sigma_star_sq_final": float(h1s[-1] / d),
     })
     extra = {"h1": h1s, "h2": h2s}
-    if g_choice.kind == "population-gradient":
+    if g_tilde == "population-gradient":
         id_h1 = np.empty(tape.n_steps)
         for k in range(tape.n_steps):
             vals = [run[k].trace_pop / tape.b for run in tape.runs]
@@ -376,11 +359,11 @@ def traj_bound_isotropic(tape, g_choice=None, R=1.0):
         components["h1_discrepancy_mean"] = float(np.mean(np.abs(h1s - id_h1)))
     return _report("trajectory-isotropic", roots, flags, components,
                    tape.n_runs, _tape_setting(tape), R=R,
-                   g_tilde=g_choice.kind, per_step_terms=terms,
+                   g_tilde=g_tilde, per_step_terms=terms,
                    extra_series=extra)
 
 
-def traj_bound_langevin(tape, g_choice=None, R=1.0):
+def traj_bound_langevin(tape, g_tilde="zero", R=1.0):
     """Trajectory bound specialized to identity noise covariance.
 
     Per-step term log(mean ||G_t - g_tilde||^2 / d + 1); the core multiplies
@@ -389,8 +372,6 @@ def traj_bound_langevin(tape, g_choice=None, R=1.0):
     log(x+1) replaced by x (the looser classical form) is reported as a
     component, and per-step looser terms as an extra series.
     """
-    if g_choice is None:
-        g_choice = GTildeChoice(kind="zero")
     flags = ["counterfactual-mode"] if tape.mode != "gld" else []
     flags += _tape_flags(tape)
     d = tape.dim
@@ -400,7 +381,7 @@ def traj_bound_langevin(tape, g_choice=None, R=1.0):
         vals = []
         for run in tape.runs:
             st = run[k]
-            diff = st.grad - _reference_gradient(g_choice, st, d)
+            diff = st.grad - _reference_gradient(g_tilde, st, d)
             vals.append(float(diff @ diff))
         x = float(np.mean(vals)) / d
         terms[k] = np.log1p(x)
@@ -410,7 +391,7 @@ def traj_bound_langevin(tape, g_choice=None, R=1.0):
                   "loose_term_sum": tape.scale * float(loose.sum())}
     return _report("trajectory-langevin", [d * total / tape.n], flags,
                    components, tape.n_runs, _tape_setting(tape), R=R,
-                   g_tilde=g_choice.kind, per_step_terms=terms,
+                   g_tilde=g_tilde, per_step_terms=terms,
                    extra_series={"loose_per_step_terms": loose})
 
 
@@ -546,23 +527,28 @@ def traj_bound_data_dependent(records, M=1.0):
                    per_step_terms=np.mean(terms[1.0], axis=0))
 
 
-def _usable_runs(ensemble):
-    """The non-diverged runs of an ensemble and the flags they raise."""
-    runs = [r for r in ensemble.runs if not r.diverged]
+def _usable_runs(records):
+    """The shared config of an ensemble's records, its non-diverged records
+    and the flags they raise."""
+    cfg = _shared_config(records)
+    runs = [r for r in records if not r.diverged]
     if not runs:
         raise ConfigError("ensemble has no usable (non-diverged) runs")
-    return runs, [] if len(runs) == len(ensemble.runs) else ["diverged-runs"]
+    return cfg, runs, [] if len(runs) == len(records) else ["diverged-runs"]
 
 
-def _terminal_samples(ensemble):
-    """Per-dataset weight samples (final weights plus tail checkpoints) of
-    the usable runs, their flags, and how many runs they come from."""
-    runs, flags = _usable_runs(ensemble)
+def _terminal_samples(records):
+    """The shared config of an ensemble's records, the weight samples (final
+    weights plus tail checkpoints) of its usable runs grouped by dataset seed
+    as ``{seed: (dataset, samples)}``, their flags, and how many runs they
+    come from."""
+    cfg, runs, flags = _usable_runs(records)
     groups = {}
-    for run in runs:
-        rows = run.final_w[None, :] if run.tail_weights is None else run.tail_weights
-        groups.setdefault(run.dataset_seed, []).append(rows)
-    return {k: np.vstack(v) for k, v in groups.items()}, flags, len(runs)
+    for rec in runs:
+        rows = rec.final_w[None, :] if rec.tail_weights is None else rec.tail_weights
+        groups.setdefault(rec.dataset.seed, (rec.dataset, []))[1].append(rows)
+    return (cfg, {k: (ds, np.vstack(v)) for k, (ds, v) in groups.items()},
+            flags, len(runs))
 
 
 def _covariance(rows):
@@ -582,20 +568,21 @@ def terminal_bound_general(ensemble, R=1.0):
     report carries the deterministic-failure flag rather than pretending the
     bound is finite.
     """
-    groups, flags, n_used = _terminal_samples(ensemble)
+    cfg, groups, flags, n_used = _terminal_samples(ensemble)
     if len(groups) == 1:
         flags.append("single-dataset-group")
-    counts = {k: v.shape[0] for k, v in groups.items()}
-    if min(counts.values()) < 2:
+    min_samples = min(v.shape[0] for _, v in groups.values())
+    if min_samples < 2:
         raise ConfigError("each dataset group needs at least 2 weight samples")
-    d = next(iter(groups.values())).shape[1]
-    if min(counts.values()) < 4 * d:
+    d = ensemble[0].final_w.shape[0]
+    if min_samples < 4 * d:
         flags.append("undersampled-covariance")
-    pooled = SpdMatrix.from_matrix(_covariance(np.vstack(list(groups.values())))[1])
-    within = [SpdMatrix.from_matrix(_covariance(v)[1]) for v in groups.values()]
+    pooled = SpdMatrix.from_matrix(
+        _covariance(np.vstack([v for _, v in groups.values()]))[1])
+    within = [SpdMatrix.from_matrix(_covariance(v)[1]) for _, v in groups.values()]
     pooled_scale = max(pooled.mean_eigenvalue, DEFAULT_FLOOR_ABS / d)
     deterministic = any(w.mean_eigenvalue <= 1e-18 * pooled_scale for w in within)
-    n = ensemble.config.n
+    n = cfg.n
 
     def evaluate(scale):
         pooled_s = pooled.refloored(scale)
@@ -605,14 +592,14 @@ def terminal_bound_general(ensemble, R=1.0):
         floored = pooled_s.floored or any(w.floored for w in within_s)
         return [mean_term / (2.0 * n)], floored, ld_pooled, mean_term
 
-    components = {"min_group_samples": min(counts.values())}
+    components = {"min_group_samples": min_samples}
     roots, ld_pooled, mean_term = _floor_sensitive(evaluate, flags, components)
     if deterministic:
         flags.extend(["deterministic-failure", "flooring-cap"])
     components.update({"mean_term": mean_term, "logdet_pooled": ld_pooled,
                        "mean_logdet_within": ld_pooled - mean_term})
     return _report("terminal-general", roots, flags, components, n_used,
-                   _run_setting(ensemble.config), R=R)
+                   _run_setting(cfg), R=R)
 
 
 def terminal_bound_anisotropic(ensemble, R=1.0):
@@ -626,18 +613,17 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
     commutator norms between H and the stationary solve are reported as
     condition diagnostics.
     """
-    groups, flags, n_used = _terminal_samples(ensemble)
+    cfg, groups, flags, n_used = _terminal_samples(ensemble)
     if len(groups) == 1:
         flags.append("single-dataset-group")
-    cfg = ensemble.config
     n, b = cfg.n, cfg.b
     eta = cfg.lr_at(cfg.steps)
-    pooled = SpdMatrix.from_matrix(_covariance(np.vstack(list(groups.values())))[1])
+    pooled = SpdMatrix.from_matrix(
+        _covariance(np.vstack([v for _, v in groups.values()]))[1])
     problem = build_problem(cfg.spec)
 
     per_dataset, gaps = [], []
-    for ds_seed, rows in groups.items():
-        dataset = ensemble.datasets[ds_seed]
+    for ds_seed, (dataset, rows) in groups.items():
         w_star = rows.mean(axis=0)
         h_raw = dense_hessian(problem, w_star, dataset.features, dataset.labels)
         eigs = np.linalg.eigvalsh((h_raw + h_raw.T) / 2.0)
@@ -678,32 +664,21 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
 def terminal_bound_isotropic(ensemble, reference="grand-mean", R=1.0):
     """Closed-form terminal bound from mean squared distance to a reference.
 
-    ``reference`` is "grand-mean" (the pooled mean terminal weight),
-    "init" (each run's own initialization, the distance-to-initialization
-    form), or an explicit vector. The core is
-    sqrt((d/n) log((2b/(eta d)) msd + 1)), nonnegative by construction.
+    ``reference`` is "grand-mean" (the pooled mean terminal weight)
+    or "init" (each run's own initialization, the distance-to-initialization
+    form). The core is sqrt((d/n) log((2b/(eta d)) msd + 1)), nonnegative by
+    construction.
     """
-    runs, flags = _usable_runs(ensemble)
+    cfg, runs, flags = _usable_runs(ensemble)
     finals = np.array([r.final_w for r in runs])
     d = finals.shape[1]
     if isinstance(reference, str) and reference == "grand-mean":
-        ref = finals.mean(axis=0)
-        sq = np.sum((finals - ref) ** 2, axis=1)
+        sq = np.sum((finals - finals.mean(axis=0)) ** 2, axis=1)
     elif isinstance(reference, str) and reference == "init":
-        if any(r.w0 is None for r in runs):
-            raise ConfigError("init reference needs stored initial weights")
         sq = np.array([float(np.sum((r.final_w - r.w0) ** 2)) for r in runs])
-        ref = None
-    elif isinstance(reference, str):
-        raise ConfigError(f"unknown reference {reference!r}")
     else:
-        ref = np.asarray(reference, dtype=float)
-        if ref.shape != (d,):
-            raise ConfigError(f"reference vector has shape {ref.shape}, "
-                              f"expected ({d},)")
-        sq = np.sum((finals - ref) ** 2, axis=1)
+        raise ConfigError(f"unknown reference {reference!r}")
     msd = float(np.mean(sq))
-    cfg = ensemble.config
     n, b = cfg.n, cfg.b
     eta = cfg.lr_at(cfg.steps)
     inner = (2.0 * b / (eta * d)) * msd + 1.0
@@ -711,7 +686,7 @@ def terminal_bound_isotropic(ensemble, reference="grand-mean", R=1.0):
         "mean_sq_distance": msd,
         "inner": inner,
         "sigma_star_sq": msd / d + eta / (2.0 * b),
-        "reference": reference if isinstance(reference, str) else "custom",
+        "reference": reference,
     }
     return _report("terminal-isotropic", [(d / n) * np.log(inner)], flags,
                    components, len(runs), _run_setting(cfg), R=R)
@@ -767,12 +742,12 @@ def terminal_bound_loo(pairs, M=1.0):
         if loo.config.n >= full.config.n:
             raise ConfigError("loo record must be trained on fewer examples")
         if (full.config.seed != loo.config.seed
-                or full.dataset_seed != loo.dataset_seed):
+                or full.dataset.seed != loo.dataset.seed):
             raise ConfigError("unpaired runs: full and loo records must share "
                               "run seed and dataset seed")
         if full.config.b != loo.config.b:
             raise ConfigError("unpaired runs: batch sizes differ")
-        key = (full.dataset_seed, loo.config.n)
+        key = (full.dataset.seed, loo.config.n)
         groups.setdefault(key, []).append((full, loo))
     cfg = pairs[0][0].config
     b = cfg.b
@@ -845,14 +820,12 @@ def fim_takeuchi_bound(ensemble, M=1.0):
     gradients F. The core is (1/(2n)) times the mean over dataset seeds of
     sqrt(tr(H^{-1} F)).
     """
-    groups, flags, n_used = _terminal_samples(ensemble)
-    cfg = ensemble.config
+    cfg, groups, flags, n_used = _terminal_samples(ensemble)
     n = cfg.n
     problem = build_problem(cfg.spec)
-    oracle = ensemble.oracle
+    oracle = ensemble[0].oracle
     per_dataset = []
-    for ds_seed, rows in groups.items():
-        dataset = ensemble.datasets[ds_seed]
+    for dataset, rows in groups.values():
         w_star = rows.mean(axis=0)
         h = SpdMatrix.from_matrix(
             dense_hessian(problem, w_star, dataset.features, dataset.labels))

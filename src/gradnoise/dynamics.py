@@ -115,7 +115,6 @@ class TrajectoryRecord:
     ``dataset`` it trained on and the ``oracle`` sample it was evaluated on."""
 
     config: TrainConfig
-    dataset_seed: int
     dataset: Dataset
     oracle: Dataset
     steps: np.ndarray
@@ -132,30 +131,6 @@ class TrajectoryRecord:
     w0: np.ndarray
     diverged: bool
     diverged_step: int | None
-
-
-@dataclass(frozen=True)
-class TerminalRun:
-    dataset_seed: int
-    run_seed: int
-    final_w: np.ndarray
-    w0: np.ndarray
-    final_train_loss: float
-    final_test_loss: float
-    diverged: bool
-    tail_weights: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class TerminalEnsemble:
-    """Terminal states of a dataset-seed x run-seed grid, in grid order, with
-    the ``datasets`` the runs trained on (keyed by dataset seed) and the
-    ``oracle`` sample they were evaluated on."""
-
-    runs: tuple
-    config: TrainConfig
-    datasets: dict
-    oracle: Dataset
 
 
 def sgd_step(problem, w, dataset, batch_indices, eta):
@@ -296,7 +271,6 @@ def _run(config, dataset, oracle):
 
     return TrajectoryRecord(
         config=config,
-        dataset_seed=config.effective_dataset_seed,
         dataset=dataset,
         oracle=oracle,
         steps=np.array(series["steps"], dtype=int),
@@ -371,31 +345,18 @@ def seed_grid(config, n_dataset_seeds, n_run_seeds):
 
 
 def run_ensemble(config, n_dataset_seeds, n_run_seeds):
-    """Terminal states of the :func:`seed_grid` runs of ``config``, run one
-    after another in grid order.
+    """The records of the :func:`seed_grid` runs of ``config``, run one after
+    another in grid order.
 
-    A :class:`TerminalRun` keeps only the terminal state, so each run logs
-    only its initial and terminal states whatever the config's ``log_every``
-    (tail checkpoints are captured outside logging). Logging never touches an
-    RNG stream, so every run is bit-identical to ``train_run`` with the same
+    Ensembles are read at their terminal state, so each run logs only its
+    initial and terminal states whatever the config's ``log_every`` (tail
+    checkpoints are captured outside logging). Logging never touches an RNG
+    stream, so every run is bit-identical to ``train_run`` with the same
     seeds and any cadence, up to divergence: non-finite weights are still
     caught at every step, but the ``DIVERGENCE_THRESHOLD`` loss test runs
-    only at step T, and a diverged run's final losses are those of its last
+    only at step T, and a diverged run's last losses are those of its last
     logged state.
     """
     cells, oracle = seed_grid(config, n_dataset_seeds, n_run_seeds)
-    runs = []
-    for cfg, dataset in cells:
-        rec = _run(replace(cfg, log_every=cfg.steps), dataset, oracle)
-        runs.append(TerminalRun(
-            dataset_seed=rec.dataset_seed,
-            run_seed=cfg.seed,
-            final_w=rec.final_w,
-            w0=rec.w0,
-            final_train_loss=float(rec.train_loss[-1]) if len(rec.train_loss) else float("nan"),
-            final_test_loss=float(rec.test_loss[-1]) if len(rec.test_loss) else float("nan"),
-            diverged=rec.diverged,
-            tail_weights=rec.tail_weights,
-        ))
-    return TerminalEnsemble(runs=tuple(runs), config=config,
-                            datasets={d.seed: d for _, d in cells}, oracle=oracle)
+    return tuple(_run(replace(cfg, log_every=cfg.steps), dataset, oracle)
+                 for cfg, dataset in cells)

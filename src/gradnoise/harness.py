@@ -40,18 +40,18 @@ TRAJECTORY_CSV_HEADER = ("step", "train_loss", "test_loss", "grad_norm_sq",
                          "trace_c", "dist_init", "lambda1", "gap")
 
 # Bound name -> (input family, evaluator(config, input)). The families are
-# "tape" (a TrajectoryTape), "records" (trajectory records), "ensemble" (a
-# TerminalEnsemble) and "pairs" (full / leave-one-out record pairs). The order
-# fixes the row order of bounds.csv. Evaluators look each bound function up on
-# ``bounds_mod`` when called, so a wrapper rebound onto that module (as
-# perfbench's tracer does) reaches them.
+# "tape" (a TrajectoryTape), "records" (trajectory records), "ensemble" (the
+# records of run_ensemble) and "pairs" (full / leave-one-out record pairs).
+# The order fixes the row order of bounds.csv. Evaluators look each bound
+# function up on ``bounds_mod`` when called, so a wrapper rebound onto that
+# module (as perfbench's tracer does) reaches them.
 _BOUND_TABLE = {
     "traj-isotropic": (
         "tape", lambda c, tape: bounds_mod.traj_bound_isotropic(
-            tape, bounds_mod.GTildeChoice(kind=c.g_tilde), R=c.R)),
+            tape, c.g_tilde, R=c.R)),
     "traj-langevin": (
         "tape", lambda c, tape: bounds_mod.traj_bound_langevin(
-            tape, bounds_mod.GTildeChoice(kind=c.g_tilde), R=c.R)),
+            tape, c.g_tilde, R=c.R)),
     "traj-anisotropic": (
         "tape", lambda c, tape: bounds_mod.traj_bound_anisotropic(
             tape, R=c.R)),
@@ -105,8 +105,6 @@ class ExperimentConfig:
     dataset_seeds: int = 2
     run_seeds: int = 2
     sweep_n: tuple = ()
-    seed: int = 0
-    oracle_seed: int = 0
     out_dir: str = "."
     g_tilde: str = "population-gradient"
     R: float = 1.0
@@ -296,7 +294,9 @@ def load_experiment_config(source, seed_override=None, out_override=None):
     Every unknown key anywhere in the document is collected and reported in
     one ConfigError, so a typo'd config fails loudly and completely; a value
     its key's cast rejects is a ConfigError naming the dotted key.
-    ``seed_override`` (the CLI's ``--seed``) replaces the ``seed`` key.
+    ``seed_override`` (the CLI's ``--seed``) replaces the ``seed`` key. The
+    top-level ``seed`` and ``oracle_seed`` keys fill the TrainConfig, which
+    owns every seed of a command.
     """
     raw = source
     if isinstance(source, (str, Path)):
@@ -334,7 +334,7 @@ def load_experiment_config(source, seed_override=None, out_override=None):
     schedule = (train.pop("lr_schedule") if "lr_schedule" in train
                 else ((1, train.pop("lr")),))
     spec = _spec(family, problem)
-    seeds = {key: top[key] for key in ("seed", "oracle_seed") if key in top}
+    seeds = {key: top.pop(key) for key in ("seed", "oracle_seed") if key in top}
     train = _build(TrainConfig, "train", train, spec=spec, lr_schedule=schedule,
                    **seeds)
     return ExperimentConfig(spec=spec, train=train, **ensemble, **top)
@@ -380,16 +380,16 @@ def _trajectory_rows(record):
 
 
 def estimate_generalization_error(runs):
-    """Mean over the non-diverged runs (of an ensemble, or a sequence of
-    runs) of (oracle-sample loss - training loss) at W_T.
+    """Mean over the non-diverged records ``runs`` of (oracle-sample loss -
+    training loss) at W_T.
 
     A diverged run's losses are those of its last logged state, not of W_T,
     so it is left out, as every bound leaves it out.
     """
-    runs = [r for r in getattr(runs, "runs", runs) if not r.diverged]
+    runs = [r for r in runs if not r.diverged]
     if not runs:
         raise ConfigError("no non-diverged runs to estimate the gap from")
-    return float(np.mean([r.final_test_loss - r.final_train_loss for r in runs]))
+    return float(np.mean([r.test_loss[-1] - r.train_loss[-1] for r in runs]))
 
 
 def cmd_train(config, out_dir=None):
@@ -434,9 +434,9 @@ def _mean_curves(records):
 def cmd_compare(config, out_dir=None):
     """Paired SGD vs SDE runs; seed-averaged curves and terminal agreement."""
     problem = build_problem(config.spec)
-    oracle = population_oracle_sample(config.spec, config.oracle_seed)
+    oracle = population_oracle_sample(config.spec, config.train.oracle_seed)
     recs = {"sgd": [], "sde": []}
-    for seed in range(config.seed, config.seed + config.compare_seeds):
+    for seed in range(config.train.seed, config.train.seed + config.compare_seeds):
         dataset = generate_dataset(config.spec, seed, config.train.n)
         for mode in ("sgd", "sde"):
             cfg = replace(config.train, mode=mode, seed=seed, dataset_seed=seed)
@@ -496,7 +496,7 @@ def _bounds_outputs(reports, out_dir):
 
 
 def _trajectory_records(config):
-    train = replace(config.train, seed=config.seed, record_weights=True)
+    train = replace(config.train, record_weights=True)
     cells, oracle = seed_grid(train, config.dataset_seeds, config.run_seeds)
     return [train_run(cfg, dataset, oracle) for cfg, dataset in cells]
 
@@ -520,8 +520,7 @@ def cmd_bounds_traj(config, out_dir=None):
 def _loo_pairs(config):
     """(full, leave-one-out) record pairs over the seed grid; dataset seed s
     leaves out example s mod n."""
-    cells, oracle = seed_grid(replace(config.train, seed=config.seed),
-                              config.dataset_seeds, config.run_seeds)
+    cells, oracle = seed_grid(config.train, config.dataset_seeds, config.run_seeds)
     pairs = []
     for cfg, dataset in cells:
         subset = [k for k in range(cfg.n) if k != dataset.seed % cfg.n]

@@ -16,7 +16,6 @@ from scipy.stats import multivariate_normal, spearmanr
 from _acceptance_report import criterion
 from fd_utils import check_hvp, check_mean_grad, check_per_example_grads
 from gradnoise.bounds import (
-    GTildeChoice,
     anisotropic_prior_objective,
     influence_estimate,
     isotropic_step_kl,
@@ -200,7 +199,7 @@ def test_criterion_06_anisotropic_never_looser_than_isotropic():
         records = [train_run(dataclasses.replace(cfg, seed=s))
                    for s in (0, 1)]
         tape = tape_from_records(records, population=True)
-        iso = traj_bound_isotropic(tape, GTildeChoice("population-gradient"))
+        iso = traj_bound_isotropic(tape, "population-gradient")
         aniso = traj_bound_anisotropic(tape)
         identity_terms = iso.extra_series["identity_per_step_terms"]
         assert np.all(aniso.per_step_terms <= identity_terms + 1e-12)
@@ -219,7 +218,7 @@ def test_criterion_06_anisotropic_never_looser_than_isotropic():
                          raw_pop=c_val * np.eye(2))
         flat = make_tape([[step]], n=10, b=b_val)
         aniso_eq = traj_bound_anisotropic(flat)
-        iso_eq = traj_bound_isotropic(flat, GTildeChoice("population-gradient"))
+        iso_eq = traj_bound_isotropic(flat, "population-gradient")
         gap = abs(aniso_eq.per_step_terms[0]
                   - iso_eq.extra_series["identity_per_step_terms"][0])
         assert gap <= 1e-9

@@ -16,7 +16,6 @@ from gradnoise import linalg
 from gradnoise.bounds import (
     FLOOR_SENSITIVITY_SCALE,
     BoundReport,
-    GTildeChoice,
     StepStats,
     TrajectoryTape,
     anisotropic_prior_objective,
@@ -37,8 +36,6 @@ from gradnoise.bounds import (
     traj_bound_langevin,
 )
 from gradnoise.dynamics import (
-    TerminalEnsemble,
-    TerminalRun,
     TrainConfig,
     TrajectoryRecord,
     run_ensemble,
@@ -112,7 +109,8 @@ def quad_config(**overrides):
 
 
 def make_record(config, final_w, w0=None, grad_norm_sq=None, trace_c=None,
-                steps=None, dataset_seed=None, diverged=False):
+                steps=None, dataset_seed=None, diverged=False, train_loss=0.0,
+                test_loss=0.0):
     final_w = np.asarray(final_w, dtype=float)
     d = final_w.shape[0]
     if steps is None:
@@ -125,12 +123,11 @@ def make_record(config, final_w, w0=None, grad_norm_sq=None, trace_c=None,
         dataset_seed = config.effective_dataset_seed
     return TrajectoryRecord(
         config=config,
-        dataset_seed=dataset_seed,
         dataset=generate_dataset(config.spec, dataset_seed, config.n),
         oracle=population_oracle_sample(config.spec, config.oracle_seed),
         steps=np.asarray(steps),
-        train_loss=zeros.copy(),
-        test_loss=zeros.copy(),
+        train_loss=np.full(k, train_loss),
+        test_loss=np.full(k, test_loss),
         grad_norm_sq=zeros.copy() if grad_norm_sq is None
         else np.asarray(grad_norm_sq, dtype=float),
         trace_c=zeros.copy() if trace_c is None
@@ -144,41 +141,27 @@ def make_record(config, final_w, w0=None, grad_norm_sq=None, trace_c=None,
     )
 
 
-def ensemble_of(config, runs):
-    """A TerminalEnsemble of hand-built ``runs``, carrying a dataset drawn
-    for each of their dataset seeds and the config's oracle sample."""
-    datasets = {r.dataset_seed: generate_dataset(config.spec, r.dataset_seed,
-                                                 config.n) for r in runs}
-    return TerminalEnsemble(
-        runs=tuple(runs), config=config, datasets=datasets,
-        oracle=population_oracle_sample(config.spec, config.oracle_seed))
-
-
 def manual_ensemble(config, finals_by_dataset, w0=None):
-    runs = []
-    for ds_seed, finals in finals_by_dataset.items():
-        for j, fw in enumerate(finals):
-            fw = np.asarray(fw, dtype=float)
-            runs.append(TerminalRun(
-                dataset_seed=ds_seed, run_seed=j,
-                final_w=fw,
-                w0=fw.copy() if w0 == "same" else
-                (np.zeros(fw.shape[0]) if w0 is None else np.asarray(w0[j])),
-                final_train_loss=0.0, final_test_loss=0.0,
-                diverged=False, tail_weights=None,
-            ))
-    return ensemble_of(config, runs)
+    """An ensemble of records with hand-set final weights, keyed by dataset
+    seed; ``w0="same"`` starts each run at its final weights."""
+    return tuple(
+        make_record(config, fw, dataset_seed=ds_seed,
+                    w0=fw if w0 == "same" else None if w0 is None else w0[j])
+        for ds_seed, finals in finals_by_dataset.items()
+        for j, fw in enumerate(finals))
 
 
 class TestGTildeChoice:
     def test_kinds_validated(self):
-        GTildeChoice(kind="zero")
-        GTildeChoice(kind="population-gradient")
-        GTildeChoice(kind="custom", custom_vector=np.zeros(2))
-        with pytest.raises(ConfigError):
-            GTildeChoice(kind="sgd")
-        with pytest.raises(ConfigError):
-            GTildeChoice(kind="custom")
+        step = make_step([1.0], [[1.0]], pop_grad=[0.5], raw_pop=[[1.0]])
+        tape = make_tape([[step]], n=10)
+        for bound in (traj_bound_isotropic, traj_bound_langevin):
+            bound(tape, "zero")
+            bound(tape, "population-gradient")
+            with pytest.raises(ConfigError):
+                bound(tape, "sgd")
+            with pytest.raises(ConfigError):
+                bound(tape, "custom")
 
 
 class TestScalarObjectives:
@@ -235,9 +218,9 @@ class TestIsotropicTrajectory:
         """C = I and g-tilde = G make the optimal prior exactly the step
         kernel, so the per-step term and the whole bound are zero."""
         g = np.array([0.4, -0.9, 0.2])
-        tape = make_tape([[make_step(g, np.eye(3))]], n=25)
-        report = traj_bound_isotropic(
-            tape, GTildeChoice(kind="custom", custom_vector=g))
+        step = make_step(g, np.eye(3), pop_grad=g, raw_pop=np.eye(3))
+        tape = make_tape([[step]], n=25)
+        report = traj_bound_isotropic(tape, "population-gradient")
         assert report.per_step_terms[0] == pytest.approx(0.0, abs=1e-12)
         assert report.core == pytest.approx(0.0, abs=1e-9)
 
@@ -287,7 +270,7 @@ class TestIsotropicTrajectory:
         b = 4
         report = traj_bound_isotropic(
             make_tape([[step]], n=8, b=b),
-            GTildeChoice(kind="population-gradient"))
+            "population-gradient")
         extra = report.extra_series
         assert extra["identity_h1"][0] == pytest.approx(np.trace(pop) / b)
         expected_term = 2 * np.log(extra["identity_h1"][0] / 2.0) - extra["h2"][0]
@@ -297,7 +280,7 @@ class TestIsotropicTrajectory:
     def test_population_reference_requires_population_tape(self):
         tape = make_tape([[make_step([1.0], [[1.0]])]], n=10)
         with pytest.raises(ConfigError):
-            traj_bound_isotropic(tape, GTildeChoice(kind="population-gradient"))
+            traj_bound_isotropic(tape, "population-gradient")
 
     def test_nonpositive_h1_raises(self):
         step = make_step([0.0], [[1.0]], trace_c=-2.0)
@@ -328,9 +311,9 @@ class TestIsotropicTrajectory:
 class TestLangevinTrajectory:
     def test_matched_reference_gives_zero(self):
         g = np.array([1.0, 2.0])
-        tape = make_tape([[make_step(g, np.eye(2))]], n=10, mode="gld")
-        report = traj_bound_langevin(
-            tape, GTildeChoice(kind="custom", custom_vector=g))
+        tape = make_tape([[make_step(g, np.eye(2), pop_grad=g)]], n=10,
+                         mode="gld")
+        report = traj_bound_langevin(tape, "population-gradient")
         assert report.core == 0.0
         assert "counterfactual-mode" not in report.flags
 
@@ -427,7 +410,7 @@ class TestAnisotropicTrajectory:
             ]
             tape = make_tape([steps], n=10, b=b)
             aniso = traj_bound_anisotropic(tape)
-            iso = traj_bound_isotropic(tape, GTildeChoice("population-gradient"))
+            iso = traj_bound_isotropic(tape, "population-gradient")
             identity_terms = iso.extra_series["identity_per_step_terms"]
             assert np.all(aniso.per_step_terms <= identity_terms + 1e-12)
 
@@ -437,7 +420,7 @@ class TestAnisotropicTrajectory:
                          pop_grad=np.zeros(2), raw_pop=c * np.eye(2))
         tape = make_tape([[step]], n=10, b=2)
         aniso = traj_bound_anisotropic(tape)
-        iso = traj_bound_isotropic(tape, GTildeChoice("population-gradient"))
+        iso = traj_bound_isotropic(tape, "population-gradient")
         assert aniso.per_step_terms[0] == pytest.approx(
             iso.extra_series["identity_per_step_terms"][0], abs=1e-9)
 
@@ -447,7 +430,7 @@ def brute_force_loo_terms(rec, eps_scale=1.0):
     built and floored leave-one-out covariances C_J = Sigma_J / b."""
     cfg = rec.config
     problem = build_problem(cfg.spec)
-    dataset = generate_dataset(cfg.spec, rec.dataset_seed, cfg.n)
+    dataset = generate_dataset(cfg.spec, rec.dataset.seed, cfg.n)
     n, b = cfg.n, cfg.b
     d = rec.final_w.shape[0]
 
@@ -706,13 +689,10 @@ class TestTerminalGeneral:
         assert "undersampled-covariance" in report.flags  # 2 < 4d = 8
 
     def test_diverged_runs_are_skipped_and_flagged(self):
-        runs = list(manual_ensemble(
-            self.cfg, {0: [[-1.0], [1.0]], 1: [[-3.0], [3.0]]}).runs)
-        runs.append(TerminalRun(dataset_seed=0, run_seed=9,
-                                final_w=np.array([1e9]), w0=np.zeros(1),
-                                final_train_loss=np.inf, final_test_loss=np.inf,
-                                diverged=True, tail_weights=None))
-        report = terminal_bound_general(ensemble_of(self.cfg, runs))
+        runs = manual_ensemble(
+            self.cfg, {0: [[-1.0], [1.0]], 1: [[-3.0], [3.0]]})
+        runs += (make_record(self.cfg, [1e9], dataset_seed=0, diverged=True),)
+        report = terminal_bound_general(runs)
         assert "diverged-runs" in report.flags
         assert report.n_runs_used == 4
 
@@ -729,8 +709,8 @@ class TestTerminalAnisotropic:
 
         problem = build_problem(spec)
         groups = {}
-        for run in ens.runs:
-            groups.setdefault(run.dataset_seed, []).append(run.tail_weights)
+        for run in ens:
+            groups.setdefault(run.dataset.seed, []).append(run.tail_weights)
         groups = {k: np.vstack(v) for k, v in groups.items()}
         all_rows = np.vstack(list(groups.values()))
         grand = all_rows.mean(axis=0)
@@ -795,12 +775,6 @@ class TestTerminalIsotropic:
         report = terminal_bound_isotropic(ens, reference="init")
         assert report.core == 0.0
         assert report.components["reference"] == "init"
-
-    def test_custom_reference_vector(self):
-        ens = manual_ensemble(self.cfg, {0: [[1.0, 0.0], [0.0, 1.0]]})
-        report = terminal_bound_isotropic(ens, reference=np.zeros(2))
-        assert report.components["mean_sq_distance"] == pytest.approx(1.0)
-        assert report.components["reference"] == "custom"
 
     def test_reference_validation(self):
         ens = manual_ensemble(self.cfg, {0: [[0.0, 0.0], [1.0, 1.0]]})
@@ -1049,14 +1023,14 @@ class TestFimTakeuchi:
                                  {0: [rng.standard_normal(3)] * 2,
                                   1: [rng.standard_normal(3)] * 2})
         report = fim_takeuchi_bound(ens)
-        problem = build_problem(ens.config.spec)
-        oracle = population_oracle_sample(ens.config.spec,
-                                          ens.config.oracle_seed)
+        cfg = ens[0].config
+        problem = build_problem(cfg.spec)
+        oracle = population_oracle_sample(cfg.spec, cfg.oracle_seed)
         traces = []
-        for ds in dict.fromkeys(r.dataset_seed for r in ens.runs):
-            runs = [r for r in ens.runs if r.dataset_seed == ds]
+        for ds in dict.fromkeys(r.dataset.seed for r in ens):
+            runs = [r for r in ens if r.dataset.seed == ds]
             w_star = np.mean([r.final_w for r in runs], axis=0)
-            dataset = generate_dataset(ens.config.spec, ds, ens.config.n)
+            dataset = generate_dataset(cfg.spec, ds, cfg.n)
             h = problem.exact_hessian(w_star, dataset.features, dataset.labels)
             og = problem.per_example_grads(w_star, oracle.features,
                                            oracle.labels)
@@ -1064,7 +1038,7 @@ class TestFimTakeuchi:
             traces.append(np.trace(np.linalg.solve(h, f)))
         assert report.components["mean_trace"] == pytest.approx(
             np.mean(traces), rel=1e-9)
-        expected_core = np.mean(np.sqrt(traces)) / (2 * ens.config.n)
+        expected_core = np.mean(np.sqrt(traces)) / (2 * cfg.n)
         assert report.core == pytest.approx(expected_core, rel=1e-9)
 
     def test_zero_signal_data(self):

@@ -431,25 +431,26 @@ class TestEnsemble:
     def test_grid_shape_and_grouping(self):
         cfg = base_config(steps=10, seed=100, dataset_seed=40)
         ens = run_ensemble(cfg, n_dataset_seeds=3, n_run_seeds=4)
-        assert len(ens.runs) == 12
+        assert len(ens) == 12
         groups = {}
-        for run in ens.runs:
-            groups.setdefault(run.dataset_seed, []).append(run)
+        for run in ens:
+            groups.setdefault(run.dataset.seed, []).append(run)
         assert sorted(groups) == [40, 41, 42]
         assert all(len(g) == 4 for g in groups.values())
-        run_seeds = {r.run_seed for r in ens.runs}
+        run_seeds = {r.config.seed for r in ens}
         assert run_seeds == {100, 101, 102, 103}
 
     def test_ensemble_carries_the_grid_datasets_and_oracle(self):
         cfg = base_config(steps=5, seed=100, dataset_seed=40)
         ens = run_ensemble(cfg, n_dataset_seeds=3, n_run_seeds=2)
-        assert sorted(ens.datasets) == [40, 41, 42]
-        for seed, dataset in ens.datasets.items():
+        datasets = {r.dataset.seed: r.dataset for r in ens}
+        assert sorted(datasets) == [40, 41, 42]
+        for seed, dataset in datasets.items():
             fresh = generate_dataset(cfg.spec, seed, cfg.n)
             assert np.array_equal(dataset.features, fresh.features)
             assert np.array_equal(dataset.labels, fresh.labels)
         oracle = population_oracle_sample(cfg.spec, cfg.oracle_seed)
-        assert np.array_equal(ens.oracle.features, oracle.features)
+        assert np.array_equal(ens[0].oracle.features, oracle.features)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -461,22 +462,27 @@ class TestEnsemble:
         oracle = population_oracle_sample(cfg.spec, cfg.oracle_seed)
         # Same terminal weights imply same test loss against the shared oracle.
         problem = build_problem(cfg.spec)
-        for run in ens.runs:
+        for run in ens:
             expected = problem.mean_loss(run.final_w, oracle.features,
                                          oracle.labels)
-            assert run.final_test_loss == pytest.approx(expected, rel=1e-12)
+            assert run.test_loss[-1] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("mode, tails", [("sde", 4), ("sgd", 0)])
     def test_runs_match_standalone_runs_logging_every_step(self, mode, tails):
-        """Ensemble runs log only steps 0 and T; every TerminalRun field must
-        still be bit-equal to a standalone run that logs every step."""
+        """Ensemble runs log only steps 0 and T; their terminal state must
+        still be bit-equal to a standalone run that logs every step, and they
+        share the grid's datasets and oracle."""
         cfg = base_config(steps=30, mode=mode, log_every=1,
                           tail_checkpoints=tails, tail_spacing=3)
         ens = run_ensemble(cfg, 2, 2)
         oracle = population_oracle_sample(cfg.spec, cfg.oracle_seed)
-        for run in ens.runs:
-            rec = train_run(replace(cfg, seed=run.run_seed,
-                                    dataset_seed=run.dataset_seed),
+        datasets = {run.dataset.seed: run.dataset for run in ens}
+        for run in ens:
+            assert run.dataset is datasets[run.dataset.seed]
+            assert run.oracle is ens[0].oracle
+            assert list(run.steps) == [0, 30]
+            rec = train_run(replace(cfg, seed=run.config.seed,
+                                    dataset_seed=run.dataset.seed),
                             oracle=oracle)
             assert len(rec.steps) == 31
             assert np.array_equal(run.final_w, rec.final_w)
@@ -485,8 +491,8 @@ class TestEnsemble:
                 assert np.array_equal(run.tail_weights, rec.tail_weights)
             else:
                 assert run.tail_weights is None and rec.tail_weights is None
-            assert run.final_train_loss == rec.train_loss[-1]
-            assert run.final_test_loss == rec.test_loss[-1]
+            assert run.train_loss[-1] == rec.train_loss[-1]
+            assert run.test_loss[-1] == rec.test_loss[-1]
             assert run.diverged is rec.diverged is False
 
     def test_runs_evaluate_losses_only_at_initial_and_terminal_states(
@@ -522,7 +528,7 @@ class TestEnsemble:
         cfg = base_config(lr_schedule=((1, 2.5),), steps=steps, mode=mode,
                           tail_checkpoints=3, tail_spacing=2)
         ens = run_ensemble(cfg, 2, 2)
-        assert all(run.diverged for run in ens.runs)
-        assert all(np.all(np.isfinite(run.final_w)) for run in ens.runs)
+        assert all(run.diverged for run in ens)
+        assert all(np.all(np.isfinite(run.final_w)) for run in ens)
         with pytest.raises(ConfigError):
             terminal_bound_general(ens)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradnoise import harness, problems
-from gradnoise.dynamics import TerminalRun, TrainConfig
+from gradnoise import dynamics, harness, problems
+from gradnoise.dynamics import TrainConfig
 from gradnoise.errors import ConfigError
 from gradnoise.harness import (
     STATIONARY_MODES,
@@ -31,6 +31,7 @@ from gradnoise.harness import (
     load_experiment_config,
     run_cli,
 )
+from test_bounds import make_record, quad_config
 
 
 def quad_raw(**train_overrides):
@@ -195,7 +196,7 @@ class TestConfigLoading:
 
     def test_seed_override_reaches_train_config(self):
         cfg = load_experiment_config(quad_raw(), seed_override=7)
-        assert cfg.seed == 7
+        assert "seed" not in {f.name for f in dataclasses.fields(cfg)}
         assert cfg.train.seed == 7
 
     def test_logistic_separation_shorthand(self):
@@ -548,6 +549,22 @@ class TestBoundsCommands:
                             for name in ("bounds.json", "bounds.csv")})
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_ensemble_and_loo_pairs_run_from_the_train_seed(self, monkeypatch):
+        """The TrainConfig owns the seeds: with its seed replaced, the
+        ensemble, the full runs and the leave-one-out runs of terminal-loo
+        all start from the new seed."""
+        cfg = load_experiment_config({
+            "problem": quad_problem(), "train": TERMINAL_TRAIN,
+            "ensemble": {"dataset_seeds": 1, "run_seeds": 2},
+            "bounds": ["terminal-general", "terminal-loo"]})
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=5))
+        seeds = []
+        run = dynamics._run
+        monkeypatch.setattr(dynamics, "_run",
+                            lambda c, *a: seeds.append(c.seed) or run(c, *a))
+        cmd_bounds_terminal(cfg)
+        assert sorted(seeds) == [5, 5, 5, 6, 6, 6]
+
 
 class TestStationaryCommand:
     def test_quadratic_residuals_and_empirical_check(self, tmp_path):
@@ -617,16 +634,15 @@ class TestSweepCommand:
             cmd_sweep_n(cfg)
 
 
+def loss_record(train, test, diverged=False, dataset_seed=0):
+    """A hand-built record whose every logged loss is ``train`` / ``test``."""
+    return make_record(quad_config(), [0.0, 0.0], dataset_seed=dataset_seed,
+                       diverged=diverged, train_loss=train, test_loss=test)
+
+
 class TestGeneralizationEstimate:
     def test_mean_gap_over_runs(self):
-        runs = [
-            TerminalRun(dataset_seed=0, run_seed=0, final_w=np.zeros(1),
-                        w0=np.zeros(1), final_train_loss=0.2,
-                        final_test_loss=0.5, diverged=False, tail_weights=None),
-            TerminalRun(dataset_seed=1, run_seed=0, final_w=np.zeros(1),
-                        w0=np.zeros(1), final_train_loss=0.4,
-                        final_test_loss=0.5, diverged=False, tail_weights=None),
-        ]
+        runs = [loss_record(0.2, 0.5), loss_record(0.4, 0.5, dataset_seed=1)]
         assert estimate_generalization_error(runs) == pytest.approx(0.2)
 
     def test_empty_input_rejected(self):
@@ -636,12 +652,8 @@ class TestGeneralizationEstimate:
     def test_diverged_runs_are_left_out(self):
         """A diverged run's losses are those of its last logged state, not
         of W_T, so its gap must not enter the mean."""
-        def run(train, test, diverged):
-            return TerminalRun(dataset_seed=0, run_seed=0, final_w=np.zeros(1),
-                               w0=np.zeros(1), final_train_loss=train,
-                               final_test_loss=test, diverged=diverged,
-                               tail_weights=None)
-        runs = [run(0.2, 0.5, False), run(0.4, 0.5, False), run(3.0, 9.0, True)]
+        runs = [loss_record(0.2, 0.5), loss_record(0.4, 0.5),
+                loss_record(3.0, 9.0, diverged=True)]
         assert estimate_generalization_error(runs) == pytest.approx(0.2)
         with pytest.raises(ConfigError):
             estimate_generalization_error(runs[2:])
