@@ -10,11 +10,8 @@ estimators on the results.
 from .bounds import (
     BoundReport,
     TrajectoryTape,
-    anisotropic_prior_objective,
     fim_takeuchi_bound,
     influence_estimate,
-    isotropic_step_kl,
-    isotropic_terminal_kl,
     report_to_json_dict,
     tape_from_records,
     terminal_bound_anisotropic,
@@ -47,15 +44,10 @@ from .errors import (
     StabilityError,
 )
 from .gradstats import (
-    GradSnapshot,
-    LooQuantities,
     empirical_gnc,
-    full_gradient,
     gnc_from_grads,
-    loo_quantities,
     minibatch_factor,
     minibatch_gnc,
-    snapshot,
 )
 from .harness import (
     ExperimentConfig,
@@ -64,11 +56,8 @@ from .harness import (
     run_cli,
 )
 from .linalg import (
-    GaussianDist,
     SpdMatrix,
-    gaussian_kl,
     log_det,
-    mahalanobis_sq,
     solve_stationary_covariance,
     spd_sqrt,
     stationary_residual,
@@ -84,7 +73,6 @@ from .problems import (
     dense_hessian,
     generate_dataset,
     population_oracle_sample,
-    quadratic_population_moments,
 )
 from .spectral import SpectralReport, stability_gap, top_eigenvalue
 

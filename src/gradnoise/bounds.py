@@ -200,41 +200,6 @@ def _reference_gradient(g_tilde, stats, dim):
     return stats.pop_grad
 
 
-def isotropic_step_kl(sigma_sq, h1, h2, d):
-    """KL between one SDE transition and an isotropic prior step, as a
-    function of the prior variance scale.
-
-    Closed form (step size cancels): 0.5 * (h1/sigma_sq - d + d log sigma_sq
-    - h2), minimized at sigma_sq = h1/d.
-    """
-    if sigma_sq <= 0:
-        raise ConfigError("sigma_sq must be positive")
-    return 0.5 * (h1 / sigma_sq - d + d * np.log(sigma_sq) - h2)
-
-
-def anisotropic_prior_objective(c_tilde, pop_gnc, gnc):
-    """Twice the per-step KL against a population-shaped prior with scale
-    c_tilde; minimized at c_tilde = tr(pop_gnc^{-1} gnc) / d.
-    """
-    if c_tilde <= 0:
-        raise ConfigError("c_tilde must be positive")
-    d = pop_gnc.dim
-    cross = pop_gnc.inv_trace_product(gnc.matrix)
-    return (d * np.log(c_tilde) + log_det(pop_gnc) - log_det(gnc) - d
-            + cross / c_tilde)
-
-
-def isotropic_terminal_kl(sigma_sq, msd, d, eta, b):
-    """KL of the terminal-weight Gaussian surrogate against an isotropic
-    prior of variance sigma_sq; minimized at sigma_sq = msd/d + eta/(2b).
-    """
-    if sigma_sq <= 0:
-        raise ConfigError("sigma_sq must be positive")
-    base = eta / (2.0 * b)
-    return 0.5 * (d * np.log(sigma_sq) - d * np.log(base) - d
-                  + (msd + d * base) / sigma_sq)
-
-
 def _core(roots, divisor=1.0):
     """Mean of the square roots of ``roots``, each clipped at 0, over
     ``divisor``: the one shape every core takes."""

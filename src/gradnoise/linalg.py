@@ -1,10 +1,11 @@
-"""Dense symmetric/SPD matrix utilities and Gaussian-distribution arithmetic.
+"""Dense symmetric/SPD matrix utilities and the stationary covariance.
 
-Everything downstream (noise covariances, KL divergences, stationary
-covariances) is built on the small set of primitives in this module. Matrices
-are plain numpy arrays at the boundaries; positive-definiteness is made
-explicit through :class:`SpdMatrix`, which carries its eigendecomposition and
-applies the eigenvalue floor; :func:`eigenvalue_floor` is the one floor rule.
+Everything downstream (noise covariances, the log-determinants in the
+bounds, stationary covariances) is built on the small set of primitives in
+this module. Matrices are plain numpy arrays at the boundaries;
+positive-definiteness is made explicit through :class:`SpdMatrix`, which
+carries its eigendecomposition and applies the eigenvalue floor;
+:func:`eigenvalue_floor` is the one floor rule.
 
 Convention: ``tr log M`` is evaluated as the log-determinant of the floored
 matrix (sum of logs of floored eigenvalues). The diagonal-only variant is
@@ -66,8 +67,8 @@ class SpdMatrix:
     cached. So :meth:`refloored` views the same eigenpairs under another
     floor without a new decomposition, bit-identical to a fresh
     ``from_matrix`` at that scale, and callers that only need the eigenpairs
-    (:func:`spd_sqrt`, :func:`log_det`, the ``inv_*`` methods) never pay for
-    the reconstruction.
+    (:func:`spd_sqrt`, :func:`log_det`, :meth:`inv_trace_product`) never pay
+    for the reconstruction.
 
     Attributes
     ----------
@@ -133,16 +134,6 @@ class SpdMatrix:
     def trace(self):
         return float(np.sum(self.eigenvalues))
 
-    def inv_apply(self, x):
-        """Return ``M^{-1} x`` through the eigendecomposition."""
-        q = self.eigenvectors
-        return q @ ((q.T @ x) / self.eigenvalues)
-
-    def inv_quad(self, x):
-        """Return ``x^T M^{-1} x`` (nonnegative by construction)."""
-        proj = self.eigenvectors.T @ x
-        return float(np.sum(proj * proj / self.eigenvalues))
-
     def inv_trace_product(self, other):
         """Return ``tr(M^{-1} A)`` for a symmetric matrix ``A``."""
         q = self.eigenvectors
@@ -173,54 +164,6 @@ def trace_log_diag(m):
     if np.any(diag <= 0.0):
         raise DomainError("trace_log_diag requires strictly positive diagonal entries")
     return float(np.sum(np.log(diag)))
-
-
-@dataclass(frozen=True)
-class GaussianDist:
-    """A Gaussian N(mean, cov) with an SPD covariance."""
-
-    mean: np.ndarray
-    cov: SpdMatrix
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        if mean.ndim != 1 or mean.shape[0] != self.cov.dim:
-            raise InvalidInputError(
-                f"mean length {mean.shape} does not match covariance dim {self.cov.dim}"
-            )
-
-
-def gaussian_kl(p, q):
-    """KL(p || q) between two Gaussians.
-
-    Evaluates
-    ``0.5 * [log det(cov_q)/det(cov_p) - d + (mu_p - mu_q)^T cov_q^{-1} (mu_p - mu_q)
-    + tr(cov_q^{-1} cov_p)]``
-    and returns exactly 0.0 when the two distributions are field-equal.
-    """
-    if p.cov.dim != q.cov.dim:
-        raise InvalidInputError("gaussian_kl: dimension mismatch")
-    if np.array_equal(p.mean, q.mean) and np.array_equal(p.cov.matrix, q.cov.matrix):
-        return 0.0
-    d = p.cov.dim
-    delta = p.mean - q.mean
-    return 0.5 * (
-        log_det(q.cov)
-        - log_det(p.cov)
-        - d
-        + q.cov.inv_quad(delta)
-        + q.cov.inv_trace_product(p.cov.matrix)
-    )
-
-
-def mahalanobis_sq(x, y, s):
-    """Squared Mahalanobis distance (x - y)^T s^{-1} (x - y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.shape[0] != s.dim:
-        raise InvalidInputError("mahalanobis_sq: dimension mismatch")
-    return s.inv_quad(x - y)
 
 
 STATIONARY_MODES = ("general", "commuting", "hessian-matches-gnc", "small-lr")

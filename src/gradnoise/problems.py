@@ -16,20 +16,18 @@ Three families cover the assumption regimes the analysis needs:
   derivative); there is no autodiff anywhere in the package.
 
 Every family's ``hessian_operator(w, features, labels)`` computes what the
-Hessian at ``w`` needs once and returns the map ``v -> H v``; ``hvp`` is one
-application of it, and callers that apply H many times at one state build
-the operator once.
+Hessian at ``w`` needs once and returns the map ``v -> H v``, so callers that
+apply H many times at one state build the operator once.
 
-Population-level expectations are analytic for the quadratic family and are
-otherwise estimated on a large "population oracle" sample drawn from a stream
-disjoint from every training dataset.
+Population-level expectations are estimated on a large "population oracle"
+sample drawn from a stream disjoint from every training dataset.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError
+from .errors import ConfigError
 from .seeding import substream
 
 
@@ -197,22 +195,6 @@ def population_oracle_sample(spec, seed):
     return Dataset(feats, labels, seed, spec)
 
 
-def quadratic_population_moments(spec, w):
-    """Analytic (population gradient, population GNC, Hessian) for the quadratic family.
-
-    pop_grad = A (w - center); pop_gnc = A scatter A; hessian = A.
-    """
-    if not isinstance(spec, QuadraticSpec):
-        raise CapabilityError(
-            "analytic population moments are only available for quadratic-gaussian specs"
-        )
-    w = np.asarray(w, dtype=float)
-    a = spec.curvature
-    pop_grad = a @ (w - spec.center)
-    pop_gnc = a @ spec.scatter @ a
-    return pop_grad, (pop_gnc + pop_gnc.T) / 2.0, a.copy()
-
-
 def _softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -251,9 +233,6 @@ class QuadraticProblem:
     def hessian_operator(self, w, features, labels):
         a = self.a
         return lambda v: a @ np.asarray(v, dtype=float)
-
-    def hvp(self, w, features, labels, v):
-        return self.hessian_operator(w, features, labels)(v)
 
     def exact_hessian(self, w, features, labels):
         return self.a.copy()
@@ -308,9 +287,6 @@ class LogisticProblem:
             return features.T @ (r * (features @ v)) / n + l2 * v
 
         return apply
-
-    def hvp(self, w, features, labels, v):
-        return self.hessian_operator(w, features, labels)(v)
 
     def exact_hessian(self, w, features, labels):
         r = self._curvatures(w, features)
@@ -447,9 +423,6 @@ class MlpProblem:
             )
 
         return apply
-
-    def hvp(self, w, features, labels, v):
-        return self.hessian_operator(w, features, labels)(v)
 
     def accuracy(self, w, features, labels):
         *_, logits = self._forward(w, features)

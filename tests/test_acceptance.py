@@ -16,10 +16,7 @@ from scipy.stats import multivariate_normal, spearmanr
 from _acceptance_report import criterion
 from fd_utils import check_hvp, check_mean_grad, check_per_example_grads
 from gradnoise.bounds import (
-    anisotropic_prior_objective,
     influence_estimate,
-    isotropic_step_kl,
-    isotropic_terminal_kl,
     tape_from_records,
     terminal_bound_anisotropic,
     terminal_bound_general,
@@ -30,7 +27,6 @@ from gradnoise.bounds import (
 from gradnoise.dynamics import TrainConfig, run_ensemble, train_run
 from gradnoise.gradstats import (
     empirical_gnc,
-    loo_quantities,
     minibatch_factor,
     minibatch_gnc,
 )
@@ -40,9 +36,7 @@ from gradnoise.harness import (
     load_experiment_config,
 )
 from gradnoise.linalg import (
-    GaussianDist,
     SpdMatrix,
-    gaussian_kl,
     solve_stationary_covariance,
     stationary_residual,
 )
@@ -54,7 +48,14 @@ from gradnoise.problems import (
     build_problem,
     generate_dataset,
 )
-
+from oracles import (
+    GaussianDist,
+    anisotropic_prior_objective,
+    gaussian_kl,
+    isotropic_step_kl,
+    isotropic_terminal_kl,
+    loo_quantities,
+)
 from test_bounds import make_step, make_tape
 
 

@@ -18,11 +18,8 @@ from gradnoise.bounds import (
     BoundReport,
     StepStats,
     TrajectoryTape,
-    anisotropic_prior_objective,
     fim_takeuchi_bound,
     influence_estimate,
-    isotropic_step_kl,
-    isotropic_terminal_kl,
     report_to_json_dict,
     tape_from_records,
     terminal_bound_anisotropic,
@@ -42,12 +39,7 @@ from gradnoise.dynamics import (
     train_run,
 )
 from gradnoise.errors import ConfigError, NumericalError, StabilityError
-from gradnoise.linalg import (
-    GaussianDist,
-    SpdMatrix,
-    gaussian_kl,
-    log_det,
-)
+from gradnoise.linalg import SpdMatrix, log_det
 from gradnoise.problems import (
     Dataset,
     LogisticSpec,
@@ -56,6 +48,13 @@ from gradnoise.problems import (
     build_problem,
     generate_dataset,
     population_oracle_sample,
+)
+from oracles import (
+    GaussianDist,
+    anisotropic_prior_objective,
+    gaussian_kl,
+    isotropic_step_kl,
+    isotropic_terminal_kl,
 )
 
 

@@ -306,7 +306,7 @@ class TestTrainRun:
         assert rec.dist_init[0] == 0.0
 
     def test_trace_c_series_matches_snapshot_at_init(self):
-        from gradnoise.gradstats import snapshot
+        from oracles import snapshot
 
         cfg = base_config(steps=5, log_every=5, w0=np.array([0.5, 0.5]))
         rec = train_run(cfg)

@@ -11,16 +11,9 @@ import numpy as np
 import pytest
 
 from gradnoise.errors import ConfigError
-from gradnoise.gradstats import (
-    GradSnapshot,
-    empirical_gnc,
-    full_gradient,
-    loo_quantities,
-    minibatch_factor,
-    minibatch_gnc,
-    snapshot,
-)
+from gradnoise.gradstats import empirical_gnc, minibatch_factor, minibatch_gnc
 from gradnoise.problems import QuadraticSpec, build_problem, generate_dataset
+from oracles import GradSnapshot, loo_quantities, snapshot
 
 
 def make_problem(d=3, n=8, seed=0, scatter=None):
@@ -145,8 +138,8 @@ class TestSnapshot:
         snap = snapshot(problem, w, dataset, b=3, step=7)
         assert isinstance(snap, GradSnapshot)
         assert snap.step == 7
-        np.testing.assert_allclose(snap.full_grad,
-                                   full_gradient(problem, w, dataset))
+        np.testing.assert_allclose(
+            snap.full_grad, problem.mean_grad(w, dataset.features, dataset.labels))
         assert snap.grad_norm_sq == pytest.approx(snap.full_grad @ snap.full_grad)
         np.testing.assert_allclose(
             snap.minibatch_gnc, minibatch_gnc(snap.single_draw_gnc, 9, 3)
