@@ -590,19 +590,20 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
     per_dataset, gaps = [], []
     for ds_seed, (dataset, rows) in groups.items():
         w_star = rows.mean(axis=0)
-        h_raw = dense_hessian(problem, w_star, dataset.features, dataset.labels)
-        eigs = np.linalg.eigvalsh((h_raw + h_raw.T) / 2.0)
-        gap = stability_gap(eigs[-1], eta)
+        h = SpdMatrix.from_matrix(
+            dense_hessian(problem, w_star, dataset.features, dataset.labels))
+        lam_max = float(h.raw_eigenvalues[-1])
+        gap = stability_gap(lam_max, eta)
         if gap <= 0:
             raise StabilityError(
-                f"top Hessian eigenvalue {eigs[-1]:.6g} exceeds 2/eta = "
+                f"top Hessian eigenvalue {lam_max:.6g} exceeds 2/eta = "
                 f"{2.0 / eta:.6g} for dataset seed {ds_seed}",
-                eigenvalue=float(eigs[-1]),
+                eigenvalue=lam_max,
             )
         grads = problem.per_example_grads(w_star, dataset.features, dataset.labels)
         sigma, _ = gnc_from_grads(grads)
         c = SpdMatrix.from_matrix(minibatch_factor(n, b) * sigma)
-        per_dataset.append((SpdMatrix.from_matrix(h_raw), c))
+        per_dataset.append((h, c))
         gaps.append(gap)
 
     def evaluate(scale):
