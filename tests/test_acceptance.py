@@ -56,7 +56,7 @@ from oracles import (
     isotropic_terminal_kl,
     loo_quantities,
 )
-from test_bounds import make_step, make_tape
+from test_bounds import make_record, make_step, make_tape
 
 
 def random_spd(rng, d, scale=1.0, min_eig=0.05):
@@ -226,6 +226,9 @@ def test_criterion_06_anisotropic_never_looser_than_isotropic():
 
 
 def test_criterion_07_closed_form_prior_scales_beat_grids():
+    """The closed forms are grid-optimal, and the isotropic trajectory and
+    terminal bounds evaluate them at their minimizers: half a per-step term,
+    and n core^2 / 2, equal the closed-form KL there."""
     with criterion(7, "closed-form prior scales are grid-optimal"):
         rng = np.random.default_rng(70)
         grid = np.geomspace(1e-4, 1e4, 1000)
@@ -236,6 +239,13 @@ def test_criterion_07_closed_form_prior_scales_beat_grids():
             star = isotropic_step_kl(h1 / d, h1, h2, d)
             best = min(isotropic_step_kl(s, h1, h2, d) for s in grid)
             assert best - star >= -1e-9
+            # A zero gradient makes h1 = tr C, and C = exp(h2/d) I has
+            # log det h2.
+            step = make_step(np.zeros(d), np.exp(h2 / d) * np.eye(d),
+                             trace_c=h1)
+            kl = traj_bound_isotropic(make_tape([[step]])).per_step_terms[0] / 2
+            assert kl == pytest.approx(star, rel=1e-12)
+            assert best - kl >= -1e-9
         for _ in range(100):
             d = int(rng.integers(1, 6))
             pop = SpdMatrix.from_matrix(random_spd(rng, d, min_eig=0.2))
@@ -252,6 +262,18 @@ def test_criterion_07_closed_form_prior_scales_beat_grids():
             star = isotropic_terminal_kl(msd / d + eta / (2 * b), msd, d, eta, b)
             best = min(isotropic_terminal_kl(s, msd, d, eta, b) for s in grid)
             assert best - star >= -1e-9
+            # One run that moved sqrt(msd) from its initialization.
+            config = TrainConfig(
+                spec=QuadraticSpec(curvature=1.0, center=np.zeros(d),
+                                   scatter=1.0, pop_oracle_size=10),
+                n=64, b=b, lr_schedule=((1, eta),), steps=1)
+            final_w = np.zeros(d)
+            final_w[0] = np.sqrt(msd)
+            core = terminal_bound_isotropic((make_record(config, final_w),),
+                                            reference="init").core
+            kl = config.n * core**2 / 2
+            assert kl == pytest.approx(star, rel=1e-12)
+            assert best - kl >= -1e-9
 
 
 def test_criterion_08_terminal_bounds_track_the_analytic_anchor():
