@@ -367,9 +367,10 @@ def traj_bound_anisotropic(tape, R=1.0):
     That is twice the KL against the prior covariance c~ pop GNC at
     c~ = 1/b, with its cross term b tr(pop GNC^{-1} C_t) replaced by d (the
     two agree when b C_t equals the population GNC); it is not the minimum
-    over c~, which sits at tr(pop GNC^{-1} C_t) / d. The diagonal-alignment decomposition (sum over coordinates of the log
-    ratio of diagonal entries) is reported as an extra series; it upper
-    bounds the full term for SPD matrices.
+    over c~, which sits at tr(pop GNC^{-1} C_t) / d. The diagonal-alignment
+    decomposition (sum over coordinates of the log ratio of diagonal
+    entries) is reported as an extra series; it upper bounds the full term
+    for SPD matrices.
     """
     if not tape.has_population:
         raise ConfigError("anisotropic bound needs a tape built with population=True")
