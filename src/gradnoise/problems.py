@@ -16,8 +16,9 @@ Three families cover the assumption regimes the analysis needs:
   derivative); there is no autodiff anywhere in the package.
 
 Every family's ``hessian_operator(w, features, labels)`` computes what the
-Hessian at ``w`` needs once and returns the map ``v -> H v``, so callers that
-apply H many times at one state build the operator once.
+Hessian at ``w`` needs once and returns the map ``v -> H v``; ``hvp`` is one
+application of it, and callers that apply H many times at one state build
+the operator once.
 
 Population-level expectations are estimated on a large "population oracle"
 sample drawn from a stream disjoint from every training dataset.
@@ -234,6 +235,9 @@ class QuadraticProblem:
         a = self.a
         return lambda v: a @ np.asarray(v, dtype=float)
 
+    def hvp(self, w, features, labels, v):
+        return self.hessian_operator(w, features, labels)(v)
+
     def exact_hessian(self, w, features, labels):
         return self.a.copy()
 
@@ -287,6 +291,9 @@ class LogisticProblem:
             return features.T @ (r * (features @ v)) / n + l2 * v
 
         return apply
+
+    def hvp(self, w, features, labels, v):
+        return self.hessian_operator(w, features, labels)(v)
 
     def exact_hessian(self, w, features, labels):
         r = self._curvatures(w, features)
@@ -423,6 +430,9 @@ class MlpProblem:
             )
 
         return apply
+
+    def hvp(self, w, features, labels, v):
+        return self.hessian_operator(w, features, labels)(v)
 
     def accuracy(self, w, features, labels):
         *_, logits = self._forward(w, features)

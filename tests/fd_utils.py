@@ -42,13 +42,11 @@ def check_per_example_grads(problem, w, features, labels, tol=1e-6, eps=1e-6):
 
 
 def check_hvp(problem, w, features, labels, tol=1e-5, eps=1e-5):
-    """Compare the Hessian operator against a central difference of the mean
-    gradient."""
+    """Compare hvp against a central difference of the mean gradient."""
     rng = np.random.default_rng(1)
-    hess = problem.hessian_operator(w, features, labels)
     for _ in range(2):
         v = rng.standard_normal(w.shape[0])
-        exact = hess(v)
+        exact = problem.hvp(w, features, labels, v)
         up = problem.mean_grad(w + eps * v, features, labels)
         dn = problem.mean_grad(w - eps * v, features, labels)
         np.testing.assert_allclose(exact, (up - dn) / (2.0 * eps),

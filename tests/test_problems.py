@@ -83,8 +83,7 @@ class TestDerivatives:
         assert h.shape == (problem.dim, problem.dim)
         np.testing.assert_allclose(h, h.T, atol=1e-12)
         v = np.random.default_rng(9).standard_normal(problem.dim)
-        hess = problem.hessian_operator(w, data.features, data.labels)
-        np.testing.assert_allclose(h @ v, hess(v),
+        np.testing.assert_allclose(h @ v, problem.hvp(w, data.features, data.labels, v),
                                    rtol=1e-8, atol=1e-10)
 
     def test_dense_hessian_runs_one_forward_pass(self, mlp_forward_calls):
@@ -103,8 +102,10 @@ class TestDerivatives:
         data = generate_dataset(spec, seed=3, n=20)
         w = 0.2 * np.ones(spec.dim)
         h = problem.exact_hessian(w, data.features, data.labels)
-        hess = problem.hessian_operator(w, data.features, data.labels)
-        hvp_cols = np.column_stack([hess(e) for e in np.eye(spec.dim)])
+        hvp_cols = np.column_stack([
+            problem.hvp(w, data.features, data.labels, e)
+            for e in np.eye(spec.dim)
+        ])
         np.testing.assert_allclose(h, hvp_cols, rtol=1e-12, atol=1e-14)
 
 

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` wraps functions by rebinding module attributes, so a
 renamed traced function, or a dispatch path that holds a function object the
 rebinding cannot see, would drop out of ``--trace 1`` without an error. These
-tests run ``perfbench/child.py --trace`` on tiny configs and read the spans.
+tests run ``perfbench/child.py --trace`` on tiny configs and read the spans,
+which must also carry every per-layer metric ``BENCHMARK.json`` names.
 """
 
 import importlib.util
@@ -66,3 +67,9 @@ def test_traced_run_reaches_every_bound(command, tmp_path):
     for name in functions:
         assert metrics[f"bounds.{name}.calls"] >= 1, name
     assert metrics["dynamics.sde_step.calls"] >= 1
+    # run.py adds these two itself; every other per-layer metric must come
+    # from the spans, or a traced benchmark run fails looking it up.
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    missing = {s["name"] for s in bench["per_layer"]} - set(metrics) - {
+        "harness.output_bytes", "trace.overhead_s"}
+    assert not missing, sorted(missing)
