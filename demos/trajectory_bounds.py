@@ -48,7 +48,7 @@ def main():
     labels = ["isotropic (zero prior)", "isotropic (population prior)",
               "langevin", "anisotropic", "data-dependent", "gradient-accum"]
     print(f"{len(records)} runs, {tape.n_steps} recorded steps, "
-          f"n={tape.n}, b={tape.b}")
+          f"n={tape.config.n}, b={tape.config.b}")
     for label, rep in zip(labels, reports):
         flags = f"  flags={','.join(rep.flags)}" if rep.flags else ""
         print(f"  {label:<30s} core {rep.core:8.5f}  value {rep.value:8.5f}{flags}")

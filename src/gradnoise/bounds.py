@@ -14,6 +14,14 @@ Expectations over datasets and over algorithmic randomness are plug-in
 estimates: statistics are averaged across whatever records or ensemble
 members are supplied, and ``n_runs_used`` records how many that was.
 
+Every bound reads its run shape from one TrainConfig, the one its records
+share (:func:`_shared_config`; a TrajectoryTape keeps it as ``config``), and
+every report's ``n``, ``b``, ``eta`` and ``T`` come from it by one rule
+(:func:`_run_setting`, eta at step T; gradient accumulation reports the
+largest eta instead). The five bounds read from logged trajectories flag
+diverged runs and a logging cadence above 1 by one rule as well
+(:func:`_trajectory_flags`).
+
 Six bounds use eigenvalue-floored matrices: trajectory isotropic,
 anisotropic and data-dependent, terminal general and anisotropic, and
 fim-takeuchi. Each is written as a function of the floor scale and goes
@@ -68,7 +76,6 @@ class StepStats:
     """Plug-in statistics for one accumulated update, for one run."""
 
     step: int
-    eta: float
     grad: np.ndarray
     gnc: SpdMatrix
     trace_c: float
@@ -82,20 +89,17 @@ class TrajectoryTape:
     """Per-run, per-step statistics recomputed from logged weights.
 
     ``runs[r][k]`` holds the statistics of run r at the k-th represented
-    update. With logging cadence 1 every update is represented; a coarser
-    cadence represents each logged state for ``scale`` updates and bound sums
-    are rescaled accordingly (flagged approximate).
+    update. ``config`` is the TrainConfig the records share; its n, b, T,
+    mode and schedule are the tape's. With logging cadence
+    ``config.log_every`` 1 every update is represented; a coarser cadence
+    represents each logged state for ``log_every`` updates and bound sums are
+    rescaled accordingly (flagged ``approximate-cadence``).
     """
 
     runs: tuple
-    n: int
-    b: int
+    config: object
     dim: int
-    total_steps: int
-    scale: int
-    mode: str
     has_population: bool
-    approximate: bool
     any_diverged: bool
 
     @property
@@ -133,15 +137,14 @@ def tape_from_records(records, population=False):
     Statistics at the final logged state are not included: sums run over
     pre-update states only.
     """
-    first = _shared_config(records)
+    config = _shared_config(records)
     if any(rec.weights is None for rec in records):
         raise ConfigError("tape requires record_weights=True runs")
+    factor = minibatch_factor(config.n, config.b)
     runs = []
-    any_diverged = any(rec.diverged for rec in records)
     for rec in records:
         problem = build_problem(rec.config.spec)
         dataset, oracle = rec.dataset, rec.oracle
-        factor = minibatch_factor(rec.config.n, rec.config.b)
         stats = []
         for k in range(len(rec.steps) - 1):
             state_step = int(rec.steps[k])
@@ -157,7 +160,6 @@ def tape_from_records(records, population=False):
                 pop = SpdMatrix.from_matrix(raw_pop)
             stats.append(StepStats(
                 step=state_step + 1,
-                eta=rec.config.lr_at(state_step + 1),
                 grad=mean,
                 gnc=SpdMatrix.from_matrix(raw_c),
                 trace_c=float(np.trace(raw_c)),
@@ -172,15 +174,10 @@ def tape_from_records(records, population=False):
                           "(mixed divergence truncation)")
     return TrajectoryTape(
         runs=tuple(runs),
-        n=first.n,
-        b=first.b,
+        config=config,
         dim=records[0].final_w.shape[0],
-        total_steps=first.steps,
-        scale=first.log_every,
-        mode=first.mode,
         has_population=population,
-        approximate=first.log_every > 1,
-        any_diverged=any_diverged,
+        any_diverged=any(rec.diverged for rec in records),
     )
 
 
@@ -251,17 +248,16 @@ def _report(name, roots, flags, components, n_runs_used, setting, R=None,
 
 
 def _run_setting(cfg):
+    """The ``setting`` of every report: the run shape of the shared config."""
     return {"n": cfg.n, "b": cfg.b, "eta": cfg.lr_at(cfg.steps), "T": cfg.steps}
 
 
-def _tape_setting(tape):
-    return {"n": tape.n, "b": tape.b, "T": tape.total_steps,
-            "eta": tape.runs[0][-1].eta if tape.runs[0] else None}
-
-
-def _tape_flags(tape):
-    return (["diverged-runs"] if tape.any_diverged else []) + (
-        ["approximate-cadence"] if tape.approximate else [])
+def _trajectory_flags(cfg, any_diverged):
+    """The flags of a bound read from logged trajectories: ``diverged-runs``
+    if any run diverged, then ``approximate-cadence`` if they logged every
+    ``log_every`` > 1 updates."""
+    return (["diverged-runs"] if any_diverged else []) + (
+        ["approximate-cadence"] if cfg.log_every > 1 else [])
 
 
 def traj_bound_isotropic(tape, g_tilde="zero", R=1.0):
@@ -276,7 +272,8 @@ def traj_bound_isotropic(tape, g_tilde="zero", R=1.0):
     trace over b) and the per-step terms it induces, which is the form the
     anisotropic comparison applies to.
     """
-    flags = _tape_flags(tape)
+    cfg = tape.config
+    flags = _trajectory_flags(cfg, tape.any_diverged)
     d = tape.dim
 
     def evaluate(scale):
@@ -299,8 +296,8 @@ def traj_bound_isotropic(tape, g_tilde="zero", R=1.0):
                 raise NumericalError(f"h1 <= 0 at step {tape.runs[0][k].step}")
             terms[k] = d * np.log(h1 / d) - h2
             h1s[k], h2s[k] = h1, h2
-        total = tape.scale * float(terms.sum())
-        return [total / tape.n], floored, total, terms, h1s, h2s
+        total = cfg.log_every * float(terms.sum())
+        return [total / cfg.n], floored, total, terms, h1s, h2s
 
     components = {}
     roots, total, terms, h1s, h2s = _floor_sensitive(evaluate, flags, components)
@@ -314,7 +311,7 @@ def traj_bound_isotropic(tape, g_tilde="zero", R=1.0):
     if g_tilde == "population-gradient":
         id_h1 = np.empty(tape.n_steps)
         for k in range(tape.n_steps):
-            vals = [run[k].trace_pop / tape.b for run in tape.runs]
+            vals = [run[k].trace_pop / cfg.b for run in tape.runs]
             id_h1[k] = float(np.mean(vals))
         with np.errstate(divide="ignore"):
             id_terms = d * np.log(id_h1 / d) - h2s
@@ -323,7 +320,7 @@ def traj_bound_isotropic(tape, g_tilde="zero", R=1.0):
         components["h1_identity_mean"] = float(id_h1.mean())
         components["h1_discrepancy_mean"] = float(np.mean(np.abs(h1s - id_h1)))
     return _report("trajectory-isotropic", roots, flags, components,
-                   tape.n_runs, _tape_setting(tape), R=R,
+                   tape.n_runs, _run_setting(cfg), R=R,
                    g_tilde=g_tilde, per_step_terms=terms,
                    extra_series=extra)
 
@@ -337,8 +334,9 @@ def traj_bound_langevin(tape, g_tilde="zero", R=1.0):
     log(x+1) replaced by x (the looser classical form) is reported as a
     component, and per-step looser terms as an extra series.
     """
-    flags = ["counterfactual-mode"] if tape.mode != "gld" else []
-    flags += _tape_flags(tape)
+    cfg = tape.config
+    flags = ["counterfactual-mode"] if cfg.mode != "gld" else []
+    flags += _trajectory_flags(cfg, tape.any_diverged)
     d = tape.dim
     terms = np.empty(tape.n_steps)
     loose = np.empty(tape.n_steps)
@@ -351,11 +349,11 @@ def traj_bound_langevin(tape, g_tilde="zero", R=1.0):
         x = float(np.mean(vals)) / d
         terms[k] = np.log1p(x)
         loose[k] = x
-    total = tape.scale * float(terms.sum())
+    total = cfg.log_every * float(terms.sum())
     components = {"term_sum": total,
-                  "loose_term_sum": tape.scale * float(loose.sum())}
-    return _report("trajectory-langevin", [d * total / tape.n], flags,
-                   components, tape.n_runs, _tape_setting(tape), R=R,
+                  "loose_term_sum": cfg.log_every * float(loose.sum())}
+    return _report("trajectory-langevin", [d * total / cfg.n], flags,
+                   components, tape.n_runs, _run_setting(cfg), R=R,
                    g_tilde=g_tilde, per_step_terms=terms,
                    extra_series={"loose_per_step_terms": loose})
 
@@ -374,9 +372,10 @@ def traj_bound_anisotropic(tape, R=1.0):
     """
     if not tape.has_population:
         raise ConfigError("anisotropic bound needs a tape built with population=True")
-    flags = _tape_flags(tape)
+    cfg = tape.config
+    flags = _trajectory_flags(cfg, tape.any_diverged)
     d = tape.dim
-    log_b = d * np.log(tape.b)
+    log_b = d * np.log(cfg.b)
 
     def evaluate(scale):
         terms = np.empty(tape.n_steps)
@@ -393,15 +392,15 @@ def traj_bound_anisotropic(tape, R=1.0):
                              - trace_log_diag(c.matrix) - log_b)
             terms[k] = float(np.mean(vals))
             diag_terms[k] = float(np.mean(dvals))
-        total = tape.scale * float(terms.sum())
-        return [total / tape.n], floored, total, terms, diag_terms
+        total = cfg.log_every * float(terms.sum())
+        return [total / cfg.n], floored, total, terms, diag_terms
 
     components = {}
     roots, total, terms, diag_terms = _floor_sensitive(evaluate, flags, components)
     components.update({"term_sum": total,
-                       "diag_term_sum": tape.scale * float(diag_terms.sum())})
+                       "diag_term_sum": cfg.log_every * float(diag_terms.sum())})
     return _report("trajectory-anisotropic", roots, flags, components,
-                   tape.n_runs, _tape_setting(tape), R=R,
+                   tape.n_runs, _run_setting(cfg), R=R,
                    per_step_terms=terms,
                    extra_series={"diag_alignment": diag_terms})
 
@@ -464,11 +463,7 @@ def traj_bound_data_dependent(records, M=1.0):
     if n - 1 <= b:
         raise ConfigError(f"data-dependent bound needs n-1 > b, got n={n}, b={b}")
     d = records[0].final_w.shape[0]
-    flags = []
-    if cfg.log_every > 1:
-        flags.append("approximate-cadence")
-    if any(rec.diverged for rec in records):
-        flags.append("diverged-runs")
+    flags = _trajectory_flags(cfg, any(rec.diverged for rec in records))
     const = (b - 1) * d / (n - 1) ** 2
 
     # terms[scale][r] holds record r's per-step terms at that floor scale.
@@ -671,11 +666,7 @@ def terminal_bound_gradient_accum(records, R=1.0):
     above 1 (rescaled sum) and a nonconstant schedule (largest eta used).
     """
     cfg = _shared_config(records)
-    flags = []
-    if any(rec.diverged for rec in records):
-        flags.append("diverged-runs")
-    if cfg.log_every > 1:
-        flags.append("approximate-cadence")
+    flags = _trajectory_flags(cfg, any(rec.diverged for rec in records))
     etas = {e for _, e in cfg.lr_schedule}
     eta = max(etas)
     if len(etas) > 1:
@@ -703,10 +694,10 @@ def terminal_bound_loo(pairs, M=1.0):
     expectation, and the core is the mean over groups of
     sqrt((b/(2 eta)) * mean ||W_S - W_SJ||^2). Records must be paired: same
     run seed and dataset seed, with the leave-out run trained on fewer
-    examples under the same schedule.
+    examples under the same schedule. The full records must share their
+    config as every record-fed bound's records do; b and eta are read from it.
     """
-    if not pairs:
-        raise ConfigError("need at least one (full, loo) record pair")
+    cfg = _shared_config([full for full, _ in pairs])
     groups = {}
     for full, loo in pairs:
         if loo.config.n >= full.config.n:
@@ -719,7 +710,6 @@ def terminal_bound_loo(pairs, M=1.0):
             raise ConfigError("unpaired runs: batch sizes differ")
         key = (full.dataset.seed, loo.config.n)
         groups.setdefault(key, []).append((full, loo))
-    cfg = pairs[0][0].config
     b = cfg.b
     eta = cfg.lr_at(cfg.steps)
     flags = []

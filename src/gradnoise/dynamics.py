@@ -129,8 +129,12 @@ class TrajectoryRecord:
     tail_weights: np.ndarray | None
     final_w: np.ndarray
     w0: np.ndarray
-    diverged: bool
     diverged_step: int | None
+
+    @property
+    def diverged(self):
+        """Whether the run diverged, at update ``diverged_step``."""
+        return self.diverged_step is not None
 
 
 def sgd_step(problem, w, dataset, batch_indices, eta):
@@ -212,7 +216,6 @@ def _run(config, dataset, oracle):
                               "trace_c", "dist_init", "lambda1", "gap")}
     weights = [] if config.record_weights else None
     tail_weights = []
-    diverged = False
     diverged_step = None
 
     def log_state(t, w, eta):
@@ -260,13 +263,13 @@ def _run(config, dataset, oracle):
             else:  # gld
                 w = gld_step(problem, w, dataset, eta, rng_noise)
             if not np.all(np.isfinite(w)):
-                diverged, diverged_step, w = True, t, prev
+                diverged_step, w = t, prev
                 break
             if t in tails:
                 tail_weights.append(w.copy())
             if t in logged:
                 if not log_state(t, w, eta):
-                    diverged, diverged_step = True, t
+                    diverged_step = t
                     break
 
     return TrajectoryRecord(
@@ -285,7 +288,6 @@ def _run(config, dataset, oracle):
         tail_weights=np.array(tail_weights) if tail_weights else None,
         final_w=w,
         w0=w0,
-        diverged=diverged,
         diverged_step=diverged_step,
     )
 

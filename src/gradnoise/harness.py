@@ -32,6 +32,7 @@ from .problems import (
     MlpSpec,
     QuadraticSpec,
     build_problem,
+    dense_hessian,
     generate_dataset,
     population_oracle_sample,
 )
@@ -98,7 +99,6 @@ class ExperimentConfig:
     ``stationary_modes``).
     """
 
-    spec: object
     train: TrainConfig
     bound_names: tuple = ()
     stationary_modes: tuple = STATIONARY_MODES
@@ -333,11 +333,10 @@ def load_experiment_config(source, seed_override=None, out_override=None):
         raise ConfigError("train config needs exactly one of lr, lr_schedule")
     schedule = (train.pop("lr_schedule") if "lr_schedule" in train
                 else ((1, train.pop("lr")),))
-    spec = _spec(family, problem)
     seeds = {key: top.pop(key) for key in ("seed", "oracle_seed") if key in top}
-    train = _build(TrainConfig, "train", train, spec=spec, lr_schedule=schedule,
-                   **seeds)
-    return ExperimentConfig(spec=spec, train=train, **ensemble, **top)
+    train = _build(TrainConfig, "train", train, spec=_spec(family, problem),
+                   lr_schedule=schedule, **seeds)
+    return ExperimentConfig(train=train, **ensemble, **top)
 
 
 def _fmt(x):
@@ -416,28 +415,22 @@ def cmd_train(config, out_dir=None):
 
 
 def _mean_curves(records):
+    """Mean over ``records`` of each column of their trajectory rows, over
+    the logged steps they all reached."""
     length = min(len(r.steps) for r in records)
-    rows = []
-    for i in range(length):
-        rows.append((
-            int(records[0].steps[i]),
-            float(np.mean([r.train_loss[i] for r in records])),
-            float(np.mean([r.test_loss[i] for r in records])),
-            float(np.mean([r.grad_norm_sq[i] for r in records])),
-            float(np.mean([r.trace_c[i] for r in records])),
-            float(np.mean([r.dist_init[i] for r in records])),
-            float("nan"), float("nan"),
-        ))
-    return rows
+    tables = [list(_trajectory_rows(r))[:length] for r in records]
+    return [(rows[0][0], *(float(np.mean(col)) for col in list(zip(*rows))[1:]))
+            for rows in zip(*tables)]
 
 
 def cmd_compare(config, out_dir=None):
     """Paired SGD vs SDE runs; seed-averaged curves and terminal agreement."""
-    problem = build_problem(config.spec)
-    oracle = population_oracle_sample(config.spec, config.train.oracle_seed)
+    spec = config.train.spec
+    problem = build_problem(spec)
+    oracle = population_oracle_sample(spec, config.train.oracle_seed)
     recs = {"sgd": [], "sde": []}
     for seed in range(config.train.seed, config.train.seed + config.compare_seeds):
-        dataset = generate_dataset(config.spec, seed, config.train.n)
+        dataset = generate_dataset(spec, seed, config.train.n)
         for mode in ("sgd", "sde"):
             cfg = replace(config.train, mode=mode, seed=seed, dataset_seed=seed)
             recs[mode].append(train_run(cfg, dataset, oracle))
@@ -553,26 +546,26 @@ def cmd_bounds_terminal(config, out_dir=None):
 
 def cmd_stationary(config, out_dir=None):
     """Solve the stationary covariance and check it against a long SDE tail."""
-    if not isinstance(config.spec, QuadraticSpec):
+    train = config.train
+    if not isinstance(train.spec, QuadraticSpec):
         raise CapabilityError(
             "the stationary command needs the quadratic family (analytic Hessian)")
-    train = config.train
     if train.tail_checkpoints == 0:
-        d = config.spec.dim
+        d = train.spec.dim
         train = replace(train, tail_checkpoints=max(4 * d, 8), tail_spacing=d)
     train = replace(train, mode="sde")
     record = train_run(train)
     if record.diverged:
         raise GradnoiseError(
             f"stationary run diverged at step {record.diverged_step}")
-    problem = build_problem(config.spec)
+    problem = build_problem(train.spec)
     dataset = record.dataset
     tail = record.tail_weights
     tail_mean = tail.mean(axis=0)
     centered = tail - tail_mean
     empirical = centered.T @ centered / max(tail.shape[0] - 1, 1)
     c = minibatch_gnc(empirical_gnc(problem, tail_mean, dataset), train.n, train.b)
-    h = problem.exact_hessian(tail_mean, dataset.features, dataset.labels)
+    h = dense_hessian(problem, tail_mean, dataset.features, dataset.labels)
     eta = train.lr_at(train.steps)
     result = {"eta": eta, "modes": {}, "empirical": {
         "lambda": [[float(x) for x in row] for row in empirical],

@@ -209,7 +209,6 @@ class QuadraticProblem:
     neither does the gradient-noise covariance (``has_constant_noise``).
     """
 
-    has_exact_hessian = True
     has_accuracy = False
     has_constant_noise = True
 
@@ -238,14 +237,10 @@ class QuadraticProblem:
     def hvp(self, w, features, labels, v):
         return self.hessian_operator(w, features, labels)(v)
 
-    def exact_hessian(self, w, features, labels):
-        return self.a.copy()
-
 
 class LogisticProblem:
     """Binary logistic regression with labels in {0, 1} and optional L2 term."""
 
-    has_exact_hessian = True
     has_accuracy = True
     has_constant_noise = False
 
@@ -278,12 +273,9 @@ class LogisticProblem:
         coef = -sign / (1.0 + np.exp(m))
         return features.T @ coef / len(coef) + self.l2 * w
 
-    def _curvatures(self, w, features):
-        p = 1.0 / (1.0 + np.exp(-(features @ w)))
-        return p * (1.0 - p)
-
     def hessian_operator(self, w, features, labels):
-        r = self._curvatures(w, features)
+        p = 1.0 / (1.0 + np.exp(-(features @ w)))
+        r = p * (1.0 - p)  # per-example curvatures
         n, l2 = len(r), self.l2
 
         def apply(v):
@@ -294,11 +286,6 @@ class LogisticProblem:
 
     def hvp(self, w, features, labels, v):
         return self.hessian_operator(w, features, labels)(v)
-
-    def exact_hessian(self, w, features, labels):
-        r = self._curvatures(w, features)
-        h = (features.T * r) @ features / len(r) + self.l2 * np.eye(self.dim)
-        return (h + h.T) / 2.0
 
     def accuracy(self, w, features, labels):
         return float(np.mean((features @ w > 0).astype(int) == labels))
@@ -326,7 +313,6 @@ class MlpProblem:
     passes and needs no second-order symbolic work.
     """
 
-    has_exact_hessian = False
     has_accuracy = True
     has_constant_noise = False
 
@@ -455,12 +441,8 @@ def build_problem(spec):
 
 
 def dense_hessian(problem, w, features, labels):
-    """Dense Hessian: exact when the problem provides it, else HVP columns.
-
-    The columns come from one Hessian operator built at ``w``.
-    """
-    if problem.has_exact_hessian:
-        return problem.exact_hessian(w, features, labels)
+    """Dense Hessian at ``w``: the symmetrized columns H e_j of one Hessian
+    operator built there (on a quadratic, A itself)."""
     d = problem.dim
     hess = problem.hessian_operator(w, features, labels)
     h = np.empty((d, d))

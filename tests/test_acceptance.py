@@ -206,7 +206,7 @@ def test_criterion_06_anisotropic_never_looser_than_isotropic():
         assert np.all(aniso.per_step_terms <= identity_terms + 1e-12)
 
         def running_cores(terms):
-            sums = np.cumsum(terms) * tape.scale / tape.n
+            sums = np.cumsum(terms) * tape.config.log_every / tape.config.n
             return np.sqrt(np.maximum(sums, 0.0))
 
         assert np.all(running_cores(aniso.per_step_terms)

@@ -63,7 +63,7 @@ def random_spd(rng, d, scale=1.0, min_eig=0.05):
     return (q * (min_eig + scale * rng.random(d))) @ q.T
 
 
-def make_step(grad, raw_gnc, step=1, eta=0.1, pop_grad=None, raw_pop=None,
+def make_step(grad, raw_gnc, step=1, pop_grad=None, raw_pop=None,
               trace_c=None):
     raw = np.asarray(raw_gnc, dtype=float)
     gnc = SpdMatrix.from_matrix(raw)
@@ -71,7 +71,6 @@ def make_step(grad, raw_gnc, step=1, eta=0.1, pop_grad=None, raw_pop=None,
         np.asarray(raw_pop, dtype=float))
     return StepStats(
         step=step,
-        eta=eta,
         grad=np.asarray(grad, dtype=float),
         gnc=gnc,
         trace_c=float(np.trace(raw)) if trace_c is None else float(trace_c),
@@ -81,16 +80,18 @@ def make_step(grad, raw_gnc, step=1, eta=0.1, pop_grad=None, raw_pop=None,
     )
 
 
-def make_tape(runs, n=10, b=1, scale=1, mode="sde", total_steps=None,
-              approximate=False, any_diverged=False):
+def make_tape(runs, n=10, b=1, scale=1, mode="sde", any_diverged=False):
+    """A tape of hand-made steps. Its config logs every ``scale`` updates
+    and runs ``scale`` updates per step at eta 0.1."""
     dim = runs[0][0].grad.shape[0]
-    has_pop = runs[0][0].pop_gnc is not None
+    config = TrainConfig(
+        spec=QuadraticSpec(curvature=1.0, center=np.zeros(dim), scatter=1.0),
+        n=n, b=b, lr_schedule=((1, 0.1),),
+        steps=scale * len(runs[0]), mode=mode, log_every=scale)
     return TrajectoryTape(
-        runs=tuple(tuple(r) for r in runs),
-        n=n, b=b, dim=dim,
-        total_steps=len(runs[0]) if total_steps is None else total_steps,
-        scale=scale, mode=mode, has_population=has_pop,
-        approximate=approximate, any_diverged=any_diverged,
+        runs=tuple(tuple(r) for r in runs), config=config, dim=dim,
+        has_population=runs[0][0].pop_gnc is not None,
+        any_diverged=any_diverged,
     )
 
 
@@ -108,8 +109,8 @@ def quad_config(**overrides):
 
 
 def make_record(config, final_w, w0=None, grad_norm_sq=None, trace_c=None,
-                steps=None, dataset_seed=None, diverged=False, train_loss=0.0,
-                test_loss=0.0):
+                steps=None, dataset_seed=None, diverged_step=None,
+                train_loss=0.0, test_loss=0.0):
     final_w = np.asarray(final_w, dtype=float)
     d = final_w.shape[0]
     if steps is None:
@@ -136,7 +137,7 @@ def make_record(config, final_w, w0=None, grad_norm_sq=None, trace_c=None,
         weights=None, tail_weights=None,
         final_w=final_w,
         w0=np.zeros(d) if w0 is None else np.asarray(w0, dtype=float),
-        diverged=diverged, diverged_step=None,
+        diverged_step=diverged_step,
     )
 
 
@@ -255,7 +256,7 @@ class TestIsotropicTrajectory:
 
     def test_cadence_rescaling_and_flags(self):
         tape = make_tape([[make_step([1.0], [[1.0]])]], n=10, scale=5,
-                         approximate=True, any_diverged=True)
+                         any_diverged=True)
         report = traj_bound_isotropic(tape)
         assert report.core == pytest.approx(np.sqrt(5 * np.log(2.0) / 10.0))
         assert "approximate-cadence" in report.flags
@@ -602,7 +603,7 @@ class TestTapeFromRecords:
         grads = problem.per_example_grads(rec.weights[0], dataset.features,
                                           dataset.labels)
         np.testing.assert_allclose(st0.grad, grads.mean(axis=0), rtol=1e-12)
-        assert st0.eta == 0.1
+        assert tape.config.lr_at(st0.step) == 0.1
         mean = grads.mean(axis=0)
         sigma = grads.T @ grads / cfg.n - np.outer(mean, mean)
         np.testing.assert_allclose(st0.gnc.matrix, sigma, atol=1e-12)  # b=1 factor 1
@@ -615,6 +616,27 @@ def test_record_fed_bounds_reject_mismatched_records(bound, field, values):
     records = [train_run(quad_config(**{field: v})) for v in values]
     with pytest.raises(ConfigError, match="must share"):
         bound(records)
+
+
+def test_trajectory_bounds_share_flags_and_setting():
+    """One record that diverges under a changing schedule, logged every 2
+    updates: the five trajectory bounds raise ``diverged-runs`` and
+    ``approximate-cadence`` in one order and report one run shape, eta at
+    step T (gradient accumulation reports the largest eta, as documented)."""
+    cfg = quad_config(n=20, b=4, steps=400, log_every=2,
+                      lr_schedule=((1, 0.1), (5, 2.5), (300, 0.1)))
+    records = [train_run(cfg)]
+    assert records[0].diverged
+    tape = tape_from_records(records, population=True)
+    reports = [traj_bound_isotropic(tape), traj_bound_langevin(tape),
+               traj_bound_anisotropic(tape), traj_bound_data_dependent(records),
+               terminal_bound_gradient_accum(records)]
+    for rep in reports:
+        assert [f for f in rep.flags if f in ("diverged-runs",
+                                              "approximate-cadence")] == [
+            "diverged-runs", "approximate-cadence"]
+        assert (rep.config["n"], rep.config["b"], rep.config["T"]) == (20, 4, 400)
+    assert [rep.config["eta"] for rep in reports] == [0.1] * 4 + [2.5]
 
 
 class TestTerminalGeneral:
@@ -690,7 +712,8 @@ class TestTerminalGeneral:
     def test_diverged_runs_are_skipped_and_flagged(self):
         runs = manual_ensemble(
             self.cfg, {0: [[-1.0], [1.0]], 1: [[-3.0], [3.0]]})
-        runs += (make_record(self.cfg, [1e9], dataset_seed=0, diverged=True),)
+        runs += (make_record(self.cfg, [1e9], dataset_seed=0,
+                             diverged_step=1),)
         report = terminal_bound_general(runs)
         assert "diverged-runs" in report.flags
         assert report.n_runs_used == 4
@@ -938,6 +961,14 @@ class TestTerminalLoo:
         report = terminal_bound_loo([pair], M=2.0)
         assert report.value == report.core * 2.0
 
+    def test_full_runs_must_share_their_config(self):
+        """Pairs trained at different learning rates are rejected, not read
+        at the first pair's eta."""
+        p1 = self.make_pair([0.1], [0.0], eta=0.1)
+        p2 = self.make_pair([0.2], [0.0], eta=0.2, seed=1)
+        with pytest.raises(ConfigError, match="must share"):
+            terminal_bound_loo([p1, p2])
+
 
 class TestInfluence:
     def two_point_problem(self):
@@ -1029,8 +1060,7 @@ class TestFimTakeuchi:
         for ds in dict.fromkeys(r.dataset.seed for r in ens):
             runs = [r for r in ens if r.dataset.seed == ds]
             w_star = np.mean([r.final_w for r in runs], axis=0)
-            dataset = generate_dataset(cfg.spec, ds, cfg.n)
-            h = problem.exact_hessian(w_star, dataset.features, dataset.labels)
+            h = cfg.spec.curvature  # the quadratic's Hessian, A
             og = problem.per_example_grads(w_star, oracle.features,
                                            oracle.labels)
             f = og.T @ og / len(oracle)

@@ -81,7 +81,7 @@ class TestConfigLoading:
             assert cfg.train.b == 2
             assert cfg.train.lr_schedule == ((1, 0.1),)
             assert cfg.train.log_every == 10
-            np.testing.assert_array_equal(cfg.spec.curvature, np.eye(2))
+            np.testing.assert_array_equal(cfg.train.spec.curvature, np.eye(2))
         assert from_dict.out_dir == from_file.out_dir == "."
 
     @settings(max_examples=60, deadline=None)
@@ -92,7 +92,7 @@ class TestConfigLoading:
         from_dict = load_experiment_config(raw)
         from_file = load_experiment_config(
             write_config(tmp_path_factory.mktemp("cfg"), raw))
-        for a, b in ((from_dict, from_file), (from_dict.spec, from_file.spec),
+        for a, b in ((from_dict, from_file), (from_dict.train.spec, from_file.train.spec),
                      (from_dict.train, from_file.train)):
             for field in dataclasses.fields(a):
                 if field.name not in ("spec", "train"):
@@ -205,7 +205,7 @@ class TestConfigLoading:
             "train": {"n": 10, "b": 2, "lr": 0.1, "steps": 5},
         }
         cfg = load_experiment_config(raw)
-        gap = cfg.spec.mean1 - cfg.spec.mean0
+        gap = cfg.train.spec.mean1 - cfg.train.spec.mean0
         assert np.linalg.norm(gap) == pytest.approx(2.0)
 
     def test_train_constraints_are_config_errors(self):
@@ -401,7 +401,7 @@ class TestTrainCommand:
         problem = {**quad_raw()["problem"], "center": [0, 0, 0]}
         del problem["dim"]
         config = load_experiment_config({**quad_raw(), "problem": problem})
-        assert config.spec.dim == 3
+        assert config.train.spec.dim == 3
 
     @pytest.mark.parametrize("seeds", [0, -1])
     def test_cli_compare_needs_a_seed(self, tmp_path, capsys, seeds):
@@ -475,6 +475,19 @@ class TestCompareCommand:
             assert len(lines) == 1 + 60 // 20 + 1
         on_disk = json.loads((out / "compare_summary.json").read_text())
         assert on_disk["accuracy_abs_diff"] == summary["accuracy_abs_diff"]
+
+    def test_curves_average_every_column(self, tmp_path):
+        """With ``log_lambda1`` the curves carry the seed mean of lambda1 and
+        the gap, like every other column."""
+        cfg = load_experiment_config({**quad_raw(log_lambda1=True),
+                                      "compare_seeds": 2})
+        cmd_compare(cfg, out_dir=tmp_path)
+        lines = (tmp_path / "compare_sgd.csv").read_text().splitlines()[1:]
+        # The quadratic's Hessian is the identity everywhere: lambda1 = 1.
+        for line in lines:
+            lam, gap = map(float, line.split(",")[-2:])
+            assert lam == pytest.approx(1.0, rel=1e-9)
+            assert gap == pytest.approx(2.0 / 0.1 - 1.0, rel=1e-9)
 
 
 class TestBoundsCommands:
@@ -634,10 +647,11 @@ class TestSweepCommand:
             cmd_sweep_n(cfg)
 
 
-def loss_record(train, test, diverged=False, dataset_seed=0):
+def loss_record(train, test, diverged_step=None, dataset_seed=0):
     """A hand-built record whose every logged loss is ``train`` / ``test``."""
     return make_record(quad_config(), [0.0, 0.0], dataset_seed=dataset_seed,
-                       diverged=diverged, train_loss=train, test_loss=test)
+                       diverged_step=diverged_step, train_loss=train,
+                       test_loss=test)
 
 
 class TestGeneralizationEstimate:
@@ -653,7 +667,7 @@ class TestGeneralizationEstimate:
         """A diverged run's losses are those of its last logged state, not
         of W_T, so its gap must not enter the mean."""
         runs = [loss_record(0.2, 0.5), loss_record(0.4, 0.5),
-                loss_record(3.0, 9.0, diverged=True)]
+                loss_record(3.0, 9.0, diverged_step=2)]
         assert estimate_generalization_error(runs) == pytest.approx(0.2)
         with pytest.raises(ConfigError):
             estimate_generalization_error(runs[2:])

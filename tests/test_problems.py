@@ -96,17 +96,32 @@ class TestDerivatives:
         dense_hessian(problem, w, data.features, data.labels)
         assert len(mlp_forward_calls) == 1
 
+    def test_quadratic_dense_hessian_is_the_curvature(self):
+        """The HVP columns of a quadratic reproduce A bit for bit."""
+        spec = quadratic_spec(d=4)
+        problem = build_problem(spec)
+        data = generate_dataset(spec, seed=2, n=5)
+        h = dense_hessian(problem, np.ones(4), data.features, data.labels)
+        np.testing.assert_array_equal(h, spec.curvature)
+
     def test_logistic_exact_hessian_matches_dense(self):
+        """The closed form X^T diag(p (1 - p)) X / n + l2 I against the HVP
+        columns, one by one and as ``dense_hessian``."""
         spec = logistic_spec()
         problem = build_problem(spec)
         data = generate_dataset(spec, seed=3, n=20)
         w = 0.2 * np.ones(spec.dim)
-        h = problem.exact_hessian(w, data.features, data.labels)
+        x = data.features
+        p = 1.0 / (1.0 + np.exp(-(x @ w)))
+        h = (x.T * (p * (1.0 - p))) @ x / len(p) + spec.l2 * np.eye(spec.dim)
         hvp_cols = np.column_stack([
             problem.hvp(w, data.features, data.labels, e)
             for e in np.eye(spec.dim)
         ])
         np.testing.assert_allclose(h, hvp_cols, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            h, dense_hessian(problem, w, data.features, data.labels),
+            rtol=1e-12, atol=1e-14)
 
 
 class TestDatasets:
