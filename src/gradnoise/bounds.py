@@ -43,13 +43,12 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConfigError, NumericalError, StabilityError
-from .gradstats import gnc_from_grads, minibatch_factor
+from .gradstats import empirical_gnc, gnc_from_grads, minibatch_factor, minibatch_gnc
 from .linalg import (
     DEFAULT_FLOOR_ABS,
     SpdMatrix,
     eigenvalue_floor,
     log_det,
-    solve_stationary_covariance,
     trace_log_diag,
 )
 from .problems import build_problem, dense_hessian
@@ -573,9 +572,13 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
     Per dataset seed, at the group-mean terminal weight: dense Hessian H,
     exact-factor mini-batch GNC C_T, and the pooled terminal covariance give
     the term log det H - log det C_T + log det(pooled). Requires the top
-    Hessian eigenvalue to sit strictly below 2/eta (checked per dataset);
-    commutator norms between H and the stationary solve are reported as
-    condition diagnostics.
+    Hessian eigenvalue to sit strictly below 2/eta (checked per dataset).
+    The mean commutator norm ||H Lambda - Lambda H||_F between H and the
+    stationary covariance Lambda of ``linalg.solve_stationary_covariance``
+    is reported as a condition diagnostic. It is read off the eigenpairs of
+    the floored H: with floored eigenvalues lam, eigenvectors Q and
+    C~ = Q^T C_T Q it is ||eta C~_ij (lam_i - lam_j) / (lam_i + lam_j -
+    eta lam_i lam_j)||_F.
     """
     cfg, groups, flags, n_used = _terminal_samples(ensemble)
     if len(groups) == 1:
@@ -599,9 +602,8 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
                 f"{2.0 / eta:.6g} for dataset seed {ds_seed}",
                 eigenvalue=lam_max,
             )
-        grads = problem.per_example_grads(w_star, dataset.features, dataset.labels)
-        sigma, _ = gnc_from_grads(grads)
-        c = SpdMatrix.from_matrix(minibatch_factor(n, b) * sigma)
+        c = SpdMatrix.from_matrix(
+            minibatch_gnc(empirical_gnc(problem, w_star, dataset), n, b))
         per_dataset.append((h, c))
         gaps.append(gap)
 
@@ -618,8 +620,9 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
     roots, ld_pooled, mean_term = _floor_sensitive(evaluate, flags, components)
     commutators = []
     for h, c in per_dataset:
-        lam = solve_stationary_covariance(h.matrix, c.matrix, eta, mode="general")
-        commutators.append(float(np.linalg.norm(h.matrix @ lam - lam @ h.matrix)))
+        lam, q = h.eigenvalues[:, None], h.eigenvectors
+        kernel = (lam - lam.T) / (lam + lam.T - eta * lam * lam.T)
+        commutators.append(float(np.linalg.norm(eta * (q.T @ c.matrix @ q) * kernel)))
     components.update({"mean_term": mean_term, "logdet_pooled": ld_pooled,
                        "commutator_norm_mean": float(np.mean(commutators))})
     return _report("terminal-anisotropic", roots, flags, components, n_used,
@@ -694,20 +697,20 @@ def terminal_bound_loo(pairs, M=1.0):
     expectation, and the core is the mean over groups of
     sqrt((b/(2 eta)) * mean ||W_S - W_SJ||^2). Records must be paired: same
     run seed and dataset seed, with the leave-out run trained on fewer
-    examples under the same schedule. The full records must share their
-    config as every record-fed bound's records do; b and eta are read from it.
+    examples at the same b, step count, schedule and mode. The full records
+    must share their config as every record-fed bound's records do; b and
+    eta are read from it.
     """
     cfg = _shared_config([full for full, _ in pairs])
     groups = {}
     for full, loo in pairs:
         if loo.config.n >= full.config.n:
             raise ConfigError("loo record must be trained on fewer examples")
-        if (full.config.seed != loo.config.seed
-                or full.dataset.seed != loo.dataset.seed):
-            raise ConfigError("unpaired runs: full and loo records must share "
-                              "run seed and dataset seed")
-        if full.config.b != loo.config.b:
-            raise ConfigError("unpaired runs: batch sizes differ")
+        if full.dataset.seed != loo.dataset.seed or any(
+                getattr(full.config, k) != getattr(loo.config, k)
+                for k in ("seed", "b", "steps", "lr_schedule", "mode")):
+            raise ConfigError("unpaired runs: full and loo records must share run "
+                              "seed, dataset seed, b, steps, schedule and mode")
         key = (full.dataset.seed, loo.config.n)
         groups.setdefault(key, []).append((full, loo))
     b = cfg.b

@@ -87,6 +87,8 @@ def _bounds_of(*families):
 
 TRAJ_BOUNDS = _bounds_of("tape", "records")
 TERMINAL_BOUNDS = _bounds_of("ensemble", "pairs")
+# The bounds sweep-n evaluates when the config names none; it takes any of
+# TERMINAL_BOUNDS.
 SWEEP_BOUNDS = _bounds_of("ensemble")
 
 
@@ -424,7 +426,8 @@ def _mean_curves(records):
 
 
 def cmd_compare(config, out_dir=None):
-    """Paired SGD vs SDE runs; seed-averaged curves and terminal agreement."""
+    """Paired SGD vs SDE runs; seed-averaged curves and terminal agreement
+    over each mode's non-diverged runs."""
     spec = config.train.spec
     problem = build_problem(spec)
     oracle = population_oracle_sample(spec, config.train.oracle_seed)
@@ -438,7 +441,12 @@ def cmd_compare(config, out_dir=None):
         "n_seeds": config.compare_seeds,
         "diverged_runs": sum(r.diverged for rs in recs.values() for r in rs),
     }
+    # A diverged run's last losses are those of its last logged state, not
+    # of W_T: every mean below is over the mode's non-diverged runs.
     for mode in ("sgd", "sde"):
+        recs[mode] = [r for r in recs[mode] if not r.diverged]
+        if not recs[mode]:
+            raise GradnoiseError(f"every {mode} run of compare diverged")
         summary[f"terminal_test_loss_{mode}"] = float(
             np.mean([r.test_loss[-1] for r in recs[mode]]))
     summary["test_loss_abs_diff"] = abs(
@@ -510,16 +518,30 @@ def cmd_bounds_traj(config, out_dir=None):
     return reports
 
 
-def _loo_pairs(config):
-    """(full, leave-one-out) record pairs over the seed grid; dataset seed s
-    leaves out example s mod n."""
-    cells, oracle = seed_grid(config.train, config.dataset_seeds, config.run_seeds)
+def _loo_pairs(ensemble):
+    """Each ensemble record paired with its leave-one-out run: the same
+    config on the record's dataset less example s mod n, s its dataset seed."""
     pairs = []
-    for cfg, dataset in cells:
-        subset = [k for k in range(cfg.n) if k != dataset.seed % cfg.n]
-        pairs.append((train_run(cfg, dataset, oracle),
-                      loo_train(cfg, dataset, subset, oracle)))
+    for rec in ensemble:
+        subset = np.delete(np.arange(rec.config.n), rec.dataset.seed % rec.config.n)
+        pairs.append((rec, loo_train(rec.config, rec.dataset, subset, rec.oracle)))
     return pairs
+
+
+def _terminal_reports(config, names):
+    """Reports of the named terminal bounds on one ``run_ensemble`` of
+    ``config.train``, each carrying the ensemble's
+    ``generalization_error_estimate``; ``terminal-loo`` pairs the ensemble's
+    own records with their leave-one-out runs."""
+    ensemble = run_ensemble(config.train, config.dataset_seeds, config.run_seeds)
+    inputs = {"ensemble": ensemble}
+    if "terminal-loo" in names:
+        inputs["pairs"] = _loo_pairs(ensemble)
+    reports = _evaluate_bounds(config, names, inputs)
+    gen = estimate_generalization_error(ensemble)
+    for rep in reports:
+        rep.components["generalization_error_estimate"] = gen
+    return reports
 
 
 def cmd_bounds_terminal(config, out_dir=None):
@@ -528,18 +550,7 @@ def cmd_bounds_terminal(config, out_dir=None):
              if n in TERMINAL_BOUNDS]
     if not names:
         raise ConfigError("no terminal bounds selected")
-    families = {_BOUND_TABLE[name][0] for name in names}
-    inputs = {}
-    if "ensemble" in families:
-        inputs["ensemble"] = run_ensemble(config.train, config.dataset_seeds,
-                                          config.run_seeds)
-    if "pairs" in families:
-        inputs["pairs"] = _loo_pairs(config)
-    reports = _evaluate_bounds(config, names, inputs)
-    if "ensemble" in inputs:
-        gen = estimate_generalization_error(inputs["ensemble"])
-        for rep in reports:
-            rep.components.setdefault("generalization_error_estimate", gen)
+    reports = _terminal_reports(config, names)
     _bounds_outputs(reports, out_dir)
     return reports
 
@@ -591,22 +602,21 @@ def cmd_sweep_n(config, out_dir=None):
     """Sweep the dataset size; one row per (n, bound) plus the measured gap."""
     if not config.sweep_n:
         raise ConfigError("sweep-n needs a nonempty sweep_n list")
-    names = [b for b in (config.bound_names or SWEEP_BOUNDS)]
-    bad = [b for b in names if b not in SWEEP_BOUNDS]
+    names = config.bound_names or SWEEP_BOUNDS
+    bad = [b for b in names if b not in TERMINAL_BOUNDS]
     if bad:
         raise ConfigError(
-            "sweep-n supports ensemble bounds only; unsupported: "
+            "sweep-n supports terminal bounds only; unsupported: "
             + ", ".join(sorted(bad)))
     rows = []
     seeds_used = config.dataset_seeds * config.run_seeds
     for n in config.sweep_n:
-        train = replace(config.train, n=n,
-                        b=min(config.train.b, n))
-        ensemble = run_ensemble(train, config.dataset_seeds, config.run_seeds)
-        gen = estimate_generalization_error(ensemble)
-        reports = _evaluate_bounds(config, names, {"ensemble": ensemble})
+        train = replace(config.train, n=n, b=min(config.train.b, n))
+        reports = _terminal_reports(replace(config, train=train), names)
         for name, rep in zip(names, reports):
-            rows.append((n, name, rep.core, rep.value, gen, seeds_used))
+            rows.append((n, name, rep.core, rep.value,
+                         rep.components["generalization_error_estimate"],
+                         seeds_used))
     if out_dir is not None:
         _write_csv(_out_dir(out_dir) / "sweep.csv",
                    ("n", "bound", "core", "value", "gen_error", "seeds_used"),

@@ -7,6 +7,8 @@ against numpy-only recomputations, the influence estimate against the exact
 leave-one-out minimizer shift on quadratics.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -738,7 +740,7 @@ class TestTerminalAnisotropic:
         grand = all_rows.mean(axis=0)
         pooled = (all_rows - grand).T @ (all_rows - grand) / (len(all_rows) - 1)
         factor = (30 - 3) / (3 * 29)
-        terms = []
+        terms, cs = [], []
         for ds, rows in groups.items():
             w_star = rows.mean(axis=0)
             dataset = generate_dataset(spec, ds, 30)
@@ -747,6 +749,7 @@ class TestTerminalAnisotropic:
             mean = grads.mean(axis=0)
             sigma = grads.T @ grads / 30 - np.outer(mean, mean)
             c = factor * sigma
+            cs.append(c)
             terms.append(np.linalg.slogdet(spec.curvature)[1]
                          - np.linalg.slogdet(c)[1]
                          + np.linalg.slogdet(pooled)[1])
@@ -756,7 +759,15 @@ class TestTerminalAnisotropic:
         expected_core = np.sqrt(np.mean(terms) / (30 * 1.0))
         assert report.core == pytest.approx(expected_core, rel=1e-9)
         assert report.components["min_stability_gap"] > 0
-        assert np.isfinite(report.components["commutator_norm_mean"])
+        # The diagnostic is ||H Lambda - Lambda H||_F with Lambda the general
+        # stationary solve of (H, C_T), here read off H's eigenpairs.
+        commutators = []
+        for c in cs:
+            lam = linalg.solve_stationary_covariance(spec.curvature, c, 1.0)
+            commutators.append(np.linalg.norm(spec.curvature @ lam
+                                              - lam @ spec.curvature))
+        assert report.components["commutator_norm_mean"] == pytest.approx(
+            np.mean(commutators), rel=1e-9)
 
     def test_edge_of_stability_raises(self):
         spec = QuadraticSpec(curvature=1.5, center=np.zeros(1), scatter=1.0,
@@ -955,6 +966,19 @@ class TestTerminalLoo:
             terminal_bound_loo([(full_b2, loo)])
         with pytest.raises(ConfigError):
             terminal_bound_loo([])
+
+    @pytest.mark.parametrize("change", [
+        {"steps": 10}, {"lr_schedule": ((1, 0.3),)}, {"mode": "sde"},
+        {"steps": 10, "lr_schedule": ((1, 0.3),), "mode": "sde"},
+    ])
+    def test_leave_out_run_must_share_the_run_shape(self, change):
+        """A leave-out run trained for another step count, schedule or mode
+        than its full run is rejected, not compared."""
+        full, loo = self.make_pair([0.1], [0.0])
+        loo = dataclasses.replace(
+            loo, config=dataclasses.replace(loo.config, **change))
+        with pytest.raises(ConfigError, match="unpaired"):
+            terminal_bound_loo([(full, loo)])
 
     def test_value_is_core_times_loss_bound(self):
         pair = self.make_pair([0.1], [0.0])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradnoise import dynamics, harness, problems
+from gradnoise import bounds, dynamics, harness, problems
 from gradnoise.dynamics import TrainConfig
 from gradnoise.errors import ConfigError
 from gradnoise.harness import (
@@ -476,6 +476,41 @@ class TestCompareCommand:
         on_disk = json.loads((out / "compare_summary.json").read_text())
         assert on_disk["accuracy_abs_diff"] == summary["accuracy_abs_diff"]
 
+    def test_all_diverged_mode_exits_3_naming_it(self, tmp_path, capsys):
+        """At eta 2.5 > 2/lambda every SGD run diverges: compare fails
+        instead of averaging the losses of their last logged states."""
+        raw = quad_raw(lr_schedule=[[1, 0.1], [20, 2.5]], steps=200)
+        del raw["train"]["lr"]
+        path = write_config(tmp_path, {**raw, "compare_seeds": 3})
+        assert run_cli(["compare", "--config", str(path)]) == 3
+        assert "sgd" in capsys.readouterr().err
+
+    def test_diverged_run_left_out_of_the_means(self, tmp_path, monkeypatch):
+        cfg = load_experiment_config({**quad_raw(), "compare_seeds": 3})
+        records = {"sgd": [], "sde": []}
+        run = harness.train_run
+
+        def train_run(c, *a):
+            rec = run(c, *a)
+            if c.mode == "sgd" and c.seed == 1:
+                rec = dataclasses.replace(rec, diverged_step=5,
+                                          test_loss=rec.test_loss + 1e9,
+                                          steps=rec.steps[:2])
+            records[c.mode].append(rec)
+            return rec
+
+        monkeypatch.setattr(harness, "train_run", train_run)
+        summary = cmd_compare(cfg, out_dir=tmp_path)
+        kept = [r for r in records["sgd"] if not r.diverged]
+        assert len(kept) == 2
+        assert summary["diverged_runs"] == 1
+        assert summary["terminal_test_loss_sgd"] == np.mean(
+            [r.test_loss[-1] for r in kept])
+        lines = (tmp_path / "compare_sgd.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(kept[0].steps)
+        assert float(lines[-1].split(",")[2]) == np.mean(
+            [r.test_loss[-1] for r in kept])
+
     def test_curves_average_every_column(self, tmp_path):
         """With ``log_lambda1`` the curves carry the seed mean of lambda1 and
         the gap, like every other column."""
@@ -535,8 +570,7 @@ class TestBoundsCommands:
         reports = cmd_bounds_terminal(cfg, out_dir=tmp_path)
         assert [r.name for r in reports] == list(TERMINAL_BOUNDS)
         for rep in reports:
-            if rep.name != "terminal-loo":
-                assert "generalization_error_estimate" in rep.components
+            assert "generalization_error_estimate" in rep.components
         payload = json.loads((tmp_path / "bounds.json").read_text())
         assert len(payload) == len(TERMINAL_BOUNDS)
         gen = reports[0].components["generalization_error_estimate"]
@@ -562,10 +596,29 @@ class TestBoundsCommands:
                             for name in ("bounds.json", "bounds.csv")})
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_flat_hessian_direction_exits_0(self, tmp_path):
+        """A Hessian eigenvalue floored at the absolute floor 1e-12 leaves
+        terminal-anisotropic's commutator diagnostic finite: it is read off
+        H's eigenpairs, with no stationary solve whose positivity test such
+        an eigenvalue fails."""
+        path = write_config(tmp_path, {
+            "problem": {"family": "quadratic", "dim": 2,
+                        "curvature": [1e-5, 0], "pop_oracle_size": 300},
+            "train": {"n": 20, "b": 2, "lr": 0.5, "steps": 60, "mode": "sde",
+                      "log_every": 60, "tail_checkpoints": 6, "tail_spacing": 2},
+            "ensemble": {"dataset_seeds": 2, "run_seeds": 2},
+            "bounds": ["terminal-general", "terminal-anisotropic"]})
+        out = tmp_path / "out"
+        assert run_cli(["bounds-terminal", "--config", str(path),
+                        "--out", str(out)]) == 0
+        payload = json.loads((out / "bounds.json").read_text())
+        assert np.isfinite(payload[1]["components"]["commutator_norm_mean"])
+
     def test_ensemble_and_loo_pairs_run_from_the_train_seed(self, monkeypatch):
         """The TrainConfig owns the seeds: with its seed replaced, the
-        ensemble, the full runs and the leave-one-out runs of terminal-loo
-        all start from the new seed."""
+        ensemble and the leave-one-out runs of terminal-loo all start from
+        the new seed, and the full runs of the pairs are the ensemble's own
+        runs, so each cell trains twice."""
         cfg = load_experiment_config({
             "problem": quad_problem(), "train": TERMINAL_TRAIN,
             "ensemble": {"dataset_seeds": 1, "run_seeds": 2},
@@ -576,7 +629,33 @@ class TestBoundsCommands:
         monkeypatch.setattr(dynamics, "_run",
                             lambda c, *a: seeds.append(c.seed) or run(c, *a))
         cmd_bounds_terminal(cfg)
-        assert sorted(seeds) == [5, 5, 5, 6, 6, 6]
+        assert sorted(seeds) == [5, 5, 6, 6]
+
+    def test_loo_report_equals_hand_built_pairs(self):
+        """The terminal-loo report of bounds-terminal is terminal_bound_loo
+        over full runs from train_run and leave-one-out runs from loo_train on
+        the same grid, at the config's own logging cadence."""
+        cfg = load_experiment_config({
+            "problem": quad_problem(), "seed": 3,
+            "train": {**TERMINAL_TRAIN, "log_every": 10}, "ensemble": GRID,
+            "bounds": ["terminal-loo"]})
+        train = cfg.train
+        oracle = problems.population_oracle_sample(train.spec, train.oracle_seed)
+        pairs = []
+        for i in range(GRID["dataset_seeds"]):
+            ds_seed = train.effective_dataset_seed + i
+            dataset = problems.generate_dataset(train.spec, ds_seed, train.n)
+            subset = [k for k in range(train.n) if k != ds_seed % train.n]
+            for j in range(GRID["run_seeds"]):
+                run_cfg = dataclasses.replace(train, dataset_seed=ds_seed,
+                                              seed=train.seed + j)
+                pairs.append((dynamics.train_run(run_cfg, dataset, oracle),
+                              dynamics.loo_train(run_cfg, dataset, subset, oracle)))
+        expected = bounds.report_to_json_dict(bounds.terminal_bound_loo(pairs))
+        report, = cmd_bounds_terminal(cfg)
+        got = bounds.report_to_json_dict(report)
+        assert got["components"].pop("generalization_error_estimate") is not None
+        assert got == expected
 
 
 class TestStationaryCommand:
@@ -629,17 +708,31 @@ class TestSweepCommand:
         assert len(lines) == 5
         assert all(row[5] == 4 for row in rows)
 
-    def test_non_ensemble_bounds_rejected(self):
-        raw = {
+    def sweep_config(self, bound_names):
+        return load_experiment_config({
             "problem": {"family": "quadratic", "dim": 1, "pop_oracle_size": 100},
             "train": {"n": 6, "b": 2, "lr": 0.1, "steps": 5},
             "sweep_n": [4, 6],
-            "bounds": ["terminal-loo"],
-        }
-        cfg = load_experiment_config(raw)
-        with pytest.raises(ConfigError, match="terminal-loo"):
-            cmd_sweep_n(cfg)
+            "bounds": bound_names,
+        })
+
+    def test_terminal_loo_is_swept(self):
+        """Every terminal bound can be swept, terminal-loo included, though
+        it is not among the default SWEEP_BOUNDS."""
+        rows = cmd_sweep_n(self.sweep_config(["terminal-general", "terminal-loo"]))
+        assert [(r[0], r[1]) for r in rows] == [
+            (4, "terminal-general"), (4, "terminal-loo"),
+            (6, "terminal-general"), (6, "terminal-loo")]
+        assert all(np.isfinite(r[2]) for r in rows)
         assert "terminal-loo" not in SWEEP_BOUNDS
+
+    def test_trajectory_bound_rejected_by_name(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_ensemble",
+                            lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match="traj-langevin"):
+            cmd_sweep_n(self.sweep_config(["terminal-general", "traj-langevin"]))
+        assert calls == []
 
     def test_empty_sweep_rejected(self):
         cfg = load_experiment_config(quad_raw())
@@ -702,7 +795,7 @@ class TestDrawCounts:
             "problem": quad_problem(), "train": TERMINAL_TRAIN, "ensemble": GRID,
             "bounds": ["terminal-general", "terminal-anisotropic",
                        "terminal-isotropic", "terminal-loo", "fim-takeuchi"]},
-            2 * (D + 1), id="bounds-terminal-with-loo"),
+            D + 1, id="bounds-terminal-with-loo"),
         pytest.param(cmd_compare, {
             "problem": quad_problem(),
             "train": {"n": 8, "b": 2, "lr": 0.1, "steps": 10},
