@@ -8,6 +8,12 @@ reproducible in isolation. A full-batch configuration (b = n) makes the SDE
 noise covariance identically zero, and sgd/sde trajectories are then
 bit-identical to plain gradient descent; GLD keeps its unit-covariance noise
 regardless of the batch size.
+
+Runs that share a dataset and differ only in their seed (the runs of one
+dataset seed of an ensemble) train together as one (R, d) weight stack: the
+step functions and every family's ``mean_grad`` take the stack, each run
+still draws from its own substreams in its own order, and each run's record
+is bit-identical to that run trained alone. A single run is a group of one.
 """
 
 import math
@@ -138,7 +144,11 @@ class TrajectoryRecord:
 
 
 def sgd_step(problem, w, dataset, batch_indices, eta):
-    """One SGD update: w - eta * (mean gradient over the batch)."""
+    """One SGD update: w - eta * (mean gradient over the batch).
+
+    ``w`` is one weight vector with its (b,) batch, or an (R, d) stack with an
+    (R, b) array whose row r is the batch of row r.
+    """
     idx = np.asarray(batch_indices, dtype=int)
     grad = problem.mean_grad(w, dataset.features[idx], dataset.labels[idx])
     return w - eta * grad
@@ -155,27 +165,40 @@ def _noise_transform(problem, w, dataset, factor):
     return math.sqrt(factor / grads.shape[0]) * (grads - grads.mean(axis=0)).T
 
 
+def _normals(rng, k, w):
+    """k standard normals from ``rng`` for one weight vector ``w``; for an
+    (R, d) stack, ``rng`` holds R generators and row r draws from the r-th."""
+    if w.ndim == 1:
+        return rng.standard_normal(k)
+    return np.array([g.standard_normal(k) for g in rng])
+
+
 def sde_step(problem, w, dataset, eta, rng, noise_sqrt=None):
     """One Euler-Maruyama step: w - eta G + eta F z, z ~ N(0, I_k).
 
     ``noise_sqrt`` is any d x k factor F of the noise covariance, F F^T = C:
     the d x n centered-gradient factor of ``_noise_transform`` or a symmetric
-    root C^{1/2}. The step draws its k = ``noise_sqrt.shape[1]`` normals from
+    root C^{1/2}. The step draws its k = ``noise_sqrt.shape[-1]`` normals from
     ``rng``; callers compute F and may reuse it across steps. ``None`` means
     no noise term (the full-batch covariance is exactly zero): the step is
     then plain gradient descent bit-for-bit and draws nothing from ``rng``.
+    For an (R, d) stack ``w``, ``rng`` holds one generator per row and
+    ``noise_sqrt`` is an (R, d, k) stack of factors.
     """
     grad = problem.mean_grad(w, dataset.features, dataset.labels)
     if noise_sqrt is None:
         return w - eta * grad
-    z = rng.standard_normal(noise_sqrt.shape[1])
-    return w - eta * grad + eta * (noise_sqrt @ z)
+    z = _normals(rng, noise_sqrt.shape[-1], w)
+    return w - eta * grad + eta * np.matmul(noise_sqrt, z[..., None])[..., 0]
 
 
 def gld_step(problem, w, dataset, eta, rng):
-    """One Langevin step with identity noise covariance: w - eta G + eta N."""
+    """One Langevin step with identity noise covariance: w - eta G + eta N.
+
+    For an (R, d) stack ``w``, ``rng`` holds one generator per row.
+    """
     grad = problem.mean_grad(w, dataset.features, dataset.labels)
-    return w - eta * grad + eta * rng.standard_normal(w.shape[0])
+    return w - eta * grad + eta * _normals(rng, w.shape[-1], w)
 
 
 def _initial_weights(config, problem):
@@ -200,39 +223,47 @@ def _tail_steps(config):
             for k in range(config.tail_checkpoints)}
 
 
-def _run(config, dataset, oracle):
-    problem = build_problem(config.spec)
-    n = len(dataset)
-    if n != config.n:
-        raise ConfigError(f"dataset has {n} examples, config expects {config.n}")
-    factor = minibatch_factor(n, config.b)
-    w0 = _initial_weights(config, problem)
-    rng_batch = substream(config.seed, "batch")
-    rng_noise = substream(config.seed, "noise")
+_SERIES = ("steps", "train_loss", "test_loss", "grad_norm_sq", "trace_c",
+          "dist_init", "lambda1", "gap")
 
-    logged = _logged_steps(config.steps, config.log_every)
-    tails = _tail_steps(config)
-    series = {k: [] for k in ("steps", "train_loss", "test_loss", "grad_norm_sq",
-                              "trace_c", "dist_init", "lambda1", "gap")}
-    weights = [] if config.record_weights else None
-    tail_weights = []
-    diverged_step = None
 
-    def log_state(t, w, eta):
+class _Run:
+    """One run of a group: its seed streams, logged series and checkpoints."""
+
+    def __init__(self, config, problem, dataset, oracle, factor):
+        self.config = config
+        self.problem = problem
+        self.dataset = dataset
+        self.oracle = oracle
+        self.factor = factor
+        self.w0 = _initial_weights(config, problem)
+        self.rng_batch = substream(config.seed, "batch")
+        self.rng_noise = substream(config.seed, "noise")
+        self.series = {k: [] for k in _SERIES}
+        self.weights = []
+        self.tail_weights = []
+        self.noise_sqrt = None
+        self.final_w = None
+        self.diverged_step = None
+
+    def log_state(self, t, w, eta):
+        """Log the state at step t; False if its training loss diverged."""
+        config, problem, dataset = self.config, self.problem, self.dataset
         loss = problem.mean_loss(w, dataset.features, dataset.labels)
         if not np.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
             return False
+        series = self.series
         series["steps"].append(t)
         series["train_loss"].append(loss)
         series["test_loss"].append(
-            problem.mean_loss(w, oracle.features, oracle.labels)
+            problem.mean_loss(w, self.oracle.features, self.oracle.labels)
         )
         grads = problem.per_example_grads(w, dataset.features, dataset.labels)
         mean = grads.mean(axis=0)
         series["grad_norm_sq"].append(float(mean @ mean))
         trace_sigma = float(np.mean(np.sum(grads * grads, axis=1)) - mean @ mean)
-        series["trace_c"].append(factor * trace_sigma)
-        series["dist_init"].append(float(np.linalg.norm(w - w0)))
+        series["trace_c"].append(self.factor * trace_sigma)
+        series["dist_init"].append(float(np.linalg.norm(w - self.w0)))
         if config.log_lambda1:
             report = spectral.top_eigenvalue(
                 problem, w, dataset, seed=config.seed, seed_labels=("spectral", t)
@@ -240,56 +271,123 @@ def _run(config, dataset, oracle):
             series["lambda1"].append(report.lambda_1)
             series["gap"].append(spectral.stability_gap(report.lambda_1, eta))
         if config.record_weights:
-            weights.append(w.copy())
+            self.weights.append(w.copy())
         return True
 
+    def stop(self, w, diverged_step=None):
+        self.final_w = w.copy()
+        self.diverged_step = diverged_step
+
+    def record(self):
+        config, series = self.config, self.series
+        return TrajectoryRecord(
+            config=config,
+            dataset=self.dataset,
+            oracle=self.oracle,
+            steps=np.array(series["steps"], dtype=int),
+            train_loss=np.array(series["train_loss"]),
+            test_loss=np.array(series["test_loss"]),
+            grad_norm_sq=np.array(series["grad_norm_sq"]),
+            trace_c=np.array(series["trace_c"]),
+            dist_init=np.array(series["dist_init"]),
+            lambda1=np.array(series["lambda1"]) if config.log_lambda1 else None,
+            gap=np.array(series["gap"]) if config.log_lambda1 else None,
+            weights=np.array(self.weights) if config.record_weights else None,
+            tail_weights=np.array(self.tail_weights) if self.tail_weights else None,
+            final_w=self.final_w,
+            w0=self.w0,
+            diverged_step=self.diverged_step,
+        )
+
+
+def _noise_stack(problem, runs, w, dataset):
+    """The (R, d, n) stack of the runs' noise factors at the rows of ``w``.
+
+    A factor that does not depend on w (``has_constant_noise``) is built once
+    per run, at its first step. Each slice keeps the layout of the run's own
+    factor (a transposed view), so the stacked product is bit-identical to
+    the run's ``F @ z``.
+    """
+    for run, w_run in zip(runs, w):
+        if run.noise_sqrt is None or not problem.has_constant_noise:
+            run.noise_sqrt = _noise_transform(problem, w_run, dataset, run.factor)
+    return np.array([run.noise_sqrt.T for run in runs]).transpose(0, 2, 1)
+
+
+def _run_group(configs, dataset, oracle):
+    """Records of runs whose configs differ only in ``seed``, on one dataset.
+
+    The live runs advance as one (R, d) weight stack: each step is one call
+    of the mode's step function, and every run draws from its own
+    substreams in the order a single run does, so each record is
+    bit-identical to the same config run as a group of one. A run whose
+    weights turn non-finite keeps its previous state and leaves the stack,
+    as does one whose logged training loss diverges; the others go on.
+    """
+    config = configs[0]
+    problem = build_problem(config.spec)
+    n = len(dataset)
+    if n != config.n:
+        raise ConfigError(f"dataset has {n} examples, config expects {config.n}")
+    factor = minibatch_factor(n, config.b)
+    runs = [_Run(cfg, problem, dataset, oracle, factor) for cfg in configs]
+    logged = _logged_steps(config.steps, config.log_every)
+    tails = _tail_steps(config)
+
     eta0 = config.lr_at(1)
-    log_state(0, w0, eta0)
-    w = w0.copy()
+    for run in runs:
+        run.log_state(0, run.w0, eta0)
+    live = runs
+    w = np.array([run.w0 for run in runs])
     noise_sqrt = None
     with np.errstate(all="ignore"):
         for t in range(1, config.steps + 1):
             eta = config.lr_at(t)
-            prev = w
             if config.mode == "sgd":
-                idx = np.sort(rng_batch.choice(n, size=config.b, replace=False))
-                w = sgd_step(problem, w, dataset, idx, eta)
+                idx = np.array([np.sort(run.rng_batch.choice(n, size=config.b,
+                                                             replace=False))
+                                for run in live])
+                new = sgd_step(problem, w, dataset, idx, eta)
             elif config.mode == "sde":
                 if factor != 0.0 and (noise_sqrt is None
                                       or not problem.has_constant_noise):
-                    noise_sqrt = _noise_transform(problem, w, dataset, factor)
-                w = sde_step(problem, w, dataset, eta, rng_noise,
-                             noise_sqrt=noise_sqrt)
+                    noise_sqrt = _noise_stack(problem, live, w, dataset)
+                new = sde_step(problem, w, dataset, eta,
+                               [run.rng_noise for run in live],
+                               noise_sqrt=noise_sqrt)
             else:  # gld
-                w = gld_step(problem, w, dataset, eta, rng_noise)
-            if not np.all(np.isfinite(w)):
-                diverged_step, w = t, prev
-                break
-            if t in tails:
-                tail_weights.append(w.copy())
-            if t in logged:
-                if not log_state(t, w, eta):
-                    diverged_step = t
+                new = gld_step(problem, w, dataset, eta,
+                               [run.rng_noise for run in live])
+            if np.isfinite(new).all() and t not in tails and t not in logged:
+                w = new
+                continue
+            finite = np.isfinite(new).all(axis=1)
+            keep = []
+            for i, run in enumerate(live):
+                if not finite[i]:
+                    run.stop(w[i], diverged_step=t)
+                    continue
+                if t in tails:
+                    run.tail_weights.append(new[i].copy())
+                if t in logged and not run.log_state(t, new[i], eta):
+                    run.stop(new[i], diverged_step=t)
+                    continue
+                keep.append(i)
+            if len(keep) < len(live):
+                live = [live[i] for i in keep]
+                new = new[keep]
+                noise_sqrt = None
+                if not live:
                     break
+            w = new
+    for run, w_run in zip(live, w):
+        run.stop(w_run)
+    return [run.record() for run in runs]
 
-    return TrajectoryRecord(
-        config=config,
-        dataset=dataset,
-        oracle=oracle,
-        steps=np.array(series["steps"], dtype=int),
-        train_loss=np.array(series["train_loss"]),
-        test_loss=np.array(series["test_loss"]),
-        grad_norm_sq=np.array(series["grad_norm_sq"]),
-        trace_c=np.array(series["trace_c"]),
-        dist_init=np.array(series["dist_init"]),
-        lambda1=np.array(series["lambda1"]) if config.log_lambda1 else None,
-        gap=np.array(series["gap"]) if config.log_lambda1 else None,
-        weights=np.array(weights) if config.record_weights else None,
-        tail_weights=np.array(tail_weights) if tail_weights else None,
-        final_w=w,
-        w0=w0,
-        diverged_step=diverged_step,
-    )
+
+def _run(config, dataset, oracle):
+    """The record of one run: the group of one."""
+    return _run_group((config,), dataset, oracle)[0]
 
 
 def train_run(config, dataset=None, oracle=None):
@@ -326,39 +424,34 @@ def loo_train(config, dataset, subset, oracle=None):
     return _run(sub_config, sub, oracle)
 
 
-def seed_grid(config, n_dataset_seeds, n_run_seeds):
-    """The runs of a dataset-seed x run-seed grid and the oracle sample.
+def run_ensemble(config, n_dataset_seeds, n_run_seeds, terminal_only=True):
+    """The runs of a dataset-seed x run-seed grid of ``config``, in grid order.
 
-    Returns ``(cells, oracle)``: ``cells`` lists ``(run config, dataset)`` in
-    grid order, dataset seed ``base + i`` outer (base = the config's dataset
-    seed) and run seed ``config.seed + j`` inner. Each dataset and the oracle
-    are drawn once; every run of a dataset seed shares its dataset object.
+    Dataset seed ``base + i`` is outer (base = the config's dataset seed) and
+    run seed ``config.seed + j`` inner. Each dataset and the population
+    oracle are drawn once, and the runs of one dataset seed train together
+    as one weight stack (see ``_run_group``) and share its dataset object.
+    Every run is bit-identical to ``train_run`` with the same seeds.
+
+    Ensembles are read at their terminal state, so with ``terminal_only``
+    each run logs only its initial and terminal states whatever the config's
+    ``log_every`` (tail checkpoints are captured outside logging). Logging
+    never touches an RNG stream, so the weights do not depend on the
+    cadence, up to divergence: non-finite weights are still caught at every
+    step, but the ``DIVERGENCE_THRESHOLD`` loss test runs only at step T, and
+    a diverged run's last losses are those of its last logged state.
+    ``terminal_only=False`` keeps the config's cadence.
     """
     if n_dataset_seeds < 1 or n_run_seeds < 1:
         raise ConfigError("seed grid must be at least 1 x 1")
+    if terminal_only:
+        config = replace(config, log_every=config.steps)
     base = config.effective_dataset_seed
     oracle = population_oracle_sample(config.spec, config.oracle_seed)
-    cells = []
+    records = []
     for i in range(n_dataset_seeds):
         dataset = generate_dataset(config.spec, base + i, config.n)
-        cells += [(replace(config, dataset_seed=base + i, seed=config.seed + j),
-                   dataset) for j in range(n_run_seeds)]
-    return cells, oracle
-
-
-def run_ensemble(config, n_dataset_seeds, n_run_seeds):
-    """The records of the :func:`seed_grid` runs of ``config``, run one after
-    another in grid order.
-
-    Ensembles are read at their terminal state, so each run logs only its
-    initial and terminal states whatever the config's ``log_every`` (tail
-    checkpoints are captured outside logging). Logging never touches an RNG
-    stream, so every run is bit-identical to ``train_run`` with the same
-    seeds and any cadence, up to divergence: non-finite weights are still
-    caught at every step, but the ``DIVERGENCE_THRESHOLD`` loss test runs
-    only at step T, and a diverged run's last losses are those of its last
-    logged state.
-    """
-    cells, oracle = seed_grid(config, n_dataset_seeds, n_run_seeds)
-    return tuple(_run(replace(cfg, log_every=cfg.steps), dataset, oracle)
-                 for cfg, dataset in cells)
+        records += _run_group(
+            [replace(config, dataset_seed=base + i, seed=config.seed + j)
+             for j in range(n_run_seeds)], dataset, oracle)
+    return tuple(records)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .dynamics import MODES, TrainConfig, loo_train, run_ensemble, seed_grid, train_run
+from .dynamics import MODES, TrainConfig, loo_train, run_ensemble, train_run
 from .errors import CapabilityError, ConfigError, GradnoiseError
 from .gradstats import empirical_gnc, minibatch_gnc
 from .linalg import (
@@ -497,9 +497,10 @@ def _bounds_outputs(reports, out_dir):
 
 
 def _trajectory_records(config):
-    train = replace(config.train, record_weights=True)
-    cells, oracle = seed_grid(train, config.dataset_seeds, config.run_seeds)
-    return [train_run(cfg, dataset, oracle) for cfg, dataset in cells]
+    """The seed grid's runs at the config's cadence, weights recorded."""
+    return run_ensemble(replace(config.train, record_weights=True),
+                        config.dataset_seeds, config.run_seeds,
+                        terminal_only=False)
 
 
 def cmd_bounds_traj(config, out_dir=None):
@@ -608,6 +609,13 @@ def cmd_sweep_n(config, out_dir=None):
         raise ConfigError(
             "sweep-n supports terminal bounds only; unsupported: "
             + ", ".join(sorted(bad)))
+    # Each point clips b to n, and a leave-one-out run needs n - 1 > b:
+    # check every size before the first ensemble trains.
+    short = [n for n in config.sweep_n if n - 1 <= min(config.train.b, n)]
+    if "terminal-loo" in names and short:
+        raise ConfigError(
+            f"sweep_n size n={short[0]} is too small for terminal-loo: its "
+            f"leave-one-out runs need n - 1 > b = {min(config.train.b, short[0])}")
     rows = []
     seeds_used = config.dataset_seeds * config.run_seeds
     for n in config.sweep_n:

@@ -15,6 +15,12 @@ Three families cover the assumption regimes the analysis needs:
   hand-written (backpropagation and its forward-over-reverse directional
   derivative); there is no autodiff anywhere in the package.
 
+Every family's ``mean_grad`` also takes an (R, d) stack of weights, with
+features and labels shared by all rows or stacked per row ((R, m, p) and
+(R, m)), and returns the (R, d) gradients. It computes them with
+``np.matmul`` on stacks whose slices have the layout of the one-vector
+operands, so each row is bit-identical to the gradient of that row alone.
+
 Every family's ``hessian_operator(w, features, labels)`` computes what the
 Hessian at ``w`` needs once and returns the map ``v -> H v``; ``hvp`` is one
 application of it, and callers that apply H many times at one state build
@@ -197,9 +203,9 @@ def population_oracle_sample(spec, seed):
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class QuadraticProblem:
@@ -228,7 +234,7 @@ class QuadraticProblem:
         return (w - features) @ self.a
 
     def mean_grad(self, w, features, labels):
-        return self.a @ (w - features.mean(axis=0))
+        return np.matmul(self.a, (w - features.mean(axis=-2))[..., None])[..., 0]
 
     def hessian_operator(self, w, features, labels):
         a = self.a
@@ -269,9 +275,11 @@ class LogisticProblem:
         return grads
 
     def mean_grad(self, w, features, labels):
-        sign, m = self._margins(w, features, labels)
+        sign = 2.0 * labels - 1.0
+        m = sign * np.matmul(features, w[..., None])[..., 0]
         coef = -sign / (1.0 + np.exp(m))
-        return features.T @ coef / len(coef) + self.l2 * w
+        grad = np.matmul(features.swapaxes(-1, -2), coef[..., None])[..., 0]
+        return grad / coef.shape[-1] + self.l2 * w
 
     def hessian_operator(self, w, features, labels):
         p = 1.0 / (1.0 + np.exp(-(features @ w)))
@@ -376,16 +384,24 @@ class MlpProblem:
         return grads
 
     def mean_grad(self, w, features, labels):
-        w1, b1, w2, b2, pre, hid, logits = self._forward(w, features)
-        _, d_logits = self._backward_seeds(logits, labels)
-        n = features.shape[0]
-        d_logits = d_logits / n
-        d_hid = d_logits @ w2
-        d_pre = (1.0 - hid * hid) * d_hid
-        return self.pack(
-            d_pre.T @ features, d_pre.sum(axis=0),
-            d_logits.T @ hid, d_logits.sum(axis=0),
-        )
+        p, h, k = self.p, self.h, self.k
+        i, j, l = h * p, h * p + h, h * p + h + k * h
+        lead = w.shape[:-1]
+        w1 = w[..., :i].reshape(lead + (h, p))
+        w2 = w[..., j:l].reshape(lead + (k, h))
+        hid = np.tanh(np.matmul(features, w1.swapaxes(-1, -2)) + w[..., None, i:j])
+        d_logits = _softmax(np.matmul(hid, w2.swapaxes(-1, -2)) + w[..., None, l:])
+        # Subtracting the one-hot labels (1.0 or 0.0) is exact, like
+        # subtracting 1.0 at each label, and needs no stacked fancy index.
+        d_logits -= labels[..., None] == np.arange(k)
+        d_logits /= features.shape[-2]
+        d_pre = (1.0 - hid * hid) * np.matmul(d_logits, w2)
+        return np.concatenate([
+            np.matmul(d_pre.swapaxes(-1, -2), features).reshape(lead + (-1,)),
+            d_pre.sum(axis=-2),
+            np.matmul(d_logits.swapaxes(-1, -2), hid).reshape(lead + (-1,)),
+            d_logits.sum(axis=-2),
+        ], axis=-1)
 
     def hessian_operator(self, w, features, labels):
         w1, b1, w2, b2, pre, hid, logits = self._forward(w, features)

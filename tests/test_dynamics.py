@@ -1,6 +1,6 @@
 """Training-loop tests: determinism, mode couplings, divergence, ensembles."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from gradnoise import dynamics
 from gradnoise.bounds import terminal_bound_general
 from gradnoise.dynamics import (
+    DIVERGENCE_THRESHOLD,
+    MODES,
     TrainConfig,
     gld_step,
     loo_train,
@@ -22,6 +24,7 @@ from gradnoise.errors import ConfigError
 from gradnoise.gradstats import empirical_gnc, minibatch_factor, minibatch_gnc
 from gradnoise.linalg import solve_stationary_covariance
 from gradnoise.problems import (
+    Dataset,
     LogisticSpec,
     MlpSpec,
     QuadraticSpec,
@@ -29,6 +32,7 @@ from gradnoise.problems import (
     generate_dataset,
     population_oracle_sample,
 )
+from gradnoise.seeding import substream
 from gradnoise.spectral import top_eigenvalue
 
 
@@ -532,3 +536,170 @@ class TestEnsemble:
         assert all(np.all(np.isfinite(run.final_w)) for run in ens)
         with pytest.raises(ConfigError):
             terminal_bound_general(ens)
+
+
+# Dense curvature and several features per example, so that a stacked
+# product that took another BLAS path than the single run would show in
+# the last bits (an identity curvature hides it).
+FAMILIES = {
+    "quadratic": quad_spec(d=4, a=[[1.0, 0.3, 0.1, 0.0], [0.3, 0.8, 0.2, 0.1],
+                                   [0.1, 0.2, 1.2, 0.3], [0.0, 0.1, 0.3, 0.9]],
+                           scatter=np.diag([1.0, 0.7, 1.3, 0.5])),
+    "logistic": LogisticSpec(dim=4, mean0=-np.full(4, 0.5), mean1=np.full(4, 0.5),
+                             l2=0.01, pop_oracle_size=50),
+    "mlp": MlpSpec(in_dim=3, hidden=4, classes=3, pop_oracle_size=50),
+}
+
+
+def assert_records_identical(got, want):
+    """Every field of two records is bitwise equal (datasets by content)."""
+    for field in fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name in ("dataset", "oracle"):
+            assert a.seed == b.seed and a.spec is b.spec, field.name
+            assert np.array_equal(a.features, b.features), field.name
+            assert np.array_equal(a.labels, b.labels), field.name
+        elif field.name == "config":
+            assert a == b
+        else:
+            assert type(a) is type(b), field.name
+            if a is not None:
+                assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
+                assert np.array_equal(a, b), field.name
+
+
+class TestGroupStepper:
+    """The runs of one dataset seed step as one (R, d) weight stack; every
+    record must equal, bit for bit, the run trained alone."""
+
+    @pytest.mark.parametrize("terminal_only", [True, False],
+                             ids=["terminal", "cadence"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_ensemble_records_equal_standalone_runs(self, family, mode,
+                                                    terminal_only):
+        cfg = base_config(spec=FAMILIES[family], mode=mode, n=40, b=8, steps=24,
+                          seed=7, dataset_seed=30, log_every=5, record_weights=True,
+                          log_lambda1=True, tail_checkpoints=3, tail_spacing=2)
+        ens = run_ensemble(cfg, 2, 3, terminal_only=terminal_only)
+        assert len(ens) == 6 and not any(rec.diverged for rec in ens)
+        assert all(len(rec.steps) == (2 if terminal_only else 6) for rec in ens)
+        for rec in ens:
+            alone = replace(cfg, seed=rec.config.seed,
+                            dataset_seed=rec.dataset.seed,
+                            log_every=24 if terminal_only else 5)
+            assert_records_identical(rec, train_run(alone))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_group_matches_the_one_vector_step_loop(self, family, mode):
+        """Each run of a stacked group reaches the weights that the public
+        step functions give, one weight vector at a time, on its streams."""
+        cfg = base_config(spec=FAMILIES[family], mode=mode, n=40, b=8, steps=24,
+                          seed=7, tail_checkpoints=3, tail_spacing=2)
+        problem = build_problem(cfg.spec)
+        factor = minibatch_factor(cfg.n, cfg.b)
+        for rec in run_ensemble(cfg, 1, 3):
+            w = rec.w0
+            rng_batch = substream(rec.config.seed, "batch")
+            rng_noise = substream(rec.config.seed, "noise")
+            root, tails = None, []
+            for t in range(1, cfg.steps + 1):
+                if mode == "sgd":
+                    idx = np.sort(rng_batch.choice(cfg.n, size=cfg.b,
+                                                   replace=False))
+                    w = sgd_step(problem, w, rec.dataset, idx, 0.1)
+                elif mode == "sde":
+                    if root is None or not problem.has_constant_noise:
+                        root = dynamics._noise_transform(problem, w, rec.dataset,
+                                                         factor)
+                    w = sde_step(problem, w, rec.dataset, 0.1, rng_noise,
+                                 noise_sqrt=root)
+                else:
+                    w = gld_step(problem, w, rec.dataset, 0.1, rng_noise)
+                if t >= 20 and t % 2 == 0:
+                    tails.append(w)
+            assert np.array_equal(rec.final_w, w)
+            assert np.array_equal(rec.tail_weights, tails)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_full_batch_group_draws_no_normals(self, monkeypatch, family):
+        """At b = n the noise factor is 0: the SDE group draws no normals
+        and its runs are the full-batch SGD runs, bit for bit."""
+        draws = []
+        real = dynamics._normals
+        monkeypatch.setattr(dynamics, "_normals",
+                            lambda *a: draws.append(a) or real(*a))
+        cfg = base_config(spec=FAMILIES[family], b=12, mode="sde", steps=20,
+                          tail_checkpoints=2)
+        assert minibatch_factor(cfg.n, cfg.b) == 0.0
+        sde = run_ensemble(cfg, 2, 2)
+        assert draws == []
+        sgd = run_ensemble(replace(cfg, mode="sgd"), 2, 2)
+        for rec, twin in zip(sde, sgd):
+            assert np.array_equal(rec.final_w, twin.final_w)
+            assert np.array_equal(rec.tail_weights, twin.tail_weights)
+            assert_records_identical(rec, train_run(rec.config))
+
+    @staticmethod
+    def outlier_setup(log_every):
+        """SGD with b = 1 on a quadratic whose first direction is unstable
+        (eta a_1 = 102, so the iterate is multiplied by -101 per step) and
+        zero in every example but one. A run keeps w_1 = 0 until it samples
+        that example, then overflows about 153 steps later; six run seeds
+        split into all three outcomes."""
+        spec = QuadraticSpec(curvature=np.diag([102.0, 1.0]), center=np.zeros(2),
+                             scatter=np.diag([0.0, 1.0]), pop_oracle_size=50)
+        features = np.zeros((400, 2))
+        features[:, 1] = np.random.default_rng(0).standard_normal(400)
+        features[7, 0] = 1.0
+        dataset = Dataset(features, np.zeros(400), 0, spec)
+        cfg = TrainConfig(spec=spec, n=400, b=1, lr_schedule=((1, 1.0),),
+                          steps=300, w0=np.zeros(2), log_every=log_every)
+        configs = [replace(cfg, seed=seed) for seed in range(6)]
+        return configs, dataset, population_oracle_sample(spec, 0)
+
+    def test_run_that_diverges_leaves_the_group_alone(self):
+        """Logged at steps 0 and T only: two runs overflow mid-run at
+        different steps and keep their last finite state, one fails the
+        step-T loss test, and the others finish; each equals its run alone."""
+        configs, dataset, oracle = self.outlier_setup(log_every=300)
+        group = dynamics._run_group(configs, dataset, oracle)
+        for rec, cfg in zip(group, configs):
+            assert_records_identical(rec, train_run(cfg, dataset, oracle))
+        problem = build_problem(configs[0].spec)
+        mid = [rec for rec in group if rec.diverged and rec.diverged_step < 300]
+        at_t = [rec for rec in group if rec.diverged_step == 300]
+        assert len({rec.diverged_step for rec in mid}) >= 2
+        assert at_t and any(not rec.diverged for rec in group)
+        for rec in mid + at_t:
+            assert np.all(np.isfinite(rec.final_w))
+            assert list(rec.steps) == [0]
+        for rec in at_t:
+            loss = problem.mean_loss(rec.final_w, dataset.features, dataset.labels)
+            assert loss > DIVERGENCE_THRESHOLD
+        for rec in group:
+            if not rec.diverged:
+                assert list(rec.steps) == [0, 300]
+
+    def test_run_that_fails_a_logged_loss_test_leaves_the_group_alone(self):
+        configs, dataset, oracle = self.outlier_setup(log_every=10)
+        group = dynamics._run_group(configs, dataset, oracle)
+        for rec, cfg in zip(group, configs):
+            assert_records_identical(rec, train_run(cfg, dataset, oracle))
+        mid = [rec for rec in group if rec.diverged and rec.diverged_step < 300]
+        assert mid and any(not rec.diverged for rec in group)
+        assert all(rec.diverged_step % 10 == 0 for rec in mid)
+
+    @pytest.mark.parametrize("mode", ["sde", "gld"])
+    def test_noisy_runs_leave_the_stack_at_their_own_steps(self, mode):
+        """eta a_1 = 4 multiplies the first coordinate by -3 per step; the
+        noise sets when each run overflows. The quadratic's stacked noise
+        factor loses a slice each time a run leaves."""
+        cfg = base_config(spec=quad_spec(a=np.diag([4.0, 1.0])), mode=mode,
+                          lr_schedule=((1, 1.0),), steps=1000)
+        ens = run_ensemble(cfg, 1, 6)
+        steps = {rec.diverged_step for rec in ens}
+        assert None not in steps and len(steps) >= 2
+        for rec in ens:
+            assert_records_identical(rec, train_run(rec.config))

@@ -625,9 +625,10 @@ class TestBoundsCommands:
             "bounds": ["terminal-general", "terminal-loo"]})
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=5))
         seeds = []
-        run = dynamics._run
-        monkeypatch.setattr(dynamics, "_run",
-                            lambda c, *a: seeds.append(c.seed) or run(c, *a))
+        group = dynamics._run_group
+        monkeypatch.setattr(
+            dynamics, "_run_group",
+            lambda cs, *a: seeds.extend(c.seed for c in cs) or group(cs, *a))
         cmd_bounds_terminal(cfg)
         assert sorted(seeds) == [5, 5, 6, 6]
 
@@ -733,6 +734,32 @@ class TestSweepCommand:
         with pytest.raises(ConfigError, match="traj-langevin"):
             cmd_sweep_n(self.sweep_config(["terminal-general", "traj-langevin"]))
         assert calls == []
+
+    def test_loo_size_too_small_exits_before_any_ensemble(
+            self, monkeypatch, tmp_path, capsys):
+        """At n = 6 with b = 8 the point's b is 6, and a leave-one-out run
+        on n - 1 = 5 examples needs 5 > b: the sweep exits 2 naming sweep_n
+        and that n before the n = 20 ensemble trains or a row is written."""
+        raw = {"problem": quad_problem(),
+               "train": {"n": 20, "b": 8, "lr": 0.1, "steps": 5},
+               "sweep_n": [20, 6],
+               "bounds": ["terminal-isotropic", "terminal-loo"]}
+        path, out = tmp_path / "sweep.json", tmp_path / "out"
+        path.write_text(json.dumps(raw))
+        calls = []
+        monkeypatch.setattr(harness, "run_ensemble",
+                            lambda *a, **k: calls.append(a))
+        assert run_cli(["sweep-n", "--config", str(path),
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sweep_n" in err and "n=6" in err
+        assert calls == []
+        assert not (out / "sweep.csv").exists()
+        # Without terminal-loo the same sizes sweep.
+        raw["bounds"] = ["terminal-isotropic"]
+        monkeypatch.undo()
+        rows = cmd_sweep_n(load_experiment_config(raw))
+        assert [r[0] for r in rows] == [20, 6]
 
     def test_empty_sweep_rejected(self):
         cfg = load_experiment_config(quad_raw())

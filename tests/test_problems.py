@@ -74,6 +74,42 @@ class TestDerivatives:
                                    problem.mean_grad(w, data.features, data.labels),
                                    rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("spec", GRAD_SPECS, ids=lambda s: s.family)
+    def test_stacked_mean_grad_rows_equal_single_calls(self, spec):
+        """An (R, d) stack of weights, with shared data or one batch per
+        row, gives each row's own gradient bit for bit."""
+        problem = build_problem(spec)
+        data = generate_dataset(spec, seed=3, n=40)
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal((5, problem.dim)) * 0.5
+        shared = problem.mean_grad(w, data.features, data.labels)
+        assert shared.shape == w.shape
+        idx = np.array([np.sort(rng.choice(40, size=9, replace=False))
+                        for _ in range(5)])
+        batched = problem.mean_grad(w, data.features[idx], data.labels[idx])
+        for r in range(5):
+            assert np.array_equal(
+                shared[r], problem.mean_grad(w[r], data.features, data.labels))
+            assert np.array_equal(batched[r], problem.mean_grad(
+                w[r], data.features[idx[r]], data.labels[idx[r]]))
+
+    def test_one_vector_mean_grad_is_the_plain_formula(self):
+        """The stack-ready forms reduce, for one vector, to the products
+        they replaced: A (w - mean z) and X^T c / m + l2 w."""
+        data = generate_dataset(quadratic_spec(), seed=3, n=40)
+        quad = build_problem(quadratic_spec())
+        w = np.random.default_rng(9).standard_normal(3)
+        assert np.array_equal(quad.mean_grad(w, data.features, data.labels),
+                              quad.a @ (w - data.features.mean(axis=0)))
+        logistic = build_problem(logistic_spec())
+        data = generate_dataset(logistic_spec(), seed=3, n=40)
+        w = np.random.default_rng(9).standard_normal(4)
+        sign = 2.0 * data.labels - 1.0
+        coef = -sign / (1.0 + np.exp(sign * (data.features @ w)))
+        assert np.array_equal(
+            logistic.mean_grad(w, data.features, data.labels),
+            data.features.T @ coef / 40 + logistic.l2 * w)
+
     def test_dense_hessian_matches_hvp_columns_for_mlp(self):
         spec = mlp_spec()
         problem = build_problem(spec)
