@@ -2,12 +2,19 @@
 
 A run is a Markov chain driven entirely by named substreams of the run seed
 (batch sampling from ``(seed, "batch")``, Gaussian noise from
-``(seed, "noise")``, initialization from ``(seed, "init")``), so SGD and SDE
-runs with equal seeds share their batch stream and any single run is exactly
-reproducible in isolation. A full-batch configuration (b = n) makes the SDE
-noise covariance identically zero, and sgd/sde trajectories are then
-bit-identical to plain gradient descent; GLD keeps its unit-covariance noise
-regardless of the batch size.
+``(seed, "noise")``, initialization from ``(seed, "init")``), so any single
+run is exactly reproducible in isolation. A full-batch configuration (b = n)
+makes the SDE noise covariance identically zero, and sgd/sde trajectories are
+then bit-identical to plain gradient descent; GLD keeps its unit-covariance
+noise regardless of the batch size.
+
+The batch stream: an SGD run draws its minibatches ``BATCH_BLOCK`` steps at a
+time from ``(seed, "batch")`` (``_batch_block``). Each row of a block is a
+uniform b-subset of range(n), drawn by Floyd's algorithm vectorized over the
+block's rows, and sorted. Because the block length is fixed, a run's batch
+stream does not depend on ``steps``: a T-step run uses the first T batches
+of any longer run with the same seed. At b = n every batch is
+``arange(n)`` and nothing is drawn.
 
 Runs that share a dataset and differ only in their seed (the runs of one
 dataset seed of an ensemble) train together as one (R, d) weight stack: the
@@ -29,6 +36,9 @@ from .seeding import substream
 
 MODES = ("sgd", "sde", "gld")
 DIVERGENCE_THRESHOLD = 1e12
+# Steps per batch block. Part of the batch stream: changing it changes every
+# SGD run.
+BATCH_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -152,6 +162,32 @@ def sgd_step(problem, w, dataset, batch_indices, eta):
     idx = np.asarray(batch_indices, dtype=int)
     grad = problem.mean_grad(w, dataset.features[idx], dataset.labels[idx])
     return w - eta * grad
+
+
+def _batch_block(rng, n, b):
+    """(BATCH_BLOCK, b) array whose row i is the sorted batch of step i.
+
+    Floyd's algorithm draws a uniform k-subset with k integer draws: for
+    j = n - k, ..., n - 1 take t uniform in [0, j] and add j if t is already
+    chosen, else t. Here each draw is one ``rng.integers`` call over the
+    block's rows, with a (rows, n) membership mask. When 2b > n the k = n - b
+    left-out indices are drawn instead and each batch is the rest of its row,
+    read off the mask in order; at b = n that draws nothing.
+    """
+    rows = np.arange(BATCH_BLOCK)
+    drop = 2 * b > n
+    k = n - b if drop else b
+    mask = np.zeros((BATCH_BLOCK, n), dtype=bool)
+    picks = np.empty((BATCH_BLOCK, k), dtype=np.intp)
+    for col, j in enumerate(range(n - k, n)):
+        t = rng.integers(0, j + 1, size=BATCH_BLOCK)
+        t[mask[rows, t]] = j
+        mask[rows, t] = True
+        picks[:, col] = t
+    if drop:
+        return np.nonzero(~mask)[1].reshape(BATCH_BLOCK, b)
+    picks.sort(axis=1)
+    return picks
 
 
 def _noise_transform(problem, w, dataset, factor):
@@ -339,15 +375,16 @@ def _run_group(configs, dataset, oracle):
         run.log_state(0, run.w0, eta0)
     live = runs
     w = np.array([run.w0 for run in runs])
-    noise_sqrt = None
+    noise_sqrt = batches = None
     with np.errstate(all="ignore"):
         for t in range(1, config.steps + 1):
             eta = config.lr_at(t)
             if config.mode == "sgd":
-                idx = np.array([np.sort(run.rng_batch.choice(n, size=config.b,
-                                                             replace=False))
-                                for run in live])
-                new = sgd_step(problem, w, dataset, idx, eta)
+                row = (t - 1) % BATCH_BLOCK
+                if row == 0:
+                    batches = np.array([_batch_block(run.rng_batch, n, config.b)
+                                        for run in live])
+                new = sgd_step(problem, w, dataset, batches[:, row], eta)
             elif config.mode == "sde":
                 if factor != 0.0 and (noise_sqrt is None
                                       or not problem.has_constant_noise):
@@ -377,6 +414,8 @@ def _run_group(configs, dataset, oracle):
                 live = [live[i] for i in keep]
                 new = new[keep]
                 noise_sqrt = None
+                if batches is not None:
+                    batches = batches[keep]
                 if not live:
                     break
             w = new
@@ -424,14 +463,16 @@ def loo_train(config, dataset, subset, oracle=None):
     return _run(sub_config, sub, oracle)
 
 
-def run_ensemble(config, n_dataset_seeds, n_run_seeds, terminal_only=True):
+def run_ensemble(config, n_dataset_seeds, n_run_seeds, terminal_only=True,
+                 oracle=None):
     """The runs of a dataset-seed x run-seed grid of ``config``, in grid order.
 
     Dataset seed ``base + i`` is outer (base = the config's dataset seed) and
     run seed ``config.seed + j`` inner. Each dataset and the population
-    oracle are drawn once, and the runs of one dataset seed train together
-    as one weight stack (see ``_run_group``) and share its dataset object.
-    Every run is bit-identical to ``train_run`` with the same seeds.
+    oracle are drawn once (the oracle only if ``oracle`` is None, as in
+    ``train_run``), and the runs of one dataset seed train together as one
+    weight stack (see ``_run_group``) and share its dataset object. Every
+    run is bit-identical to ``train_run`` with the same seeds.
 
     Ensembles are read at their terminal state, so with ``terminal_only``
     each run logs only its initial and terminal states whatever the config's
@@ -447,7 +488,8 @@ def run_ensemble(config, n_dataset_seeds, n_run_seeds, terminal_only=True):
     if terminal_only:
         config = replace(config, log_every=config.steps)
     base = config.effective_dataset_seed
-    oracle = population_oracle_sample(config.spec, config.oracle_seed)
+    if oracle is None:
+        oracle = population_oracle_sample(config.spec, config.oracle_seed)
     records = []
     for i in range(n_dataset_seeds):
         dataset = generate_dataset(config.spec, base + i, config.n)

@@ -529,12 +529,14 @@ def _loo_pairs(ensemble):
     return pairs
 
 
-def _terminal_reports(config, names):
+def _terminal_reports(config, names, oracle=None):
     """Reports of the named terminal bounds on one ``run_ensemble`` of
     ``config.train``, each carrying the ensemble's
     ``generalization_error_estimate``; ``terminal-loo`` pairs the ensemble's
-    own records with their leave-one-out runs."""
-    ensemble = run_ensemble(config.train, config.dataset_seeds, config.run_seeds)
+    own records with their leave-one-out runs. ``oracle`` is passed on to
+    ``run_ensemble``."""
+    ensemble = run_ensemble(config.train, config.dataset_seeds, config.run_seeds,
+                            oracle=oracle)
     inputs = {"ensemble": ensemble}
     if "terminal-loo" in names:
         inputs["pairs"] = _loo_pairs(ensemble)
@@ -618,9 +620,11 @@ def cmd_sweep_n(config, out_dir=None):
             f"leave-one-out runs need n - 1 > b = {min(config.train.b, short[0])}")
     rows = []
     seeds_used = config.dataset_seeds * config.run_seeds
+    # The oracle sample does not depend on n: every size shares one draw.
+    oracle = population_oracle_sample(config.train.spec, config.train.oracle_seed)
     for n in config.sweep_n:
         train = replace(config.train, n=n, b=min(config.train.b, n))
-        reports = _terminal_reports(replace(config, train=train), names)
+        reports = _terminal_reports(replace(config, train=train), names, oracle)
         for name, rep in zip(names, reports):
             rows.append((n, name, rep.core, rep.value,
                          rep.components["generalization_error_estimate"],

@@ -1,5 +1,6 @@
 """Training-loop tests: determinism, mode couplings, divergence, ensembles."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -179,6 +180,77 @@ class TestStepFunctions:
                                    atol=4 * eta / np.sqrt(draws))
         np.testing.assert_allclose(np.cov(samples.T), eta * eta * np.eye(2),
                                    atol=6 * eta * eta / np.sqrt(draws / 2.0))
+
+
+class TestBatchStream:
+    """SGD batches come a block of steps at a time from ``(seed, "batch")``."""
+
+    @pytest.mark.parametrize("n, b", [(50, 1), (400, 8), (2000, 1000)])
+    def test_rows_are_sorted_distinct_and_in_range(self, n, b):
+        block = dynamics._batch_block(np.random.default_rng(3), n, b)
+        assert block.shape == (dynamics.BATCH_BLOCK, b)
+        assert np.all((block >= 0) & (block < n))
+        assert np.all(np.diff(block, axis=1) > 0)
+
+    @pytest.mark.parametrize("n, b", [(40, 8), (10, 9), (9, 5)])
+    def test_block_is_floyds_algorithm_row_by_row(self, n, b):
+        """The mask version equals Floyd's algorithm run on one Python set
+        per row, fed the same integer draws."""
+        block = dynamics._batch_block(np.random.default_rng(9), n, b)
+        rng = np.random.default_rng(9)
+        drop = 2 * b > n
+        k = n - b if drop else b
+        draws = [(j, rng.integers(0, j + 1, size=dynamics.BATCH_BLOCK))
+                 for j in range(n - k, n)]
+        for i, row in enumerate(block):
+            chosen = set()
+            for j, t in draws:
+                chosen.add(j if t[i] in chosen else int(t[i]))
+            if drop:
+                chosen = set(range(n)) - chosen
+            assert row.tolist() == sorted(chosen)
+
+    def test_full_batch_is_every_index_and_draws_nothing(self):
+        rng = substream(5, "batch")
+        state = rng.bit_generator.state
+        block = dynamics._batch_block(rng, 12, 12)
+        assert np.array_equal(block, np.tile(np.arange(12), (dynamics.BATCH_BLOCK, 1)))
+        assert rng.bit_generator.state == state
+
+    def test_shorter_run_uses_a_prefix_of_the_longer_runs_batches(self, monkeypatch):
+        """300 and 600 steps straddle different numbers of blocks; the first
+        300 batches, and so the first 300 steps, agree."""
+        batches = []
+        real = dynamics.sgd_step
+
+        def spy(problem, w, dataset, idx, eta):
+            batches[-1].append(np.array(idx))
+            return real(problem, w, dataset, idx, eta)
+
+        monkeypatch.setattr(dynamics, "sgd_step", spy)
+        records = []
+        for steps in (300, 600):
+            batches.append([])
+            records.append(train_run(base_config(n=40, b=8, steps=steps,
+                                                 log_every=10,
+                                                 record_weights=True)))
+        short, long = batches
+        assert len(short) == 300 and len(long) == 600
+        assert all(np.array_equal(a, b) for a, b in zip(short, long))
+        assert np.array_equal(records[0].train_loss, records[1].train_loss[:31])
+        assert np.array_equal(records[0].final_w, records[1].weights[30])
+
+    # 99.9% quantiles of chi-square with C(6, b) - 1 degrees of freedom:
+    # 19 for b = 3 (the direct draw), 14 for b = 4 (the left-out draw).
+    @pytest.mark.parametrize("b, threshold", [(3, 43.82), (4, 36.12)])
+    def test_every_subset_is_equally_likely(self, b, threshold):
+        rng = np.random.default_rng(20)
+        rows = np.concatenate([dynamics._batch_block(rng, 6, b) for _ in range(40)])
+        _, counts = np.unique(rows, axis=0, return_counts=True)
+        subsets = math.comb(6, b)
+        assert len(counts) == subsets
+        expected = len(rows) / subsets
+        assert np.sum((counts - expected) ** 2 / expected) < threshold
 
 
 class TestTrainRun:
@@ -606,9 +678,10 @@ class TestGroupStepper:
             root, tails = None, []
             for t in range(1, cfg.steps + 1):
                 if mode == "sgd":
-                    idx = np.sort(rng_batch.choice(cfg.n, size=cfg.b,
-                                                   replace=False))
-                    w = sgd_step(problem, w, rec.dataset, idx, 0.1)
+                    row = (t - 1) % dynamics.BATCH_BLOCK
+                    if row == 0:
+                        block = dynamics._batch_block(rng_batch, cfg.n, cfg.b)
+                    w = sgd_step(problem, w, rec.dataset, block[row], 0.1)
                 elif mode == "sde":
                     if root is None or not problem.has_constant_noise:
                         root = dynamics._noise_transform(problem, w, rec.dataset,

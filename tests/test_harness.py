@@ -727,6 +727,24 @@ class TestSweepCommand:
         assert all(np.isfinite(r[2]) for r in rows)
         assert "terminal-loo" not in SWEEP_BOUNDS
 
+    def test_oracle_is_drawn_once_for_every_size(self, monkeypatch):
+        """The oracle sample does not depend on n: a three-size sweep, with
+        leave-one-out runs, draws it once."""
+        calls = []
+        real = problems.population_oracle_sample
+        for module in (harness, dynamics):
+            monkeypatch.setattr(module, "population_oracle_sample",
+                                lambda *a: calls.append(a) or real(*a))
+        cfg = load_experiment_config({
+            "problem": {"family": "quadratic", "dim": 1, "pop_oracle_size": 100},
+            "train": {"n": 6, "b": 2, "lr": 0.1, "steps": 5},
+            "sweep_n": [4, 5, 6],
+            "bounds": ["terminal-general", "terminal-loo"],
+        })
+        rows = cmd_sweep_n(cfg)
+        assert len(calls) == 1
+        assert [r[0] for r in rows] == [4, 4, 5, 5, 6, 6]
+
     def test_trajectory_bound_rejected_by_name(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "run_ensemble",

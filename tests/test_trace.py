@@ -1,4 +1,4 @@
-"""The benchmark's traced mode still reaches every bound and the SDE step.
+"""The benchmark's traced mode still reaches every bound and the step loop.
 
 ``perfbench/tracer.py`` wraps functions by rebinding module attributes, so a
 renamed traced function, or a dispatch path that holds a function object the
@@ -49,9 +49,8 @@ def _summarize(spans):
     return tracer.summarize(spans)
 
 
-@pytest.mark.parametrize("command", sorted(CASES))
-def test_traced_run_reaches_every_bound(command, tmp_path):
-    config, functions = CASES[command]
+def _traced_metrics(command, config, tmp_path):
+    """Per-layer metrics of one traced ``child.py`` run of ``command``."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     result_path, spans = tmp_path / "result.json", tmp_path / "spans.npz"
@@ -63,7 +62,13 @@ def test_traced_run_reaches_every_bound(command, tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(result_path.read_text())["exit_code"] == 0, proc.stderr
-    metrics = _summarize(spans)
+    return _summarize(spans)
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_traced_run_reaches_every_bound(command, tmp_path):
+    config, functions = CASES[command]
+    metrics = _traced_metrics(command, config, tmp_path)
     for name in functions:
         assert metrics[f"bounds.{name}.calls"] >= 1, name
     assert metrics["dynamics.sde_step.calls"] >= 1
@@ -73,3 +78,15 @@ def test_traced_run_reaches_every_bound(command, tmp_path):
     missing = {s["name"] for s in bench["per_layer"]} - set(metrics) - {
         "harness.output_bytes", "trace.overhead_s"}
     assert not missing, sorted(missing)
+
+
+def test_traced_sgd_run_reaches_the_step_loop(tmp_path):
+    """An SGD train run passes through the wrapped ``_run`` and
+    ``sgd_step``, and each step's ``mean_grad``."""
+    config = {"problem": QUAD,
+              "train": {"n": 8, "b": 2, "lr": 0.1, "steps": 5, "log_every": 5}}
+    metrics = _traced_metrics("train", config, tmp_path)
+    assert metrics["dynamics.run.calls"] == 1
+    assert metrics["dynamics.sgd_step.calls"] == 5
+    assert metrics["problems.mean_grad.calls"] >= 5
+    assert metrics["dynamics.updates"] == 5
