@@ -16,11 +16,19 @@ stream does not depend on ``steps``: a T-step run uses the first T batches
 of any longer run with the same seed. At b = n every batch is
 ``arange(n)`` and nothing is drawn.
 
-Runs that share a dataset and differ only in their seed (the runs of one
-dataset seed of an ensemble) train together as one (R, d) weight stack: the
-step functions and every family's ``mean_grad`` take the stack, each run
-still draws from its own substreams in its own order, and each run's record
-is bit-identical to that run trained alone. A single run is a group of one.
+The noise stream: an SDE or GLD run draws the k standard normals of each
+step (k = n for the SDE's centered-gradient factor, k = d for GLD) from
+``(seed, "noise")``, ``NOISE_BLOCK`` steps at a time as one (NOISE_BLOCK, k)
+draw (``_noise_block``). Such a draw equals NOISE_BLOCK draws of k normals
+bit for bit, so the block length is not part of the stream. An SDE run with
+a zero noise factor (b = n) draws nothing.
+
+The runs of a seed grid (an ensemble's dataset seeds x run seeds) train
+together as one (R, d) weight stack, whatever their datasets: row r steps on
+its own run's dataset, the step functions and every family's ``mean_grad``
+take the stack, each run still draws from its own substreams in its own
+order, and each run's record is bit-identical to that run trained alone. A
+single run is a group of one.
 """
 
 import math
@@ -39,6 +47,10 @@ DIVERGENCE_THRESHOLD = 1e12
 # Steps per batch block. Part of the batch stream: changing it changes every
 # SGD run.
 BATCH_BLOCK = 256
+# Steps per noise block. Not part of the noise stream (see the module
+# docstring), so it is sized for memory: a grid holds R x NOISE_BLOCK x k
+# normals at once.
+NOISE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -157,11 +169,18 @@ def sgd_step(problem, w, dataset, batch_indices, eta):
     """One SGD update: w - eta * (mean gradient over the batch).
 
     ``w`` is one weight vector with its (b,) batch, or an (R, d) stack with an
-    (R, b) array whose row r is the batch of row r.
+    (R, b) array whose row r is the batch of row r. For a stack, ``dataset``
+    is one dataset that every row draws from, or a stack of R datasets
+    ((R, n, p) features, (R, n) labels) whose row r is that of row r.
     """
     idx = np.asarray(batch_indices, dtype=int)
-    grad = problem.mean_grad(w, dataset.features[idx], dataset.labels[idx])
-    return w - eta * grad
+    features, labels = dataset.features, dataset.labels
+    if labels.ndim == 2:
+        rows = np.arange(idx.shape[0])[:, None]
+        features, labels = features[rows, idx], labels[rows, idx]
+    else:
+        features, labels = features[idx], labels[idx]
+    return w - eta * problem.mean_grad(w, features, labels)
 
 
 def _batch_block(rng, n, b):
@@ -201,40 +220,39 @@ def _noise_transform(problem, w, dataset, factor):
     return math.sqrt(factor / grads.shape[0]) * (grads - grads.mean(axis=0)).T
 
 
-def _normals(rng, k, w):
-    """k standard normals from ``rng`` for one weight vector ``w``; for an
-    (R, d) stack, ``rng`` holds R generators and row r draws from the r-th."""
-    if w.ndim == 1:
-        return rng.standard_normal(k)
-    return np.array([g.standard_normal(k) for g in rng])
+def _noise_block(rng, k):
+    """(NOISE_BLOCK, k) standard normals from ``rng``: row i holds the k
+    normals of step i, bit-identical to NOISE_BLOCK draws of k normals."""
+    return rng.standard_normal((NOISE_BLOCK, k))
 
 
-def sde_step(problem, w, dataset, eta, rng, noise_sqrt=None):
-    """One Euler-Maruyama step: w - eta G + eta F z, z ~ N(0, I_k).
+def sde_step(problem, w, dataset, eta, z, noise_sqrt=None):
+    """One Euler-Maruyama step: w - eta G + eta F z, with z ~ N(0, I_k).
 
     ``noise_sqrt`` is any d x k factor F of the noise covariance, F F^T = C:
     the d x n centered-gradient factor of ``_noise_transform`` or a symmetric
-    root C^{1/2}. The step draws its k = ``noise_sqrt.shape[-1]`` normals from
-    ``rng``; callers compute F and may reuse it across steps. ``None`` means
-    no noise term (the full-batch covariance is exactly zero): the step is
-    then plain gradient descent bit-for-bit and draws nothing from ``rng``.
-    For an (R, d) stack ``w``, ``rng`` holds one generator per row and
-    ``noise_sqrt`` is an (R, d, k) stack of factors.
+    root C^{1/2}. ``z`` holds the step's k = ``noise_sqrt.shape[-1]``
+    standard normals; callers draw them and compute F, and may reuse F
+    across steps. ``noise_sqrt=None`` means no noise term (the full-batch
+    covariance is exactly zero): the step is then plain gradient descent
+    bit-for-bit and ``z`` is ignored. For an (R, d) stack ``w``, ``z`` is
+    (R, k), ``noise_sqrt`` an (R, d, k) stack of factors and ``dataset`` one
+    dataset or a stack of R datasets, as in ``sgd_step``.
     """
     grad = problem.mean_grad(w, dataset.features, dataset.labels)
     if noise_sqrt is None:
         return w - eta * grad
-    z = _normals(rng, noise_sqrt.shape[-1], w)
     return w - eta * grad + eta * np.matmul(noise_sqrt, z[..., None])[..., 0]
 
 
-def gld_step(problem, w, dataset, eta, rng):
-    """One Langevin step with identity noise covariance: w - eta G + eta N.
+def gld_step(problem, w, dataset, eta, z):
+    """One Langevin step with identity noise covariance: w - eta G + eta z.
 
-    For an (R, d) stack ``w``, ``rng`` holds one generator per row.
+    ``z`` holds the step's standard normals, shaped like ``w``; for an (R, d)
+    stack ``dataset`` is one dataset or a stack of R datasets.
     """
     grad = problem.mean_grad(w, dataset.features, dataset.labels)
-    return w - eta * grad + eta * _normals(rng, w.shape[-1], w)
+    return w - eta * grad + eta * z
 
 
 def _initial_weights(config, problem):
@@ -336,7 +354,7 @@ class _Run:
         )
 
 
-def _noise_stack(problem, runs, w, dataset):
+def _noise_stack(problem, runs, w):
     """The (R, d, n) stack of the runs' noise factors at the rows of ``w``.
 
     A factor that does not depend on w (``has_constant_noise``) is built once
@@ -346,55 +364,76 @@ def _noise_stack(problem, runs, w, dataset):
     """
     for run, w_run in zip(runs, w):
         if run.noise_sqrt is None or not problem.has_constant_noise:
-            run.noise_sqrt = _noise_transform(problem, w_run, dataset, run.factor)
+            run.noise_sqrt = _noise_transform(problem, w_run, run.dataset,
+                                              run.factor)
     return np.array([run.noise_sqrt.T for run in runs]).transpose(0, 2, 1)
 
 
-def _run_group(configs, dataset, oracle):
-    """Records of runs whose configs differ only in ``seed``, on one dataset.
+def _dataset_stack(runs, spec):
+    """The runs' datasets as one stack: (R, n, p) features, (R, n) labels."""
+    return Dataset(np.array([run.dataset.features for run in runs]),
+                   np.array([run.dataset.labels for run in runs]), None, spec)
 
-    The live runs advance as one (R, d) weight stack: each step is one call
-    of the mode's step function, and every run draws from its own
-    substreams in the order a single run does, so each record is
+
+def _run_group(configs, datasets, oracle):
+    """Records of runs whose configs differ only in their seeds; run i
+    trains on ``datasets[i]``.
+
+    The live runs advance as one (R, d) weight stack over the stack of their
+    datasets: each step is one call of the mode's step function. Every run
+    draws its batches or normals a block of steps at a time from its own
+    substreams, in the order a single run does, so each record is
     bit-identical to the same config run as a group of one. A run whose
     weights turn non-finite keeps its previous state and leaves the stack,
     as does one whose logged training loss diverges; the others go on.
     """
     config = configs[0]
     problem = build_problem(config.spec)
-    n = len(dataset)
-    if n != config.n:
-        raise ConfigError(f"dataset has {n} examples, config expects {config.n}")
+    n = config.n
+    for dataset in datasets:
+        if len(dataset) != n:
+            raise ConfigError(f"dataset has {len(dataset)} examples, "
+                              f"config expects {n}")
     factor = minibatch_factor(n, config.b)
-    runs = [_Run(cfg, problem, dataset, oracle, factor) for cfg in configs]
+    runs = [_Run(cfg, problem, dataset, oracle, factor)
+            for cfg, dataset in zip(configs, datasets)]
     logged = _logged_steps(config.steps, config.log_every)
     tails = _tail_steps(config)
+    # What a step draws: each live run's block of it comes every ``span``
+    # steps (nothing for a full-batch SDE group).
+    if config.mode == "sgd":
+        span, draw = BATCH_BLOCK, lambda run: _batch_block(run.rng_batch, n, config.b)
+    elif config.mode == "gld" or factor != 0.0:
+        k = problem.dim if config.mode == "gld" else n
+        span, draw = NOISE_BLOCK, lambda run: _noise_block(run.rng_noise, k)
+    else:
+        span = draw = None
 
     eta0 = config.lr_at(1)
     for run in runs:
         run.log_state(0, run.w0, eta0)
     live = runs
     w = np.array([run.w0 for run in runs])
-    noise_sqrt = batches = None
+    data = _dataset_stack(live, config.spec)
+    noise_sqrt = block = drawn = None
     with np.errstate(all="ignore"):
         for t in range(1, config.steps + 1):
             eta = config.lr_at(t)
-            if config.mode == "sgd":
-                row = (t - 1) % BATCH_BLOCK
+            if draw is not None:
+                row = (t - 1) % span
                 if row == 0:
-                    batches = np.array([_batch_block(run.rng_batch, n, config.b)
-                                        for run in live])
-                new = sgd_step(problem, w, dataset, batches[:, row], eta)
+                    block = np.array([draw(run) for run in live])
+                drawn = block[:, row]
+            if config.mode == "sgd":
+                new = sgd_step(problem, w, data, drawn, eta)
             elif config.mode == "sde":
                 if factor != 0.0 and (noise_sqrt is None
                                       or not problem.has_constant_noise):
-                    noise_sqrt = _noise_stack(problem, live, w, dataset)
-                new = sde_step(problem, w, dataset, eta,
-                               [run.rng_noise for run in live],
+                    noise_sqrt = _noise_stack(problem, live, w)
+                new = sde_step(problem, w, data, eta, drawn,
                                noise_sqrt=noise_sqrt)
             else:  # gld
-                new = gld_step(problem, w, dataset, eta,
-                               [run.rng_noise for run in live])
+                new = gld_step(problem, w, data, eta, drawn)
             if np.isfinite(new).all() and t not in tails and t not in logged:
                 w = new
                 continue
@@ -412,12 +451,13 @@ def _run_group(configs, dataset, oracle):
                 keep.append(i)
             if len(keep) < len(live):
                 live = [live[i] for i in keep]
-                new = new[keep]
-                noise_sqrt = None
-                if batches is not None:
-                    batches = batches[keep]
                 if not live:
                     break
+                new = new[keep]
+                data = _dataset_stack(live, config.spec)
+                noise_sqrt = None
+                if block is not None:
+                    block = block[keep]
             w = new
     for run, w_run in zip(live, w):
         run.stop(w_run)
@@ -426,7 +466,7 @@ def _run_group(configs, dataset, oracle):
 
 def _run(config, dataset, oracle):
     """The record of one run: the group of one."""
-    return _run_group((config,), dataset, oracle)[0]
+    return _run_group((config,), (dataset,), oracle)[0]
 
 
 def train_run(config, dataset=None, oracle=None):
@@ -470,9 +510,9 @@ def run_ensemble(config, n_dataset_seeds, n_run_seeds, terminal_only=True,
     Dataset seed ``base + i`` is outer (base = the config's dataset seed) and
     run seed ``config.seed + j`` inner. Each dataset and the population
     oracle are drawn once (the oracle only if ``oracle`` is None, as in
-    ``train_run``), and the runs of one dataset seed train together as one
-    weight stack (see ``_run_group``) and share its dataset object. Every
-    run is bit-identical to ``train_run`` with the same seeds.
+    ``train_run``), the runs of one dataset seed share its dataset object,
+    and the whole grid trains as one weight stack (see ``_run_group``).
+    Every run is bit-identical to ``train_run`` with the same seeds.
 
     Ensembles are read at their terminal state, so with ``terminal_only``
     each run logs only its initial and terminal states whatever the config's
@@ -490,10 +530,11 @@ def run_ensemble(config, n_dataset_seeds, n_run_seeds, terminal_only=True,
     base = config.effective_dataset_seed
     if oracle is None:
         oracle = population_oracle_sample(config.spec, config.oracle_seed)
-    records = []
+    configs, datasets = [], []
     for i in range(n_dataset_seeds):
         dataset = generate_dataset(config.spec, base + i, config.n)
-        records += _run_group(
-            [replace(config, dataset_seed=base + i, seed=config.seed + j)
-             for j in range(n_run_seeds)], dataset, oracle)
-    return tuple(records)
+        for j in range(n_run_seeds):
+            configs.append(replace(config, dataset_seed=base + i,
+                                   seed=config.seed + j))
+            datasets.append(dataset)
+    return tuple(_run_group(configs, datasets, oracle))

@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve end-to-end checks with frozen tolerances.
+"""Acceptance suite: thirteen end-to-end checks with frozen tolerances.
 
 Each test wraps its assertions in the ``criterion`` context manager, which
 prints one pass/fail line immediately and registers it for the terminal
@@ -405,3 +405,54 @@ def test_criterion_12_influence_small_vs_large_n():
         true_shift = data_big.features[keep].mean(axis=0) - w_star
         np.testing.assert_allclose(est_big * n / (n - 1), true_shift,
                                    atol=1e-6)
+
+
+# Criterion 8's quadratic at eta in {0.5, 1} and b in {1, 5}: the analytic
+# (general, anisotropic) cores, frozen as criterion 8 freezes its own.
+ANISOTROPIC_STEP_SIZE_ANCHORS = {
+    (0.5, 1): (0.20808, 0.20853),
+    (0.5, 5): (0.29603, 0.29635),
+    (1.0, 1): (0.16966, 0.17077),
+    (1.0, 5): (0.26127, 0.26200),
+}
+
+
+def test_criterion_13_anisotropic_bound_holds_away_from_eta_2():
+    with criterion(13, "terminal bounds agree at step sizes other than 2",
+                   120.0):
+        a = np.array([0.02, 0.025, 0.03])
+        s = np.array([1.0, 0.8, 1.2])
+        n, d = 50, 3
+        spec = QuadraticSpec(curvature=np.diag(a), center=np.zeros(3),
+                             scatter=np.diag(s), pop_oracle_size=4000)
+        h = np.diag(a)
+        for (eta, b), (frozen_general, frozen_aniso) in (
+                ANISOTROPIC_STEP_SIZE_ANCHORS.items()):
+            c = minibatch_factor(n, b) * np.diag(a * s * a)
+            lam_s = solve_stationary_covariance(h, c, eta, mode="general")
+            lam_mu = np.diag(s / n) + lam_s
+            analytic_general = np.sqrt(
+                (np.linalg.slogdet(lam_mu)[1] - np.linalg.slogdet(lam_s)[1])
+                / (2 * n))
+            analytic_aniso = np.sqrt(
+                (np.linalg.slogdet(h)[1] - np.linalg.slogdet(c)[1]
+                 + np.linalg.slogdet(lam_mu)[1] + d * np.log(2 / eta))
+                / (2 * n))
+            assert analytic_general == pytest.approx(frozen_general, abs=5e-5)
+            assert analytic_aniso == pytest.approx(frozen_aniso, abs=5e-5)
+
+            # Criterion 8's run, its steps, burn-in and tail spacing
+            # stretched by 2 / eta so that the tail spans as many
+            # relaxation times.
+            stretch = round(2 / eta)
+            cfg = TrainConfig(spec=spec, n=n, b=b, lr_schedule=((1, eta),),
+                              steps=600 * stretch, mode="sde", seed=4,
+                              burn_in=300 * stretch, tail_checkpoints=40,
+                              tail_spacing=3 * stretch)
+            ensemble = run_ensemble(cfg, 16, 16)
+            measured_general = terminal_bound_general(ensemble).core
+            measured_aniso = terminal_bound_anisotropic(ensemble).core
+            assert (abs(measured_general - measured_aniso) / measured_general
+                    <= 0.15), (eta, b, measured_general, measured_aniso)
+            assert (abs(measured_aniso - analytic_aniso) / analytic_aniso
+                    <= 0.15), (eta, b, measured_aniso, analytic_aniso)

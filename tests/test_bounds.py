@@ -756,8 +756,12 @@ class TestTerminalAnisotropic:
         assert np.mean(terms) > 0  # the config was chosen to keep this positive
         assert report.components["mean_term"] == pytest.approx(np.mean(terms),
                                                                rel=1e-9)
-        expected_core = np.sqrt(np.mean(terms) / (30 * 1.0))
+        # The continuous-time constant d log(2 / eta) over 2n; the discrete
+        # chain's sum_i log(1 - eta lam_i / 2) is reported, not added.
+        expected_core = np.sqrt((np.mean(terms) + 2 * np.log(2 / 1.0)) / (2 * 30))
         assert report.core == pytest.approx(expected_core, rel=1e-9)
+        assert report.components["discretization_correction"] == pytest.approx(
+            np.log(1 - 0.8 / 2) + np.log(1 - 1.2 / 2), rel=1e-12)
         assert report.components["min_stability_gap"] > 0
         # The diagnostic is ||H Lambda - Lambda H||_F with Lambda the general
         # stationary solve of (H, C_T), here read off H's eigenpairs.

@@ -116,16 +116,14 @@ class TestStepFunctions:
 
     def test_sde_step_without_noise_root_is_gradient_descent(self):
         """``noise_sqrt=None`` means no noise term: the step is w - eta G
-        bit-for-bit and draws nothing from the rng. The diffusion is covered
+        bit-for-bit whatever normals it is given. The diffusion is covered
         by the supplied-transform test below."""
         eta = 0.1
-        rng = np.random.default_rng(17)
-        state = rng.bit_generator.state
-        out = sde_step(self.problem, self.w, self.dataset, eta, rng)
         grad = self.problem.mean_grad(self.w, self.dataset.features,
                                       self.dataset.labels)
-        assert np.array_equal(out, self.w - eta * grad)
-        assert rng.bit_generator.state == state
+        for z in (None, np.random.default_rng(17).standard_normal(20)):
+            out = sde_step(self.problem, self.w, self.dataset, eta, z)
+            assert np.array_equal(out, self.w - eta * grad)
 
     def test_sde_step_with_supplied_transform_moments(self):
         eta, b, draws = 0.1, 4, 60_000
@@ -136,7 +134,8 @@ class TestStepFunctions:
         root = spd_sqrt(SpdMatrix.from_matrix(c))
         rng = np.random.default_rng(19)
         samples = np.array([
-            sde_step(self.problem, self.w, self.dataset, eta, rng, noise_sqrt=root)
+            sde_step(self.problem, self.w, self.dataset, eta,
+                     rng.standard_normal(2), noise_sqrt=root)
             for _ in range(draws)
         ])
         grad = self.problem.mean_grad(self.w, self.dataset.features,
@@ -151,27 +150,26 @@ class TestStepFunctions:
 
     def test_sde_step_with_gradient_factor_draws_n_normals(self):
         """The d x n centered-gradient factor F satisfies F F^T = C, and the
-        step is w - eta G + eta F z bit for bit, with z the next n normals of
-        the rng and nothing else drawn."""
+        step is w - eta G + eta F z bit for bit, with z the n normals it is
+        given."""
         eta, n = 0.1, len(self.dataset)
         factor = minibatch_factor(n, 4)
         f = dynamics._noise_transform(self.problem, self.w, self.dataset, factor)
         assert f.shape == (2, n)
         c = minibatch_gnc(empirical_gnc(self.problem, self.w, self.dataset), n, 4)
         np.testing.assert_allclose(f @ f.T, c, rtol=1e-12, atol=1e-15)
-        rng, replay = np.random.default_rng(29), np.random.default_rng(29)
-        out = sde_step(self.problem, self.w, self.dataset, eta, rng, noise_sqrt=f)
-        z = replay.standard_normal(n)
+        z = np.random.default_rng(29).standard_normal(n)
+        out = sde_step(self.problem, self.w, self.dataset, eta, z, noise_sqrt=f)
         grad = self.problem.mean_grad(self.w, self.dataset.features,
                                       self.dataset.labels)
         assert np.array_equal(out, self.w - eta * grad + eta * (f @ z))
-        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_gld_step_moments(self):
         eta, draws = 0.2, 50_000
         rng = np.random.default_rng(23)
         samples = np.array([
-            gld_step(self.problem, self.w, self.dataset, eta, rng)
+            gld_step(self.problem, self.w, self.dataset, eta,
+                     rng.standard_normal(2))
             for _ in range(draws)
         ])
         grad = self.problem.mean_grad(self.w, self.dataset.features,
@@ -251,6 +249,35 @@ class TestBatchStream:
         assert len(counts) == subsets
         expected = len(rows) / subsets
         assert np.sum((counts - expected) ** 2 / expected) < threshold
+
+
+class TestNoiseStream:
+    """SDE and GLD normals come a block of steps at a time from
+    ``(seed, "noise")``, and the block length is not part of the stream."""
+
+    @pytest.mark.parametrize("k", [1, 3, 50, 500])
+    def test_blocks_equal_one_draw_per_step(self, k):
+        """Enough blocks for T = 3 NOISE_BLOCK + 5 steps (a T the block length
+        does not divide) hold, in order, the T per-step draws of k normals."""
+        steps = 3 * dynamics.NOISE_BLOCK + 5
+        rng = substream(7, "noise")
+        blocks = [dynamics._noise_block(rng, k)
+                  for _ in range(-(-steps // dynamics.NOISE_BLOCK))]
+        assert blocks[0].shape == (dynamics.NOISE_BLOCK, k)
+        replay = substream(7, "noise")
+        per_step = np.array([replay.standard_normal(k) for _ in range(steps)])
+        assert np.array_equal(np.concatenate(blocks)[:steps], per_step)
+
+    @pytest.mark.parametrize("mode", ["sde", "gld"])
+    def test_runs_do_not_depend_on_the_block_length(self, monkeypatch, mode):
+        cfg = base_config(mode=mode, steps=37, log_every=5, record_weights=True,
+                          tail_checkpoints=3, tail_spacing=2)
+        want = run_ensemble(cfg, 2, 2, terminal_only=False)
+        for block in (1, 5, 64):
+            monkeypatch.setattr(dynamics, "NOISE_BLOCK", block)
+            got = run_ensemble(cfg, 2, 2, terminal_only=False)
+            for rec, ref in zip(got, want):
+                assert_records_identical(rec, ref)
 
 
 class TestTrainRun:
@@ -641,8 +668,9 @@ def assert_records_identical(got, want):
 
 
 class TestGroupStepper:
-    """The runs of one dataset seed step as one (R, d) weight stack; every
-    record must equal, bit for bit, the run trained alone."""
+    """The runs of a seed grid step as one (R, d) weight stack, whatever
+    their datasets; every record must equal, bit for bit, the run trained
+    alone."""
 
     @pytest.mark.parametrize("terminal_only", [True, False],
                              ids=["terminal", "cadence"])
@@ -666,7 +694,8 @@ class TestGroupStepper:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_group_matches_the_one_vector_step_loop(self, family, mode):
         """Each run of a stacked group reaches the weights that the public
-        step functions give, one weight vector at a time, on its streams."""
+        step functions give, one weight vector at a time, on its streams,
+        with each step's normals drawn alone from ``(seed, "noise")``."""
         cfg = base_config(spec=FAMILIES[family], mode=mode, n=40, b=8, steps=24,
                           seed=7, tail_checkpoints=3, tail_spacing=2)
         problem = build_problem(cfg.spec)
@@ -686,10 +715,12 @@ class TestGroupStepper:
                     if root is None or not problem.has_constant_noise:
                         root = dynamics._noise_transform(problem, w, rec.dataset,
                                                          factor)
-                    w = sde_step(problem, w, rec.dataset, 0.1, rng_noise,
+                    w = sde_step(problem, w, rec.dataset, 0.1,
+                                 rng_noise.standard_normal(cfg.n),
                                  noise_sqrt=root)
                 else:
-                    w = gld_step(problem, w, rec.dataset, 0.1, rng_noise)
+                    w = gld_step(problem, w, rec.dataset, 0.1,
+                                 rng_noise.standard_normal(problem.dim))
                 if t >= 20 and t % 2 == 0:
                     tails.append(w)
             assert np.array_equal(rec.final_w, w)
@@ -700,8 +731,8 @@ class TestGroupStepper:
         """At b = n the noise factor is 0: the SDE group draws no normals
         and its runs are the full-batch SGD runs, bit for bit."""
         draws = []
-        real = dynamics._normals
-        monkeypatch.setattr(dynamics, "_normals",
+        real = dynamics._noise_block
+        monkeypatch.setattr(dynamics, "_noise_block",
                             lambda *a: draws.append(a) or real(*a))
         cfg = base_config(spec=FAMILIES[family], b=12, mode="sde", steps=20,
                           tail_checkpoints=2)
@@ -737,7 +768,7 @@ class TestGroupStepper:
         different steps and keep their last finite state, one fails the
         step-T loss test, and the others finish; each equals its run alone."""
         configs, dataset, oracle = self.outlier_setup(log_every=300)
-        group = dynamics._run_group(configs, dataset, oracle)
+        group = dynamics._run_group(configs, [dataset] * len(configs), oracle)
         for rec, cfg in zip(group, configs):
             assert_records_identical(rec, train_run(cfg, dataset, oracle))
         problem = build_problem(configs[0].spec)
@@ -757,7 +788,7 @@ class TestGroupStepper:
 
     def test_run_that_fails_a_logged_loss_test_leaves_the_group_alone(self):
         configs, dataset, oracle = self.outlier_setup(log_every=10)
-        group = dynamics._run_group(configs, dataset, oracle)
+        group = dynamics._run_group(configs, [dataset] * len(configs), oracle)
         for rec, cfg in zip(group, configs):
             assert_records_identical(rec, train_run(cfg, dataset, oracle))
         mid = [rec for rec in group if rec.diverged and rec.diverged_step < 300]
@@ -776,3 +807,45 @@ class TestGroupStepper:
         assert None not in steps and len(steps) >= 2
         for rec in ens:
             assert_records_identical(rec, train_run(rec.config))
+
+    @pytest.mark.parametrize("mode", ["sgd", "sde"])
+    def test_grid_where_one_datasets_runs_overflow(self, mode):
+        """Two datasets in one stack. On the first, one example carries the
+        unstable direction (eta a_1 = 102), so every SDE run overflows and
+        the SGD runs that sample it do; on the second that direction is zero
+        in every example and in the noise, and no run leaves. Each record
+        equals its run alone."""
+        configs, outlier, oracle = self.outlier_setup(log_every=300)
+        features = outlier.features.copy()
+        features[:, 0] = 0.0
+        features[:, 1] = np.random.default_rng(1).standard_normal(400)
+        quiet = Dataset(features, np.zeros(400), 1, outlier.spec)
+        configs = [replace(cfg, mode=mode, dataset_seed=dataset.seed)
+                   for dataset in (outlier, quiet) for cfg in configs[:4]]
+        datasets = [outlier] * 4 + [quiet] * 4
+        group = dynamics._run_group(configs, datasets, oracle)
+        for rec, cfg, dataset in zip(group, configs, datasets):
+            assert rec.dataset is dataset
+            assert_records_identical(rec, train_run(cfg, dataset, oracle))
+        assert any(rec.diverged for rec in group[:4])
+        if mode == "sde":
+            assert all(rec.diverged for rec in group[:4])
+        assert not any(rec.diverged for rec in group[4:])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_grid_makes_one_mean_grad_call_per_step(self, monkeypatch, mode):
+        """A 3 x 2 grid steps as one stack: T mean_grad calls, not 3T."""
+        calls = []
+        real_build = dynamics.build_problem
+
+        def counting_build(spec):
+            problem = real_build(spec)
+            mean_grad = problem.mean_grad
+            problem.mean_grad = lambda *a: calls.append(1) or mean_grad(*a)
+            return problem
+
+        monkeypatch.setattr(dynamics, "build_problem", counting_build)
+        cfg = base_config(mode=mode, steps=30)
+        ens = run_ensemble(cfg, 3, 2)
+        assert not any(rec.diverged for rec in ens)
+        assert len(calls) == cfg.steps
