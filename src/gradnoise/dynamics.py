@@ -174,13 +174,10 @@ def sgd_step(problem, w, dataset, batch_indices, eta):
     ((R, n, p) features, (R, n) labels) whose row r is that of row r.
     """
     idx = np.asarray(batch_indices, dtype=int)
-    features, labels = dataset.features, dataset.labels
-    if labels.ndim == 2:
-        rows = np.arange(idx.shape[0])[:, None]
-        features, labels = features[rows, idx], labels[rows, idx]
-    else:
-        features, labels = features[idx], labels[idx]
-    return w - eta * problem.mean_grad(w, features, labels)
+    if dataset.labels.ndim == 2:  # a stack of datasets: row r reads its own
+        idx = (np.arange(idx.shape[0])[:, None], idx)
+    grad = problem.mean_grad(w, dataset.features[idx], dataset.labels[idx])
+    return w - eta * grad
 
 
 def _batch_block(rng, n, b):
