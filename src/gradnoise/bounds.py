@@ -623,8 +623,7 @@ def terminal_bound_anisotropic(ensemble, R=1.0):
         mean_term = float(np.mean([log_det(h) - log_det(c) + ld_pooled
                                    for h, c in mats]))
         floored = pooled_s.floored or any(h.floored or c.floored for h, c in mats)
-        core_sq = (mean_term + continuous) / (2.0 * n)
-        return [core_sq], floored, ld_pooled, mean_term
+        return [(mean_term + continuous) / (2.0 * n)], floored, ld_pooled, mean_term
 
     components = {"min_stability_gap": min(gaps)}
     roots, ld_pooled, mean_term = _floor_sensitive(evaluate, flags, components)
