@@ -42,7 +42,7 @@ from functools import cache
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .errors import ConfigError, NumericalError, StabilityError
+from .errors import ConfigError, GradnoiseError, NumericalError, StabilityError
 from .gradstats import empirical_gnc, gnc_from_grads, minibatch_factor, minibatch_gnc
 from .linalg import (
     DEFAULT_FLOOR_ABS,
@@ -169,8 +169,8 @@ def tape_from_records(records, population=False):
         runs.append(tuple(stats))
     lengths = {len(r) for r in runs}
     if len(lengths) != 1:
-        raise ConfigError("tape records disagree on logged step count "
-                          "(mixed divergence truncation)")
+        raise GradnoiseError("tape records disagree on logged step count "
+                             "(mixed divergence truncation)")
     return TrajectoryTape(
         runs=tuple(runs),
         config=config,
@@ -496,7 +496,7 @@ def _usable_runs(records):
     cfg = _shared_config(records)
     runs = [r for r in records if not r.diverged]
     if not runs:
-        raise ConfigError("ensemble has no usable (non-diverged) runs")
+        raise GradnoiseError("ensemble has no usable (non-diverged) runs")
     return cfg, runs, [] if len(runs) == len(records) else ["diverged-runs"]
 
 

@@ -40,55 +40,40 @@ from .problems import (
 TRAJECTORY_CSV_HEADER = ("step", "train_loss", "test_loss", "grad_norm_sq",
                          "trace_c", "dist_init", "lambda1", "gap")
 
-# Bound name -> (input family, evaluator(config, input)). The families are
-# "tape" (a TrajectoryTape), "records" (trajectory records), "ensemble" (the
-# records of run_ensemble) and "pairs" (full / leave-one-out record pairs).
-# The order fixes the row order of bounds.csv. Evaluators look each bound
-# function up on ``bounds_mod`` when called, so a wrapper rebound onto that
-# module (as perfbench's tracer does) reaches them.
+# Bound name -> (input family, name of its function in ``bounds``, the
+# ExperimentConfig fields it takes as keywords). The families are "tape" (a
+# TrajectoryTape), "records" (the runs at the config's logging cadence, weights
+# recorded), "ensemble" (the runs, read at their terminal state) and "pairs"
+# (full / leave-one-out record pairs). The order fixes the row order of
+# bounds.csv. Each function is looked up on ``bounds_mod`` when called, so a
+# wrapper rebound onto that module (as perfbench's tracer does) reaches it.
 _BOUND_TABLE = {
-    "traj-isotropic": (
-        "tape", lambda c, tape: bounds_mod.traj_bound_isotropic(
-            tape, c.g_tilde, R=c.R)),
-    "traj-langevin": (
-        "tape", lambda c, tape: bounds_mod.traj_bound_langevin(
-            tape, c.g_tilde, R=c.R)),
-    "traj-anisotropic": (
-        "tape", lambda c, tape: bounds_mod.traj_bound_anisotropic(
-            tape, R=c.R)),
-    "traj-data-dependent": (
-        "records", lambda c, records: bounds_mod.traj_bound_data_dependent(
-            records, M=c.M)),
-    "terminal-gradient-accum": (
-        "records", lambda c, records: bounds_mod.terminal_bound_gradient_accum(
-            records, R=c.R)),
-    "terminal-general": (
-        "ensemble", lambda c, ens: bounds_mod.terminal_bound_general(
-            ens, R=c.R)),
-    "terminal-anisotropic": (
-        "ensemble", lambda c, ens: bounds_mod.terminal_bound_anisotropic(
-            ens, R=c.R)),
-    "terminal-isotropic": (
-        "ensemble", lambda c, ens: bounds_mod.terminal_bound_isotropic(
-            ens, reference=c.reference, R=c.R)),
-    "terminal-loo": (
-        "pairs", lambda c, pairs: bounds_mod.terminal_bound_loo(
-            pairs, M=c.M)),
-    "fim-takeuchi": (
-        "ensemble", lambda c, ens: bounds_mod.fim_takeuchi_bound(
-            ens, M=c.M)),
+    "traj-isotropic": ("tape", "traj_bound_isotropic", ("g_tilde", "R")),
+    "traj-langevin": ("tape", "traj_bound_langevin", ("g_tilde", "R")),
+    "traj-anisotropic": ("tape", "traj_bound_anisotropic", ("R",)),
+    "traj-data-dependent": ("records", "traj_bound_data_dependent", ("M",)),
+    "terminal-gradient-accum": ("records", "terminal_bound_gradient_accum",
+                                ("R",)),
+    "terminal-general": ("ensemble", "terminal_bound_general", ("R",)),
+    "terminal-anisotropic": ("ensemble", "terminal_bound_anisotropic", ("R",)),
+    "terminal-isotropic": ("ensemble", "terminal_bound_isotropic",
+                           ("reference", "R")),
+    "terminal-loo": ("pairs", "terminal_bound_loo", ("M",)),
+    "fim-takeuchi": ("ensemble", "fim_takeuchi_bound", ("M",)),
 }
+# The bounds that train or evaluate on leave-one-out subsets of n - 1 examples.
+_LOO_BOUNDS = ("traj-data-dependent", "terminal-loo")
 
 
 def _bounds_of(*families):
-    return tuple(name for name, (family, _) in _BOUND_TABLE.items()
+    return tuple(name for name, (family, *_) in _BOUND_TABLE.items()
                  if family in families)
 
 
+# The bounds each command evaluates when the config names none; every command
+# takes any bound.
 TRAJ_BOUNDS = _bounds_of("tape", "records")
 TERMINAL_BOUNDS = _bounds_of("ensemble", "pairs")
-# The bounds sweep-n evaluates when the config names none; it takes any of
-# TERMINAL_BOUNDS.
 SWEEP_BOUNDS = _bounds_of("ensemble")
 
 
@@ -385,11 +370,14 @@ def estimate_generalization_error(runs):
     training loss) at W_T.
 
     A diverged run's losses are those of its last logged state, not of W_T,
-    so it is left out, as every bound leaves it out.
+    so it is left out, as every bound leaves it out. No runs at all is a
+    ConfigError; runs that all diverged are a GradnoiseError.
     """
+    if not runs:
+        raise ConfigError("no runs to estimate the gap from")
     runs = [r for r in runs if not r.diverged]
     if not runs:
-        raise ConfigError("no non-diverged runs to estimate the gap from")
+        raise GradnoiseError("every run diverged: no gap to estimate")
     return float(np.mean([r.test_loss[-1] - r.train_loss[-1] for r in runs]))
 
 
@@ -467,56 +455,15 @@ def cmd_compare(config, out_dir=None):
     return summary
 
 
-def _evaluate_bounds(config, names, inputs):
-    """Reports of the named bounds, in order, each fed its family's input."""
-    reports = []
-    for name in names:
-        family, evaluator = _BOUND_TABLE[name]
-        reports.append(evaluator(config, inputs[family]))
-    return reports
-
-
-def _bounds_outputs(reports, out_dir):
-    rows = []
-    for rep in reports:
-        rows.append((
-            rep.name, rep.value, rep.core, rep.n_runs_used,
-            "|".join(rep.flags),
-            _fmt(rep.config.get("R")) if rep.config.get("R") is not None else "",
-            _fmt(rep.config.get("M")) if rep.config.get("M") is not None else "",
-            rep.config.get("n"), rep.config.get("b"),
-            rep.config.get("eta"), rep.config.get("T"),
-        ))
-    if out_dir is not None:
-        out = _out_dir(out_dir)
-        _write_json(out / "bounds.json",
-                    [bounds_mod.report_to_json_dict(r) for r in reports])
-        _write_csv(out / "bounds.csv",
-                   ("name", "value", "core", "n_runs_used", "flags",
-                    "R", "M", "n", "b", "eta", "T"), rows)
-
-
-def _trajectory_records(config):
-    """The seed grid's runs at the config's cadence, weights recorded."""
-    return run_ensemble(replace(config.train, record_weights=True),
-                        config.dataset_seeds, config.run_seeds,
-                        terminal_only=False)
-
-
-def cmd_bounds_traj(config, out_dir=None):
-    """Evaluate trajectory-based bounds on freshly trained runs."""
-    names = [n for n in (config.bound_names or TRAJ_BOUNDS) if n in TRAJ_BOUNDS]
-    if not names:
-        raise ConfigError("no trajectory bounds selected")
-    records = _trajectory_records(config)
-    inputs = {"records": records}
-    if any(_BOUND_TABLE[name][0] == "tape" for name in names):
-        need_pop = ("traj-anisotropic" in names
-                    or config.g_tilde == "population-gradient")
-        inputs["tape"] = bounds_mod.tape_from_records(records, population=need_pop)
-    reports = _evaluate_bounds(config, names, inputs)
-    _bounds_outputs(reports, out_dir)
-    return reports
+def _check_loo_size(names, n, b, key):
+    """A ConfigError naming ``key`` unless every named leave-one-out bound can
+    run at size ``n`` and batch ``b`` clipped to n: its subsets of n - 1
+    examples need n - 1 > b."""
+    b = min(b, n)
+    loo = [name for name in names if name in _LOO_BOUNDS]
+    if loo and n - 1 <= b:
+        raise ConfigError(f"{key} leaves n={n}, b={b}, too small for {loo[0]}: "
+                          "its leave-one-out subsets need n - 1 > b")
 
 
 def _loo_pairs(ensemble):
@@ -529,33 +476,71 @@ def _loo_pairs(ensemble):
     return pairs
 
 
-def _terminal_reports(config, names, oracle=None):
-    """Reports of the named terminal bounds on one ``run_ensemble`` of
-    ``config.train``, each carrying the ensemble's
-    ``generalization_error_estimate``; ``terminal-loo`` pairs the ensemble's
-    own records with their leave-one-out runs. ``oracle`` is passed on to
-    ``run_ensemble``."""
-    ensemble = run_ensemble(config.train, config.dataset_seeds, config.run_seeds,
-                            oracle=oracle)
-    inputs = {"ensemble": ensemble}
-    if "terminal-loo" in names:
-        inputs["pairs"] = _loo_pairs(ensemble)
-    reports = _evaluate_bounds(config, names, inputs)
-    gen = estimate_generalization_error(ensemble)
-    for rep in reports:
-        rep.components["generalization_error_estimate"] = gen
+def _reports(config, names, oracle=None):
+    """Reports of the named bounds, in order, on one ``run_ensemble`` of
+    ``config.train``, each carrying the runs' ``generalization_error_estimate``.
+
+    The runs keep the config's cadence and record their weights only if a
+    named bound reads logged states (family "tape" or "records"); otherwise
+    they are read at their terminal state. The tape is built only for tape
+    bounds, and ``terminal-loo`` pairs the runs with their leave-one-out
+    runs. ``oracle`` is passed on to ``run_ensemble``.
+    """
+    _check_loo_size(names, config.train.n, config.train.b, "train.b")
+    families = {_BOUND_TABLE[name][0] for name in names}
+    logged = bool(families & {"tape", "records"})
+    train = replace(config.train, record_weights=True) if logged else config.train
+    runs = run_ensemble(train, config.dataset_seeds, config.run_seeds,
+                        terminal_only=not logged, oracle=oracle)
+    gen = estimate_generalization_error(runs)
+    inputs = {"records": runs, "ensemble": runs}
+    if "tape" in families:
+        inputs["tape"] = bounds_mod.tape_from_records(runs, population=(
+            "traj-anisotropic" in names or config.g_tilde == "population-gradient"))
+    if "pairs" in families:
+        inputs["pairs"] = _loo_pairs(runs)
+    reports = []
+    for name in names:
+        family, fn, keys = _BOUND_TABLE[name]
+        report = getattr(bounds_mod, fn)(
+            inputs[family], **{key: getattr(config, key) for key in keys})
+        report.components["generalization_error_estimate"] = gen
+        reports.append(report)
     return reports
+
+
+def _bounds_outputs(reports, out_dir):
+    """Write ``reports`` to bounds.json and bounds.csv under ``out_dir``
+    (nothing if it is None); returns them."""
+    if out_dir is not None:
+        rows = [(rep.name, rep.value, rep.core, rep.n_runs_used,
+                 "|".join(rep.flags),
+                 "" if rep.config.get("R") is None else rep.config["R"],
+                 "" if rep.config.get("M") is None else rep.config["M"],
+                 rep.config.get("n"), rep.config.get("b"),
+                 rep.config.get("eta"), rep.config.get("T"))
+                for rep in reports]
+        out = _out_dir(out_dir)
+        _write_json(out / "bounds.json",
+                    [bounds_mod.report_to_json_dict(r) for r in reports])
+        _write_csv(out / "bounds.csv",
+                   ("name", "value", "core", "n_runs_used", "flags",
+                    "R", "M", "n", "b", "eta", "T"), rows)
+    return reports
+
+
+def cmd_bounds_traj(config, out_dir=None):
+    """Evaluate the named bounds (by default the trajectory bounds) on a
+    freshly trained seed grid."""
+    return _bounds_outputs(_reports(config, config.bound_names or TRAJ_BOUNDS),
+                           out_dir)
 
 
 def cmd_bounds_terminal(config, out_dir=None):
-    """Evaluate terminal-state bounds on a fresh ensemble."""
-    names = [n for n in (config.bound_names or TERMINAL_BOUNDS)
-             if n in TERMINAL_BOUNDS]
-    if not names:
-        raise ConfigError("no terminal bounds selected")
-    reports = _terminal_reports(config, names)
-    _bounds_outputs(reports, out_dir)
-    return reports
+    """Evaluate the named bounds (by default the terminal bounds) on a
+    freshly trained seed grid."""
+    return _bounds_outputs(
+        _reports(config, config.bound_names or TERMINAL_BOUNDS), out_dir)
 
 
 def cmd_stationary(config, out_dir=None):
@@ -602,29 +587,21 @@ def cmd_stationary(config, out_dir=None):
 
 
 def cmd_sweep_n(config, out_dir=None):
-    """Sweep the dataset size; one row per (n, bound) plus the measured gap."""
+    """Sweep the dataset size; one row per (n, named bound), each with the
+    measured gap."""
     if not config.sweep_n:
         raise ConfigError("sweep-n needs a nonempty sweep_n list")
     names = config.bound_names or SWEEP_BOUNDS
-    bad = [b for b in names if b not in TERMINAL_BOUNDS]
-    if bad:
-        raise ConfigError(
-            "sweep-n supports terminal bounds only; unsupported: "
-            + ", ".join(sorted(bad)))
-    # Each point clips b to n, and a leave-one-out run needs n - 1 > b:
-    # check every size before the first ensemble trains.
-    short = [n for n in config.sweep_n if n - 1 <= min(config.train.b, n)]
-    if "terminal-loo" in names and short:
-        raise ConfigError(
-            f"sweep_n size n={short[0]} is too small for terminal-loo: its "
-            f"leave-one-out runs need n - 1 > b = {min(config.train.b, short[0])}")
+    # Each point clips b to n: check every size before the first grid trains.
+    for n in config.sweep_n:
+        _check_loo_size(names, n, config.train.b, "sweep_n")
     rows = []
     seeds_used = config.dataset_seeds * config.run_seeds
     # The oracle sample does not depend on n: every size shares one draw.
     oracle = population_oracle_sample(config.train.spec, config.train.oracle_seed)
     for n in config.sweep_n:
         train = replace(config.train, n=n, b=min(config.train.b, n))
-        reports = _terminal_reports(replace(config, train=train), names, oracle)
+        reports = _reports(replace(config, train=train), names, oracle)
         for name, rep in zip(names, reports):
             rows.append((n, name, rep.core, rep.value,
                          rep.components["generalization_error_estimate"],

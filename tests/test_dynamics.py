@@ -21,7 +21,7 @@ from gradnoise.dynamics import (
     sgd_step,
     train_run,
 )
-from gradnoise.errors import ConfigError
+from gradnoise.errors import ConfigError, GradnoiseError
 from gradnoise.gradstats import empirical_gnc, minibatch_factor, minibatch_gnc
 from gradnoise.linalg import solve_stationary_covariance
 from gradnoise.problems import (
@@ -633,8 +633,9 @@ class TestEnsemble:
         ens = run_ensemble(cfg, 2, 2)
         assert all(run.diverged for run in ens)
         assert all(np.all(np.isfinite(run.final_w)) for run in ens)
-        with pytest.raises(ConfigError):
+        with pytest.raises(GradnoiseError) as err:
             terminal_bound_general(ens)
+        assert not isinstance(err.value, ConfigError)
 
 
 # Dense curvature and several features per example, so that a stacked

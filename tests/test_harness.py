@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gradnoise import bounds, dynamics, harness, problems
 from gradnoise.dynamics import TrainConfig
-from gradnoise.errors import ConfigError
+from gradnoise.errors import ConfigError, GradnoiseError
 from gradnoise.harness import (
     STATIONARY_MODES,
     SWEEP_BOUNDS,
@@ -553,9 +553,91 @@ class TestBoundsCommands:
         cfg = self.traj_config(bounds=["traj-langevin"])
         reports = cmd_bounds_traj(cfg, out_dir=tmp_path)
         assert [r.name for r in reports] == ["trajectory-langevin"]
-        cfg2 = self.traj_config(bounds=["terminal-general"])
-        with pytest.raises(ConfigError):
-            cmd_bounds_traj(cfg2, out_dir=tmp_path)
+        # Every command evaluates exactly the bounds the config names, in
+        # order, whatever their kind.
+        cfg2 = self.traj_config(bounds=["terminal-general", "traj-langevin"])
+        reports = cmd_bounds_traj(cfg2, out_dir=tmp_path)
+        assert [r.name for r in reports] == ["terminal-general",
+                                             "trajectory-langevin"]
+        payload = json.loads((tmp_path / "bounds.json").read_text())
+        assert [p["name"] for p in payload] == [r.name for r in reports]
+
+    def test_terminal_bounds_in_bounds_traj_match_bounds_terminal(self, tmp_path):
+        """Logging touches no RNG stream, so on a grid that does not diverge
+        the runs bounds-traj trains at the config's cadence, weights recorded,
+        give the terminal bounds the files bounds-terminal writes."""
+        path = write_config(tmp_path, {
+            "problem": quad_problem(),
+            "train": {**TERMINAL_TRAIN, "log_every": 10}, "ensemble": GRID,
+            "bounds": list(TERMINAL_BOUNDS)})
+        outputs = []
+        for command in ("bounds-traj", "bounds-terminal"):
+            out = tmp_path / command
+            assert run_cli([command, "--config", str(path),
+                            "--out", str(out)]) == 0
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ("bounds.json", "bounds.csv")})
+        assert outputs[0] == outputs[1]
+        names = [p["name"] for p in json.loads(outputs[0]["bounds.json"])]
+        assert len(names) == len(TERMINAL_BOUNDS)
+
+    def test_trajectory_reports_attach_generalization_estimate(self):
+        reports = cmd_bounds_traj(self.traj_config())
+        gen = reports[0].components["generalization_error_estimate"]
+        assert np.isfinite(gen)
+        for rep in reports:
+            assert rep.components["generalization_error_estimate"] == gen
+
+    @pytest.mark.parametrize("command, bound", [
+        ("bounds-terminal", "terminal-loo"),
+        ("bounds-traj", "traj-data-dependent")])
+    def test_loo_size_checked_before_any_run(self, monkeypatch, tmp_path,
+                                             capsys, command, bound):
+        """At n = 6, b = 5 a leave-one-out subset of 5 examples is not larger
+        than b: the command exits 2 naming train.b before any run trains."""
+        path = write_config(tmp_path, {
+            "problem": quad_problem(),
+            "train": {**TERMINAL_TRAIN, "n": 6, "b": 5},
+            "ensemble": {"dataset_seeds": 4, "run_seeds": 4},
+            "bounds": ["terminal-general", bound]})
+        calls = []
+        monkeypatch.setattr(harness, "run_ensemble",
+                            lambda *a, **k: calls.append(a))
+        assert run_cli([command, "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "train.b" in err and bound in err
+        assert calls == []
+        assert not (tmp_path / "out" / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("bounds-terminal", {}),
+        ("bounds-traj", {}),
+        ("sweep-n", {"sweep_n": [20, 10]})])
+    def test_diverged_grid_exits_3(self, tmp_path, capsys, command, extra):
+        """eta = 2.5 > 2 / lambda_max on the unit quadratic: every run of
+        the grid diverges, and the command exits 3, as a diverged train run
+        does, writing no bounds."""
+        path = write_config(tmp_path, {
+            "problem": quad_problem(),
+            "train": {"n": 20, "b": 2, "lr": 2.5, "steps": 60, "log_every": 10},
+            "ensemble": {"dataset_seeds": 2, "run_seeds": 2}, **extra})
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", str(path), "--out", str(out)]) == 3
+        assert "diverged" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mixed_divergence_truncation_is_a_runtime_error(self):
+        """At eta = 2.05 the runs of one grid cross the loss threshold at
+        different logged steps, so their tapes would differ in length."""
+        cfg = load_experiment_config({
+            **quad_raw(n=20, lr=2.05, steps=300, log_every=10, record_weights=True),
+            "ensemble": {"dataset_seeds": 2, "run_seeds": 2}})
+        runs = dynamics.run_ensemble(cfg.train, 2, 2, terminal_only=False)
+        assert len({len(r.steps) for r in runs}) > 1
+        with pytest.raises(GradnoiseError, match="mixed divergence") as err:
+            bounds.tape_from_records(runs)
+        assert not isinstance(err.value, ConfigError)
 
     def test_terminal_bounds_attach_generalization_estimate(self, tmp_path):
         raw = {
@@ -745,13 +827,30 @@ class TestSweepCommand:
         assert len(calls) == 1
         assert [r[0] for r in rows] == [4, 4, 5, 5, 6, 6]
 
-    def test_trajectory_bound_rejected_by_name(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(harness, "run_ensemble",
-                            lambda *a: calls.append(a))
-        with pytest.raises(ConfigError, match="traj-langevin"):
-            cmd_sweep_n(self.sweep_config(["terminal-general", "traj-langevin"]))
-        assert calls == []
+    def test_trajectory_bounds_are_swept(self):
+        """sweep-n takes any bound: at each n a trajectory and a terminal
+        bound have the cores bounds-traj and bounds-terminal give at that n
+        (b clipped to n)."""
+        cfg = self.sweep_config(["traj-isotropic", "terminal-general"])
+        cfg = dataclasses.replace(
+            cfg, train=dataclasses.replace(cfg.train, steps=20, log_every=5))
+        rows = cmd_sweep_n(cfg)
+        assert [(r[0], r[1]) for r in rows] == [
+            (4, "traj-isotropic"), (4, "terminal-general"),
+            (6, "traj-isotropic"), (6, "terminal-general")]
+        for n in cfg.sweep_n:
+            point = dataclasses.replace(cfg, train=dataclasses.replace(
+                cfg.train, n=n, b=min(cfg.train.b, n)))
+            traj, = cmd_bounds_traj(dataclasses.replace(
+                point, bound_names=("traj-isotropic",)))
+            terminal, = cmd_bounds_terminal(dataclasses.replace(
+                point, bound_names=("terminal-general",)))
+            got = {r[1]: r for r in rows if r[0] == n}
+            for name, rep in (("traj-isotropic", traj),
+                              ("terminal-general", terminal)):
+                assert got[name][2] == rep.core
+                assert got[name][4] == rep.components[
+                    "generalization_error_estimate"]
 
     def test_loo_size_too_small_exits_before_any_ensemble(
             self, monkeypatch, tmp_path, capsys):
@@ -807,8 +906,9 @@ class TestGeneralizationEstimate:
         runs = [loss_record(0.2, 0.5), loss_record(0.4, 0.5),
                 loss_record(3.0, 9.0, diverged_step=2)]
         assert estimate_generalization_error(runs) == pytest.approx(0.2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(GradnoiseError) as err:
             estimate_generalization_error(runs[2:])
+        assert not isinstance(err.value, ConfigError)
 
 
 def quad_problem(dim=2):
