@@ -10,6 +10,7 @@ Exit-code contract for :func:`run_cli`: 0 success, 2 configuration error,
 3 numerical or divergence error.
 """
 
+import argparse
 import json
 import numbers
 import sys
@@ -625,8 +626,6 @@ _COMMANDS = {
 
 def run_cli(argv):
     """Argument parsing and dispatch; returns the process exit code."""
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="gradnoise",
         description="SGD gradient-noise analysis and generalization bounds")

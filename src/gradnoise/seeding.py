@@ -17,6 +17,9 @@ reconstructed in isolation from its (seed, labels) coordinates.
 import hashlib
 
 import numpy as np
+# numpy loads numpy.random lazily; importing it here keeps that cost in
+# start-up rather than in the first stream an invocation asks for.
+from numpy.random import SeedSequence, default_rng
 
 _MASK32 = 0xFFFFFFFF
 
@@ -37,5 +40,5 @@ def stream_key(*labels):
 
 def substream(seed, *labels):
     """Return a ``numpy.random.Generator`` for the stream (seed, *labels)."""
-    seq = np.random.SeedSequence(int(seed), spawn_key=stream_key(*labels))
-    return np.random.default_rng(seq)
+    seq = SeedSequence(int(seed), spawn_key=stream_key(*labels))
+    return default_rng(seq)

@@ -1,9 +1,12 @@
-"""Lanczos and Hutchinson probes against dense eigendecompositions."""
+"""Lanczos and Hutchinson probes against dense eigendecompositions, and the
+HVP-based solvers' refusal of non-finite products."""
 
 import numpy as np
 import pytest
 
-from gradnoise.errors import ConfigError, StabilityError
+from gradnoise.bounds import influence_estimate
+from gradnoise.dynamics import TrainConfig, train_run
+from gradnoise.errors import ConfigError, NumericalError, StabilityError
 from gradnoise.linalg import solve_stationary_covariance
 from gradnoise.problems import (
     LogisticSpec,
@@ -28,19 +31,27 @@ def quadratic_problem(a):
 
 
 class CountingProblem:
-    """Wraps a problem and counts applications of its Hessian operator."""
+    """Wraps a problem and counts applications of its Hessian operator. From
+    product ``nan_from`` on (counting from 1), if given, every product is
+    NaN; everything else delegates to the problem."""
 
-    def __init__(self, problem):
+    def __init__(self, problem, nan_from=None):
         self.problem = problem
-        self.dim = problem.dim
+        self.nan_from = nan_from
         self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
 
     def hessian_operator(self, w, features, labels):
         hess = self.problem.hessian_operator(w, features, labels)
 
         def counted(v):
             self.calls += 1
-            return hess(v)
+            hv = hess(v)
+            if self.nan_from is not None and self.calls >= self.nan_from:
+                return hv * np.nan
+            return hv
 
         return counted
 
@@ -105,6 +116,26 @@ class TestTopEigenvalue:
         assert report.lambda_1 == pytest.approx(vals[np.argmax(np.abs(vals))],
                                                 rel=1e-12)
 
+    def test_matches_dense_hessian_along_an_mlp_trajectory(self):
+        """Every logged state of a 1000-step MLP train run (d = 75,
+        log_every 20): lambda1 agrees with the dense solver to the same
+        1e-12 relative as the single state above."""
+        spec = MlpSpec(in_dim=5, hidden=8, classes=3, teacher_seed=1)
+        problem = build_problem(spec)
+        config = TrainConfig(spec=spec, n=400, b=8, lr_schedule=((1, 0.5),),
+                             steps=1000, log_every=20, seed=3,
+                             w0=problem.init_from_teacher(0.5),
+                             log_lambda1=True, record_weights=True)
+        record = train_run(config)
+        assert problem.dim == 75
+        assert not record.diverged
+        assert len(record.weights) == len(record.lambda1) == 51
+        features, labels = record.dataset.features, record.dataset.labels
+        for w, lambda1 in zip(record.weights, record.lambda1):
+            vals = np.linalg.eigvalsh(dense_hessian(problem, w, features, labels))
+            assert lambda1 == pytest.approx(vals[np.argmax(np.abs(vals))],
+                                            rel=1e-12)
+
     def test_one_dimensional_hessian_takes_one_product(self):
         problem, dataset = quadratic_problem(np.array([[2.5]]))
         counted = CountingProblem(problem)
@@ -114,7 +145,7 @@ class TestTopEigenvalue:
         assert report.iterations_used == counted.calls == 1
 
     def test_unconverged_reports_start_rayleigh_quotient(self):
-        """A clustered spectrum does not converge in one ARPACK restart; the
+        """A clustered spectrum does not converge in one Lanczos pass; the
         report is then the finite Rayleigh quotient of the start vector."""
         vals = np.linspace(0.9, 1.0, 60)
         problem, dataset = quadratic_problem(np.diag(vals))
@@ -173,6 +204,25 @@ class TestTopEigenvalue:
         problem, dataset = quadratic_problem(np.eye(2))
         with pytest.raises(ConfigError):
             top_eigenvalue(problem, np.zeros(2), dataset, max_iter=0)
+
+
+class TestNonFiniteProducts:
+    @pytest.mark.parametrize("nan_from", [1, 5])
+    def test_top_eigenvalue_raises(self, nan_from):
+        problem, dataset, w = mlp_state()
+        poisoned = CountingProblem(problem, nan_from)
+        with pytest.raises(NumericalError):
+            top_eigenvalue(poisoned, w, dataset)
+        assert poisoned.calls == nan_from
+
+    @pytest.mark.parametrize("nan_from", [1, 2])
+    def test_influence_estimate_raises(self, nan_from):
+        problem, dataset = quadratic_problem(np.diag([0.5, 1.0, 2.0]))
+        w_star = dataset.features.mean(axis=0)
+        poisoned = CountingProblem(problem, nan_from)
+        with pytest.raises(NumericalError):
+            influence_estimate(poisoned, w_star, dataset, index=0)
+        assert poisoned.calls == nan_from
 
 
 class TestHessianTrace:
