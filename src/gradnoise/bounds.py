@@ -11,8 +11,10 @@ loss-range constants R and M set to 1 and whose ``value`` is exactly
 contract.
 
 Expectations over datasets and over algorithmic randomness are plug-in
-estimates: statistics are averaged across whatever records or ensemble
-members are supplied, and ``n_runs_used`` records how many that was.
+estimates: statistics are averaged across the records or ensemble members
+supplied, and ``n_runs_used`` records how many that was. Every bound
+leaves diverged runs out by one rule (:func:`_usable_runs`), wherever they
+were cut, and flags ``diverged-runs`` when it did.
 
 Every bound reads its run shape from one TrainConfig, the one its records
 share (:func:`_shared_config`; a TrajectoryTape keeps it as ``config``), and
@@ -20,7 +22,9 @@ every report's ``n``, ``b``, ``eta`` and ``T`` come from it by one rule
 (:func:`_run_setting`, eta at step T; gradient accumulation reports the
 largest eta instead). The five bounds read from logged trajectories flag
 diverged runs and a logging cadence above 1 by one rule as well
-(:func:`_trajectory_flags`).
+(:func:`_trajectory_flags`). A TrajectoryTape holds its runs' per-step
+statistics as arrays laid out (step, run, ...), its GNCs as one stacked
+SpdMatrix each, so the three tape bounds are reductions over the run axis.
 
 Six bounds use eigenvalue-floored matrices: trajectory isotropic,
 anisotropic and data-dependent, terminal general and anisotropic, and
@@ -70,43 +74,49 @@ class BoundReport:
 
 
 @dataclass(frozen=True)
-class StepStats:
-    """Plug-in statistics for one accumulated update, for one run."""
-
-    step: int
-    grad: np.ndarray
-    gnc: SpdMatrix
-    trace_c: float
-    pop_grad: np.ndarray | None
-    trace_pop: float | None
-    pop_gnc: SpdMatrix | None
-
-
-@dataclass(frozen=True)
 class TrajectoryTape:
-    """Per-run, per-step statistics recomputed from logged weights.
+    """Per-step, per-run statistics recomputed from the logged weights of
+    the usable (non-diverged) runs, as arrays laid out (step, run, ...).
 
-    ``runs[r][k]`` holds the statistics of run r at the k-th represented
-    update. ``config`` is the TrainConfig the records share; its n, b, T,
-    mode and schedule are the tape's. With logging cadence
+    ``steps[k]`` is the update the k-th represented state feeds (its logged
+    step plus 1); ``grad`` and ``pop_grad`` (K, R, d) are the mean training
+    and oracle-sample gradients at it, ``gnc`` and ``pop_gnc`` one stacked
+    :class:`SpdMatrix` (K, R, d, d) each of the exact-factor mini-batch GNC
+    and the population GNC, and ``trace_c`` and ``trace_pop`` (K, R) their
+    unfloored traces. The ``pop_*`` fields are None without population
+    statistics. ``config`` is the TrainConfig the records share; its n, b,
+    T, mode and schedule are the tape's. With logging cadence
     ``config.log_every`` 1 every update is represented; a coarser cadence
     represents each logged state for ``log_every`` updates and bound sums are
     rescaled accordingly (flagged ``approximate-cadence``).
+    ``any_diverged`` says a record was left out because its run diverged.
     """
 
-    runs: tuple
+    steps: np.ndarray
+    grad: np.ndarray
+    gnc: SpdMatrix
+    trace_c: np.ndarray
+    pop_grad: np.ndarray | None
+    pop_gnc: SpdMatrix | None
+    trace_pop: np.ndarray | None
     config: object
-    dim: int
-    has_population: bool
     any_diverged: bool
 
     @property
-    def n_runs(self):
-        return len(self.runs)
+    def n_steps(self):
+        return self.grad.shape[0]
 
     @property
-    def n_steps(self):
-        return len(self.runs[0])
+    def n_runs(self):
+        return self.grad.shape[1]
+
+    @property
+    def dim(self):
+        return self.grad.shape[2]
+
+    @property
+    def has_population(self):
+        return self.pop_gnc is not None
 
 
 def _shared_config(records):
@@ -126,73 +136,73 @@ def _shared_config(records):
     return first
 
 
+def _usable_runs(records):
+    """The shared config of the records, the non-diverged ones among them
+    and the flags they raise. Every bound that reads records or a tape
+    evaluates these runs only."""
+    cfg = _shared_config(records)
+    runs = [r for r in records if not r.diverged]
+    if not runs:
+        raise GradnoiseError("ensemble has no usable (non-diverged) runs")
+    return cfg, runs, [] if len(runs) == len(records) else ["diverged-runs"]
+
+
 def tape_from_records(records, population=False):
     """Build a TrajectoryTape by re-evaluating gradients at logged weights.
 
     Records must have been produced with ``record_weights=True`` and share
-    their shape-determining config fields. Each record's gradients are taken
-    on the dataset it carries, and with ``population`` on its oracle sample.
+    their shape-determining config fields. Diverged records are left out, as
+    every ensemble bound leaves them out (:func:`_usable_runs`), and the
+    tape says so in ``any_diverged``. Each record's gradients are taken on
+    the dataset it carries, and with ``population`` on its oracle sample.
     Statistics at the final logged state are not included: sums run over
     pre-update states only.
     """
-    config = _shared_config(records)
-    if any(rec.weights is None for rec in records):
+    config, runs, _ = _usable_runs(records)
+    if any(rec.weights is None for rec in runs):
         raise ConfigError("tape requires record_weights=True runs")
     factor = minibatch_factor(config.n, config.b)
-    runs = []
-    for rec in records:
+    shape = (len(runs[0].steps) - 1, len(runs), runs[0].final_w.shape[0])
+    grad, raw_c = np.empty(shape), np.empty(shape + shape[-1:])
+    pop_grad, raw_pop = ((np.empty_like(grad), np.empty_like(raw_c)) if population
+                         else (None, None))
+    for r, rec in enumerate(runs):
         problem = build_problem(rec.config.spec)
         dataset, oracle = rec.dataset, rec.oracle
-        stats = []
-        for k in range(len(rec.steps) - 1):
-            state_step = int(rec.steps[k])
-            w = rec.weights[k]
-            grads = problem.per_example_grads(w, dataset.features, dataset.labels)
-            sigma, mean = gnc_from_grads(grads)
-            raw_c = factor * sigma
-            pop_grad = trace_pop = pop = None
+        for k, w in enumerate(rec.weights[:-1]):
+            sigma, grad[k, r] = gnc_from_grads(
+                problem.per_example_grads(w, dataset.features, dataset.labels))
+            raw_c[k, r] = factor * sigma
             if population:
-                ograds = problem.per_example_grads(w, oracle.features, oracle.labels)
-                raw_pop, pop_grad = gnc_from_grads(ograds)
-                trace_pop = float(np.trace(raw_pop))
-                pop = SpdMatrix.from_matrix(raw_pop)
-            stats.append(StepStats(
-                step=state_step + 1,
-                grad=mean,
-                gnc=SpdMatrix.from_matrix(raw_c),
-                trace_c=float(np.trace(raw_c)),
-                pop_grad=pop_grad,
-                trace_pop=trace_pop,
-                pop_gnc=pop,
-            ))
-        runs.append(tuple(stats))
-    lengths = {len(r) for r in runs}
-    if len(lengths) != 1:
-        raise GradnoiseError("tape records disagree on logged step count "
-                             "(mixed divergence truncation)")
+                raw_pop[k, r], pop_grad[k, r] = gnc_from_grads(
+                    problem.per_example_grads(w, oracle.features, oracle.labels))
     return TrajectoryTape(
-        runs=tuple(runs),
+        steps=runs[0].steps[:-1] + 1,
+        grad=grad,
+        gnc=SpdMatrix.from_matrix(raw_c),
+        trace_c=np.trace(raw_c, axis1=-2, axis2=-1),
+        pop_grad=pop_grad,
+        pop_gnc=SpdMatrix.from_matrix(raw_pop) if population else None,
+        trace_pop=np.trace(raw_pop, axis1=-2, axis2=-1) if population else None,
         config=config,
-        dim=records[0].final_w.shape[0],
-        has_population=population,
-        any_diverged=any(rec.diverged for rec in records),
+        any_diverged=len(runs) < len(records),
     )
 
 
-def _reference_gradient(g_tilde, stats, dim):
-    """The reference gradient entering the trajectory priors at one step.
+def _reference_gradient(g_tilde, tape):
+    """The reference gradient entering the trajectory priors, (K, R, d) or 0.
 
     It must not depend on the training sample: ``g_tilde`` is "zero" or
     "population-gradient" (estimated from the oracle sample).
     """
     if g_tilde == "zero":
-        return np.zeros(dim)
+        return 0.0
     if g_tilde != "population-gradient":
         raise ConfigError(f"unknown g-tilde kind {g_tilde!r}")
-    if stats.pop_grad is None:
+    if tape.pop_grad is None:
         raise ConfigError("population-gradient g-tilde needs a tape built "
                           "with population=True")
-    return stats.pop_grad
+    return tape.pop_grad
 
 
 def _core(roots, divisor=1.0):
@@ -273,32 +283,21 @@ def traj_bound_isotropic(tape, g_tilde="zero", R=1.0):
     cfg = tape.config
     flags = _trajectory_flags(cfg, tape.any_diverged)
     d = tape.dim
+    diff = tape.grad - _reference_gradient(g_tilde, tape)
+    h1s = np.mean(np.vecdot(diff, diff) + tape.trace_c, axis=1)
+    bad = np.flatnonzero(h1s <= 0)
+    if bad.size:
+        raise NumericalError(f"h1 <= 0 at step {tape.steps[bad[0]]}")
 
     def evaluate(scale):
-        terms = np.empty(tape.n_steps)
-        h1s = np.empty(tape.n_steps)
-        h2s = np.empty(tape.n_steps)
-        floored = False
-        for k in range(tape.n_steps):
-            h1_vals, h2_vals = [], []
-            for run in tape.runs:
-                st = run[k]
-                diff = st.grad - _reference_gradient(g_tilde, st, d)
-                h1_vals.append(float(diff @ diff) + st.trace_c)
-                mat = st.gnc.refloored(scale)
-                floored = floored or mat.floored
-                h2_vals.append(log_det(mat))
-            h1 = float(np.mean(h1_vals))
-            h2 = float(np.mean(h2_vals))
-            if h1 <= 0:
-                raise NumericalError(f"h1 <= 0 at step {tape.runs[0][k].step}")
-            terms[k] = d * np.log(h1 / d) - h2
-            h1s[k], h2s[k] = h1, h2
+        gnc = tape.gnc.refloored(scale)
+        h2s = np.mean(log_det(gnc), axis=1)
+        terms = d * np.log(h1s / d) - h2s
         total = cfg.log_every * float(terms.sum())
-        return [total / cfg.n], floored, total, terms, h1s, h2s
+        return [total / cfg.n], gnc.floored, total, terms, h2s
 
     components = {}
-    roots, total, terms, h1s, h2s = _floor_sensitive(evaluate, flags, components)
+    roots, total, terms, h2s = _floor_sensitive(evaluate, flags, components)
     components.update({
         "term_sum": total,
         "h1_mean": float(h1s.mean()),
@@ -307,10 +306,7 @@ def traj_bound_isotropic(tape, g_tilde="zero", R=1.0):
     })
     extra = {"h1": h1s, "h2": h2s}
     if g_tilde == "population-gradient":
-        id_h1 = np.empty(tape.n_steps)
-        for k in range(tape.n_steps):
-            vals = [run[k].trace_pop / cfg.b for run in tape.runs]
-            id_h1[k] = float(np.mean(vals))
+        id_h1 = np.mean(tape.trace_pop / cfg.b, axis=1)
         with np.errstate(divide="ignore"):
             id_terms = d * np.log(id_h1 / d) - h2s
         extra["identity_h1"] = id_h1
@@ -336,17 +332,9 @@ def traj_bound_langevin(tape, g_tilde="zero", R=1.0):
     flags = ["counterfactual-mode"] if cfg.mode != "gld" else []
     flags += _trajectory_flags(cfg, tape.any_diverged)
     d = tape.dim
-    terms = np.empty(tape.n_steps)
-    loose = np.empty(tape.n_steps)
-    for k in range(tape.n_steps):
-        vals = []
-        for run in tape.runs:
-            st = run[k]
-            diff = st.grad - _reference_gradient(g_tilde, st, d)
-            vals.append(float(diff @ diff))
-        x = float(np.mean(vals)) / d
-        terms[k] = np.log1p(x)
-        loose[k] = x
+    diff = tape.grad - _reference_gradient(g_tilde, tape)
+    loose = np.mean(np.vecdot(diff, diff), axis=1) / d
+    terms = np.log1p(loose)
     total = cfg.log_every * float(terms.sum())
     components = {"term_sum": total,
                   "loose_term_sum": cfg.log_every * float(loose.sum())}
@@ -376,22 +364,12 @@ def traj_bound_anisotropic(tape, R=1.0):
     log_b = d * np.log(cfg.b)
 
     def evaluate(scale):
-        terms = np.empty(tape.n_steps)
-        diag_terms = np.empty(tape.n_steps)
-        floored = False
-        for k in range(tape.n_steps):
-            vals, dvals = [], []
-            for run in tape.runs:
-                pop = run[k].pop_gnc.refloored(scale)
-                c = run[k].gnc.refloored(scale)
-                floored = floored or pop.floored or c.floored
-                vals.append(log_det(pop) - log_det(c) - log_b)
-                dvals.append(trace_log_diag(pop.matrix)
-                             - trace_log_diag(c.matrix) - log_b)
-            terms[k] = float(np.mean(vals))
-            diag_terms[k] = float(np.mean(dvals))
+        pop, c = tape.pop_gnc.refloored(scale), tape.gnc.refloored(scale)
+        terms = np.mean(log_det(pop) - log_det(c) - log_b, axis=1)
+        diag_terms = np.mean(trace_log_diag(pop.matrix)
+                             - trace_log_diag(c.matrix) - log_b, axis=1)
         total = cfg.log_every * float(terms.sum())
-        return [total / cfg.n], floored, total, terms, diag_terms
+        return [total / cfg.n], pop.floored or c.floored, total, terms, diag_terms
 
     components = {}
     roots, total, terms, diag_terms = _floor_sensitive(evaluate, flags, components)
@@ -456,18 +434,18 @@ def traj_bound_data_dependent(records, M=1.0):
     each. The 10x-floor sensitivity terms come from the same pass: each C and
     C_J is decomposed once and refloored.
     """
-    cfg = _shared_config(records)
+    cfg, runs, _ = _usable_runs(records)
     n, b = cfg.n, cfg.b
     if n - 1 <= b:
         raise ConfigError(f"data-dependent bound needs n-1 > b, got n={n}, b={b}")
-    d = records[0].final_w.shape[0]
-    flags = _trajectory_flags(cfg, any(rec.diverged for rec in records))
+    d = runs[0].final_w.shape[0]
+    flags = _trajectory_flags(cfg, len(runs) < len(records))
     const = (b - 1) * d / (n - 1) ** 2
 
     # terms[scale][r] holds record r's per-step terms at that floor scale.
     terms = {1.0: [], FLOOR_SENSITIVITY_SCALE: []}
     floored = False
-    for rec in records:
+    for rec in runs:
         if rec.weights is None:
             raise ConfigError("data-dependent bound requires record_weights=True")
         problem = build_problem(rec.config.spec)
@@ -485,18 +463,8 @@ def traj_bound_data_dependent(records, M=1.0):
     roots, = _floor_sensitive(evaluate, flags, components)
     components["per_record_cores_mean"] = _core(roots)
     return _report("trajectory-data-dependent", roots, flags, components,
-                   len(records), _run_setting(cfg), M=M,
+                   len(runs), _run_setting(cfg), M=M,
                    per_step_terms=np.mean(terms[1.0], axis=0))
-
-
-def _usable_runs(records):
-    """The shared config of an ensemble's records, its non-diverged records
-    and the flags they raise."""
-    cfg = _shared_config(records)
-    runs = [r for r in records if not r.diverged]
-    if not runs:
-        raise GradnoiseError("ensemble has no usable (non-diverged) runs")
-    return cfg, runs, [] if len(runs) == len(records) else ["diverged-runs"]
 
 
 def _terminal_samples(records):
@@ -514,6 +482,8 @@ def _terminal_samples(records):
 
 
 def _covariance(rows):
+    """The mean of the weight rows and their sample covariance (divisor
+    ``max(rows - 1, 1)``)."""
     mu = rows.mean(axis=0)
     centered = rows - mu
     denom = max(rows.shape[0] - 1, 1)
@@ -679,25 +649,25 @@ def terminal_bound_gradient_accum(records, R=1.0):
     the origin; a nonzero initialization is flagged, as is a logging cadence
     above 1 (rescaled sum) and a nonconstant schedule (largest eta used).
     """
-    cfg = _shared_config(records)
-    flags = _trajectory_flags(cfg, any(rec.diverged for rec in records))
+    cfg, runs, _ = _usable_runs(records)
+    flags = _trajectory_flags(cfg, len(runs) < len(records))
     etas = {e for _, e in cfg.lr_schedule}
     eta = max(etas)
     if len(etas) > 1:
         flags.append("nonconstant-lr")
-    if any(float(np.linalg.norm(rec.w0)) > 0 for rec in records):
+    if any(float(np.linalg.norm(rec.w0)) > 0 for rec in runs):
         flags.append("nonzero-init")
     sums = []
-    for rec in records:
+    for rec in runs:
         per_step = rec.grad_norm_sq[:-1] + rec.trace_c[:-1]
         sums.append(cfg.log_every * float(per_step.sum()))
     mean_sum = float(np.mean(sums))
-    d = records[0].final_w.shape[0]
+    d = runs[0].final_w.shape[0]
     n, b, T = cfg.n, cfg.b, cfg.steps
     inner = (4.0 * b * T * eta / d) * mean_sum + 1.0
     return _report("terminal-gradient-accumulation", [(d / n) * np.log(inner)],
                    flags, {"accumulated_sum": mean_sum, "inner": inner},
-                   len(records), {**_run_setting(cfg), "eta": eta}, R=R)
+                   len(runs), {**_run_setting(cfg), "eta": eta}, R=R)
 
 
 def terminal_bound_loo(pairs, M=1.0):

@@ -561,9 +561,7 @@ def cmd_stationary(config, out_dir=None):
     problem = build_problem(train.spec)
     dataset = record.dataset
     tail = record.tail_weights
-    tail_mean = tail.mean(axis=0)
-    centered = tail - tail_mean
-    empirical = centered.T @ centered / max(tail.shape[0] - 1, 1)
+    tail_mean, empirical = bounds_mod._covariance(tail)
     c = minibatch_gnc(empirical_gnc(problem, tail_mean, dataset), train.n, train.b)
     h = dense_hessian(problem, tail_mean, dataset.features, dataset.labels)
     eta = train.lr_at(train.steps)

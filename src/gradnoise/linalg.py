@@ -36,13 +36,21 @@ DEFAULT_FLOOR_ABS = 1e-12
 
 
 def symmetrize(m):
-    """Return (M + M^T)/2 as a float array, validating shape and finiteness."""
+    """Return (M + M^T)/2 as a float array, validating shape and finiteness.
+
+    ``m`` is a square matrix or a stack of them (the last two axes).
+    """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix has non-finite entries")
-    return (m + m.T) / 2.0
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
+
+
+def _float_if_scalar(x):
+    """``x`` as a Python float if it holds one value, else the array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def eigenvalue_floor(mean_eigenvalue, scale=1.0):
@@ -70,17 +78,24 @@ class SpdMatrix:
     (:func:`spd_sqrt`, :func:`log_det`, :meth:`inv_trace_product`) never pay
     for the reconstruction.
 
+    ``from_matrix`` also takes a stack of matrices (leading axes first, the
+    matrices on the last two): every field then carries the leading axes,
+    each matrix is floored by its own ``tr(M)/d``, and every entry equals
+    ``from_matrix`` of that matrix alone bit for bit. ``floored`` stays one
+    flag, set if any matrix of the stack floored; :func:`log_det` and
+    :func:`trace_log_diag` return one value per matrix.
+
     Attributes
     ----------
     raw_eigenvalues : ndarray
         Eigenvalues of the symmetrized input, ascending, before flooring.
     eigenvectors : ndarray
         Orthonormal eigenvectors, one per column, matching the eigenvalues.
-    mean_eigenvalue : float
+    mean_eigenvalue : float or ndarray
         ``tr(M)/d`` of the symmetrized input; sets the relative floor.
     scale : float
         Multiplier on both default floors (see :func:`eigenvalue_floor`).
-    floor : float
+    floor : float or ndarray
         The eigenvalue floor applied, ``eigenvalue_floor(mean_eigenvalue,
         scale)``.
     eigenvalues : ndarray
@@ -103,7 +118,8 @@ class SpdMatrix:
             vals, vecs = np.linalg.eigh(sym)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-        return cls(vals, vecs, float(np.trace(sym) / sym.shape[0]), scale)
+        mean = np.trace(sym, axis1=-2, axis2=-1) / sym.shape[-1]
+        return cls(vals, vecs, _float_if_scalar(mean), scale)
 
     def refloored(self, scale):
         """The same eigenpairs under ``scale`` times both default floors."""
@@ -111,28 +127,24 @@ class SpdMatrix:
 
     @cached_property
     def floor(self):
-        return float(eigenvalue_floor(self.mean_eigenvalue, self.scale))
+        return _float_if_scalar(eigenvalue_floor(self.mean_eigenvalue, self.scale))
 
     @cached_property
     def eigenvalues(self):
-        return np.maximum(self.raw_eigenvalues, self.floor)
+        return np.maximum(self.raw_eigenvalues, np.expand_dims(self.floor, -1))
 
     @cached_property
     def floored(self):
-        return bool(np.any(self.raw_eigenvalues < self.floor))
+        return bool(np.any(self.raw_eigenvalues < self.eigenvalues))
 
     @cached_property
     def matrix(self):
         q = self.eigenvectors
-        return symmetrize((q * self.eigenvalues) @ q.T)
+        return symmetrize((q * self.eigenvalues[..., None, :]) @ np.swapaxes(q, -1, -2))
 
     @property
     def dim(self):
-        return self.eigenvalues.shape[0]
-
-    @property
-    def trace(self):
-        return float(np.sum(self.eigenvalues))
+        return self.raw_eigenvalues.shape[-1]
 
     def inv_trace_product(self, other):
         """Return ``tr(M^{-1} A)`` for a symmetric matrix ``A``."""
@@ -148,22 +160,24 @@ def spd_sqrt(m):
 
 
 def log_det(m):
-    """Sum of logs of the (floored) eigenvalues of an :class:`SpdMatrix`."""
+    """Sum of logs of the (floored) eigenvalues of an :class:`SpdMatrix`, one
+    per matrix of a stack."""
     if np.any(m.eigenvalues <= 0.0):
         raise DomainError("nonpositive eigenvalue survived flooring")
-    return float(np.sum(np.log(m.eigenvalues)))
+    return _float_if_scalar(np.sum(np.log(m.eigenvalues), axis=-1))
 
 
 def trace_log_diag(m):
     """Sum of logs of the diagonal entries, tr(log(diag(m))).
 
-    Coincides with :func:`log_det` exactly when the matrix is diagonal.
+    Coincides with :func:`log_det` exactly when the matrix is diagonal. One
+    value per matrix of a stack.
     """
     mat = m.matrix if isinstance(m, SpdMatrix) else np.asarray(m, dtype=float)
-    diag = mat.diagonal()
+    diag = np.diagonal(mat, axis1=-2, axis2=-1)
     if np.any(diag <= 0.0):
         raise DomainError("trace_log_diag requires strictly positive diagonal entries")
-    return float(np.sum(np.log(diag)))
+    return _float_if_scalar(np.sum(np.log(diag), axis=-1))
 
 
 STATIONARY_MODES = ("general", "commuting", "hessian-matches-gnc", "small-lr")

@@ -8,6 +8,7 @@ leave-one-out minimizer shift on quadratics.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from gradnoise import linalg
 from gradnoise.bounds import (
     FLOOR_SENSITIVITY_SCALE,
     BoundReport,
-    StepStats,
     TrajectoryTape,
     fim_takeuchi_bound,
     influence_estimate,
@@ -67,32 +67,43 @@ def random_spd(rng, d, scale=1.0, min_eig=0.05):
 
 def make_step(grad, raw_gnc, step=1, pop_grad=None, raw_pop=None,
               trace_c=None):
+    """One run's statistics at one step, as :func:`make_tape` stacks them."""
     raw = np.asarray(raw_gnc, dtype=float)
-    gnc = SpdMatrix.from_matrix(raw)
-    pop = None if raw_pop is None else SpdMatrix.from_matrix(
-        np.asarray(raw_pop, dtype=float))
-    return StepStats(
+    return SimpleNamespace(
         step=step,
         grad=np.asarray(grad, dtype=float),
-        gnc=gnc,
+        raw_gnc=raw,
         trace_c=float(np.trace(raw)) if trace_c is None else float(trace_c),
         pop_grad=None if pop_grad is None else np.asarray(pop_grad, dtype=float),
-        trace_pop=None if raw_pop is None else float(np.trace(raw_pop)),
-        pop_gnc=pop,
+        raw_pop=None if raw_pop is None else np.asarray(raw_pop, dtype=float),
     )
 
 
 def make_tape(runs, n=10, b=1, scale=1, mode="sde", any_diverged=False):
-    """A tape of hand-made steps. Its config logs every ``scale`` updates
-    and runs ``scale`` updates per step at eta 0.1."""
-    dim = runs[0][0].grad.shape[0]
+    """A tape of hand-made steps, ``runs[r][k]`` the k-th step of run r. Its
+    config logs every ``scale`` updates and runs ``scale`` updates per step
+    at eta 0.1."""
+    first = runs[0][0]
+    dim = first.grad.shape[0]
     config = TrainConfig(
         spec=QuadraticSpec(curvature=1.0, center=np.zeros(dim), scatter=1.0),
         n=n, b=b, lr_schedule=((1, 0.1),),
         steps=scale * len(runs[0]), mode=mode, log_every=scale)
+
+    def stack(field):
+        return np.array([[getattr(run[k], field) for run in runs]
+                         for k in range(len(runs[0]))])
+
+    raw_pop = None if first.raw_pop is None else stack("raw_pop")
     return TrajectoryTape(
-        runs=tuple(tuple(r) for r in runs), config=config, dim=dim,
-        has_population=runs[0][0].pop_gnc is not None,
+        steps=np.array([st.step for st in runs[0]]),
+        grad=stack("grad"),
+        gnc=SpdMatrix.from_matrix(stack("raw_gnc")),
+        trace_c=stack("trace_c"),
+        pop_grad=None if first.pop_grad is None else stack("pop_grad"),
+        pop_gnc=None if raw_pop is None else SpdMatrix.from_matrix(raw_pop),
+        trace_pop=None if raw_pop is None else np.trace(raw_pop, axis1=-2, axis2=-1),
+        config=config,
         any_diverged=any_diverged,
     )
 
@@ -584,16 +595,28 @@ class TestTapeFromRecords:
         cfg = quad_config(steps=4, log_every=1)
         tape = tape_from_records([train_run(cfg)])
         assert tape.n_steps == 4
-        assert [s.step for s in tape.runs[0]] == [1, 2, 3, 4]
+        assert tape.steps.tolist() == [1, 2, 3, 4]
 
     def test_population_statistics_toggle(self):
         rec = train_run(quad_config(steps=2))
         plain = tape_from_records([rec])
         assert not plain.has_population
-        assert plain.runs[0][0].pop_gnc is None
+        assert plain.pop_gnc is None and plain.pop_grad is None
         pop = tape_from_records([rec], population=True)
         assert pop.has_population
-        assert pop.runs[0][0].pop_gnc is not None
+        assert pop.pop_gnc.raw_eigenvalues.shape == (2, 1, 2)
+
+    def test_one_eigendecomposition_per_stack(self, monkeypatch):
+        """The training and the population GNCs of every (step, run) are
+        decomposed as two stacks, one ``eigh`` call each."""
+        records = [train_run(quad_config(steps=3, seed=s)) for s in (0, 1)]
+        eighs = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda m: eighs.append(m.shape) or eigh(m))
+        tape = tape_from_records(records, population=True)
+        assert eighs == [(3, 2, 2, 2)] * 2
+        assert tape.grad.shape == (3, 2, 2) and tape.trace_pop.shape == (3, 2)
 
     def test_tape_statistics_match_direct_recomputation(self):
         cfg = quad_config(steps=2)
@@ -601,14 +624,50 @@ class TestTapeFromRecords:
         tape = tape_from_records([rec])
         problem = build_problem(cfg.spec)
         dataset = generate_dataset(cfg.spec, cfg.effective_dataset_seed, cfg.n)
-        st0 = tape.runs[0][0]
         grads = problem.per_example_grads(rec.weights[0], dataset.features,
                                           dataset.labels)
-        np.testing.assert_allclose(st0.grad, grads.mean(axis=0), rtol=1e-12)
-        assert tape.config.lr_at(st0.step) == 0.1
+        np.testing.assert_allclose(tape.grad[0, 0], grads.mean(axis=0), rtol=1e-12)
+        assert tape.config.lr_at(tape.steps[0]) == 0.1
         mean = grads.mean(axis=0)
         sigma = grads.T @ grads / cfg.n - np.outer(mean, mean)
-        np.testing.assert_allclose(st0.gnc.matrix, sigma, atol=1e-12)  # b=1 factor 1
+        np.testing.assert_allclose(tape.gnc.matrix[0, 0], sigma, atol=1e-12)  # b=1 factor 1
+
+
+def test_tape_bounds_equal_a_loop_over_steps_and_runs():
+    """The three tape bounds reduce (step, run) arrays; their per-step terms
+    equal a literal loop over steps and runs of one-matrix statistics, to a
+    tolerance of 8 float64 epsilons (the dot products may run in another
+    order than the reductions)."""
+    spec = LogisticSpec(dim=3, mean0=-0.5 * np.ones(3), mean1=0.5 * np.ones(3),
+                        pop_oracle_size=200)
+    records = [train_run(quad_config(spec=spec, n=12, b=3, steps=4, seed=s))
+               for s in range(3)]
+    tape = tape_from_records(records, population=True)
+    d, log_b = tape.dim, tape.dim * np.log(tape.config.b)
+
+    def one(stack, k, r):
+        return SpdMatrix(stack.raw_eigenvalues[k, r], stack.eigenvectors[k, r],
+                         float(stack.mean_eigenvalue[k, r]))
+
+    iso, lang, aniso = [], [], []
+    for k in range(tape.n_steps):
+        h1, h2, sq, gap = [], [], [], []
+        for r in range(tape.n_runs):
+            diff = tape.grad[k, r] - tape.pop_grad[k, r]
+            c, pop = one(tape.gnc, k, r), one(tape.pop_gnc, k, r)
+            h1.append(float(diff @ diff) + tape.trace_c[k, r])
+            h2.append(log_det(c))
+            sq.append(float(diff @ diff))
+            gap.append(log_det(pop) - log_det(c) - log_b)
+        iso.append(d * np.log(np.mean(h1) / d) - np.mean(h2))
+        lang.append(np.log1p(np.mean(sq) / d))
+        aniso.append(np.mean(gap))
+    tol = 8 * np.finfo(float).eps
+    for report, loop in [
+            (traj_bound_isotropic(tape, "population-gradient"), iso),
+            (traj_bound_langevin(tape, "population-gradient"), lang),
+            (traj_bound_anisotropic(tape), aniso)]:
+        np.testing.assert_allclose(report.per_step_terms, loop, rtol=tol)
 
 
 @pytest.mark.parametrize("bound", [
@@ -620,25 +679,35 @@ def test_record_fed_bounds_reject_mismatched_records(bound, field, values):
         bound(records)
 
 
-def test_trajectory_bounds_share_flags_and_setting():
-    """One record that diverges under a changing schedule, logged every 2
-    updates: the five trajectory bounds raise ``diverged-runs`` and
-    ``approximate-cadence`` in one order and report one run shape, eta at
-    step T (gradient accumulation reports the largest eta, as documented)."""
-    cfg = quad_config(n=20, b=4, steps=400, log_every=2,
-                      lr_schedule=((1, 0.1), (5, 2.5), (300, 0.1)))
-    records = [train_run(cfg)]
-    assert records[0].diverged
+def _five_trajectory_reports(records):
     tape = tape_from_records(records, population=True)
-    reports = [traj_bound_isotropic(tape), traj_bound_langevin(tape),
-               traj_bound_anisotropic(tape), traj_bound_data_dependent(records),
-               terminal_bound_gradient_accum(records)]
-    for rep in reports:
+    return [traj_bound_isotropic(tape), traj_bound_langevin(tape),
+            traj_bound_anisotropic(tape), traj_bound_data_dependent(records),
+            terminal_bound_gradient_accum(records)]
+
+
+def test_trajectory_bounds_share_flags_and_setting():
+    """A grid of two runs under a changing schedule, logged every 2 updates,
+    one of which diverges: the five trajectory bounds leave the diverged run
+    out (each core is the one of the finished run alone), raise
+    ``diverged-runs`` and ``approximate-cadence`` in one order and report
+    one run shape, eta at step T (gradient accumulation reports the largest
+    eta, as documented)."""
+    cfg = quad_config(n=20, b=4, steps=400, log_every=2,
+                      lr_schedule=((1, 0.1), (5, 1.71), (300, 0.1)))
+    records = [train_run(dataclasses.replace(cfg, seed=s)) for s in (0, 2)]
+    assert records[0].diverged and not records[1].diverged
+    reports = _five_trajectory_reports(records)
+    alone = _five_trajectory_reports(records[1:])
+    for rep, ref in zip(reports, alone):
         assert [f for f in rep.flags if f in ("diverged-runs",
                                               "approximate-cadence")] == [
             "diverged-runs", "approximate-cadence"]
+        assert "diverged-runs" not in ref.flags
+        assert rep.core == ref.core
+        assert rep.n_runs_used == 1
         assert (rep.config["n"], rep.config["b"], rep.config["T"]) == (20, 4, 400)
-    assert [rep.config["eta"] for rep in reports] == [0.1] * 4 + [2.5]
+    assert [rep.config["eta"] for rep in reports] == [0.1] * 4 + [1.71]
 
 
 class TestTerminalGeneral:

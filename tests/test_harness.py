@@ -627,17 +627,32 @@ class TestBoundsCommands:
         assert "diverged" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_mixed_divergence_truncation_is_a_runtime_error(self):
-        """At eta = 2.05 the runs of one grid cross the loss threshold at
-        different logged steps, so their tapes would differ in length."""
-        cfg = load_experiment_config({
-            **quad_raw(n=20, lr=2.05, steps=300, log_every=10, record_weights=True),
-            "ensemble": {"dataset_seeds": 2, "run_seeds": 2}})
+    @pytest.mark.parametrize("names", [None, ["traj-data-dependent"]])
+    def test_mixed_divergence_grid_leaves_diverged_runs_out(self, tmp_path,
+                                                            names):
+        """At eta = 2.045 one run of the 2 x 2 grid diverges and is cut at
+        another logged step than the others: every trajectory bound leaves
+        it out, as the terminal bounds do, flags ``diverged-runs`` and
+        evaluates the other three, and the command exits 0."""
+        raw = {"problem": quad_problem(),
+               "train": {"n": 20, "b": 2, "lr": 2.045, "steps": 280,
+                         "log_every": 10},
+               "ensemble": {"dataset_seeds": 2, "run_seeds": 2}, "seed": 0,
+               **({"bounds": names} if names else {})}
+        cfg = load_experiment_config(raw)
         runs = dynamics.run_ensemble(cfg.train, 2, 2, terminal_only=False)
+        assert [r.diverged for r in runs].count(True) == 1
         assert len({len(r.steps) for r in runs}) > 1
-        with pytest.raises(GradnoiseError, match="mixed divergence") as err:
-            bounds.tape_from_records(runs)
-        assert not isinstance(err.value, ConfigError)
+        out = tmp_path / "out"
+        assert run_cli(["bounds-traj", "--config", str(write_config(tmp_path, raw)),
+                        "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in
+                         (out / "bounds.csv").read_text().splitlines()]
+        rows = [dict(zip(header, row)) for row in rows]
+        assert len(rows) == len(names or TRAJ_BOUNDS)
+        for row in rows:
+            assert "diverged-runs" in row["flags"].split("|")
+            assert row["n_runs_used"] == "3"
 
     def test_terminal_bounds_attach_generalization_estimate(self, tmp_path):
         raw = {

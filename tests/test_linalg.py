@@ -79,7 +79,7 @@ class TestSpdMatrix:
         spd = SpdMatrix.from_matrix(m)
         assert not spd.floored
         np.testing.assert_allclose(spd.matrix, m, atol=1e-12)
-        np.testing.assert_allclose(spd.trace, np.trace(m), rtol=1e-12)
+        np.testing.assert_allclose(np.sum(spd.eigenvalues), np.trace(m), rtol=1e-12)
 
     def test_flooring_lifts_small_eigenvalues(self):
         m = np.diag([1.0, 1e-15])
@@ -161,6 +161,57 @@ class TestSpdMatrix:
         spd_sqrt(spd)
         log_det(spd)
         assert "matrix" not in vars(spd)
+
+
+def _mixed_stack(rng, shape=(3, 4), d=5):
+    """A stack of asymmetric inputs whose symmetric parts are full rank,
+    rank 2, zero and tiny in turn: some floor at the relative floor, some at
+    the absolute one, some not at all."""
+    mats = np.empty(shape + (d, d))
+    for i, idx in enumerate(np.ndindex(shape)):
+        g = rng.standard_normal((2, d))
+        m = [random_spd(rng, d), g.T @ g, np.zeros((d, d)),
+             1e-14 * random_spd(rng, d)][i % 4]
+        mats[idx] = m + np.triu(rng.standard_normal((d, d)), 1) * (i % 2)
+    return mats
+
+
+class TestStackedSpdMatrix:
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_stack_equals_each_matrix_alone_bit_for_bit(self, scale):
+        """``from_matrix`` of a (K, R, d, d) stack holds, at every (k, r),
+        exactly what ``from_matrix`` of that matrix alone holds."""
+        mats = _mixed_stack(np.random.default_rng(37))
+        stack = SpdMatrix.from_matrix(mats, scale)
+        assert stack.dim == 5
+        ld, tld = log_det(stack), trace_log_diag(stack)
+        assert ld.shape == tld.shape == (3, 4)
+        flags = []
+        for idx in np.ndindex(3, 4):
+            one = SpdMatrix.from_matrix(mats[idx], scale)
+            for field in ("raw_eigenvalues", "eigenvectors", "eigenvalues",
+                          "matrix"):
+                assert np.array_equal(getattr(stack, field)[idx],
+                                      getattr(one, field)), field
+            assert stack.floor[idx] == one.floor
+            assert ld[idx] == log_det(one)
+            assert tld[idx] == trace_log_diag(one)
+            flags.append(one.floored)
+        assert stack.floored == any(flags)
+        assert any(flags) and not all(flags)
+
+    def test_floored_is_any_matrix_of_the_stack(self):
+        rng = np.random.default_rng(41)
+        full = np.stack([random_spd(rng, 3) for _ in range(4)])
+        assert not SpdMatrix.from_matrix(full).floored
+        full[2] = np.diag([1.0, 1.0, 0.0])
+        assert SpdMatrix.from_matrix(full).floored
+
+    def test_single_matrix_reductions_stay_python_floats(self):
+        spd = SpdMatrix.from_matrix(np.diag([0.5, 2.0]))
+        assert type(log_det(spd)) is float
+        assert type(trace_log_diag(spd)) is float
+        assert type(spd.floor) is float
 
 
 class TestLogDet:
