@@ -169,8 +169,7 @@ def _sample(spec, rng, n):
         return means + noise, labels
     if isinstance(spec, MlpSpec):
         feats = rng.standard_normal((n, spec.in_dim))
-        teacher = _teacher_params(spec)
-        logits = np.tanh(feats @ teacher[0].T + teacher[1]) @ teacher[2].T + teacher[3]
+        _, logits = _mlp_forward(*_teacher_params(spec), feats)
         probs = _softmax(logits)
         u = rng.random(n)
         labels = np.minimum(
@@ -202,10 +201,29 @@ def population_oracle_sample(spec, seed):
     return Dataset(feats, labels, seed, spec)
 
 
+def _class_reduce(ufunc, x):
+    """``ufunc`` folded over the last axis, left to right, one column at a time.
+
+    The result keeps that axis (length 1). On a narrow class axis this is far
+    faster than ``ufunc.reduce(x, axis=-1, keepdims=True)``, whose cost there
+    is numpy's per-row loop overhead, not the arithmetic. ``np.maximum`` gives
+    the same result as ``x.max(axis=-1, keepdims=True)`` for any width.
+    ``np.add`` gives the same bits as ``x.sum(axis=-1, keepdims=True)`` for
+    widths below 8, which numpy also sums left to right; from 8 on, numpy's
+    pairwise sum keeps 8 partial sums, so the last bits may differ. The last
+    axis must have length at least 2.
+    """
+    out = ufunc(x[..., 0:1], x[..., 1:2])
+    for j in range(2, x.shape[-1]):
+        ufunc(out, x[..., j:j + 1], out=out)
+    return out
+
+
 def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - _class_reduce(np.maximum, logits)
+    np.exp(e, out=e)
+    e /= _class_reduce(np.add, e)
+    return e
 
 
 class QuadraticProblem:
@@ -299,6 +317,17 @@ class LogisticProblem:
         return float(np.mean((features @ w > 0).astype(int) == labels))
 
 
+def _mlp_forward(w1, b1, w2, b2, features):
+    """Hidden activations and logits of the tanh network, computed in place:
+    no temporaries besides the two results."""
+    hid = features @ w1.T
+    hid += b1
+    np.tanh(hid, out=hid)
+    logits = hid @ w2.T
+    logits += b2
+    return hid, logits
+
+
 def _teacher_params(spec):
     rng = substream(spec.teacher_seed, "teacher")
     w1 = spec.teacher_scale * rng.standard_normal((spec.hidden, spec.in_dim))
@@ -319,6 +348,11 @@ class MlpProblem:
     R-operator (directional derivative of the backward pass) at that state, so
     each Hessian-vector product after the first costs roughly two backward
     passes and needs no second-order symbolic work.
+
+    Reductions over the class axis run column by column (``_class_reduce``)
+    and the forward pass works in place (``_mlp_forward``). The forward pass
+    gives the same bits as the plain formula, and the class sums the same
+    bits as numpy's for fewer than 8 classes.
     """
 
     has_accuracy = True
@@ -346,17 +380,14 @@ class MlpProblem:
 
     def _forward(self, w, features):
         w1, b1, w2, b2 = self.unpack(w)
-        pre = features @ w1.T + b1
-        hid = np.tanh(pre)
-        logits = hid @ w2.T + b2
-        return w1, b1, w2, b2, pre, hid, logits
+        return (w1, b1, w2, b2) + _mlp_forward(w1, b1, w2, b2, features)
 
     def per_example_losses(self, w, features, labels):
         *_, logits = self._forward(w, features)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1))
-        idx = np.arange(len(labels))
-        return logz - shifted[idx, labels.astype(int)]
+        logits -= _class_reduce(np.maximum, logits)
+        logz = np.log(_class_reduce(np.add, np.exp(logits))[:, 0])
+        logz -= logits[np.arange(len(labels)), labels.astype(int)]
+        return logz
 
     def mean_loss(self, w, features, labels):
         return float(np.mean(self.per_example_losses(w, features, labels)))
@@ -368,7 +399,7 @@ class MlpProblem:
         return probs, d_logits
 
     def per_example_grads(self, w, features, labels):
-        w1, b1, w2, b2, pre, hid, logits = self._forward(w, features)
+        w1, b1, w2, b2, hid, logits = self._forward(w, features)
         _, d_logits = self._backward_seeds(logits, labels)
         d_hid = d_logits @ w2
         d_pre = (1.0 - hid * hid) * d_hid
@@ -404,7 +435,7 @@ class MlpProblem:
         ], axis=-1)
 
     def hessian_operator(self, w, features, labels):
-        w1, b1, w2, b2, pre, hid, logits = self._forward(w, features)
+        w1, b1, w2, b2, hid, logits = self._forward(w, features)
         n = features.shape[0]
         probs, d_logits = self._backward_seeds(logits, labels)
         d_hid = d_logits @ w2
@@ -419,7 +450,7 @@ class MlpProblem:
             r_logits = hid @ v2.T + r_hid @ w2.T + c2
             p_r = probs * r_logits
             # d_logits is probs minus a constant, so it moves with the softmax.
-            r_dlogits = p_r - probs * np.sum(p_r, axis=1, keepdims=True)
+            r_dlogits = p_r - probs * _class_reduce(np.add, p_r)
 
             # Backward sweep: differentiate each gradient quantity along v.
             r_dhid = d_logits @ v2 + r_dlogits @ w2

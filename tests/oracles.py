@@ -4,7 +4,9 @@ They check the library against independent formulas and are kept out of
 ``src/`` because no library code calls them: the Hutchinson trace and the
 spectral summary, the per-state gradient snapshot and the leave-one-out
 pieces, Gaussian KL arithmetic, the quadratic family's analytic population
-moments, and the closed-form prior objectives behind the bounds.
+moments, the closed-form prior objectives behind the bounds, and a frozen copy
+of the MLP kernels written with numpy's own class-axis reductions and no
+in-place steps, which the library's kernels must match bit for bit.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ import numpy as np
 from gradnoise.errors import CapabilityError, ConfigError, InvalidInputError
 from gradnoise.gradstats import gnc_from_grads, minibatch_factor
 from gradnoise.linalg import SpdMatrix, log_det
-from gradnoise.problems import QuadraticSpec
+from gradnoise.problems import QuadraticSpec, _teacher_params
 from gradnoise.seeding import substream
 from gradnoise.spectral import stability_gap, top_eigenvalue
 
@@ -220,3 +222,42 @@ def isotropic_terminal_kl(sigma_sq, msd, d, eta, b):
     base = eta / (2.0 * b)
     return 0.5 * (d * np.log(sigma_sq) - d * np.log(base) - d
                   + (msd + d * base) / sigma_sq)
+
+
+def mlp_forward(problem, w, features):
+    """The MLP forward pass with one temporary per operation:
+    (w1, b1, w2, b2, pre, hid, logits)."""
+    w1, b1, w2, b2 = problem.unpack(w)
+    pre = features @ w1.T + b1
+    hid = np.tanh(pre)
+    logits = hid @ w2.T + b2
+    return w1, b1, w2, b2, pre, hid, logits
+
+
+def softmax(logits):
+    """Softmax over the last axis with numpy's max and sum reductions."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def mlp_per_example_losses(problem, w, features, labels):
+    """Softmax cross-entropy per example, with numpy's class-axis reductions."""
+    *_, logits = mlp_forward(problem, w, features)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=1))
+    idx = np.arange(len(labels))
+    return logz - shifted[idx, labels.astype(int)]
+
+
+def mlp_sample(spec, rng, n):
+    """The MLP family's (features, labels) draw from ``rng``."""
+    feats = rng.standard_normal((n, spec.in_dim))
+    teacher = _teacher_params(spec)
+    logits = np.tanh(feats @ teacher[0].T + teacher[1]) @ teacher[2].T + teacher[3]
+    probs = softmax(logits)
+    u = rng.random(n)
+    labels = np.minimum(
+        (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1), spec.classes - 1
+    )
+    return feats, labels

@@ -3,18 +3,23 @@
 import numpy as np
 import pytest
 
+import oracles
 from fd_utils import check_hvp, check_mean_grad, check_per_example_grads
 from oracles import quadratic_population_moments
+from gradnoise import problems
 from gradnoise.errors import CapabilityError, ConfigError
 from gradnoise.problems import (
     LogisticSpec,
+    MlpProblem,
     MlpSpec,
     QuadraticSpec,
+    _class_reduce,
     build_problem,
     dense_hessian,
     generate_dataset,
     population_oracle_sample,
 )
+from gradnoise.seeding import substream
 
 
 def quadratic_spec(d=3, seed=0):
@@ -286,3 +291,118 @@ class TestAccuracyAndPacking:
         data = generate_dataset(spec, seed=3, n=2000)
         w = problem.init_from_teacher()
         assert problem.accuracy(w, data.features, data.labels) > 0.5
+
+
+def mlp_state(classes):
+    """An MLP 5/8/classes at a perturbed teacher state, a 400-point training
+    set and a 10,000-point oracle."""
+    spec = MlpSpec(in_dim=5, hidden=8, classes=classes, teacher_seed=3,
+                   pop_oracle_size=10_000)
+    problem = build_problem(spec)
+    w = problem.init_from_teacher(2.0) + 0.3 * np.random.default_rng(
+        classes).standard_normal(problem.dim)
+    return (spec, problem, w, generate_dataset(spec, seed=5, n=400),
+            population_oracle_sample(spec, seed=6))
+
+
+def mlp_outputs(problem, w, train, oracle):
+    """Every MLP kernel's output at one state, keyed by what it is."""
+    rng = np.random.default_rng(0)
+    stack = w + 0.1 * rng.standard_normal((8, problem.dim))
+    batch = rng.integers(0, len(train), size=(8, 8))
+    hess = problem.hessian_operator(w, train.features, train.labels)
+    return {
+        "per_example_losses": problem.per_example_losses(
+            w, oracle.features, oracle.labels),
+        "mean_loss": problem.mean_loss(w, oracle.features, oracle.labels),
+        "mean_grad (8, 8) stack": problem.mean_grad(
+            stack, train.features[batch], train.labels[batch]),
+        "mean_grad (1, 8) stack": problem.mean_grad(
+            w[None], train.features[batch[:1]], train.labels[batch[:1]]),
+        "mean_grad": problem.mean_grad(w, train.features, train.labels),
+        "per_example_grads": problem.per_example_grads(
+            w, train.features, train.labels),
+        "hessian_operator products": np.array(
+            [hess(v) for v in rng.standard_normal((4, problem.dim))]),
+        "dense_hessian": dense_hessian(problem, w, train.features, train.labels),
+    }
+
+
+def _frozen_forward(self, w, features):
+    w1, b1, w2, b2, _, hid, logits = oracles.mlp_forward(self, w, features)
+    return w1, b1, w2, b2, hid, logits
+
+
+class TestMlpKernels:
+    """The MLP's class-axis reductions and in-place forward pass."""
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_bit_identical_to_numpy_reductions(self, classes, monkeypatch):
+        """Every kernel output equals, bit for bit, what the same code gives
+        with the frozen forward pass, softmax and losses of tests/oracles.py
+        and numpy's own class-axis reductions put back in."""
+        spec, problem, w, train, oracle = mlp_state(classes)
+        got = mlp_outputs(problem, w, train, oracle)
+        monkeypatch.setattr(problems, "_softmax", oracles.softmax)
+        monkeypatch.setattr(problems, "_class_reduce", lambda ufunc, x:
+                            ufunc.reduce(x, axis=-1, keepdims=True))
+        monkeypatch.setattr(MlpProblem, "_forward", _frozen_forward)
+        monkeypatch.setattr(MlpProblem, "per_example_losses",
+                            oracles.mlp_per_example_losses)
+        want = mlp_outputs(problem, w, train, oracle)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+        features, labels = oracles.mlp_sample(
+            spec, substream(6, "population-oracle"), spec.pop_oracle_size)
+        assert np.array_equal(oracle.features, features)
+        assert np.array_equal(oracle.labels, labels)
+        assert len(np.unique(labels)) == classes
+
+    @pytest.mark.parametrize("shape", [(10_000,), (400,), (8, 8), (1, 8), ()])
+    def test_class_reduce_matches_numpy(self, shape):
+        """The max equals numpy's for every width; the sum equals numpy's for
+        widths 2 to 7. From width 8 on, numpy's pairwise sum keeps 8 partial
+        sums, so sums there may differ from the left-to-right fold in their
+        last bits and are not compared."""
+        rng = np.random.default_rng(len(shape))
+        for k in range(2, 11):
+            x = rng.standard_normal(shape + (k,)) * np.exp(
+                3.0 * rng.standard_normal(shape + (k,)))
+            assert np.array_equal(_class_reduce(np.maximum, x),
+                                  x.max(axis=-1, keepdims=True)), k
+            if k < 8:
+                assert np.array_equal(_class_reduce(np.add, x),
+                                      x.sum(axis=-1, keepdims=True)), k
+
+    def test_methods_leave_their_inputs_unchanged(self):
+        _, problem, w, train, _ = mlp_state(3)
+        rng = np.random.default_rng(1)
+        stack = w + 0.1 * rng.standard_normal((4, problem.dim))
+        batch = rng.integers(0, len(train), size=(4, 8))
+        v = rng.standard_normal(problem.dim)
+        args = (w, train.features, train.labels)
+        stacked = (stack, train.features[batch], train.labels[batch])
+        calls = [
+            (args, problem.per_example_losses),
+            (args, problem.mean_loss),
+            (args, problem.per_example_grads),
+            (args, problem.mean_grad),
+            (stacked, problem.mean_grad),
+            (args, problem.accuracy),
+            (args, lambda *a: problem.hessian_operator(*a)(v)),
+            (args + (v,), problem.hvp),
+        ]
+        for inputs, call in calls:
+            before = [a.copy() for a in inputs]
+            call(*inputs)
+            for a, b in zip(inputs, before):
+                assert np.array_equal(a, b), call
+
+    def test_losses_are_fresh_arrays(self):
+        _, problem, w, train, _ = mlp_state(3)
+        first = problem.per_example_losses(w, train.features, train.labels)
+        second = problem.per_example_losses(w, train.features, train.labels)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        for a in (w, train.features, train.labels):
+            assert not np.shares_memory(first, a)
