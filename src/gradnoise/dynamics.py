@@ -294,6 +294,7 @@ class _Run:
         self.weights = []
         self.tail_weights = []
         self.noise_sqrt = None
+        self.lanczos_start = None
         self.final_w = None
         self.diverged_step = None
 
@@ -316,9 +317,13 @@ class _Run:
         series["trace_c"].append(self.factor * trace_sigma)
         series["dist_init"].append(float(np.linalg.norm(w - self.w0)))
         if config.log_lambda1:
+            # Each logged state starts Lanczos from the previous one's
+            # eigenvector, so lambda1 depends on earlier states only.
             report = spectral.top_eigenvalue(
-                problem, w, dataset, seed=config.seed, seed_labels=("spectral", t)
+                problem, w, dataset, seed=config.seed,
+                seed_labels=("spectral", t), start=self.lanczos_start,
             )
+            self.lanczos_start = report.vector
             series["lambda1"].append(report.lambda_1)
             series["gap"].append(spectral.stability_gap(report.lambda_1, eta))
         if config.record_weights:

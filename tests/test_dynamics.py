@@ -447,6 +447,18 @@ class TestTrainRun:
                                    seed_labels=("spectral", int(t) + 1))
             assert other.lambda_1 == pytest.approx(lam, rel=1e-10)
 
+    def test_lambda1_of_a_shorter_run_is_a_prefix_of_a_longer_one(self):
+        """Each logged state's Lanczos call starts from the previous state's
+        eigenvector, so lambda1 depends on earlier states only."""
+        spec = MlpSpec(in_dim=3, hidden=4, classes=3, teacher_seed=1,
+                       pop_oracle_size=50)
+        cfg = TrainConfig(spec=spec, n=30, b=5, lr_schedule=((1, 0.2),),
+                          steps=40, seed=2, log_every=5, log_lambda1=True)
+        short = train_run(cfg)
+        long = train_run(replace(cfg, steps=80))
+        assert len(short.lambda1) == 9
+        np.testing.assert_array_equal(long.lambda1[:9], short.lambda1)
+
     def test_tail_checkpoints_end_at_terminal_step(self):
         cfg = base_config(steps=40, tail_checkpoints=4, tail_spacing=3,
                           mode="sde")

@@ -65,6 +65,19 @@ def mlp_state():
     return problem, dataset, w
 
 
+@pytest.fixture(scope="module")
+def mlp_trajectory():
+    """A 1000-step MLP train run (d = 75, log_every 20) with lambda1 and
+    weights logged: (problem, config, record)."""
+    spec = MlpSpec(in_dim=5, hidden=8, classes=3, teacher_seed=1)
+    problem = build_problem(spec)
+    config = TrainConfig(spec=spec, n=400, b=8, lr_schedule=((1, 0.5),),
+                         steps=1000, log_every=20, seed=3,
+                         w0=problem.init_from_teacher(0.5),
+                         log_lambda1=True, record_weights=True)
+    return problem, config, train_run(config)
+
+
 class TestTopEigenvalue:
     def test_diagonal_hessian(self):
         problem, dataset = quadratic_problem(np.diag([1.0, 2.0, 3.0]))
@@ -116,17 +129,11 @@ class TestTopEigenvalue:
         assert report.lambda_1 == pytest.approx(vals[np.argmax(np.abs(vals))],
                                                 rel=1e-12)
 
-    def test_matches_dense_hessian_along_an_mlp_trajectory(self):
+    def test_matches_dense_hessian_along_an_mlp_trajectory(self, mlp_trajectory):
         """Every logged state of a 1000-step MLP train run (d = 75,
         log_every 20): lambda1 agrees with the dense solver to the same
         1e-12 relative as the single state above."""
-        spec = MlpSpec(in_dim=5, hidden=8, classes=3, teacher_seed=1)
-        problem = build_problem(spec)
-        config = TrainConfig(spec=spec, n=400, b=8, lr_schedule=((1, 0.5),),
-                             steps=1000, log_every=20, seed=3,
-                             w0=problem.init_from_teacher(0.5),
-                             log_lambda1=True, record_weights=True)
-        record = train_run(config)
+        problem, config, record = mlp_trajectory
         assert problem.dim == 75
         assert not record.diverged
         assert len(record.weights) == len(record.lambda1) == 51
@@ -135,6 +142,27 @@ class TestTopEigenvalue:
             vals = np.linalg.eigvalsh(dense_hessian(problem, w, features, labels))
             assert lambda1 == pytest.approx(vals[np.argmax(np.abs(vals))],
                                             rel=1e-12)
+
+    def test_warm_start_along_an_mlp_trajectory(self, mlp_trajectory):
+        """On the states above, a chain of calls each started from the
+        previous state's eigenvector reproduces the run's lambda1 bit for
+        bit, agrees with cold calls to 1e-12 and takes fewer products."""
+        problem, config, record = mlp_trajectory
+        start, warm, cold = None, [], []
+        for t, w in zip(record.steps, record.weights):
+            labels = ("spectral", int(t))
+            report = top_eigenvalue(problem, w, record.dataset, seed=config.seed,
+                                    seed_labels=labels, start=start)
+            start = report.vector
+            warm.append(report)
+            cold.append(top_eigenvalue(problem, w, record.dataset,
+                                       seed=config.seed, seed_labels=labels))
+        assert all(r.converged for r in warm + cold)
+        np.testing.assert_array_equal([r.lambda_1 for r in warm], record.lambda1)
+        np.testing.assert_allclose([r.lambda_1 for r in warm],
+                                   [r.lambda_1 for r in cold], rtol=1e-12)
+        assert (sum(r.iterations_used for r in warm)
+                < sum(r.iterations_used for r in cold))
 
     def test_one_dimensional_hessian_takes_one_product(self):
         problem, dataset = quadratic_problem(np.array([[2.5]]))
@@ -156,6 +184,47 @@ class TestTopEigenvalue:
         assert np.isfinite(report.lambda_1)
         assert report.lambda_1 == pytest.approx(v0 @ (vals * v0), rel=1e-12)
         np.testing.assert_array_equal(report.vector, v0)
+
+    def test_unconverged_reports_rayleigh_quotient_of_a_given_start(self):
+        vals = np.linspace(0.9, 1.0, 60)
+        problem, dataset = quadratic_problem(np.diag(vals))
+        start = np.linspace(-1.0, 2.0, 60)
+        report = top_eigenvalue(problem, np.zeros(60), dataset, max_iter=1,
+                                start=start)
+        assert not report.converged
+        unit = start / np.linalg.norm(start)
+        assert report.lambda_1 == pytest.approx(unit @ (vals * unit), rel=1e-12)
+        np.testing.assert_array_equal(report.vector, unit)
+
+    @pytest.mark.parametrize("vals", [
+        [1.0, 2.0, 3.0], [1.0] + [0.1] * 28 + [3.0], [3.0, 1.0, 2.0],
+    ], ids=["diag-1-2-3", "fresh-block-below-1", "start-is-top"])
+    def test_breakdown_is_not_convergence(self, vals):
+        """Started at e1, an eigenvector, the first product spans an
+        invariant subspace; the search goes on from a fresh vector and
+        reports the top eigenpair. In the second case the fresh vector's
+        Rayleigh quotient (~0.2) sits below the exact eigenvalue 1 already
+        found, so the fresh block's own Ritz pair must decide convergence;
+        in the third the exact eigenvalue 3 at e1 is the top one."""
+        vals = np.array(vals)
+        problem, dataset = quadratic_problem(np.diag(vals))
+        start = np.zeros(len(vals))
+        start[0] = 1.0
+        report = top_eigenvalue(problem, np.zeros(len(vals)), dataset,
+                                start=start)
+        top = np.argmax(vals)
+        assert report.converged
+        assert report.lambda_1 == pytest.approx(vals[top], rel=1e-12)
+        assert abs(report.vector[top]) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("start", [
+        np.ones(2), np.ones((3, 1)), np.zeros(3), np.array([1.0, np.nan, 0.0]),
+        np.array([1.0, np.inf, 0.0]),
+    ], ids=["short", "column", "zero", "nan", "inf"])
+    def test_start_validation(self, start):
+        problem, dataset = quadratic_problem(np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(ConfigError):
+            top_eigenvalue(problem, np.zeros(3), dataset, start=start)
 
     def test_negative_dominant_eigenvalue_keeps_sign(self):
         """Curvature diag(-5, 1): the largest-magnitude eigenvalue is -5, and
