@@ -505,7 +505,16 @@ def terminal_bound_general(ensemble, R=1.0):
         flags.append("single-dataset-group")
     min_samples = min(v.shape[0] for _, v in groups.values())
     if min_samples < 2:
-        raise ConfigError("each dataset group needs at least 2 weight samples")
+        # What each group would hold had no run diverged: one sample per run,
+        # or its tail checkpoints.
+        grid = {}
+        for rec in ensemble:
+            grid[rec.dataset.seed] = (grid.get(rec.dataset.seed, 0)
+                                      + max(rec.config.tail_checkpoints, 1))
+        if min(grid.values()) < 2:
+            raise ConfigError("each dataset group needs at least 2 weight samples")
+        raise GradnoiseError("diverged runs leave a dataset group with fewer "
+                             "than 2 weight samples")
     d = ensemble[0].final_w.shape[0]
     if min_samples < 4 * d:
         flags.append("undersampled-covariance")

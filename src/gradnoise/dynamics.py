@@ -28,7 +28,8 @@ together as one (R, d) weight stack, whatever their datasets: row r steps on
 its own run's dataset, the step functions and every family's ``mean_grad``
 take the stack, each run still draws from its own substreams in its own
 order, and each run's record is bit-identical to that run trained alone. A
-single run is a group of one.
+single run is a group of one. An ensemble skips the oracle loss before step T
+(``run_ensemble``), so its ``test_loss`` is the one exception.
 """
 
 import math
@@ -140,7 +141,11 @@ class TrainConfig:
 @dataclass
 class TrajectoryRecord:
     """Per-logged-step series plus terminal state of one run, with the
-    ``dataset`` it trained on and the ``oracle`` sample it was evaluated on."""
+    ``dataset`` it trained on and the ``oracle`` sample it was evaluated on.
+
+    ``test_loss`` is the oracle-sample loss at each logged state. A record
+    from ``run_ensemble`` holds it at step T only (NaN at earlier states, all
+    NaN if the run diverged), since an ensemble is read at W_T."""
 
     config: TrainConfig
     dataset: Dataset
@@ -281,11 +286,13 @@ _SERIES = ("steps", "train_loss", "test_loss", "grad_norm_sq", "trace_c",
 class _Run:
     """One run of a group: its seed streams, logged series and checkpoints."""
 
-    def __init__(self, config, problem, dataset, oracle, factor):
+    def __init__(self, config, problem, dataset, oracle, factor,
+                 oracle_at_end=False):
         self.config = config
         self.problem = problem
         self.dataset = dataset
         self.oracle = oracle
+        self.oracle_at_end = oracle_at_end
         self.factor = factor
         self.w0 = _initial_weights(config, problem)
         self.rng_batch = substream(config.seed, "batch")
@@ -308,7 +315,8 @@ class _Run:
         series["steps"].append(t)
         series["train_loss"].append(loss)
         series["test_loss"].append(
-            problem.mean_loss(w, self.oracle.features, self.oracle.labels)
+            math.nan if self.oracle_at_end and t != config.steps
+            else problem.mean_loss(w, self.oracle.features, self.oracle.labels)
         )
         grads = problem.per_example_grads(w, dataset.features, dataset.labels)
         mean = grads.mean(axis=0)
@@ -377,7 +385,7 @@ def _dataset_stack(runs, spec):
                    np.array([run.dataset.labels for run in runs]), None, spec)
 
 
-def _run_group(configs, datasets, oracle):
+def _run_group(configs, datasets, oracle, *, oracle_at_end=False):
     """Records of runs whose configs differ only in their seeds; run i
     trains on ``datasets[i]``.
 
@@ -388,6 +396,10 @@ def _run_group(configs, datasets, oracle):
     bit-identical to the same config run as a group of one. A run whose
     weights turn non-finite keeps its previous state and leaves the stack,
     as does one whose logged training loss diverges; the others go on.
+
+    With ``oracle_at_end`` the oracle loss is evaluated only at step T:
+    ``test_loss`` holds NaN at every earlier logged state, and a run that
+    does not reach T has no finite entry. Every other field is unchanged.
     """
     config = configs[0]
     problem = build_problem(config.spec)
@@ -397,7 +409,7 @@ def _run_group(configs, datasets, oracle):
             raise ConfigError(f"dataset has {len(dataset)} examples, "
                               f"config expects {n}")
     factor = minibatch_factor(n, config.b)
-    runs = [_Run(cfg, problem, dataset, oracle, factor)
+    runs = [_Run(cfg, problem, dataset, oracle, factor, oracle_at_end)
             for cfg, dataset in zip(configs, datasets)]
     logged = _logged_steps(config.steps, config.log_every)
     tails = _tail_steps(config)
@@ -514,7 +526,12 @@ def run_ensemble(config, n_dataset_seeds, n_run_seeds, terminal_only=True,
     oracle are drawn once (the oracle only if ``oracle`` is None, as in
     ``train_run``), the runs of one dataset seed share its dataset object,
     and the whole grid trains as one weight stack (see ``_run_group``).
-    Every run is bit-identical to ``train_run`` with the same seeds.
+    Every run is bit-identical to ``train_run`` with the same seeds, except
+    ``test_loss``: the oracle loss is read only at W_T (by
+    ``harness.estimate_generalization_error``), so it is evaluated only at
+    step T. ``test_loss`` keeps one entry per logged state, NaN before T; a
+    run that reaches T has there the value ``train_run`` gives, and a
+    diverged run's is all NaN.
 
     Ensembles are read at their terminal state, so with ``terminal_only``
     each run logs only its initial and terminal states whatever the config's
@@ -539,4 +556,4 @@ def run_ensemble(config, n_dataset_seeds, n_run_seeds, terminal_only=True,
             configs.append(replace(config, dataset_seed=base + i,
                                    seed=config.seed + j))
             datasets.append(dataset)
-    return tuple(_run_group(configs, datasets, oracle))
+    return tuple(_run_group(configs, datasets, oracle, oracle_at_end=True))

@@ -368,11 +368,14 @@ def _trajectory_rows(record):
 
 def estimate_generalization_error(runs):
     """Mean over the non-diverged records ``runs`` of (oracle-sample loss -
-    training loss) at W_T.
+    training loss) at W_T: the last entries of ``test_loss`` and
+    ``train_loss``, that of ``test_loss`` the only one an ensemble record
+    evaluates (see ``dynamics.run_ensemble``).
 
-    A diverged run's losses are those of its last logged state, not of W_T,
-    so it is left out, as every bound leaves it out. No runs at all is a
-    ConfigError; runs that all diverged are a GradnoiseError.
+    A diverged run's losses are those of its last logged state, not of W_T
+    (its ensemble ``test_loss`` is all NaN), so it is left out, as every
+    bound leaves it out. No runs at all is a ConfigError; runs that all
+    diverged are a GradnoiseError.
     """
     if not runs:
         raise ConfigError("no runs to estimate the gap from")
@@ -587,7 +590,7 @@ def cmd_stationary(config, out_dir=None):
 
 def cmd_sweep_n(config, out_dir=None):
     """Sweep the dataset size; one row per (n, named bound), each with the
-    measured gap."""
+    measured gap and, as ``seeds_used``, the runs the bound used."""
     if not config.sweep_n:
         raise ConfigError("sweep-n needs a nonempty sweep_n list")
     names = config.bound_names or SWEEP_BOUNDS
@@ -595,7 +598,6 @@ def cmd_sweep_n(config, out_dir=None):
     for n in config.sweep_n:
         _check_loo_size(names, n, config.train.b, "sweep_n")
     rows = []
-    seeds_used = config.dataset_seeds * config.run_seeds
     # The oracle sample does not depend on n: every size shares one draw.
     oracle = population_oracle_sample(config.train.spec, config.train.oracle_seed)
     for n in config.sweep_n:
@@ -604,7 +606,7 @@ def cmd_sweep_n(config, out_dir=None):
         for name, rep in zip(names, reports):
             rows.append((n, name, rep.core, rep.value,
                          rep.components["generalization_error_estimate"],
-                         seeds_used))
+                         rep.n_runs_used))
     if out_dir is not None:
         _write_csv(_out_dir(out_dir) / "sweep.csv",
                    ("n", "bound", "core", "value", "gen_error", "seeds_used"),

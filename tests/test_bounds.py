@@ -40,7 +40,7 @@ from gradnoise.dynamics import (
     run_ensemble,
     train_run,
 )
-from gradnoise.errors import ConfigError, NumericalError, StabilityError
+from gradnoise.errors import ConfigError, GradnoiseError, NumericalError, StabilityError
 from gradnoise.linalg import SpdMatrix, log_det
 from gradnoise.problems import (
     Dataset,
@@ -733,6 +733,16 @@ class TestTerminalGeneral:
         ens = manual_ensemble(self.cfg, {0: [[1.0]], 1: [[2.0]]})
         with pytest.raises(ConfigError):
             terminal_bound_general(ens)
+
+    def test_group_short_for_diverged_runs_is_a_numerical_error(self):
+        """Two runs per dataset would do; a group left with one sample
+        because its other run diverged is not a configuration error."""
+        runs = manual_ensemble(self.cfg, {0: [[-1.0]], 1: [[-3.0], [3.0]]})
+        runs += (make_record(self.cfg, [1e9], dataset_seed=0,
+                             diverged_step=1),)
+        with pytest.raises(GradnoiseError) as err:
+            terminal_bound_general(runs)
+        assert not isinstance(err.value, ConfigError)
 
     def test_single_dataset_group_is_flagged(self):
         ens = manual_ensemble(self.cfg, {0: [[-1.0], [1.0]]})

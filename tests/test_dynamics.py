@@ -542,6 +542,27 @@ class TestLooTrain:
             loo_train(cfg, dataset, range(13))
 
 
+def count_mean_loss_rows(monkeypatch):
+    """The list to which every ``mean_loss`` call of the problems that
+    ``dynamics`` builds appends its row count."""
+    calls = []
+    real_build = dynamics.build_problem
+
+    def counting_build(spec):
+        problem = real_build(spec)
+        mean_loss = problem.mean_loss
+
+        def counted(w, features, labels):
+            calls.append(len(features))
+            return mean_loss(w, features, labels)
+
+        problem.mean_loss = counted
+        return problem
+
+    monkeypatch.setattr(dynamics, "build_problem", counting_build)
+    return calls
+
+
 class TestEnsemble:
     def test_grid_shape_and_grouping(self):
         cfg = base_config(steps=10, seed=100, dataset_seed=40)
@@ -612,25 +633,47 @@ class TestEnsemble:
 
     def test_runs_evaluate_losses_only_at_initial_and_terminal_states(
             self, monkeypatch):
-        calls = []
-        real_build = dynamics.build_problem
-
-        def counting_build(spec):
-            problem = real_build(spec)
-            mean_loss = problem.mean_loss
-
-            def counted(w, features, labels):
-                calls.append(len(features))
-                return mean_loss(w, features, labels)
-
-            problem.mean_loss = counted
-            return problem
-
-        monkeypatch.setattr(dynamics, "build_problem", counting_build)
+        calls = count_mean_loss_rows(monkeypatch)
         cfg = base_config(steps=40, mode="sde", log_every=1)
         run_ensemble(cfg, 1, 2)
-        # Per run: train and oracle loss at steps 0 and T.
-        assert len(calls) == 2 * 2 * 2
+        # Per run: train loss at steps 0 and T, oracle loss at T only.
+        assert len(calls) == 2 * 3
+
+    @staticmethod
+    def mixed_divergence_grid(monkeypatch):
+        """A 2 x 3 SGD grid logged every 5 steps at eta just past
+        2 / lambda_max, where run (dataset 0, seed 1) diverges at step T;
+        with the sizes of each ``mean_loss`` call's features."""
+        calls = count_mean_loss_rows(monkeypatch)
+        cfg = base_config(n=20, b=2, lr_schedule=((1, 2.045),), steps=280,
+                          seed=0, log_every=5)
+        ens = run_ensemble(cfg, 2, 3, terminal_only=False)
+        assert [rec.diverged_step for rec in ens] == [None, 280] + [None] * 4
+        return cfg, ens, calls
+
+    def test_oracle_loss_is_evaluated_once_per_run_that_reaches_t(
+            self, monkeypatch):
+        cfg, ens, calls = self.mixed_divergence_grid(monkeypatch)
+        logged = cfg.steps // cfg.log_every + 1
+        oracle_size = cfg.spec.pop_oracle_size
+        assert calls.count(oracle_size) == 5
+        # Each run tests its training loss at every logged state it reaches,
+        # the diverged run's failed test at T included.
+        assert calls.count(cfg.n) == len(ens) * logged
+        assert len(calls) == len(ens) * logged + 5
+
+    def test_test_loss_is_nan_before_t_and_for_a_diverged_run(
+            self, monkeypatch):
+        cfg, ens, _ = self.mixed_divergence_grid(monkeypatch)
+        for rec in ens:
+            assert len(rec.test_loss) == len(rec.steps)
+            if rec.diverged:
+                assert np.isnan(rec.test_loss).all()
+            else:
+                assert np.isnan(rec.test_loss[:-1]).all()
+                assert np.isfinite(rec.test_loss[-1])
+                alone = train_run(rec.config)
+                assert rec.test_loss[-1] == alone.test_loss[-1]
 
     @pytest.mark.parametrize("mode, steps", [("sde", 100), ("sde", 2000),
                                              ("sgd", 2000)])
@@ -663,9 +706,12 @@ FAMILIES = {
 }
 
 
-def assert_records_identical(got, want):
-    """Every field of two records is bitwise equal (datasets by content)."""
+def assert_records_identical(got, want, skip=()):
+    """Every field of two records but ``skip`` is bitwise equal (datasets by
+    content); ``test_loss`` holds its NaN at the same states."""
     for field in fields(got):
+        if field.name in skip:
+            continue
         a, b = getattr(got, field.name), getattr(want, field.name)
         if field.name in ("dataset", "oracle"):
             assert a.seed == b.seed and a.spec is b.spec, field.name
@@ -677,7 +723,21 @@ def assert_records_identical(got, want):
             assert type(a) is type(b), field.name
             if a is not None:
                 assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
-                assert np.array_equal(a, b), field.name
+                assert np.array_equal(a, b, equal_nan=field.name == "test_loss"), \
+                    field.name
+
+
+def assert_ensemble_record_matches(rec, alone):
+    """An ensemble record equals the ``train_run`` record ``alone`` of its
+    run bit for bit, except that its oracle loss is evaluated only at step
+    T: ``test_loss`` is NaN before T, and all NaN if the run diverged."""
+    assert_records_identical(rec, alone, skip=("test_loss",))
+    assert rec.test_loss.shape == alone.test_loss.shape
+    if alone.diverged:
+        assert np.isnan(rec.test_loss).all()
+    else:
+        assert np.isnan(rec.test_loss[:-1]).all()
+        assert rec.test_loss[-1] == alone.test_loss[-1]
 
 
 class TestGroupStepper:
@@ -701,7 +761,7 @@ class TestGroupStepper:
             alone = replace(cfg, seed=rec.config.seed,
                             dataset_seed=rec.dataset.seed,
                             log_every=24 if terminal_only else 5)
-            assert_records_identical(rec, train_run(alone))
+            assert_ensemble_record_matches(rec, train_run(alone))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -756,7 +816,7 @@ class TestGroupStepper:
         for rec, twin in zip(sde, sgd):
             assert np.array_equal(rec.final_w, twin.final_w)
             assert np.array_equal(rec.tail_weights, twin.tail_weights)
-            assert_records_identical(rec, train_run(rec.config))
+            assert_ensemble_record_matches(rec, train_run(rec.config))
 
     @staticmethod
     def outlier_setup(log_every):
@@ -819,7 +879,7 @@ class TestGroupStepper:
         steps = {rec.diverged_step for rec in ens}
         assert None not in steps and len(steps) >= 2
         for rec in ens:
-            assert_records_identical(rec, train_run(rec.config))
+            assert_ensemble_record_matches(rec, train_run(rec.config))
 
     @pytest.mark.parametrize("mode", ["sgd", "sde"])
     def test_grid_where_one_datasets_runs_overflow(self, mode):

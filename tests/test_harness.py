@@ -59,6 +59,18 @@ OPTIONAL_TRAIN = {
 }
 
 
+# A 2 x 2 SGD grid at eta just past 2 / lambda_max: at seed 0 one run
+# (dataset 0, seed 1) diverges at step T = 280 and the others finish; at
+# seed 9 two runs diverge.
+MIXED_DIVERGENCE = {
+    "problem": {"family": "quadratic", "dim": 2, "curvature": 1.0,
+                "scatter": 1.0, "pop_oracle_size": 300},
+    "train": {"n": 20, "b": 2, "lr": 2.045, "steps": 280, "log_every": 10},
+    "ensemble": {"dataset_seeds": 2, "run_seeds": 2},
+    "seed": 0,
+}
+
+
 def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -236,6 +248,16 @@ class TestTrainCommand:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == record.train_loss[0]
+
+    def test_every_row_has_a_finite_test_loss(self, tmp_path):
+        """A train run evaluates the oracle loss at every logged state; only
+        ensembles skip it before T."""
+        cfg = load_experiment_config(quad_raw(log_every=5))
+        _, record = cmd_train(cfg, out_dir=tmp_path)
+        assert len(record.test_loss) == 40 // 5 + 1
+        assert np.isfinite(record.test_loss).all()
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+        assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
 
     def test_weights_json_written_when_recorded(self, tmp_path):
         raw = quad_raw(record_weights=True)
@@ -475,6 +497,12 @@ class TestCompareCommand:
             assert len(lines) == 1 + 60 // 20 + 1
         on_disk = json.loads((out / "compare_summary.json").read_text())
         assert on_disk["accuracy_abs_diff"] == summary["accuracy_abs_diff"]
+
+    def test_every_curve_row_has_a_finite_test_loss(self, compare_outputs):
+        out, _ = compare_outputs
+        for mode in ("sgd", "sde"):
+            rows = (out / f"compare_{mode}.csv").read_text().splitlines()[1:]
+            assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
 
     def test_all_diverged_mode_exits_3_naming_it(self, tmp_path, capsys):
         """At eta 2.5 > 2/lambda every SGD run diverges: compare fails
@@ -725,9 +753,30 @@ class TestBoundsCommands:
         group = dynamics._run_group
         monkeypatch.setattr(
             dynamics, "_run_group",
-            lambda cs, *a: seeds.extend(c.seed for c in cs) or group(cs, *a))
+            lambda cs, *a, **kw: seeds.extend(c.seed for c in cs)
+            or group(cs, *a, **kw))
         cmd_bounds_terminal(cfg)
         assert sorted(seeds) == [5, 5, 6, 6]
+
+    def test_group_short_for_diverged_runs_exits_3(self, tmp_path, capsys):
+        """Two run seeds per dataset give terminal-general its 2 samples; a
+        group left with one because a run diverged is a divergence (exit 3),
+        not a configuration error."""
+        path = write_config(tmp_path, {**MIXED_DIVERGENCE,
+                                       "bounds": ["terminal-general"]})
+        assert run_cli(["bounds-terminal", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 3
+        assert "diverged" in capsys.readouterr().err
+
+    def test_grid_with_one_sample_per_group_exits_2(self, tmp_path, capsys):
+        """One run seed and no tail checkpoints: the grid itself gives each
+        dataset group one sample."""
+        path = write_config(tmp_path, {
+            **quad_raw(), "ensemble": {"dataset_seeds": 2, "run_seeds": 1},
+            "bounds": ["terminal-general"]})
+        assert run_cli(["bounds-terminal", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 2
+        assert "at least 2 weight samples" in capsys.readouterr().err
 
     def test_loo_report_equals_hand_built_pairs(self):
         """The terminal-loo report of bounds-terminal is terminal_bound_loo
@@ -805,6 +854,20 @@ class TestSweepCommand:
         assert lines[0] == "n,bound,core,value,gen_error,seeds_used"
         assert len(lines) == 5
         assert all(row[5] == 4 for row in rows)
+
+    def test_seeds_used_counts_the_runs_each_bound_used(self, tmp_path):
+        """Two of the four runs diverge: each row's seeds_used is its
+        report's n_runs_used, not the grid size."""
+        cfg = load_experiment_config({
+            **MIXED_DIVERGENCE, "seed": 9, "sweep_n": [20],
+            "bounds": ["terminal-general", "traj-isotropic"]})
+        reports = cmd_bounds_traj(cfg)
+        assert all("diverged-runs" in r.flags for r in reports)
+        assert [r.n_runs_used for r in reports] == [2, 2]
+        rows = cmd_sweep_n(cfg, out_dir=tmp_path)
+        assert [row[5] for row in rows] == [2, 2]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[-1] for line in lines] == ["2", "2"]
 
     def sweep_config(self, bound_names):
         return load_experiment_config({
