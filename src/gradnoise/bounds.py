@@ -148,7 +148,7 @@ def _usable_runs(records):
 
 
 def tape_from_records(records, population=False):
-    """Build a TrajectoryTape by re-evaluating gradients at logged weights.
+    """Build a TrajectoryTape from the gradient moments at logged weights.
 
     Records must have been produced with ``record_weights=True`` and share
     their shape-determining config fields. Diverged records are left out, as
@@ -168,14 +168,13 @@ def tape_from_records(records, population=False):
                          else (None, None))
     for r, rec in enumerate(runs):
         problem = build_problem(rec.config.spec)
-        dataset, oracle = rec.dataset, rec.oracle
-        for k, w in enumerate(rec.weights[:-1]):
-            sigma, grad[k, r] = gnc_from_grads(
-                problem.per_example_grads(w, dataset.features, dataset.labels))
-            raw_c[k, r] = factor * sigma
-            if population:
-                raw_pop[k, r], pop_grad[k, r] = gnc_from_grads(
-                    problem.per_example_grads(w, oracle.features, oracle.labels))
+        ws, dataset, oracle = rec.weights[:-1], rec.dataset, rec.oracle
+        sigma, grad[:, r] = problem.grad_moments(ws, dataset.features,
+                                                 dataset.labels)
+        raw_c[:, r] = factor * sigma
+        if population:
+            raw_pop[:, r], pop_grad[:, r] = problem.grad_moments(
+                ws, oracle.features, oracle.labels)
     return TrajectoryTape(
         steps=runs[0].steps[:-1] + 1,
         grad=grad,
@@ -689,10 +688,12 @@ def terminal_bound_loo(pairs, M=1.0):
     run seed and dataset seed, with the leave-out run trained on fewer
     examples at the same b, step count, schedule and mode. The full records
     must share their config as every record-fed bound's records do; b and
-    eta are read from it.
+    eta are read from it. A pair holding a diverged run is left out and
+    flagged ``diverged-runs``, and ``n_runs_used`` counts the clean pairs;
+    if none is left the bound raises GradnoiseError, as :func:`_usable_runs`
+    does.
     """
     cfg = _shared_config([full for full, _ in pairs])
-    groups = {}
     for full, loo in pairs:
         if loo.config.n >= full.config.n:
             raise ConfigError("loo record must be trained on fewer examples")
@@ -701,13 +702,15 @@ def terminal_bound_loo(pairs, M=1.0):
                 for k in ("seed", "b", "steps", "lr_schedule", "mode")):
             raise ConfigError("unpaired runs: full and loo records must share run "
                               "seed, dataset seed, b, steps, schedule and mode")
-        key = (full.dataset.seed, loo.config.n)
-        groups.setdefault(key, []).append((full, loo))
+    clean = [(f, l) for f, l in pairs if not (f.diverged or l.diverged)]
+    if not clean:
+        raise GradnoiseError("every leave-one-out pair holds a diverged run")
+    groups = {}
+    for full, loo in clean:
+        groups.setdefault((full.dataset.seed, loo.config.n), []).append((full, loo))
     b = cfg.b
     eta = cfg.lr_at(cfg.steps)
-    flags = []
-    if any(f.diverged or l.diverged for f, l in pairs):
-        flags.append("diverged-runs")
+    flags = [] if len(clean) == len(pairs) else ["diverged-runs"]
     sq_means = []
     frob = []
     for key, members in groups.items():
@@ -721,7 +724,7 @@ def terminal_bound_loo(pairs, M=1.0):
     if frob:
         components["lambda_frobenius_distance_mean"] = float(np.mean(frob))
     return _report("terminal-loo", [(b / (2.0 * eta)) * s for s in sq_means],
-                   flags, components, len(pairs), _run_setting(cfg), M=M)
+                   flags, components, len(clean), _run_setting(cfg), M=M)
 
 
 def influence_estimate(problem, w_star, dataset, index, cg_tol=1e-10,

@@ -166,7 +166,8 @@ class TrajectoryRecord:
 
     @property
     def diverged(self):
-        """Whether the run diverged, at update ``diverged_step``."""
+        """Whether the run diverged, at update ``diverged_step`` (0 if its
+        initial training loss already did)."""
         return self.diverged_step is not None
 
 
@@ -395,7 +396,8 @@ def _run_group(configs, datasets, oracle, *, oracle_at_end=False):
     substreams, in the order a single run does, so each record is
     bit-identical to the same config run as a group of one. A run whose
     weights turn non-finite keeps its previous state and leaves the stack,
-    as does one whose logged training loss diverges; the others go on.
+    as does one whose logged training loss diverges (at step 0 it leaves
+    before the first update, with ``diverged_step`` 0); the others go on.
 
     With ``oracle_at_end`` the oracle loss is evaluated only at step T:
     ``test_loss`` holds NaN at every earlier logged state, and a run that
@@ -424,10 +426,15 @@ def _run_group(configs, datasets, oracle, *, oracle_at_end=False):
         span = draw = None
 
     eta0 = config.lr_at(1)
+    live = []
     for run in runs:
-        run.log_state(0, run.w0, eta0)
-    live = runs
-    w = np.array([run.w0 for run in runs])
+        if run.log_state(0, run.w0, eta0):
+            live.append(run)
+        else:
+            run.stop(run.w0, diverged_step=0)
+    if not live:
+        return [run.record() for run in runs]
+    w = np.array([run.w0 for run in live])
     data = _dataset_stack(live, config.spec)
     noise_sqrt = block = drawn = None
     with np.errstate(all="ignore"):

@@ -2,7 +2,10 @@
 
 ``gnc_from_grads`` is the one place the package forms the single-draw
 covariance ``Sigma = g^T g / n - mean mean^T`` from per-example gradients;
-every caller applies its own batch scale to the result.
+every caller applies its own batch scale to the result. The one other place
+is each problem family's ``grad_moments``, which gives the same moments at a
+stack of states: the logistic family from chunked GEMMs over the features
+without forming the gradients, the others through ``gnc_from_grads``.
 
 Naming: ``empirical_gnc`` is the covariance of one random per-example
 gradient around the full-batch mean (Sigma_t in most derivations);

@@ -41,9 +41,11 @@ from gradnoise.dynamics import (
     train_run,
 )
 from gradnoise.errors import ConfigError, GradnoiseError, NumericalError, StabilityError
+from gradnoise.gradstats import gnc_from_grads
 from gradnoise.linalg import SpdMatrix, log_det
 from gradnoise.problems import (
     Dataset,
+    LogisticProblem,
     LogisticSpec,
     QuadraticProblem,
     QuadraticSpec,
@@ -632,6 +634,36 @@ class TestTapeFromRecords:
         sigma = grads.T @ grads / cfg.n - np.outer(mean, mean)
         np.testing.assert_allclose(tape.gnc.matrix[0, 0], sigma, atol=1e-12)  # b=1 factor 1
 
+    def test_logistic_tape_forms_no_per_example_gradient(self, monkeypatch):
+        """The logistic tape takes every moment from ``grad_moments``'
+        GEMMs, on the training set and the oracle, and agrees with the
+        per-state moments to rounding."""
+        spec = LogisticSpec(dim=3, mean0=-0.5 * np.ones(3), mean1=0.5 * np.ones(3),
+                            l2=0.05, pop_oracle_size=300)
+        cfg = quad_config(spec=spec, n=12, b=3, steps=4)
+        records = run_ensemble(cfg, 2, 2, terminal_only=False)
+        calls = []
+        per_example_grads = LogisticProblem.per_example_grads
+        monkeypatch.setattr(LogisticProblem, "per_example_grads",
+                            lambda *args: calls.append(1) or per_example_grads(*args))
+        tape = tape_from_records(records, population=True)
+        assert calls == []
+        monkeypatch.undo()
+        problem = build_problem(spec)
+        factor = (cfg.n - cfg.b) / (cfg.b * (cfg.n - 1))
+        for r, rec in enumerate(records):
+            for k, w in enumerate(rec.weights[:-1]):
+                for data, grad, gnc, scale in [
+                        (rec.dataset, tape.grad, tape.gnc, factor),
+                        (rec.oracle, tape.pop_grad, tape.pop_gnc, 1.0)]:
+                    sigma, mean = gnc_from_grads(problem.per_example_grads(
+                        w, data.features, data.labels))
+                    np.testing.assert_allclose(grad[k, r], mean, rtol=1e-12)
+                    # gnc.matrix is rebuilt from the eigendecomposition.
+                    np.testing.assert_allclose(
+                        gnc.matrix[k, r], scale * sigma, rtol=1e-12,
+                        atol=1e-12 * scale * np.abs(sigma).max())
+
 
 def test_tape_bounds_equal_a_loop_over_steps_and_runs():
     """The three tape bounds reduce (step, run) arrays; their per-step terms
@@ -1067,6 +1099,18 @@ class TestTerminalLoo:
         pair = self.make_pair([0.1], [0.0])
         report = terminal_bound_loo([pair], M=2.0)
         assert report.value == report.core * 2.0
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["full", "leave-out"])
+    def test_pairs_holding_a_diverged_run_are_left_out(self, side):
+        clean = self.make_pair([0.1], [0.0], seed=0)
+        pair = list(self.make_pair([5.0], [0.0], seed=1))
+        pair[side] = dataclasses.replace(pair[side], diverged_step=1)
+        report = terminal_bound_loo([clean, tuple(pair)])
+        assert report.flags == ("diverged-runs",)
+        assert report.n_runs_used == 1
+        assert report.core == terminal_bound_loo([clean]).core
+        with pytest.raises(GradnoiseError, match="diverged"):
+            terminal_bound_loo([tuple(pair)])
 
     def test_full_runs_must_share_their_config(self):
         """Pairs trained at different learning rates are rejected, not read

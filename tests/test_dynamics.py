@@ -428,6 +428,17 @@ class TestTrainRun:
         assert len(rec.steps) < 41
         assert np.all(np.isfinite(rec.final_w))
 
+    def test_a_diverged_initial_state_stops_the_run_at_step_0(self):
+        """w0 = (1e7, 1e7) on the unit quadratic: the step-0 training loss is
+        past the threshold, so the run logs nothing, takes no step and
+        reports diverged_step 0."""
+        cfg = base_config(n=20, b=20, lr_schedule=((1, 0.5),), steps=60,
+                          log_every=10, w0=np.array([1e7, 1e7]))
+        rec = train_run(cfg)
+        assert rec.diverged and rec.diverged_step == 0
+        assert len(rec.steps) == len(rec.train_loss) == 0
+        assert np.array_equal(rec.final_w, cfg.w0)
+
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_lambda1_is_deterministic_and_free_of_the_start_vector(self, seed):
@@ -858,6 +869,23 @@ class TestGroupStepper:
         for rec in group:
             if not rec.diverged:
                 assert list(rec.steps) == [0, 300]
+
+    def test_run_diverged_at_step_0_leaves_before_the_first_update(self):
+        """A dataset shifted by 1e7 puts one run's initial loss past the
+        threshold: it leaves the stack at step 0 with no logged state, and
+        each run of the group equals its run alone."""
+        cfg = base_config(n=20, b=4, steps=30, log_every=10, record_weights=True)
+        oracle = population_oracle_sample(cfg.spec, 0)
+        near = generate_dataset(cfg.spec, 1, cfg.n)
+        far = Dataset(near.features + 1e7, near.labels, 2, cfg.spec)
+        datasets = [near, far, near]
+        configs = [replace(cfg, seed=s, dataset_seed=ds.seed)
+                   for s, ds in enumerate(datasets)]
+        group = dynamics._run_group(configs, datasets, oracle)
+        assert [rec.diverged_step for rec in group] == [None, 0, None]
+        assert len(group[1].steps) == 0
+        for rec, c, ds in zip(group, configs, datasets):
+            assert_records_identical(rec, train_run(c, ds, oracle))
 
     def test_run_that_fails_a_logged_loss_test_leaves_the_group_alone(self):
         configs, dataset, oracle = self.outlier_setup(log_every=10)

@@ -289,6 +289,18 @@ class TestTrainCommand:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_cli_reports_divergence_at_step_0(self, tmp_path, capsys):
+        """w0 = (1e7, 1e7) puts the initial training loss past the
+        divergence threshold: the run stops at step 0, logging no row, and
+        the command exits 3 like any diverged run."""
+        path = write_config(tmp_path, quad_raw(n=20, b=20, lr=0.5, steps=60,
+                                               w0=[1e7, 1e7]))
+        out = tmp_path / "div"
+        assert run_cli(["train", "--config", str(path), "--out", str(out)]) == 3
+        assert "diverged at step 0" in capsys.readouterr().err
+        assert (out / "trajectory.csv").read_text().splitlines() == [
+            ",".join(TRAJECTORY_CSV_HEADER)]
+
     def test_cli_config_error_exit_code(self, tmp_path, capsys):
         raw = quad_raw()
         raw["train"]["learning_rate"] = 0.1
@@ -777,6 +789,22 @@ class TestBoundsCommands:
         assert run_cli(["bounds-terminal", "--config", str(path),
                         "--out", str(tmp_path / "out")]) == 2
         assert "at least 2 weight samples" in capsys.readouterr().err
+
+    def test_loo_leaves_out_pairs_that_hold_a_diverged_run(self):
+        """On the eta = 2.045 grid two of the four pairs hold a run that
+        diverged at step 280: terminal-loo flags ``diverged-runs``, counts
+        the two clean pairs and takes its core from them alone (1,314,370;
+        averaging all four pairs gave 1,071,966)."""
+        cfg = load_experiment_config({**MIXED_DIVERGENCE,
+                                      "bounds": ["terminal-loo"]})
+        pairs = harness._loo_pairs(dynamics.run_ensemble(cfg.train, 2, 2))
+        clean = [(f, l) for f, l in pairs if not (f.diverged or l.diverged)]
+        assert len(clean) == 2
+        report, = cmd_bounds_terminal(cfg)
+        assert "diverged-runs" in report.flags
+        assert report.n_runs_used == 2
+        assert report.core == bounds.terminal_bound_loo(clean).core
+        assert round(report.core) == 1_314_370
 
     def test_loo_report_equals_hand_built_pairs(self):
         """The terminal-loo report of bounds-terminal is terminal_bound_loo

@@ -8,6 +8,7 @@ from fd_utils import check_hvp, check_mean_grad, check_per_example_grads
 from oracles import quadratic_population_moments
 from gradnoise import problems
 from gradnoise.errors import CapabilityError, ConfigError
+from gradnoise.gradstats import gnc_from_grads
 from gradnoise.problems import (
     LogisticSpec,
     MlpProblem,
@@ -163,6 +164,48 @@ class TestDerivatives:
         np.testing.assert_allclose(
             h, dense_hessian(problem, w, data.features, data.labels),
             rtol=1e-12, atol=1e-14)
+
+
+class TestGradMoments:
+    """``grad_moments`` at a stack of states against
+    ``gnc_from_grads(per_example_grads(w, ...))`` at each state."""
+
+    CHUNK = problems.GRAD_MOMENT_CHUNK
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("n, k", [
+        (1, 3), (37, 3), (2 * CHUNK, 3), (2 * CHUNK + 1, 3), (37, 1)],
+        ids=["n1", "below-chunk", "chunk-multiple", "one-past-multiple", "k1"])
+    def test_logistic_matches_the_per_state_moments(self, l2, n, k):
+        """Equal to rounding: 1e-12 relative, entry by entry, with the
+        absolute floor 1e-12 times the largest per-example second moment for
+        entries that cancel (at n = 1 the covariance is exactly 0)."""
+        spec = logistic_spec(d=5, l2=l2)
+        problem = build_problem(spec)
+        data = generate_dataset(spec, seed=3, n=n)
+        ws = np.random.default_rng(4).standard_normal((k, 5))
+        sigma, mean = problem.grad_moments(ws, data.features, data.labels)
+        assert sigma.shape == (k, 5, 5) and mean.shape == (k, 5)
+        for s, m, w in zip(sigma, mean, ws):
+            grads = problem.per_example_grads(w, data.features, data.labels)
+            want_s, want_m = gnc_from_grads(grads)
+            scale = float(np.mean(grads * grads, axis=0).max())
+            assert np.array_equal(s, s.T)
+            np.testing.assert_allclose(s, want_s, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(m, want_m, rtol=1e-12,
+                                       atol=1e-12 * np.sqrt(scale))
+
+    @pytest.mark.parametrize("spec", [quadratic_spec(), mlp_spec()],
+                             ids=lambda s: s.family)
+    def test_loop_families_keep_the_per_state_bits(self, spec):
+        problem = build_problem(spec)
+        data = generate_dataset(spec, seed=1, n=12)
+        ws = np.random.default_rng(2).standard_normal((4, problem.dim)) * 0.5
+        sigma, mean = problem.grad_moments(ws, data.features, data.labels)
+        for s, m, w in zip(sigma, mean, ws):
+            want_s, want_m = gnc_from_grads(
+                problem.per_example_grads(w, data.features, data.labels))
+            assert np.array_equal(s, want_s) and np.array_equal(m, want_m)
 
 
 class TestDatasets:
