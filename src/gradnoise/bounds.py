@@ -41,7 +41,6 @@ the report is flagged ``nonpositive-sum`` once if any was negative.
 
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -58,6 +57,14 @@ from .problems import build_problem, dense_hessian
 from .spectral import stability_gap
 
 FLOOR_SENSITIVITY_SCALE = 10.0
+
+# Logged states per chunk of the data-dependent bound. A chunk holds a few
+# (states, n) leverage and coefficient arrays, so its memory grows with the
+# chunk. Picked from the peak RSS of the logistic trajectory benchmark
+# (n = 500, d = 20, 100 states a run): 49.5-49.8 MB at 16 and 32 states
+# against 49.3 before chunking existed, 50.3 at 50, 50.8 at 64 and 52.3 at
+# 100; in-process the bound takes about 0.045 s at 32 and 0.06-0.075 s at 16.
+LOO_STATE_CHUNK = 32
 
 
 @dataclass
@@ -380,37 +387,55 @@ def traj_bound_anisotropic(tape, R=1.0):
                    extra_series={"diag_alignment": diag_terms})
 
 
-def _loo_log_det_gaps(grads, b):
-    """{floor scale: (mean over all n leave-one-out J of log det C - log det
-    C_J, whether any floor fired)} at 1x and at FLOOR_SENSITIVITY_SCALE x the
-    floor; see :func:`traj_bound_data_dependent`."""
-    n, d = grads.shape
+def _loo_log_det_gaps(problem, ws, features, labels, b):
+    """The mean over all n leave-one-out subsets J of log det C - log det C_J
+    at each row of the (K, d) state stack ``ws``, as {floor scale: (K,)} at
+    1x and FLOOR_SENSITIVITY_SCALE x the floor, and whether a floor fired at
+    1x; see :func:`traj_bound_data_dependent`."""
+    n, d = features.shape[0], problem.dim
     m = n - 1
-    sigma, mean = gnc_from_grads(grads)
+    sigma, _ = problem.grad_moments(ws, features, labels)
     c_full = SpdMatrix.from_matrix(sigma / b)
-    u = grads - mean
     # Where C is unfloored its floored and raw eigenvalues agree, so the
-    # leverages and the interlacing bound serve both floor scales.
-    lev = np.sum((u @ c_full.eigenvectors) ** 2 / c_full.eigenvalues, axis=1) / b
-    trace_j = (n / m) * np.trace(sigma) / b - (n / m**2) * np.sum(u * u, axis=1) / b
-    lower_j = (n / m) * c_full.eigenvalues[0] * (1.0 - lev / m)
+    # leverages and the interlacing bound serve both floor scales. Where it
+    # is floored every C_J is built, and its leverages are not needed.
+    free = ~c_full.floored_each
+    lev, sq = np.zeros((2, len(ws), n))
+    lev[free], sq[free] = problem.grad_leverages(ws[free], features, labels,
+                                                 c_full[free])
+    lev /= b
+    trace_j = ((n / m) * np.trace(sigma, axis1=-2, axis2=-1)[:, None] / b
+               - (n / m**2) * sq / b)
+    lower_j = (n / m) * c_full.eigenvalues[:, :1] * (1.0 - lev / m)
+    # The closed form holds for C_J only if its interlacing lower bound on
+    # lambda_min clears the floor C_J would get; a higher floor makes it
+    # hold for fewer J, so the 10x pass needs every C_J the 1x pass needs.
+    exact = {scale: (lower_j > eigenvalue_floor(trace_j / d, scale))
+             & ~c_full.refloored(scale).floored_each[:, None]
+             for scale in (1.0, FLOOR_SENSITIVITY_SCALE)}
+    closed = np.zeros((len(ws), n))
+    closed[exact[1.0]] = (-d * np.log1p(1.0 / m)
+                          - np.log1p(-lev[exact[1.0]] / m))
+    # Each state whose C_J a floor may touch evaluates its per-example
+    # gradients once; its C_J are decomposed as one stack and refloored.
+    explicit = {}
+    for k in np.flatnonzero(~exact[FLOOR_SENSITIVITY_SCALE].all(axis=1)):
+        grads = problem.per_example_grads(ws[k], features, labels)
+        rows = np.flatnonzero(~exact[FLOOR_SENSITIVITY_SCALE][k])
+        explicit[k] = rows, SpdMatrix.from_matrix(np.array(
+            [gnc_from_grads(np.delete(grads, i, axis=0))[0] for i in rows]) / b)
 
-    @cache
-    def c_j(i):
-        sj, _ = gnc_from_grads(np.delete(grads, i, axis=0))
-        return SpdMatrix.from_matrix(sj / b)
-
-    out = {}
-    for scale in (1.0, FLOOR_SENSITIVITY_SCALE):
-        c = c_full.refloored(scale)
-        # The closed form holds for C_J only if its interlacing lower bound
-        # on lambda_min clears the floor C_J would get.
-        exact = (lower_j > eigenvalue_floor(trace_j / d, scale)) & (not c.floored)
-        cjs = [c_j(i).refloored(scale) for i in np.flatnonzero(~exact)]
-        gaps = np.concatenate([-d * np.log1p(1.0 / m) - np.log1p(-lev[exact] / m),
-                               [log_det(c) - log_det(cj) for cj in cjs]])
-        out[scale] = (float(np.mean(gaps)), c.floored or any(cj.floored for cj in cjs))
-    return out
+    gaps = {}
+    for scale, ex in exact.items():
+        gaps[scale] = closed.mean(axis=1)
+        log_det_c = log_det(c_full.refloored(scale))
+        for k, (rows, cjs) in explicit.items():
+            log_det_cj = log_det(cjs.refloored(scale))[~ex[k, rows]]
+            gaps[scale][k] = np.mean(np.concatenate(
+                [closed[k, ex[k]], log_det_c[k] - log_det_cj]))
+    floored = not free.all() or any(cjs.floored_each[~exact[1.0][k, rows]].any()
+                                    for k, (rows, cjs) in explicit.items())
+    return gaps, floored
 
 
 def traj_bound_data_dependent(records, M=1.0):
@@ -426,12 +451,19 @@ def traj_bound_data_dependent(records, M=1.0):
     The mean is exact over all n subsets. With m = n - 1 and u_i = g_i - mean,
     dropping example i gives Sigma_J = (n/m) Sigma - (n/m^2) u_i u_i^T, so by
     the matrix determinant lemma log det C_J = log det C + d log(n/m)
-    + log1p(-l_i/m) with the leverage l_i = u_i^T Sigma^{-1} u_i. All n
-    leverages come from the eigenpairs of C: O(n d^2 + d^3) per state. Where
-    a floor could touch C or C_J (for instance when example i alone carries
-    a direction) that C_J is built and floored explicitly, at O(n d^2 + d^3)
-    each. The 10x-floor sensitivity terms come from the same pass: each C and
-    C_J is decomposed once and refloored.
+    + log1p(-l_i/m) with the leverage l_i = u_i^T Sigma^{-1} u_i.
+
+    A run's logged states go LOO_STATE_CHUNK at a time. Per chunk, Sigma
+    comes from the family's ``grad_moments``, every C from one stacked
+    eigendecomposition, and all n leverages of every state whose C is
+    unfloored from the family's ``grad_leverages``: O(n d^2 + d^3) per
+    state, and on the logistic family GEMMs that form no per-example
+    gradient. Where a floor could touch C or C_J (for instance when example
+    i alone carries a direction) that C_J is built and floored explicitly,
+    at O(n d^2 + d^3) each; such a state evaluates its per-example gradients
+    once and decomposes its C_J as one stack. The 10x-floor sensitivity
+    terms come from the same pass: each C and C_J is decomposed once and
+    refloored.
     """
     cfg, runs, _ = _usable_runs(records)
     n, b = cfg.n, cfg.b
@@ -448,12 +480,13 @@ def traj_bound_data_dependent(records, M=1.0):
         if rec.weights is None:
             raise ConfigError("data-dependent bound requires record_weights=True")
         problem = build_problem(rec.config.spec)
-        gaps = [_loo_log_det_gaps(problem.per_example_grads(
-                    w, rec.dataset.features, rec.dataset.labels), b)
-                for w in rec.weights[:-1]]
-        floored = floored or any(g[1.0][1] for g in gaps)
+        ws = rec.weights[:-1]
+        chunks = [_loo_log_det_gaps(problem, ws[lo:lo + LOO_STATE_CHUNK],
+                                    rec.dataset.features, rec.dataset.labels, b)
+                  for lo in range(0, len(ws), LOO_STATE_CHUNK)]
+        floored = floored or any(f for _, f in chunks)
         for scale, rows in terms.items():
-            rows.append(np.array([const + g[scale][0] for g in gaps]))
+            rows.append(const + np.concatenate([g[scale] for g, _ in chunks]))
 
     def evaluate(scale):
         return [cfg.log_every * float(t.sum()) for t in terms[scale]], floored

@@ -82,8 +82,10 @@ class SpdMatrix:
     matrices on the last two): every field then carries the leading axes,
     each matrix is floored by its own ``tr(M)/d``, and every entry equals
     ``from_matrix`` of that matrix alone bit for bit. ``floored`` stays one
-    flag, set if any matrix of the stack floored; :func:`log_det` and
-    :func:`trace_log_diag` return one value per matrix.
+    flag, set if any matrix of the stack floored, and ``floored_each`` holds
+    one flag per matrix; indexing a stack selects matrices along its first
+    axis. :func:`log_det` and :func:`trace_log_diag` return one value per
+    matrix.
 
     Attributes
     ----------
@@ -102,6 +104,9 @@ class SpdMatrix:
         Floored eigenvalues, ``max(raw_eigenvalues, floor)``.
     floored : bool
         True if any raw eigenvalue was below the floor.
+    floored_each : bool or ndarray
+        Per matrix of a stack, True if one of its raw eigenvalues was below
+        its floor.
     matrix : ndarray
         The floored reconstruction ``Q diag(eigenvalues) Q^T``, symmetrized.
     """
@@ -125,6 +130,12 @@ class SpdMatrix:
         """The same eigenpairs under ``scale`` times both default floors."""
         return self if scale == self.scale else replace(self, scale=scale)
 
+    def __getitem__(self, index):
+        """The matrices of a stack at ``index`` of its first axis."""
+        return replace(self, raw_eigenvalues=self.raw_eigenvalues[index],
+                       eigenvectors=self.eigenvectors[index],
+                       mean_eigenvalue=self.mean_eigenvalue[index])
+
     @cached_property
     def floor(self):
         return _float_if_scalar(eigenvalue_floor(self.mean_eigenvalue, self.scale))
@@ -134,8 +145,13 @@ class SpdMatrix:
         return np.maximum(self.raw_eigenvalues, np.expand_dims(self.floor, -1))
 
     @cached_property
+    def floored_each(self):
+        """Whether each matrix of a stack floored, over its leading axes."""
+        return np.any(self.raw_eigenvalues < self.eigenvalues, axis=-1)
+
+    @cached_property
     def floored(self):
-        return bool(np.any(self.raw_eigenvalues < self.eigenvalues))
+        return bool(np.any(self.floored_each))
 
     @cached_property
     def matrix(self):

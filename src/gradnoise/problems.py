@@ -32,6 +32,10 @@ the (K, d, d) single-draw noise covariances and the (K, d) mean gradients.
 The logistic family builds them from GEMMs over row chunks without forming
 any per-example gradient; the quadratic and MLP families loop over the
 states, so their moments keep the bits of the one-state formula.
+``grad_leverages(ws, features, labels, c)`` gives, at the same stack, the
+leverages u^T C^{-1} u of the centered per-example gradients u under a
+stacked :class:`SpdMatrix` C, and their squared norms; the split between
+GEMMs and a loop over states is the same.
 
 Population-level expectations are estimated on a large "population oracle"
 sample drawn from a stream disjoint from every training dataset.
@@ -45,7 +49,8 @@ from .errors import ConfigError
 from .gradstats import gnc_from_grads
 from .seeding import substream
 
-# Rows per chunk of ``LogisticProblem.grad_moments``. A chunk holds two
+# Rows per chunk of ``LogisticProblem.grad_moments`` (and of its
+# ``grad_leverages``, whose chunk holds the same products). A chunk holds two
 # (rows, d (d + 1) / 2) feature-product arrays and a (rows, K) coefficient
 # array, so its memory grows with d^2. Picked from the peak RSS of the
 # logistic trajectory benchmark (d = 20, K = 100, 10,000 oracle rows): 49.5
@@ -229,6 +234,31 @@ def _moments_by_state(problem, ws, features, labels):
     return sigma, mean
 
 
+def _leverages_by_state(problem, ws, features, labels, c):
+    """The leverages ``sum_j (u . q_j)^2 / lambda_j`` over the floored
+    eigenpairs of ``c[k]`` and the squared norms ``|u|^2`` of the centered
+    per-example gradients u at each row w of ``ws``, stacked as (K, n) each:
+    ``grad_leverages`` for a family without a stacked kernel."""
+    lev = np.empty((len(ws), features.shape[0]))
+    sq = np.empty_like(lev)
+    for k, w in enumerate(ws):
+        grads = problem.per_example_grads(w, features, labels)
+        u = grads - grads.mean(axis=0)
+        lev[k] = np.sum((u @ c.eigenvectors[k]) ** 2 / c.eigenvalues[k], axis=1)
+        sq[k] = np.sum(u * u, axis=1)
+    return lev, sq
+
+
+def _gradient_coefficients(margins, sign):
+    """The logistic per-example gradient coefficients ``-sign *
+    sigmoid(-sign * margins)``, in place of the margins ``x . w``."""
+    margins *= sign
+    np.exp(margins, out=margins)
+    margins += 1.0
+    np.divide(-sign, margins, out=margins)
+    return margins
+
+
 def _class_reduce(ufunc, x):
     """``ufunc`` folded over the last axis, left to right, one column at a time.
 
@@ -284,6 +314,9 @@ class QuadraticProblem:
 
     def grad_moments(self, ws, features, labels):
         return _moments_by_state(self, ws, features, labels)
+
+    def grad_leverages(self, ws, features, labels, c):
+        return _leverages_by_state(self, ws, features, labels, c)
 
     def hessian_operator(self, w, features, labels):
         a = self.a
@@ -349,12 +382,7 @@ class LogisticProblem:
         sign = (2.0 * labels - 1.0)[:, None]
         for lo in range(0, n, GRAD_MOMENT_CHUNK):
             x = features[lo:lo + GRAD_MOMENT_CHUNK]
-            s = sign[lo:lo + GRAD_MOMENT_CHUNK]
-            coef = x @ ws.T
-            coef *= s
-            np.exp(coef, out=coef)
-            coef += 1.0
-            np.divide(-s, coef, out=coef)  # -sign * sigmoid(-margin)
+            coef = _gradient_coefficients(x @ ws.T, sign[lo:lo + GRAD_MOMENT_CHUNK])
             first += x.T @ coef
             coef *= coef
             products = x[:, iu]
@@ -365,6 +393,47 @@ class LogisticProblem:
         sigma[:, iu, ju] = sigma[:, ju, iu] = (second.T / n
                                                - mean[:, iu] * mean[:, ju])
         return sigma, mean + self.l2 * ws
+
+    def grad_leverages(self, ws, features, labels, c):
+        """The leverages u^T C^{-1} u and squared norms |u|^2, (K, n) each,
+        of the centered per-example gradients u at each row of the (K, d)
+        stack ``ws``, with C^{-1} from the floored eigenpairs of the stacked
+        SpdMatrix ``c``; equal to ``_leverages_by_state`` up to rounding.
+
+        u_i = c_i x_i - mean, with mean the mean of the c_i x_i: the l2 term
+        cancels. So with M = C^{-1}, l_i = c_i^2 x_i^T M x_i
+        - 2 c_i x_i^T M mean + mean^T M mean, and |u_i|^2 expands alike with
+        M = I. Over ``GRAD_MOMENT_CHUNK`` rows at a time, the x_i^T M x_i of
+        all K states come from one GEMM of the rows' upper-triangle products
+        x_i x_i^T against M's upper triangle, off-diagonal entries doubled.
+        No per-example gradient is formed.
+        """
+        n, d = features.shape
+        iu, ju = np.triu_indices(d)
+        q = c.eigenvectors
+        inv = (q / c.eigenvalues[:, None, :]) @ q.swapaxes(-1, -2)
+        upper = inv[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
+        coef = _gradient_coefficients(ws @ features.T, 2.0 * labels - 1.0)
+        lev = np.empty_like(coef)
+        xt = features.T
+        for lo in range(0, n, GRAD_MOMENT_CHUNK):
+            rows = slice(lo, lo + GRAD_MOMENT_CHUNK)
+            products = xt[iu, rows]
+            products *= xt[ju, rows]
+            np.matmul(upper, products, out=lev[:, rows])
+        mean = coef @ features / n
+        inv_mean = np.matmul(inv, mean[:, :, None])[:, :, 0]
+        # (c x^T M x - 2 x^T M mean) c + mean^T M mean, in place; doubling
+        # an operand is exact.
+        lev *= coef
+        lev -= (2.0 * inv_mean) @ xt
+        lev *= coef
+        lev += np.vecdot(mean, inv_mean)[:, None]
+        sq = coef * np.vecdot(features, features)
+        sq -= (2.0 * mean) @ xt
+        sq *= coef
+        sq += np.vecdot(mean, mean)[:, None]
+        return lev, sq
 
     def hessian_operator(self, w, features, labels):
         p = 1.0 / (1.0 + np.exp(-(features @ w)))
@@ -503,6 +572,9 @@ class MlpProblem:
 
     def grad_moments(self, ws, features, labels):
         return _moments_by_state(self, ws, features, labels)
+
+    def grad_leverages(self, ws, features, labels, c):
+        return _leverages_by_state(self, ws, features, labels, c)
 
     def hessian_operator(self, w, features, labels):
         w1, b1, w2, b2, hid, logits = self._forward(w, features)

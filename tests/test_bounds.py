@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from gradnoise import linalg
 from gradnoise.bounds import (
     FLOOR_SENSITIVITY_SCALE,
+    LOO_STATE_CHUNK,
     BoundReport,
     TrajectoryTape,
     fim_takeuchi_bound,
@@ -538,6 +539,7 @@ class TestDataDependentTrajectory:
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [4, 6], ids=["n-below-d", "n-is-d-plus-1"])
     def test_subsets_a_floor_touches_match_enumeration(self, n):
         """With d = 5, n = 4 floors C itself; at n = 6 C is full rank but
@@ -554,9 +556,12 @@ class TestDataDependentTrajectory:
         assert report.components["core_at_10x_floor"] == pytest.approx(
             np.sqrt(max(terms10.sum(), 0.0)), abs=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_one_replay_and_one_eigh_per_matrix_when_floored(self, monkeypatch):
         """n = 4 < d = 5 floors C at every state, so every C_J is built
-        explicitly; the 10x pass reuses those decompositions and gradients."""
+        explicitly; the 10x pass reuses those decompositions and gradients.
+        Each matrix is decomposed once, within one stacked ``eigh`` of the
+        chunk's C and one of each state's C_J."""
         spec = QuadraticSpec(curvature=np.diag([0.5, 0.8, 1.0, 1.3, 1.6]),
                              center=np.zeros(5), scatter=np.eye(5),
                              pop_oracle_size=100)
@@ -570,15 +575,83 @@ class TestDataDependentTrajectory:
                             lambda *a: grad_passes.append(a) or per_example_grads(*a))
         report = traj_bound_data_dependent([rec])
         assert "core_at_10x_floor" in report.components
-        assert len(grad_passes) == 3
-        # C and its 4 C_J per state; the record carries its dataset, so no
-        # draw takes the problem's scatter root.
-        assert len(eighs) == 3 * (1 + 4)
+        # grad_moments' per-state pass for C, then one replay per state for
+        # its C_J; a floored C needs no leverages.
+        assert len(grad_passes) == 3 + 3
+        # The 3 states' C as one stack, then each state's 4 C_J as one; the
+        # record carries its dataset, so no draw takes the scatter root.
+        assert [m.shape for m in eighs] == [(3, 5, 5)] + [(4, 5, 5)] * 3
 
     def test_value_is_core_times_loss_bound(self):
         rec = train_run(quad_config(steps=2))
         report = traj_bound_data_dependent([rec], M=4.0)
         assert report.value == report.core * 4.0
+
+
+def logistic_record(d, n, l2=0.0, **overrides):
+    spec = LogisticSpec(dim=d, mean0=-0.5 * np.ones(d), mean1=0.5 * np.ones(d),
+                        l2=l2, pop_oracle_size=100)
+    return train_run(quad_config(spec=spec, n=n, **overrides))
+
+
+def count_per_example_grads(monkeypatch):
+    """A list that gets one entry per ``LogisticProblem.per_example_grads``
+    call."""
+    calls = []
+    per_example_grads = LogisticProblem.per_example_grads
+    monkeypatch.setattr(LogisticProblem, "per_example_grads",
+                        lambda *args: calls.append(1) or per_example_grads(*args))
+    return calls
+
+
+class TestLogisticDataDependentTrajectory:
+    """The logistic leverages come from ``grad_leverages``' GEMMs; the bound
+    still equals the enumeration of all n explicitly built C_J."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_unfloored_run_matches_enumeration(self, l2, monkeypatch):
+        """Every C_J is exact, so no per-example gradient is evaluated. The
+        run's states fill two chunks and part of a third."""
+        rec = logistic_record(d=3, n=30, l2=l2, b=3, steps=2 * LOO_STATE_CHUNK + 3)
+        calls = count_per_example_grads(monkeypatch)
+        report = traj_bound_data_dependent([rec])
+        assert calls == []
+        monkeypatch.undo()
+        assert "floored-log" not in report.flags
+        np.testing.assert_allclose(report.per_step_terms,
+                                   brute_force_loo_terms(rec), rtol=0, atol=1e-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [6, 5], ids=["n-is-d-plus-1", "n-is-d"])
+    def test_floored_run_matches_enumeration(self, n):
+        """At d = 5, n = 6 leaves every C_J rank-deficient and n = 5 floors C
+        itself, so every C_J is built explicitly."""
+        rec = logistic_record(d=5, n=n, l2=0.05, b=1, steps=3)
+        report = traj_bound_data_dependent([rec])
+        assert "floored-log" in report.flags
+        np.testing.assert_allclose(report.per_step_terms,
+                                   brute_force_loo_terms(rec), rtol=0, atol=1e-10)
+        terms10 = brute_force_loo_terms(rec, FLOOR_SENSITIVITY_SCALE)
+        assert report.components["core_at_10x_floor"] == pytest.approx(
+            np.sqrt(max(terms10.sum(), 0.0)), abs=1e-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exact_and_explicit_subsets_mix_within_one_chunk(self, monkeypatch):
+        """Along w = s (1, 1), the sigmoids saturate as s grows and a few
+        examples carry most of the gradient noise. At s = 8 and 9 the
+        interlacing bound of one C_J does not clear its floor, at s = 1 and
+        2 none fails; the four states share one chunk, and only the two
+        saturated states evaluate their per-example gradients, once each."""
+        rec = logistic_record(d=2, n=8, b=1, steps=4, dataset_seed=0)
+        rec = dataclasses.replace(
+            rec, weights=np.array([1.0, 8.0, 9.0, 2.0, 1.0])[:, None] * np.ones(2))
+        calls = count_per_example_grads(monkeypatch)
+        report = traj_bound_data_dependent([rec])
+        assert len(calls) == 2
+        monkeypatch.undo()
+        np.testing.assert_allclose(report.per_step_terms,
+                                   brute_force_loo_terms(rec), rtol=0, atol=1e-10)
 
 
 class TestTapeFromRecords:

@@ -196,9 +196,22 @@ class TestStackedSpdMatrix:
             assert stack.floor[idx] == one.floor
             assert ld[idx] == log_det(one)
             assert tld[idx] == trace_log_diag(one)
+            assert stack.floored_each[idx] == one.floored
             flags.append(one.floored)
         assert stack.floored == any(flags)
         assert any(flags) and not all(flags)
+
+    def test_indexing_selects_matrices_of_the_stack(self):
+        """``stack[index]`` is ``from_matrix`` of the selected matrices at the
+        stack's floor scale, bit for bit."""
+        mats = _mixed_stack(np.random.default_rng(43), shape=(6,))
+        stack = SpdMatrix.from_matrix(mats, 10.0)
+        pick = np.array([True, False, True, True, False, False])
+        sub, want = stack[pick], SpdMatrix.from_matrix(mats[pick], 10.0)
+        for field in ("raw_eigenvalues", "eigenvectors", "mean_eigenvalue",
+                      "eigenvalues", "floored_each"):
+            assert np.array_equal(getattr(sub, field), getattr(want, field)), field
+        assert sub.scale == 10.0
 
     def test_floored_is_any_matrix_of_the_stack(self):
         rng = np.random.default_rng(41)

@@ -7,8 +7,10 @@ import oracles
 from fd_utils import check_hvp, check_mean_grad, check_per_example_grads
 from oracles import quadratic_population_moments
 from gradnoise import problems
+from gradnoise.bounds import LOO_STATE_CHUNK
 from gradnoise.errors import CapabilityError, ConfigError
 from gradnoise.gradstats import gnc_from_grads
+from gradnoise.linalg import SpdMatrix
 from gradnoise.problems import (
     LogisticSpec,
     MlpProblem,
@@ -206,6 +208,67 @@ class TestGradMoments:
             want_s, want_m = gnc_from_grads(
                 problem.per_example_grads(w, data.features, data.labels))
             assert np.array_equal(s, want_s) and np.array_equal(m, want_m)
+
+
+def per_state_leverages(problem, ws, data, c):
+    """(u^T C^{-1} u, |u|^2) of the centered per-example gradients u, one
+    state at a time, as sums over C's floored eigenpairs."""
+    lev, sq = [], []
+    for k, w in enumerate(ws):
+        grads = problem.per_example_grads(w, data.features, data.labels)
+        u = grads - grads.mean(axis=0)
+        lev.append(np.sum((u @ c.eigenvectors[k]) ** 2 / c.eigenvalues[k], axis=1))
+        sq.append(np.sum(u * u, axis=1))
+    return np.array(lev), np.array(sq)
+
+
+class TestGradLeverages:
+    """``grad_leverages`` at a stack of states against the per-state formula
+    ``sum_j (u . q_j)^2 / lambda_j``."""
+
+    CHUNK = problems.GRAD_MOMENT_CHUNK
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("n", [12, CHUNK, CHUNK + 1, 2 * CHUNK + 1],
+                             ids=["n12", "one-chunk", "one-past-chunk",
+                                  "one-past-two-chunks"])
+    @pytest.mark.parametrize("k", [1, LOO_STATE_CHUNK + 3],
+                             ids=["k1", "k-off-the-state-chunk"])
+    def test_logistic_matches_the_per_state_formula(self, l2, n, k):
+        """Equal to rounding: 1e-12 relative, with the absolute floor 1e-12
+        times the largest term of the expansion, |c_i x_i|^2 or |mean|^2
+        under C^{-1} (and under the identity for the squared norms)."""
+        spec = logistic_spec(d=5, l2=l2)
+        problem = build_problem(spec)
+        data = generate_dataset(spec, seed=3, n=n)
+        ws = np.random.default_rng(4).standard_normal((k, 5))
+        sigma, _ = problem.grad_moments(ws, data.features, data.labels)
+        c = SpdMatrix.from_matrix(sigma / 3.0)
+        lev, sq = problem.grad_leverages(ws, data.features, data.labels, c)
+        assert lev.shape == sq.shape == (k, n)
+        want_lev, want_sq = per_state_leverages(problem, ws, data, c)
+        for j, w in enumerate(ws):
+            g = problem.per_example_grads(w, data.features, data.labels) - l2 * w
+            rows = np.vstack([g, g.mean(axis=0)])
+            scale_m = np.max(np.sum((rows @ c.eigenvectors[j]) ** 2
+                                    / c.eigenvalues[j], axis=1))
+            scale = np.max(np.sum(rows * rows, axis=1))
+            np.testing.assert_allclose(lev[j], want_lev[j], rtol=1e-12,
+                                       atol=1e-12 * scale_m)
+            np.testing.assert_allclose(sq[j], want_sq[j], rtol=1e-12,
+                                       atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("spec", [quadratic_spec(), mlp_spec()],
+                             ids=lambda s: s.family)
+    def test_loop_families_keep_the_per_state_bits(self, spec):
+        problem = build_problem(spec)
+        data = generate_dataset(spec, seed=1, n=12)
+        ws = np.random.default_rng(2).standard_normal((4, problem.dim)) * 0.5
+        sigma, _ = problem.grad_moments(ws, data.features, data.labels)
+        c = SpdMatrix.from_matrix(sigma / 2.0)
+        lev, sq = problem.grad_leverages(ws, data.features, data.labels, c)
+        want_lev, want_sq = per_state_leverages(problem, ws, data, c)
+        assert np.array_equal(lev, want_lev) and np.array_equal(sq, want_sq)
 
 
 class TestDatasets:
