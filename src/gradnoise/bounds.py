@@ -63,7 +63,7 @@ FLOOR_SENSITIVITY_SCALE = 10.0
 # chunk. Picked from the peak RSS of the logistic trajectory benchmark
 # (n = 500, d = 20, 100 states a run): 49.5-49.8 MB at 16 and 32 states
 # against 49.3 before chunking existed, 50.3 at 50, 50.8 at 64 and 52.3 at
-# 100; in-process the bound takes about 0.045 s at 32 and 0.06-0.075 s at 16.
+# 100. In-process the bound ran 10-40% faster at 32 than at 16.
 LOO_STATE_CHUNK = 32
 
 

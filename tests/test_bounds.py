@@ -715,10 +715,7 @@ class TestTapeFromRecords:
                             l2=0.05, pop_oracle_size=300)
         cfg = quad_config(spec=spec, n=12, b=3, steps=4)
         records = run_ensemble(cfg, 2, 2, terminal_only=False)
-        calls = []
-        per_example_grads = LogisticProblem.per_example_grads
-        monkeypatch.setattr(LogisticProblem, "per_example_grads",
-                            lambda *args: calls.append(1) or per_example_grads(*args))
+        calls = count_per_example_grads(monkeypatch)
         tape = tape_from_records(records, population=True)
         assert calls == []
         monkeypatch.undo()
