@@ -58,9 +58,11 @@ from .spectral import stability_gap
 
 FLOOR_SENSITIVITY_SCALE = 10.0
 
-# Logged states per chunk of the data-dependent bound. A chunk holds a few
-# (states, n) leverage and coefficient arrays, so its memory grows with the
-# chunk. Picked from the peak RSS of the logistic trajectory benchmark
+# Logged states per chunk of the data-dependent bound, and leave-one-out
+# covariances C_J per stacked eigendecomposition of its replays. A chunk
+# holds a few (states, n) leverage and coefficient arrays, and on the
+# quadratic and MLP families the (states, n, d) per-example gradients, so
+# its memory grows with the chunk. Picked from the peak RSS of the logistic trajectory benchmark
 # (n = 500, d = 20, 100 states a run): 49.5-49.8 MB at 16 and 32 states
 # against 49.3 before chunking existed, 50.3 at 50, 50.8 at 64 and 52.3 at
 # 100. In-process the bound ran 10-40% faster at 32 than at 16.
@@ -394,15 +396,15 @@ def _loo_log_det_gaps(problem, ws, features, labels, b):
     1x; see :func:`traj_bound_data_dependent`."""
     n, d = features.shape[0], problem.dim
     m = n - 1
-    sigma, _ = problem.grad_moments(ws, features, labels)
+    grads = problem.state_gradients(ws, features, labels)
+    sigma, _ = grads.moments()
     c_full = SpdMatrix.from_matrix(sigma / b)
     # Where C is unfloored its floored and raw eigenvalues agree, so the
     # leverages and the interlacing bound serve both floor scales. Where it
     # is floored every C_J is built, and its leverages are not needed.
     free = ~c_full.floored_each
     lev, sq = np.zeros((2, len(ws), n))
-    lev[free], sq[free] = problem.grad_leverages(ws[free], features, labels,
-                                                 c_full[free])
+    lev[free], sq[free] = grads.leverages(free, c_full[free])
     lev /= b
     trace_j = ((n / m) * np.trace(sigma, axis1=-2, axis2=-1)[:, None] / b
                - (n / m**2) * sq / b)
@@ -416,26 +418,38 @@ def _loo_log_det_gaps(problem, ws, features, labels, b):
     closed = np.zeros((len(ws), n))
     closed[exact[1.0]] = (-d * np.log1p(1.0 / m)
                           - np.log1p(-lev[exact[1.0]] / m))
-    # Each state whose C_J a floor may touch evaluates its per-example
-    # gradients once; its C_J are decomposed as one stack and refloored.
-    explicit = {}
+    gaps = {scale: closed.mean(axis=1) for scale in exact}
+    log_det_c = {scale: log_det(c_full.refloored(scale)) for scale in exact}
+    floored = not free.all()
     for k in np.flatnonzero(~exact[FLOOR_SENSITIVITY_SCALE].all(axis=1)):
-        grads = problem.per_example_grads(ws[k], features, labels)
         rows = np.flatnonzero(~exact[FLOOR_SENSITIVITY_SCALE][k])
-        explicit[k] = rows, SpdMatrix.from_matrix(np.array(
-            [gnc_from_grads(np.delete(grads, i, axis=0))[0] for i in rows]) / b)
-
-    gaps = {}
-    for scale, ex in exact.items():
-        gaps[scale] = closed.mean(axis=1)
-        log_det_c = log_det(c_full.refloored(scale))
-        for k, (rows, cjs) in explicit.items():
-            log_det_cj = log_det(cjs.refloored(scale))[~ex[k, rows]]
-            gaps[scale][k] = np.mean(np.concatenate(
-                [closed[k, ex[k]], log_det_c[k] - log_det_cj]))
-    floored = not free.all() or any(cjs.floored_each[~exact[1.0][k, rows]].any()
-                                    for k, (rows, cjs) in explicit.items())
+        log_det_cj, floored_cj = _replayed_log_dets(grads.per_example(k), rows, b)
+        for scale, ex in exact.items():
+            replayed = log_det_c[scale][k] - log_det_cj[scale][~ex[k, rows]]
+            gaps[scale][k] = np.mean(np.concatenate([closed[k, ex[k]], replayed]))
+        floored = floored or bool(floored_cj[~exact[1.0][k, rows]].any())
     return gaps, floored
+
+
+def _replayed_log_dets(grads, rows, b):
+    """log det C_J at 1x and FLOOR_SENSITIVITY_SCALE x the floor, as {floor
+    scale: (len(rows),)}, and whether each C_J floored at 1x, for the
+    subsets J that leave out one example i of ``rows``, replayed from the
+    (n, d) per-example gradients ``grads``. The C_J are decomposed
+    LOO_STATE_CHUNK at a time, as stacks, and refloored, so the replay holds
+    at most that many d x d matrices, not n."""
+    log_dets = {scale: np.empty(len(rows))
+                for scale in (1.0, FLOOR_SENSITIVITY_SCALE)}
+    floored = np.empty(len(rows), dtype=bool)
+    for lo in range(0, len(rows), LOO_STATE_CHUNK):
+        part = slice(lo, lo + LOO_STATE_CHUNK)
+        cjs = SpdMatrix.from_matrix(np.array(
+            [gnc_from_grads(np.delete(grads, i, axis=0))[0]
+             for i in rows[part]]) / b)
+        for scale, out in log_dets.items():
+            out[part] = log_det(cjs.refloored(scale))
+        floored[part] = cjs.floored_each
+    return log_dets, floored
 
 
 def traj_bound_data_dependent(records, M=1.0):
@@ -453,17 +467,19 @@ def traj_bound_data_dependent(records, M=1.0):
     the matrix determinant lemma log det C_J = log det C + d log(n/m)
     + log1p(-l_i/m) with the leverage l_i = u_i^T Sigma^{-1} u_i.
 
-    A run's logged states go LOO_STATE_CHUNK at a time. Per chunk, Sigma
-    comes from the family's ``grad_moments``, every C from one stacked
-    eigendecomposition, and all n leverages of every state whose C is
-    unfloored from the family's ``grad_leverages``: O(n d^2 + d^3) per
-    state, and on the logistic family GEMMs that form no per-example
-    gradient. Where a floor could touch C or C_J (for instance when example
-    i alone carries a direction) that C_J is built and floored explicitly,
-    at O(n d^2 + d^3) each; such a state evaluates its per-example gradients
-    once and decomposes its C_J as one stack. The 10x-floor sensitivity
-    terms come from the same pass: each C and C_J is decomposed once and
-    refloored.
+    A run's logged states go LOO_STATE_CHUNK at a time, through the
+    family's ``state_gradients``. Per chunk, Sigma comes from its
+    ``moments``, every C from one stacked eigendecomposition, and all n
+    leverages of every state whose C is unfloored from its ``leverages``:
+    O(n d^2 + d^3) per state, and on the logistic family GEMMs that form no
+    per-example gradient. Where a floor could touch C or C_J (for instance
+    when example i alone carries a direction) that C_J is built and floored
+    explicitly from the state's per-example gradients, at O(n d^2 + d^3)
+    each, in stacks of LOO_STATE_CHUNK C_J. Each state evaluates its
+    per-example gradients at most once: the quadratic and MLP families keep
+    the chunk's (K, n, d) gradients for all three uses. The 10x-floor
+    sensitivity terms come from the same pass: each C and C_J is decomposed
+    once and refloored.
     """
     cfg, runs, _ = _usable_runs(records)
     n, b = cfg.n, cfg.b

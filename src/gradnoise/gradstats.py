@@ -5,11 +5,13 @@ covariance ``Sigma = g^T g / n - mean mean^T`` from per-example gradients;
 every caller applies its own batch scale to the result. The one other place
 is each problem family's ``grad_moments``, which gives the same moments at a
 stack of states: the logistic family from chunked GEMMs over the features
-without forming the gradients, the others through ``gnc_from_grads``. Each
-family's ``grad_leverages`` kernel gives, at such a stack, the leverages
-u^T C^{-1} u of the centered per-example gradients u under one stacked
-:class:`~gradnoise.linalg.SpdMatrix` C per state, the same way; the
-data-dependent trajectory bound reads them.
+without forming the gradients, the others through ``gnc_from_grads``. The
+data-dependent trajectory bound reads each family's ``state_gradients``,
+which gives at such a stack these moments and the leverages u^T C^{-1} u
+of the centered per-example gradients u under one stacked
+:class:`~gradnoise.linalg.SpdMatrix` C per state: on the logistic family
+from the ``grad_leverages`` GEMM kernel, on the others from one kept pass
+of per-example gradients per state.
 
 Naming: ``empirical_gnc`` is the covariance of one random per-example
 gradient around the full-batch mean (Sigma_t in most derivations);

@@ -32,10 +32,14 @@ the (K, d, d) single-draw noise covariances and the (K, d) mean gradients.
 The logistic family builds them from GEMMs over row chunks without forming
 any per-example gradient; the quadratic and MLP families loop over the
 states, so their moments keep the bits of the one-state formula.
-``grad_leverages(ws, features, labels, c)`` gives, at the same stack, the
-leverages u^T C^{-1} u of the centered per-example gradients u under a
-stacked :class:`SpdMatrix` C, and their squared norms; the split between
-GEMMs and a loop over states is the same.
+``state_gradients(ws, features, labels)`` wraps the same stack for the
+data-dependent trajectory bound: its ``moments()``, its
+``leverages(index, c)`` (the leverages u^T C^{-1} u of the centered
+per-example gradients u under a stacked :class:`SpdMatrix` C, and their
+squared norms) and its ``per_example(k)``. On the logistic family the first
+two come from GEMM kernels (``grad_moments``, ``grad_leverages``); on the
+others every state's per-example gradients are evaluated once and shared
+by all three.
 
 Population-level expectations are estimated on a large "population oracle"
 sample drawn from a stream disjoint from every training dataset.
@@ -222,31 +226,70 @@ def population_oracle_sample(spec, seed):
     return Dataset(feats, labels, seed, spec)
 
 
-def _moments_by_state(problem, ws, features, labels):
-    """``gnc_from_grads(problem.per_example_grads(w, ...))`` at each row w of
-    ``ws``, stacked as ((K, d, d), (K, d)): ``grad_moments`` for a family
-    without a stacked kernel."""
-    sigma = np.empty((len(ws), problem.dim, problem.dim))
-    mean = np.empty((len(ws), problem.dim))
-    for k, w in enumerate(ws):
-        sigma[k], mean[k] = gnc_from_grads(
-            problem.per_example_grads(w, features, labels))
+def _moments_by_state(grads_at, k, d):
+    """``gnc_from_grads(grads_at(j))`` for each j < k, stacked as ((k, d, d),
+    (k, d)): ``grad_moments`` for a family without a stacked kernel."""
+    sigma = np.empty((k, d, d))
+    mean = np.empty((k, d))
+    for j in range(k):
+        sigma[j], mean[j] = gnc_from_grads(grads_at(j))
     return sigma, mean
 
 
-def _leverages_by_state(problem, ws, features, labels, c):
-    """The leverages ``sum_j (u . q_j)^2 / lambda_j`` over the floored
-    eigenpairs of ``c[k]`` and the squared norms ``|u|^2`` of the centered
-    per-example gradients u at each row w of ``ws``, stacked as (K, n) each:
-    ``grad_leverages`` for a family without a stacked kernel."""
-    lev = np.empty((len(ws), features.shape[0]))
-    sq = np.empty_like(lev)
-    for k, w in enumerate(ws):
-        grads = problem.per_example_grads(w, features, labels)
-        u = grads - grads.mean(axis=0)
-        lev[k] = np.sum((u @ c.eigenvectors[k]) ** 2 / c.eigenvalues[k], axis=1)
-        sq[k] = np.sum(u * u, axis=1)
-    return lev, sq
+class _StateGradients:
+    """The per-example gradients of ``problem`` at the rows of a (K, d) state
+    stack ``ws``, with their moments and leave-one-out leverages: what
+    ``state_gradients`` gives for a family without stacked kernels.
+
+    Each state's gradients are evaluated at most once, on first use, and
+    kept while the object lives, so the moments, the leverages and any
+    explicit leave-one-out covariance of one state read one pass. The
+    moments and leverages loop over the states with the one-state formulas,
+    so they keep those formulas' bits.
+    """
+
+    def __init__(self, problem, ws, features, labels):
+        self.problem, self.ws = problem, ws
+        self.features, self.labels = features, labels
+        self._grads = {}
+
+    def per_example(self, k):
+        """The (n, d) per-example gradients at ``ws[k]``."""
+        if k not in self._grads:
+            self._grads[k] = self.problem.per_example_grads(
+                self.ws[k], self.features, self.labels)
+        return self._grads[k]
+
+    def moments(self):
+        """((K, d, d), (K, d)): ``gnc_from_grads`` at each state."""
+        return _moments_by_state(self.per_example, len(self.ws), self.problem.dim)
+
+    def leverages(self, index, c):
+        """The leverages u^T C^{-1} u and squared norms |u|^2, (K', n) each,
+        of the centered per-example gradients u at the states ``ws[index]``,
+        with C^{-1} from the floored eigenpairs of the stacked SpdMatrix
+        ``c`` of those states; here ``sum_j (u . q_j)^2 / lambda_j``."""
+        states = np.arange(len(self.ws))[index]
+        lev = np.empty((len(states), len(self.features)))
+        sq = np.empty_like(lev)
+        for j, k in enumerate(states):
+            grads = self.per_example(k)
+            u = grads - grads.mean(axis=0)
+            lev[j] = np.sum((u @ c.eigenvectors[j]) ** 2 / c.eigenvalues[j], axis=1)
+            sq[j] = np.sum(u * u, axis=1)
+        return lev, sq
+
+
+class _LogisticStateGradients(_StateGradients):
+    """:class:`_StateGradients` whose moments and leverages come from the
+    logistic family's GEMM kernels, which form no per-example gradient."""
+
+    def moments(self):
+        return self.problem.grad_moments(self.ws, self.features, self.labels)
+
+    def leverages(self, index, c):
+        return self.problem.grad_leverages(self.ws[index], self.features,
+                                           self.labels, c)
 
 
 def _gradient_coefficients(margins, sign):
@@ -313,10 +356,12 @@ class QuadraticProblem:
         return np.matmul(self.a, (w - features.mean(axis=-2))[..., None])[..., 0]
 
     def grad_moments(self, ws, features, labels):
-        return _moments_by_state(self, ws, features, labels)
+        return _moments_by_state(
+            lambda k: self.per_example_grads(ws[k], features, labels),
+            len(ws), self.dim)
 
-    def grad_leverages(self, ws, features, labels, c):
-        return _leverages_by_state(self, ws, features, labels, c)
+    def state_gradients(self, ws, features, labels):
+        return _StateGradients(self, ws, features, labels)
 
     def hessian_operator(self, w, features, labels):
         a = self.a
@@ -394,11 +439,15 @@ class LogisticProblem:
                                                - mean[:, iu] * mean[:, ju])
         return sigma, mean + self.l2 * ws
 
+    def state_gradients(self, ws, features, labels):
+        return _LogisticStateGradients(self, ws, features, labels)
+
     def grad_leverages(self, ws, features, labels, c):
         """The leverages u^T C^{-1} u and squared norms |u|^2, (K, n) each,
         of the centered per-example gradients u at each row of the (K, d)
         stack ``ws``, with C^{-1} from the floored eigenpairs of the stacked
-        SpdMatrix ``c``; equal to ``_leverages_by_state`` up to rounding.
+        SpdMatrix ``c``; equal to the per-state formula of
+        :class:`_StateGradients` up to rounding.
 
         u_i = c_i x_i - mean, with mean the mean of the c_i x_i: the l2 term
         cancels. So with M = C^{-1}, l_i = c_i^2 x_i^T M x_i
@@ -571,10 +620,12 @@ class MlpProblem:
         ], axis=-1)
 
     def grad_moments(self, ws, features, labels):
-        return _moments_by_state(self, ws, features, labels)
+        return _moments_by_state(
+            lambda k: self.per_example_grads(ws[k], features, labels),
+            len(ws), self.dim)
 
-    def grad_leverages(self, ws, features, labels, c):
-        return _leverages_by_state(self, ws, features, labels, c)
+    def state_gradients(self, ws, features, labels):
+        return _StateGradients(self, ws, features, labels)
 
     def hessian_operator(self, w, features, labels):
         w1, b1, w2, b2, hid, logits = self._forward(w, features)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradnoise import linalg
+from gradnoise import bounds, linalg
 from gradnoise.bounds import (
     FLOOR_SENSITIVITY_SCALE,
     LOO_STATE_CHUNK,
@@ -575,12 +575,37 @@ class TestDataDependentTrajectory:
                             lambda *a: grad_passes.append(a) or per_example_grads(*a))
         report = traj_bound_data_dependent([rec])
         assert "core_at_10x_floor" in report.components
-        # grad_moments' per-state pass for C, then one replay per state for
-        # its C_J; a floored C needs no leverages.
-        assert len(grad_passes) == 3 + 3
+        # One pass per state serves its C and the replay of its C_J; a
+        # floored C needs no leverages.
+        assert len(grad_passes) == 3
         # The 3 states' C as one stack, then each state's 4 C_J as one; the
         # record carries its dataset, so no draw takes the scatter root.
         assert [m.shape for m in eighs] == [(3, 5, 5)] + [(4, 5, 5)] * 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_chunks_split_states_and_replays_alike(self, monkeypatch):
+        """At a chunk of 2 the three states go as 2 + 1 and each state's six
+        C_J replays as 2 + 2 + 2 stacks; the terms still equal the
+        enumeration, and each state's gradients are evaluated once."""
+        spec = QuadraticSpec(curvature=np.diag([0.5, 0.8, 1.0, 1.3, 1.6]),
+                             center=np.zeros(5), scatter=np.eye(5),
+                             pop_oracle_size=100)
+        rec = train_run(quad_config(spec=spec, n=6, b=1, steps=3))
+        eighs, grad_passes = [], []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(bounds, "LOO_STATE_CHUNK", 2)
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda m: eighs.append(m.shape) or eigh(m))
+        per_example_grads = QuadraticProblem.per_example_grads
+        monkeypatch.setattr(QuadraticProblem, "per_example_grads",
+                            lambda *a: grad_passes.append(a) or per_example_grads(*a))
+        report = traj_bound_data_dependent([rec])
+        monkeypatch.undo()
+        assert len(grad_passes) == 3
+        assert eighs == ([(2, 5, 5)] + [(2, 5, 5)] * 6
+                         + [(1, 5, 5)] + [(2, 5, 5)] * 3)
+        np.testing.assert_allclose(report.per_step_terms,
+                                   brute_force_loo_terms(rec), rtol=0, atol=1e-10)
 
     def test_value_is_core_times_loss_bound(self):
         rec = train_run(quad_config(steps=2))

@@ -223,8 +223,8 @@ def per_state_leverages(problem, ws, data, c):
 
 
 class TestGradLeverages:
-    """``grad_leverages`` at a stack of states against the per-state formula
-    ``sum_j (u . q_j)^2 / lambda_j``."""
+    """``grad_leverages`` and ``state_gradients`` at a stack of states
+    against the per-state formula ``sum_j (u . q_j)^2 / lambda_j``."""
 
     CHUNK = problems.GRAD_MOMENT_CHUNK
 
@@ -258,16 +258,51 @@ class TestGradLeverages:
             np.testing.assert_allclose(sq[j], want_sq[j], rtol=1e-12,
                                        atol=1e-12 * scale)
 
+    def test_logistic_state_gradients_take_the_kernels(self):
+        """The logistic ``state_gradients`` reads ``grad_moments`` and
+        ``grad_leverages`` at the selected states, bit for bit."""
+        spec = logistic_spec(d=5, l2=0.05)
+        problem = build_problem(spec)
+        data = generate_dataset(spec, seed=3, n=40)
+        ws = np.random.default_rng(4).standard_normal((5, 5))
+        index = np.array([True, False, True, True, False])
+        grads = problem.state_gradients(ws, data.features, data.labels)
+        sigma, mean = grads.moments()
+        want_sigma, want_mean = problem.grad_moments(ws, data.features, data.labels)
+        assert np.array_equal(sigma, want_sigma) and np.array_equal(mean, want_mean)
+        c = SpdMatrix.from_matrix(sigma[index] / 3.0)
+        lev, sq = grads.leverages(index, c)
+        want_lev, want_sq = problem.grad_leverages(ws[index], data.features,
+                                                   data.labels, c)
+        assert np.array_equal(lev, want_lev) and np.array_equal(sq, want_sq)
+
     @pytest.mark.parametrize("spec", [quadratic_spec(), mlp_spec()],
                              ids=lambda s: s.family)
-    def test_loop_families_keep_the_per_state_bits(self, spec):
+    def test_loop_families_keep_the_per_state_bits(self, spec, monkeypatch):
+        """Moments, leverages and per-example gradients of the selected
+        states equal the one-state formulas bit for bit, and they share one
+        per-example gradient pass per state."""
         problem = build_problem(spec)
         data = generate_dataset(spec, seed=1, n=12)
         ws = np.random.default_rng(2).standard_normal((4, problem.dim)) * 0.5
-        sigma, _ = problem.grad_moments(ws, data.features, data.labels)
-        c = SpdMatrix.from_matrix(sigma / 2.0)
-        lev, sq = problem.grad_leverages(ws, data.features, data.labels, c)
-        want_lev, want_sq = per_state_leverages(problem, ws, data, c)
+        index = np.array([True, True, False, True])
+        calls = []
+        per_example_grads = type(problem).per_example_grads
+        monkeypatch.setattr(type(problem), "per_example_grads",
+                            lambda *a: calls.append(1) or per_example_grads(*a))
+        grads = problem.state_gradients(ws, data.features, data.labels)
+        sigma, mean = grads.moments()
+        c = SpdMatrix.from_matrix(sigma[index] / 2.0)
+        lev, sq = grads.leverages(index, c)
+        kept = [grads.per_example(k) for k in range(len(ws))]
+        assert len(calls) == len(ws)
+        monkeypatch.undo()
+        assert all(np.array_equal(
+            g, problem.per_example_grads(w, data.features, data.labels))
+            for g, w in zip(kept, ws))
+        want_sigma, want_mean = problem.grad_moments(ws, data.features, data.labels)
+        assert np.array_equal(sigma, want_sigma) and np.array_equal(mean, want_mean)
+        want_lev, want_sq = per_state_leverages(problem, ws[index], data, c)
         assert np.array_equal(lev, want_lev) and np.array_equal(sq, want_sq)
 
 
