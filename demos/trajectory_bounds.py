@@ -42,7 +42,7 @@ def main():
         traj_bound_isotropic(tape, "population-gradient"),
         traj_bound_langevin(tape),
         traj_bound_anisotropic(tape),
-        traj_bound_data_dependent(records),
+        traj_bound_data_dependent(tape),
         terminal_bound_gradient_accum(records),
     ]
     labels = ["isotropic (zero prior)", "isotropic (population prior)",

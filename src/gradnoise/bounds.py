@@ -17,14 +17,16 @@ leaves diverged runs out by one rule (:func:`_usable_runs`), wherever they
 were cut, and flags ``diverged-runs`` when it did.
 
 Every bound reads its run shape from one TrainConfig, the one its records
-share (:func:`_shared_config`; a TrajectoryTape keeps it as ``config``), and
-every report's ``n``, ``b``, ``eta`` and ``T`` come from it by one rule
-(:func:`_run_setting`, eta at step T; gradient accumulation reports the
-largest eta instead). The five bounds read from logged trajectories flag
-diverged runs and a logging cadence above 1 by one rule as well
-(:func:`_trajectory_flags`). A TrajectoryTape holds its runs' per-step
-statistics as arrays laid out (step, run, ...), its GNCs as one stacked
-SpdMatrix each, so the three tape bounds are reductions over the run axis.
+share (:func:`_shared_config`; a TrajectoryTape reads it from the records
+it keeps), and every report's ``n``, ``b``, ``eta`` and ``T`` come from it
+by one rule (:func:`_run_setting`, eta at step T; gradient accumulation
+reports the largest eta instead). The five bounds read from logged
+trajectories flag diverged runs and a logging cadence above 1 by one rule
+as well (:func:`_trajectory_flags`). A TrajectoryTape holds its runs'
+per-step statistics as arrays laid out (step, run, ...), its GNCs as one
+stacked SpdMatrix each, so three of the four tape bounds are reductions
+over the run axis; the data-dependent one also reads the logged weights
+and datasets of the records the tape keeps.
 
 Six bounds use eigenvalue-floored matrices: trajectory isotropic,
 anisotropic and data-dependent, terminal general and anisotropic, and
@@ -93,8 +95,9 @@ class TrajectoryTape:
     :class:`SpdMatrix` (K, R, d, d) each of the exact-factor mini-batch GNC
     and the population GNC, and ``trace_c`` and ``trace_pop`` (K, R) their
     unfloored traces. The ``pop_*`` fields are None without population
-    statistics. ``config`` is the TrainConfig the records share; its n, b,
-    T, mode and schedule are the tape's. With logging cadence
+    statistics. ``runs`` are the usable records, in the run order of the
+    arrays, and ``config`` the TrainConfig they share; its n, b, T, mode
+    and schedule are the tape's. With logging cadence
     ``config.log_every`` 1 every update is represented; a coarser cadence
     represents each logged state for ``log_every`` updates and bound sums are
     rescaled accordingly (flagged ``approximate-cadence``).
@@ -108,8 +111,12 @@ class TrajectoryTape:
     pop_grad: np.ndarray | None
     pop_gnc: SpdMatrix | None
     trace_pop: np.ndarray | None
-    config: object
+    runs: tuple
     any_diverged: bool
+
+    @property
+    def config(self):
+        return self.runs[0].config
 
     @property
     def n_steps(self):
@@ -192,7 +199,7 @@ def tape_from_records(records, population=False):
         pop_grad=pop_grad,
         pop_gnc=SpdMatrix.from_matrix(raw_pop) if population else None,
         trace_pop=np.trace(raw_pop, axis1=-2, axis2=-1) if population else None,
-        config=config,
+        runs=tuple(runs),
         any_diverged=len(runs) < len(records),
     )
 
@@ -389,25 +396,23 @@ def traj_bound_anisotropic(tape, R=1.0):
                    extra_series={"diag_alignment": diag_terms})
 
 
-def _loo_log_det_gaps(problem, ws, features, labels, b):
+def _loo_log_det_gaps(grads, c_full, trace_c, b):
     """The mean over all n leave-one-out subsets J of log det C - log det C_J
-    at each row of the (K, d) state stack ``ws``, as {floor scale: (K,)} at
-    1x and FLOOR_SENSITIVITY_SCALE x the floor, and whether a floor fired at
-    1x; see :func:`traj_bound_data_dependent`."""
-    n, d = features.shape[0], problem.dim
+    at each state of ``grads`` (a family's ``state_gradients`` of K states),
+    as {floor scale: (K,)} at 1x and FLOOR_SENSITIVITY_SCALE x the floor,
+    and whether a floor fired at 1x. ``c_full`` holds the K matrices C =
+    Sigma/b as one stacked SpdMatrix and ``trace_c`` their (K,) unfloored
+    traces; see :func:`traj_bound_data_dependent`."""
+    n, d = grads.features.shape[0], c_full.dim
     m = n - 1
-    grads = problem.state_gradients(ws, features, labels)
-    sigma, _ = grads.moments()
-    c_full = SpdMatrix.from_matrix(sigma / b)
     # Where C is unfloored its floored and raw eigenvalues agree, so the
     # leverages and the interlacing bound serve both floor scales. Where it
     # is floored every C_J is built, and its leverages are not needed.
     free = ~c_full.floored_each
-    lev, sq = np.zeros((2, len(ws), n))
+    lev, sq = np.zeros((2, len(trace_c), n))
     lev[free], sq[free] = grads.leverages(free, c_full[free])
     lev /= b
-    trace_j = ((n / m) * np.trace(sigma, axis1=-2, axis2=-1)[:, None] / b
-               - (n / m**2) * sq / b)
+    trace_j = (n / m) * trace_c[:, None] - (n / m**2) * sq / b
     lower_j = (n / m) * c_full.eigenvalues[:, :1] * (1.0 - lev / m)
     # The closed form holds for C_J only if its interlacing lower bound on
     # lambda_min clears the floor C_J would get; a higher floor makes it
@@ -415,7 +420,7 @@ def _loo_log_det_gaps(problem, ws, features, labels, b):
     exact = {scale: (lower_j > eigenvalue_floor(trace_j / d, scale))
              & ~c_full.refloored(scale).floored_each[:, None]
              for scale in (1.0, FLOOR_SENSITIVITY_SCALE)}
-    closed = np.zeros((len(ws), n))
+    closed = np.zeros((len(trace_c), n))
     closed[exact[1.0]] = (-d * np.log1p(1.0 / m)
                           - np.log1p(-lev[exact[1.0]] / m))
     gaps = {scale: closed.mean(axis=1) for scale in exact}
@@ -452,15 +457,18 @@ def _replayed_log_dets(grads, rows, b):
     return log_dets, floored
 
 
-def traj_bound_data_dependent(records, M=1.0):
+def traj_bound_data_dependent(tape, M=1.0):
     """Trajectory bound with leave-one-out data-dependent priors.
 
     Uses the within-batch scaling convention C = Sigma/b for both the full
-    and the subsample GNCs (this analysis fixes that convention; it differs
-    from the exact mini-batch factor by O(1/n)). Per step the term is
-    (b-1) d/(n-1)^2 plus the mean over leave-one-out subsets J of
-    log det C - log det C_J; the core averages sqrt(sum of terms) across
-    records, keeping the dataset expectation outside the square root.
+    and the subsample GNCs: the leave-one-out identities below are exact
+    only under it. The tape holds the exact-factor GNC
+    ``minibatch_factor(n, b) * Sigma``, so the bound rescales the tape's
+    eigenvalues and traces by 1/(b minibatch_factor(n, b)) = (n-1)/(n-b)
+    (1.018 at n = 500, b = 10). Per step the term is (b-1) d/(n-1)^2 plus
+    the mean over leave-one-out subsets J of log det C - log det C_J; the
+    core averages sqrt(sum of terms) across the tape's runs, keeping the
+    dataset expectation outside the square root.
 
     The mean is exact over all n subsets. With m = n - 1 and u_i = g_i - mean,
     dropping example i gives Sigma_J = (n/m) Sigma - (n/m^2) u_i u_i^T, so by
@@ -468,38 +476,39 @@ def traj_bound_data_dependent(records, M=1.0):
     + log1p(-l_i/m) with the leverage l_i = u_i^T Sigma^{-1} u_i.
 
     A run's logged states go LOO_STATE_CHUNK at a time, through the
-    family's ``state_gradients``. Per chunk, Sigma comes from its
-    ``moments``, every C from one stacked eigendecomposition, and all n
-    leverages of every state whose C is unfloored from its ``leverages``:
-    O(n d^2 + d^3) per state, and on the logistic family GEMMs that form no
-    per-example gradient. Where a floor could touch C or C_J (for instance
-    when example i alone carries a direction) that C_J is built and floored
-    explicitly from the state's per-example gradients, at O(n d^2 + d^3)
-    each, in stacks of LOO_STATE_CHUNK C_J. Each state evaluates its
-    per-example gradients at most once: the quadratic and MLP families keep
-    the chunk's (K, n, d) gradients for all three uses. The 10x-floor
-    sensitivity terms come from the same pass: each C and C_J is decomposed
-    once and refloored.
+    family's ``state_gradients`` on the dataset the run carries. Per chunk,
+    C comes from the tape's eigendecompositions and all n leverages of
+    every state whose C is unfloored from ``leverages``: O(n d^2) per state,
+    and on the logistic family GEMMs that form no per-example gradient.
+    Where a floor could touch C or C_J (for instance when example i alone
+    carries a direction) that C_J is built and floored explicitly from the
+    state's per-example gradients, at O(n d^2 + d^3) each, in stacks of
+    LOO_STATE_CHUNK C_J. Each state evaluates its per-example gradients at
+    most once: the quadratic and MLP families keep the chunk's (K, n, d)
+    gradients for the leverages and the replays. The 10x-floor sensitivity
+    terms come from the same pass: each C and C_J is decomposed once and
+    refloored.
     """
-    cfg, runs, _ = _usable_runs(records)
+    cfg = tape.config
     n, b = cfg.n, cfg.b
     if n - 1 <= b:
         raise ConfigError(f"data-dependent bound needs n-1 > b, got n={n}, b={b}")
-    d = runs[0].final_w.shape[0]
-    flags = _trajectory_flags(cfg, len(runs) < len(records))
-    const = (b - 1) * d / (n - 1) ** 2
+    flags = _trajectory_flags(cfg, tape.any_diverged)
+    const = (b - 1) * tape.dim / (n - 1) ** 2
+    to_loo = (n - 1) / (n - b)
 
-    # terms[scale][r] holds record r's per-step terms at that floor scale.
+    # terms[scale][r] holds run r's per-step terms at that floor scale.
     terms = {1.0: [], FLOOR_SENSITIVITY_SCALE: []}
     floored = False
-    for rec in runs:
-        if rec.weights is None:
-            raise ConfigError("data-dependent bound requires record_weights=True")
+    for r, rec in enumerate(tape.runs):
         problem = build_problem(rec.config.spec)
-        ws = rec.weights[:-1]
-        chunks = [_loo_log_det_gaps(problem, ws[lo:lo + LOO_STATE_CHUNK],
-                                    rec.dataset.features, rec.dataset.labels, b)
-                  for lo in range(0, len(ws), LOO_STATE_CHUNK)]
+        ws, data = rec.weights[:-1], rec.dataset
+        c, trace_c = tape.gnc[:, r].scaled(to_loo), to_loo * tape.trace_c[:, r]
+        chunks = []
+        for lo in range(0, len(ws), LOO_STATE_CHUNK):
+            part = slice(lo, lo + LOO_STATE_CHUNK)
+            grads = problem.state_gradients(ws[part], data.features, data.labels)
+            chunks.append(_loo_log_det_gaps(grads, c[part], trace_c[part], b))
         floored = floored or any(f for _, f in chunks)
         for scale, rows in terms.items():
             rows.append(const + np.concatenate([g[scale] for g, _ in chunks]))
@@ -511,7 +520,7 @@ def traj_bound_data_dependent(records, M=1.0):
     roots, = _floor_sensitive(evaluate, flags, components)
     components["per_record_cores_mean"] = _core(roots)
     return _report("trajectory-data-dependent", roots, flags, components,
-                   len(runs), _run_setting(cfg), M=M,
+                   tape.n_runs, _run_setting(cfg), M=M,
                    per_step_terms=np.mean(terms[1.0], axis=0))
 
 

@@ -6,9 +6,10 @@ every caller applies its own batch scale to the result. The one other place
 is each problem family's ``grad_moments``, which gives the same moments at a
 stack of states: the logistic family from chunked GEMMs over the features
 without forming the gradients, the others through ``gnc_from_grads``. The
-data-dependent trajectory bound reads each family's ``state_gradients``,
-which gives at such a stack these moments and the leverages u^T C^{-1} u
-of the centered per-example gradients u under one stacked
+trajectory tape makes one such call per run and dataset. The data-dependent
+trajectory bound takes its covariances from the tape and reads each
+family's ``state_gradients`` only for the leverages u^T C^{-1} u of the
+centered per-example gradients u under one stacked
 :class:`~gradnoise.linalg.SpdMatrix` C per state: on the logistic family
 from the ``grad_leverages`` GEMM kernel, on the others from one kept pass
 of per-example gradients per state.
@@ -19,7 +20,8 @@ gradient around the full-batch mean (Sigma_t in most derivations);
 ``(n - b) / (b (n - 1))`` to give the covariance of a size-b batch mean (C_t).
 The data-dependent trajectory bound uses the large-n simplification
 ``C_t = Sigma_t / b`` instead, because the leave-one-out enumeration
-identities it relies on are exact only under that convention.
+identities it relies on are exact only under that convention; it reads the
+tape's exact-factor GNC and rescales it by ``(n - 1) / (n - b)``.
 """
 
 import numpy as np

@@ -43,16 +43,17 @@ TRAJECTORY_CSV_HEADER = ("step", "train_loss", "test_loss", "grad_norm_sq",
 
 # Bound name -> (input family, name of its function in ``bounds``, the
 # ExperimentConfig fields it takes as keywords). The families are "tape" (a
-# TrajectoryTape), "records" (the runs at the config's logging cadence, weights
-# recorded), "ensemble" (the runs, read at their terminal state) and "pairs"
-# (full / leave-one-out record pairs). The order fixes the row order of
-# bounds.csv. Each function is looked up on ``bounds_mod`` when called, so a
-# wrapper rebound onto that module (as perfbench's tracer does) reaches it.
+# TrajectoryTape of the runs, weights recorded), "records" (the runs at the
+# config's logging cadence), "ensemble" (the runs, read at their terminal
+# state) and "pairs" (full / leave-one-out record pairs). The order fixes the
+# row order of bounds.csv. Each function is looked up on ``bounds_mod`` when
+# called, so a wrapper rebound onto that module (as perfbench's tracer does)
+# reaches it.
 _BOUND_TABLE = {
     "traj-isotropic": ("tape", "traj_bound_isotropic", ("g_tilde", "R")),
     "traj-langevin": ("tape", "traj_bound_langevin", ("g_tilde", "R")),
     "traj-anisotropic": ("tape", "traj_bound_anisotropic", ("R",)),
-    "traj-data-dependent": ("records", "traj_bound_data_dependent", ("M",)),
+    "traj-data-dependent": ("tape", "traj_bound_data_dependent", ("M",)),
     "terminal-gradient-accum": ("records", "terminal_bound_gradient_accum",
                                 ("R",)),
     "terminal-general": ("ensemble", "terminal_bound_general", ("R",)),
@@ -484,23 +485,29 @@ def _reports(config, names, oracle=None):
     """Reports of the named bounds, in order, on one ``run_ensemble`` of
     ``config.train``, each carrying the runs' ``generalization_error_estimate``.
 
-    The runs keep the config's cadence and record their weights only if a
-    named bound reads logged states (family "tape" or "records"); otherwise
-    they are read at their terminal state. The tape is built only for tape
-    bounds, and ``terminal-loo`` pairs the runs with their leave-one-out
-    runs. ``oracle`` is passed on to ``run_ensemble``.
+    The runs keep the config's cadence only if a named bound reads logged
+    states (family "tape" or "records"); otherwise they are read at their
+    terminal state. They record their weights and the tape is built only
+    for tape bounds, and the tape's population half only for the bounds
+    that read it: ``traj-anisotropic`` and, with the population-gradient
+    ``g_tilde``, the bounds that take ``g_tilde``. ``terminal-loo`` pairs
+    the runs with their leave-one-out runs. ``oracle`` is passed on to
+    ``run_ensemble``.
     """
     _check_loo_size(names, config.train.n, config.train.b, "train.b")
     families = {_BOUND_TABLE[name][0] for name in names}
     logged = bool(families & {"tape", "records"})
-    train = replace(config.train, record_weights=True) if logged else config.train
+    train = (replace(config.train, record_weights=True) if "tape" in families
+             else config.train)
     runs = run_ensemble(train, config.dataset_seeds, config.run_seeds,
                         terminal_only=not logged, oracle=oracle)
     gen = estimate_generalization_error(runs)
     inputs = {"records": runs, "ensemble": runs}
     if "tape" in families:
         inputs["tape"] = bounds_mod.tape_from_records(runs, population=(
-            "traj-anisotropic" in names or config.g_tilde == "population-gradient"))
+            "traj-anisotropic" in names
+            or (config.g_tilde == "population-gradient"
+                and any("g_tilde" in _BOUND_TABLE[name][2] for name in names))))
     if "pairs" in families:
         inputs["pairs"] = _loo_pairs(runs)
     reports = []

@@ -83,8 +83,8 @@ class SpdMatrix:
     each matrix is floored by its own ``tr(M)/d``, and every entry equals
     ``from_matrix`` of that matrix alone bit for bit. ``floored`` stays one
     flag, set if any matrix of the stack floored, and ``floored_each`` holds
-    one flag per matrix; indexing a stack selects matrices along its first
-    axis. :func:`log_det` and :func:`trace_log_diag` return one value per
+    one flag per matrix; indexing a stack selects matrices along its leading
+    axes. :func:`log_det` and :func:`trace_log_diag` return one value per
     matrix.
 
     Attributes
@@ -130,8 +130,15 @@ class SpdMatrix:
         """The same eigenpairs under ``scale`` times both default floors."""
         return self if scale == self.scale else replace(self, scale=scale)
 
+    def scaled(self, factor):
+        """The decomposition of ``factor * M`` for a ``factor`` > 0: the same
+        eigenvectors, eigenvalues and ``tr(M)/d`` times ``factor``, floored
+        afresh."""
+        return replace(self, raw_eigenvalues=factor * self.raw_eigenvalues,
+                       mean_eigenvalue=factor * self.mean_eigenvalue)
+
     def __getitem__(self, index):
-        """The matrices of a stack at ``index`` of its first axis."""
+        """The matrices of a stack at ``index`` of its leading axes."""
         return replace(self, raw_eigenvalues=self.raw_eigenvalues[index],
                        eigenvectors=self.eigenvectors[index],
                        mean_eigenvalue=self.mean_eigenvalue[index])

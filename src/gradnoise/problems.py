@@ -33,13 +33,12 @@ The logistic family builds them from GEMMs over row chunks without forming
 any per-example gradient; the quadratic and MLP families loop over the
 states, so their moments keep the bits of the one-state formula.
 ``state_gradients(ws, features, labels)`` wraps the same stack for the
-data-dependent trajectory bound: its ``moments()``, its
-``leverages(index, c)`` (the leverages u^T C^{-1} u of the centered
-per-example gradients u under a stacked :class:`SpdMatrix` C, and their
-squared norms) and its ``per_example(k)``. On the logistic family the first
-two come from GEMM kernels (``grad_moments``, ``grad_leverages``); on the
-others every state's per-example gradients are evaluated once and shared
-by all three.
+data-dependent trajectory bound, which takes the moments from the
+trajectory tape: its ``leverages(index, c)`` (the leverages u^T C^{-1} u of
+the centered per-example gradients u under a stacked :class:`SpdMatrix` C,
+and their squared norms) and its ``per_example(k)``. On the logistic family
+the leverages come from the GEMM kernel ``grad_leverages``; on the others
+every state's per-example gradients are evaluated once and shared by both.
 
 Population-level expectations are estimated on a large "population oracle"
 sample drawn from a stream disjoint from every training dataset.
@@ -226,26 +225,27 @@ def population_oracle_sample(spec, seed):
     return Dataset(feats, labels, seed, spec)
 
 
-def _moments_by_state(grads_at, k, d):
-    """``gnc_from_grads(grads_at(j))`` for each j < k, stacked as ((k, d, d),
-    (k, d)): ``grad_moments`` for a family without a stacked kernel."""
-    sigma = np.empty((k, d, d))
-    mean = np.empty((k, d))
-    for j in range(k):
-        sigma[j], mean[j] = gnc_from_grads(grads_at(j))
+def _moments_by_state(problem, ws, features, labels):
+    """``gnc_from_grads`` of the per-example gradients at each row of the
+    (K, d) stack ``ws``, stacked as ((K, d, d), (K, d)): ``grad_moments``
+    for a family without a stacked kernel."""
+    sigma = np.empty((len(ws), problem.dim, problem.dim))
+    mean = np.empty((len(ws), problem.dim))
+    for k, w in enumerate(ws):
+        sigma[k], mean[k] = gnc_from_grads(problem.per_example_grads(
+            w, features, labels))
     return sigma, mean
 
 
 class _StateGradients:
     """The per-example gradients of ``problem`` at the rows of a (K, d) state
-    stack ``ws``, with their moments and leave-one-out leverages: what
-    ``state_gradients`` gives for a family without stacked kernels.
+    stack ``ws``, with their leave-one-out leverages: what
+    ``state_gradients`` gives for a family without a stacked kernel.
 
     Each state's gradients are evaluated at most once, on first use, and
-    kept while the object lives, so the moments, the leverages and any
-    explicit leave-one-out covariance of one state read one pass. The
-    moments and leverages loop over the states with the one-state formulas,
-    so they keep those formulas' bits.
+    kept while the object lives, so the leverages and any explicit
+    leave-one-out covariance of one state read one pass. The leverages loop
+    over the states with the one-state formula, so they keep its bits.
     """
 
     def __init__(self, problem, ws, features, labels):
@@ -259,10 +259,6 @@ class _StateGradients:
             self._grads[k] = self.problem.per_example_grads(
                 self.ws[k], self.features, self.labels)
         return self._grads[k]
-
-    def moments(self):
-        """((K, d, d), (K, d)): ``gnc_from_grads`` at each state."""
-        return _moments_by_state(self.per_example, len(self.ws), self.problem.dim)
 
     def leverages(self, index, c):
         """The leverages u^T C^{-1} u and squared norms |u|^2, (K', n) each,
@@ -281,11 +277,8 @@ class _StateGradients:
 
 
 class _LogisticStateGradients(_StateGradients):
-    """:class:`_StateGradients` whose moments and leverages come from the
-    logistic family's GEMM kernels, which form no per-example gradient."""
-
-    def moments(self):
-        return self.problem.grad_moments(self.ws, self.features, self.labels)
+    """:class:`_StateGradients` whose leverages come from the logistic
+    family's GEMM kernel, which forms no per-example gradient."""
 
     def leverages(self, index, c):
         return self.problem.grad_leverages(self.ws[index], self.features,
@@ -356,9 +349,7 @@ class QuadraticProblem:
         return np.matmul(self.a, (w - features.mean(axis=-2))[..., None])[..., 0]
 
     def grad_moments(self, ws, features, labels):
-        return _moments_by_state(
-            lambda k: self.per_example_grads(ws[k], features, labels),
-            len(ws), self.dim)
+        return _moments_by_state(self, ws, features, labels)
 
     def state_gradients(self, ws, features, labels):
         return _StateGradients(self, ws, features, labels)
@@ -620,9 +611,7 @@ class MlpProblem:
         ], axis=-1)
 
     def grad_moments(self, ws, features, labels):
-        return _moments_by_state(
-            lambda k: self.per_example_grads(ws[k], features, labels),
-            len(ws), self.dim)
+        return _moments_by_state(self, ws, features, labels)
 
     def state_gradients(self, ws, features, labels):
         return _StateGradients(self, ws, features, labels)

@@ -48,6 +48,7 @@ from gradnoise.problems import (
     Dataset,
     LogisticProblem,
     LogisticSpec,
+    MlpSpec,
     QuadraticProblem,
     QuadraticSpec,
     build_problem,
@@ -106,7 +107,7 @@ def make_tape(runs, n=10, b=1, scale=1, mode="sde", any_diverged=False):
         pop_grad=None if first.pop_grad is None else stack("pop_grad"),
         pop_gnc=None if raw_pop is None else SpdMatrix.from_matrix(raw_pop),
         trace_pop=None if raw_pop is None else np.trace(raw_pop, axis1=-2, axis2=-1),
-        config=config,
+        runs=tuple(SimpleNamespace(config=config) for _ in runs),
         any_diverged=any_diverged,
     )
 
@@ -469,7 +470,7 @@ class TestDataDependentTrajectory:
         kernels; the step size cancels inside the KL."""
         cfg = quad_config(steps=3)
         rec = train_run(cfg)
-        report = traj_bound_data_dependent([rec])
+        report = traj_bound_data_dependent(tape_from_records([rec]))
         problem = build_problem(cfg.spec)
         dataset = generate_dataset(cfg.spec, cfg.effective_dataset_seed, cfg.n)
         n, b = cfg.n, cfg.b
@@ -498,33 +499,34 @@ class TestDataDependentTrajectory:
                              scatter=np.zeros((2, 2)), pop_oracle_size=100)
         cfg = quad_config(spec=spec, n=6, b=1, steps=2)
         rec = train_run(cfg)
-        report = traj_bound_data_dependent([rec])
+        report = traj_bound_data_dependent(tape_from_records([rec]))
         np.testing.assert_allclose(report.per_step_terms, 0.0, atol=1e-12)
         assert report.components["constant_per_step"] == 0.0
 
     def test_constant_term_scales_with_batch_size(self):
         cfg = quad_config(n=8, b=2, steps=2)
         rec = train_run(cfg)
-        report = traj_bound_data_dependent([rec])
+        report = traj_bound_data_dependent(tape_from_records([rec]))
         assert report.components["constant_per_step"] == pytest.approx(
             (2 - 1) * 2 / (8 - 1) ** 2)
 
     def test_dataset_mean_stays_outside_the_square_root(self):
         recs = [train_run(quad_config(seed=s, dataset_seed=s, steps=2))
                 for s in (0, 1)]
-        both = traj_bound_data_dependent(recs)
-        singles = [traj_bound_data_dependent([r]).core for r in recs]
+        both = traj_bound_data_dependent(tape_from_records(recs))
+        singles = [traj_bound_data_dependent(tape_from_records([r])).core
+                   for r in recs]
         assert both.core == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_subset_size_precondition(self):
         cfg = quad_config(n=4, b=3, steps=2)
         rec = train_run(cfg)
         with pytest.raises(ConfigError):
-            traj_bound_data_dependent([rec])
+            traj_bound_data_dependent(tape_from_records([rec]))
 
     def test_n14_averages_over_all_14_subsets(self):
         rec = train_run(quad_config(n=14, b=1, steps=2))
-        report = traj_bound_data_dependent([rec])
+        report = traj_bound_data_dependent(tape_from_records([rec]))
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
 
@@ -534,7 +536,7 @@ class TestDataDependentTrajectory:
                              scatter=random_spd(np.random.default_rng(3), 5),
                              pop_oracle_size=100)
         rec = train_run(quad_config(spec=spec, n=40, b=2, steps=4))
-        report = traj_bound_data_dependent([rec])
+        report = traj_bound_data_dependent(tape_from_records([rec]))
         assert "floored-log" not in report.flags
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
@@ -548,7 +550,7 @@ class TestDataDependentTrajectory:
                              center=np.zeros(5), scatter=np.eye(5),
                              pop_oracle_size=100)
         rec = train_run(quad_config(spec=spec, n=n, b=1, steps=3))
-        report = traj_bound_data_dependent([rec])
+        report = traj_bound_data_dependent(tape_from_records([rec]))
         assert "floored-log" in report.flags
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
@@ -560,12 +562,13 @@ class TestDataDependentTrajectory:
     def test_one_replay_and_one_eigh_per_matrix_when_floored(self, monkeypatch):
         """n = 4 < d = 5 floors C at every state, so every C_J is built
         explicitly; the 10x pass reuses those decompositions and gradients.
-        Each matrix is decomposed once, within one stacked ``eigh`` of the
-        chunk's C and one of each state's C_J."""
+        C comes from the tape's decomposition, and each C_J is decomposed
+        once, within one stacked ``eigh`` of each state's C_J."""
         spec = QuadraticSpec(curvature=np.diag([0.5, 0.8, 1.0, 1.3, 1.6]),
                              center=np.zeros(5), scatter=np.eye(5),
                              pop_oracle_size=100)
         rec = train_run(quad_config(spec=spec, n=4, b=1, steps=3))
+        tape = tape_from_records([rec])
         eighs, grad_passes = [], []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
@@ -573,14 +576,14 @@ class TestDataDependentTrajectory:
         per_example_grads = QuadraticProblem.per_example_grads
         monkeypatch.setattr(QuadraticProblem, "per_example_grads",
                             lambda *a: grad_passes.append(a) or per_example_grads(*a))
-        report = traj_bound_data_dependent([rec])
+        report = traj_bound_data_dependent(tape)
         assert "core_at_10x_floor" in report.components
-        # One pass per state serves its C and the replay of its C_J; a
-        # floored C needs no leverages.
+        # One pass per state serves the replay of its C_J; a floored C needs
+        # no leverages.
         assert len(grad_passes) == 3
-        # The 3 states' C as one stack, then each state's 4 C_J as one; the
-        # record carries its dataset, so no draw takes the scatter root.
-        assert [m.shape for m in eighs] == [(3, 5, 5)] + [(4, 5, 5)] * 3
+        # Each state's 4 C_J as one stack; the record carries its dataset,
+        # so no draw takes the scatter root.
+        assert [m.shape for m in eighs] == [(4, 5, 5)] * 3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_chunks_split_states_and_replays_alike(self, monkeypatch):
@@ -591,7 +594,8 @@ class TestDataDependentTrajectory:
                              center=np.zeros(5), scatter=np.eye(5),
                              pop_oracle_size=100)
         rec = train_run(quad_config(spec=spec, n=6, b=1, steps=3))
-        eighs, grad_passes = [], []
+        tape = tape_from_records([rec])
+        eighs, grad_passes, chunks = [], [], []
         eigh = np.linalg.eigh
         monkeypatch.setattr(bounds, "LOO_STATE_CHUNK", 2)
         monkeypatch.setattr(np.linalg, "eigh",
@@ -599,17 +603,21 @@ class TestDataDependentTrajectory:
         per_example_grads = QuadraticProblem.per_example_grads
         monkeypatch.setattr(QuadraticProblem, "per_example_grads",
                             lambda *a: grad_passes.append(a) or per_example_grads(*a))
-        report = traj_bound_data_dependent([rec])
+        state_gradients = QuadraticProblem.state_gradients
+        monkeypatch.setattr(QuadraticProblem, "state_gradients",
+                            lambda self, ws, *a: chunks.append(len(ws))
+                            or state_gradients(self, ws, *a))
+        report = traj_bound_data_dependent(tape)
         monkeypatch.undo()
+        assert chunks == [2, 1]
         assert len(grad_passes) == 3
-        assert eighs == ([(2, 5, 5)] + [(2, 5, 5)] * 6
-                         + [(1, 5, 5)] + [(2, 5, 5)] * 3)
+        assert eighs == [(2, 5, 5)] * 9
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
 
     def test_value_is_core_times_loss_bound(self):
         rec = train_run(quad_config(steps=2))
-        report = traj_bound_data_dependent([rec], M=4.0)
+        report = traj_bound_data_dependent(tape_from_records([rec]), M=4.0)
         assert report.value == report.core * 4.0
 
 
@@ -640,7 +648,7 @@ class TestLogisticDataDependentTrajectory:
         run's states fill two chunks and part of a third."""
         rec = logistic_record(d=3, n=30, l2=l2, b=3, steps=2 * LOO_STATE_CHUNK + 3)
         calls = count_per_example_grads(monkeypatch)
-        report = traj_bound_data_dependent([rec])
+        report = traj_bound_data_dependent(tape_from_records([rec]))
         assert calls == []
         monkeypatch.undo()
         assert "floored-log" not in report.flags
@@ -653,7 +661,7 @@ class TestLogisticDataDependentTrajectory:
         """At d = 5, n = 6 leaves every C_J rank-deficient and n = 5 floors C
         itself, so every C_J is built explicitly."""
         rec = logistic_record(d=5, n=n, l2=0.05, b=1, steps=3)
-        report = traj_bound_data_dependent([rec])
+        report = traj_bound_data_dependent(tape_from_records([rec]))
         assert "floored-log" in report.flags
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
@@ -671,12 +679,68 @@ class TestLogisticDataDependentTrajectory:
         rec = logistic_record(d=2, n=8, b=1, steps=4, dataset_seed=0)
         rec = dataclasses.replace(
             rec, weights=np.array([1.0, 8.0, 9.0, 2.0, 1.0])[:, None] * np.ones(2))
+        tape = tape_from_records([rec])
         calls = count_per_example_grads(monkeypatch)
-        report = traj_bound_data_dependent([rec])
+        report = traj_bound_data_dependent(tape)
         assert len(calls) == 2
         monkeypatch.undo()
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
+
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_unfloored_run_takes_its_covariances_from_the_tape(self, l2,
+                                                              monkeypatch):
+        """On an unfloored run the bound decomposes no matrix and computes no
+        moment: every C is the tape's GNC, rescaled, and only the leverage
+        kernel runs."""
+        rec = logistic_record(d=3, n=30, l2=l2, b=3, steps=2 * LOO_STATE_CHUNK + 3)
+        tape = tape_from_records([rec])
+        decompositions, moments, leverages = [], [], []
+        from_matrix = SpdMatrix.from_matrix
+        grad_moments = LogisticProblem.grad_moments
+        grad_leverages = LogisticProblem.grad_leverages
+        monkeypatch.setattr(SpdMatrix, "from_matrix", classmethod(
+            lambda cls, *a: decompositions.append(1) or from_matrix(*a)))
+        monkeypatch.setattr(LogisticProblem, "grad_moments",
+                            lambda *a: moments.append(1) or grad_moments(*a))
+        monkeypatch.setattr(LogisticProblem, "grad_leverages",
+                            lambda *a: leverages.append(1) or grad_leverages(*a))
+        report = traj_bound_data_dependent(tape)
+        monkeypatch.undo()
+        assert "floored-log" not in report.flags
+        assert decompositions == [] and moments == []
+        assert len(leverages) == 3  # one per chunk of states
+
+
+@pytest.mark.parametrize("spec, n, b", [
+    (LogisticSpec(dim=4, mean0=-0.5 * np.ones(4), mean1=0.5 * np.ones(4),
+                  l2=0.05, pop_oracle_size=100), 30, 3),
+    (MlpSpec(in_dim=3, hidden=4, classes=3, teacher_seed=7,
+             pop_oracle_size=100), 40, 8)], ids=["logistic", "mlp-floored"])
+def test_rescaled_tape_gnc_is_the_leave_one_out_c(spec, n, b):
+    """The data-dependent bound's C = Sigma/b is the tape's exact-factor GNC
+    rescaled by (n - 1)/(n - b): to 1e-12 relative (floored eigenvalues
+    against the largest of their matrix, traces against themselves) it is a
+    fresh decomposition of Sigma/b, and it floors the same matrices. Every
+    MLP C floors (its logit gradients sum to zero over the classes); no
+    logistic C does."""
+    records = [train_run(quad_config(spec=spec, n=n, b=b, steps=4, seed=s))
+               for s in (0, 1)]
+    tape = tape_from_records(records)
+    problem = build_problem(spec)
+    for r, rec in enumerate(records):
+        got = tape.gnc[:, r].scaled((n - 1) / (n - b))
+        sigma, _ = problem.grad_moments(rec.weights[:-1], rec.dataset.features,
+                                        rec.dataset.labels)
+        want = SpdMatrix.from_matrix(sigma / b)
+        assert np.array_equal(got.floored_each, want.floored_each)
+        assert got.floored_each.tolist() == [isinstance(spec, MlpSpec)] * tape.n_steps
+        assert np.all(np.abs(got.eigenvalues - want.eigenvalues)
+                      <= 1e-12 * want.eigenvalues[:, -1:])
+        np.testing.assert_allclose(
+            (n - 1) / (n - b) * tape.trace_c[:, r],
+            np.trace(sigma, axis1=-2, axis2=-1) / b, rtol=1e-12)
 
 
 class TestTapeFromRecords:
@@ -798,7 +862,11 @@ def test_tape_bounds_equal_a_loop_over_steps_and_runs():
 
 
 @pytest.mark.parametrize("bound", [
-    tape_from_records, traj_bound_data_dependent, terminal_bound_gradient_accum])
+    tape_from_records,
+    # The data-dependent bound reads a tape, so the tape rejects the records.
+    pytest.param(lambda records: traj_bound_data_dependent(
+        tape_from_records(records)), id="traj_bound_data_dependent"),
+    terminal_bound_gradient_accum])
 @pytest.mark.parametrize("field, values", [("n", (6, 8)), ("steps", (3, 5))])
 def test_record_fed_bounds_reject_mismatched_records(bound, field, values):
     records = [train_run(quad_config(**{field: v})) for v in values]
@@ -809,7 +877,7 @@ def test_record_fed_bounds_reject_mismatched_records(bound, field, values):
 def _five_trajectory_reports(records):
     tape = tape_from_records(records, population=True)
     return [traj_bound_isotropic(tape), traj_bound_langevin(tape),
-            traj_bound_anisotropic(tape), traj_bound_data_dependent(records),
+            traj_bound_anisotropic(tape), traj_bound_data_dependent(tape),
             terminal_bound_gradient_accum(records)]
 
 
@@ -1354,7 +1422,8 @@ def _floored_bound_runs():
             tape_from_records(records)),
         "traj-anisotropic": lambda: traj_bound_anisotropic(
             tape_from_records(records, population=True)),
-        "traj-data-dependent": lambda: traj_bound_data_dependent(records),
+        "traj-data-dependent": lambda: traj_bound_data_dependent(
+            tape_from_records(records)),
         "terminal-general": lambda: terminal_bound_general(ens),
         "terminal-anisotropic": lambda: terminal_bound_anisotropic(ens),
         "fim-takeuchi": lambda: fim_takeuchi_bound(ens),

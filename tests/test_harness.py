@@ -621,6 +621,40 @@ class TestBoundsCommands:
         names = [p["name"] for p in json.loads(outputs[0]["bounds.json"])]
         assert len(names) == len(TERMINAL_BOUNDS)
 
+    @pytest.mark.parametrize("names, g_tilde, population", [
+        (["traj-data-dependent"], "population-gradient", False),
+        (["traj-data-dependent", "traj-isotropic"], "population-gradient", True),
+        (["traj-langevin"], "zero", False),
+        (["traj-anisotropic"], "zero", True)])
+    def test_tape_builds_its_population_half_only_for_a_bound_reading_it(
+            self, monkeypatch, names, g_tilde, population):
+        """The tape's oracle ``grad_moments`` call runs only for
+        ``traj-anisotropic`` and for a bound taking the population-gradient
+        ``g_tilde``: ``traj-data-dependent`` alone pays for none, though
+        ``g_tilde`` defaults to the population gradient."""
+        cfg = self.traj_config(bounds=names, g_tilde=g_tilde)
+        rows = []
+        grad_moments = problems.QuadraticProblem.grad_moments
+        monkeypatch.setattr(problems.QuadraticProblem, "grad_moments",
+                            lambda self, ws, features, labels: rows.append(
+                                len(features)) or grad_moments(
+                                    self, ws, features, labels))
+        cmd_bounds_traj(cfg)
+        oracle = cfg.train.spec.pop_oracle_size
+        assert rows == [cfg.train.n, *[oracle] * population] * 2
+
+    def test_records_carry_weights_only_for_a_tape(self, monkeypatch):
+        """``terminal-gradient-accum`` reads only logged scalars, so alone it
+        gets records without weights."""
+        cfg = self.traj_config(bounds=["terminal-gradient-accum"])
+        seen = []
+        bound = bounds.terminal_bound_gradient_accum
+        monkeypatch.setattr(bounds, "terminal_bound_gradient_accum",
+                            lambda records, **kw: seen.extend(records)
+                            or bound(records, **kw))
+        cmd_bounds_traj(cfg)
+        assert len(seen) == 2 and all(rec.weights is None for rec in seen)
+
     def test_trajectory_reports_attach_generalization_estimate(self):
         reports = cmd_bounds_traj(self.traj_config())
         gen = reports[0].components["generalization_error_estimate"]

@@ -213,6 +213,20 @@ class TestStackedSpdMatrix:
             assert np.array_equal(getattr(sub, field), getattr(want, field)), field
         assert sub.scale == 10.0
 
+    @pytest.mark.parametrize("factor", [0.01, 1.02, 1e3])
+    def test_scaled_is_the_decomposition_of_the_scaled_stack(self, factor):
+        """``scaled(s)`` keeps the eigenvectors and floors s times the
+        eigenvalues afresh: to rounding it is ``from_matrix(s * M)``, floor
+        flags included, though the absolute floor does not scale."""
+        mats = _mixed_stack(np.random.default_rng(47))
+        stack = SpdMatrix.from_matrix(mats)
+        got, want = stack.scaled(factor), SpdMatrix.from_matrix(factor * mats)
+        assert got.eigenvectors is stack.eigenvectors
+        np.testing.assert_allclose(got.mean_eigenvalue, want.mean_eigenvalue,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12)
+        assert np.array_equal(got.floored_each, want.floored_each)
+
     def test_floored_is_any_matrix_of_the_stack(self):
         rng = np.random.default_rng(41)
         full = np.stack([random_spd(rng, 3) for _ in range(4)])
