@@ -35,7 +35,7 @@ def main():
     base = TrainConfig(spec=spec, n=24, b=2, lr_schedule=((1, 0.15),),
                        steps=40, record_weights=True, dataset_seed=0)
     records = [train_run(dataclasses.replace(base, seed=s)) for s in range(4)]
-    tape = tape_from_records(records, population=True)
+    tape = tape_from_records(records, population=True, leave_one_out=True)
 
     reports = [
         traj_bound_isotropic(tape),

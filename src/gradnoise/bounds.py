@@ -23,10 +23,12 @@ by one rule (:func:`_run_setting`, eta at step T; gradient accumulation
 reports the largest eta instead). The five bounds read from logged
 trajectories flag diverged runs and a logging cadence above 1 by one rule
 as well (:func:`_trajectory_flags`). A TrajectoryTape holds its runs'
-per-step statistics as arrays laid out (step, run, ...), its GNCs as one
-stacked SpdMatrix each, so three of the four tape bounds are reductions
-over the run axis; the data-dependent one also reads the logged weights
-and datasets of the records the tape keeps.
+per-step statistics as arrays laid out (step, run, ...): mean gradients
+and, of each GNC, only per-state scalars (traces, floored log-determinants
+at both floor scales, diagonal log sums, floored flags and the
+leave-one-out log-det gaps), built one run and LOO_STATE_CHUNK states at a
+time so that no d x d array outlives its chunk. The four tape bounds are
+reductions of those arrays over the run axis.
 
 Six bounds use eigenvalue-floored matrices: trajectory isotropic,
 anisotropic and data-dependent, terminal general and anisotropic, and
@@ -60,15 +62,20 @@ from .spectral import stability_gap
 
 FLOOR_SENSITIVITY_SCALE = 10.0
 
-# Logged states per chunk of the data-dependent bound, and leave-one-out
-# covariances C_J per stacked eigendecomposition of its replays. A chunk
-# holds a few (states, n) leverage and coefficient arrays, and on the
-# quadratic and MLP families the (states, n, d) per-example gradients, so
-# its memory grows with the chunk. Picked from the peak RSS of the logistic trajectory benchmark
-# (n = 500, d = 20, 100 states a run): 49.5-49.8 MB at 16 and 32 states
-# against 49.3 before chunking existed, 50.3 at 50, 50.8 at 64 and 52.3 at
-# 100. In-process the bound ran 10-40% faster at 32 than at 16.
+# Logged states per chunk of the trajectory tape's pass over a run. Each
+# chunk decomposes its C (and P) as one stack, and with leave-one-out its
+# leverages and explicit C_J go through the same sizes: the C_J replays of a
+# state are decomposed this many at a time. So this sizes every d x d array
+# the pass holds (a chunk's eigenvectors, floored reconstructions and C_J)
+# beside the run's (K, d, d) moments, and every (states, n) leverage array,
+# and on the quadratic and MLP families the (states, n, d) per-example
+# gradients. Picked from the peak RSS of the logistic trajectory benchmark
+# (n = 500, d = 20, 100 states a run) when it sized only the leave-one-out
+# pass: 49.5-49.8 MB at 16 and 32 states against 49.3 before chunking
+# existed, 50.3 at 50, 50.8 at 64 and 52.3 at 100. In-process that bound
+# ran 10-40% faster at 32 than at 16.
 LOO_STATE_CHUNK = 32
+FLOOR_SCALES = (1.0, FLOOR_SENSITIVITY_SCALE)
 
 
 @dataclass
@@ -91,26 +98,43 @@ class TrajectoryTape:
 
     ``steps[k]`` is the update the k-th represented state feeds (its logged
     step plus 1); ``grad`` and ``pop_grad`` (K, R, d) are the mean training
-    and oracle-sample gradients at it, ``gnc`` and ``pop_gnc`` one stacked
-    :class:`SpdMatrix` (K, R, d, d) each of the exact-factor mini-batch GNC
-    and the population GNC, and ``trace_c`` and ``trace_pop`` (K, R) their
-    unfloored traces. The ``pop_*`` fields are None without population
-    statistics. ``runs`` are the usable records, in the run order of the
-    arrays, and ``config`` the TrainConfig they share; its n, b, T, mode
-    and schedule are the tape's. With logging cadence
-    ``config.log_every`` 1 every update is represented; a coarser cadence
-    represents each logged state for ``log_every`` updates and bound sums are
-    rescaled accordingly (flagged ``approximate-cadence``).
-    ``any_diverged`` says a record was left out because its run diverged.
+    and oracle-sample gradients at it. Of the exact-factor mini-batch GNC C
+    and the population GNC P the tape keeps only (K, R) scalars, never a
+    matrix: ``trace_c``/``trace_pop`` the unfloored traces,
+    ``log_det_c``/``log_det_pop`` {floor scale: log det of the floored
+    matrix} at 1x and FLOOR_SENSITIVITY_SCALE x, ``floored_c``/``floored_pop``
+    whether the 1x floor fired, and, on a tape with P,
+    ``log_diag_c``/``log_diag_pop`` the :func:`trace_log_diag` of the 1x
+    floored reconstructions. With leave-one-out, ``loo_gap`` {floor scale:
+    (K, R)} holds the mean over the n leave-one-out subsets J of log det C -
+    log det C_J under the convention C = Sigma/b, and ``loo_floored``
+    whether a floor touched C or one of its C_J at 1x (see
+    :func:`traj_bound_data_dependent`). The ``pop`` fields are None without
+    population statistics, the ``loo`` fields without leave-one-out, and
+    the ``log_diag`` fields without P.
+
+    ``runs`` are the usable records, in the run order of the arrays, and
+    ``config`` the TrainConfig they share; its n, b, T, mode and schedule
+    are the tape's. With logging cadence ``config.log_every`` 1 every update
+    is represented; a coarser cadence represents each logged state for
+    ``log_every`` updates and bound sums are rescaled accordingly (flagged
+    ``approximate-cadence``). ``any_diverged`` says a record was left out
+    because its run diverged.
     """
 
     steps: np.ndarray
     grad: np.ndarray
-    gnc: SpdMatrix
-    trace_c: np.ndarray
     pop_grad: np.ndarray | None
-    pop_gnc: SpdMatrix | None
+    trace_c: np.ndarray
+    log_det_c: dict
+    floored_c: np.ndarray
+    log_diag_c: np.ndarray | None
     trace_pop: np.ndarray | None
+    log_det_pop: dict | None
+    floored_pop: np.ndarray | None
+    log_diag_pop: np.ndarray | None
+    loo_gap: dict | None
+    loo_floored: np.ndarray | None
     runs: tuple
     any_diverged: bool
 
@@ -132,7 +156,7 @@ class TrajectoryTape:
 
     @property
     def has_population(self):
-        return self.pop_gnc is not None
+        return self.trace_pop is not None
 
 
 def _shared_config(records):
@@ -163,42 +187,119 @@ def _usable_runs(records):
     return cfg, runs, [] if len(runs) == len(records) else ["diverged-runs"]
 
 
-def tape_from_records(records, population=False):
+def _stack_scalars(raw, diag):
+    """One stacked decomposition of the raw GNCs ``raw`` (any leading axes,
+    the matrices on the last two) and their per-matrix scalars over those
+    axes: the unfloored ``trace``, ``log_det`` {floor scale: log det at that
+    floor}, whether the 1x floor fired (``floored``) and, with ``diag``,
+    ``log_diag``: :func:`trace_log_diag` of the 1x floored reconstruction."""
+    spd = SpdMatrix.from_matrix(raw)
+    return spd, {
+        "trace": np.trace(raw, axis1=-2, axis2=-1),
+        "log_det": {scale: log_det(spd.refloored(scale)) for scale in FLOOR_SCALES},
+        "floored": spd.floored_each,
+        "log_diag": trace_log_diag(spd) if diag else None,
+    }
+
+
+def _tape_scalars(raw_c, raw_pop=None):
+    """The decomposition of a stack of raw GNCs C and the tape's per-state
+    fields of C and, given, of the population GNCs ``raw_pop``
+    (:func:`_stack_scalars`, named as in :class:`TrajectoryTape`). The
+    ``pop`` fields are None without ``raw_pop``, and so are the
+    ``log_diag`` fields, which only the population-shaped bound reads."""
+    c, scalars = _stack_scalars(raw_c, diag=raw_pop is not None)
+    pop = (dict.fromkeys(scalars) if raw_pop is None
+           else _stack_scalars(raw_pop, diag=True)[1])
+    return c, {**{f"{k}_c": v for k, v in scalars.items()},
+               **{f"{k}_pop": v for k, v in pop.items()}}
+
+
+def _run_chunks(rec, grad, pop_grad, leave_one_out):
+    """Yield (state slice, tape fields) over one record's pre-update states,
+    LOO_STATE_CHUNK at a time, after writing their mean training (and, if
+    ``pop_grad`` is given, oracle-sample) gradients into ``grad`` (and
+    ``pop_grad``), (K, d) each.
+
+    The run's moments come from one ``grad_moments`` call per sample; each
+    chunk's C (and P) are decomposed as one stack by :func:`_tape_scalars`,
+    and with ``leave_one_out`` the chunk's ``state_gradients`` and that
+    decomposition give its ``loo_gap`` and ``loo_floored``
+    (:func:`_loo_log_det_gaps`)."""
+    cfg = rec.config
+    problem = build_problem(cfg.spec)
+    ws, data, oracle = rec.weights[:-1], rec.dataset, rec.oracle
+    raw_c, grad[:] = problem.grad_moments(ws, data.features, data.labels)
+    raw_c *= minibatch_factor(cfg.n, cfg.b)
+    raw_pop = None
+    if pop_grad is not None:
+        raw_pop, pop_grad[:] = problem.grad_moments(ws, oracle.features,
+                                                    oracle.labels)
+    to_loo = (cfg.n - 1) / (cfg.n - cfg.b)
+    for lo in range(0, len(ws), LOO_STATE_CHUNK):
+        part = slice(lo, lo + LOO_STATE_CHUNK)
+        c, fields = _tape_scalars(raw_c[part],
+                                  None if raw_pop is None else raw_pop[part])
+        fields["loo_gap"] = fields["loo_floored"] = None
+        if leave_one_out:
+            grads = problem.state_gradients(ws[part], data.features, data.labels)
+            fields["loo_gap"], fields["loo_floored"] = _loo_log_det_gaps(
+                grads, c.scaled(to_loo), to_loo * fields["trace_c"], cfg.b)
+        yield part, fields
+
+
+def _put(out, name, value, index, shape):
+    """Write one chunk's ``value`` of tape field ``name`` (an array, a
+    {floor scale: array} dict or None) at ``index`` of the (K, R) array
+    ``out[name]``, allocating it on first use."""
+    if isinstance(value, dict):
+        for scale, v in value.items():
+            _put(out.setdefault(name, {}), scale, v, index, shape)
+    elif value is None:
+        out[name] = None
+    else:
+        if out.get(name) is None:
+            out[name] = np.empty(shape, dtype=value.dtype)
+        out[name][index] = value
+
+
+def tape_from_records(records, population=False, leave_one_out=False):
     """Build a TrajectoryTape from the gradient moments at logged weights.
 
     Records must have been produced with ``record_weights=True`` and share
     their shape-determining config fields. Diverged records are left out, as
     every ensemble bound leaves them out (:func:`_usable_runs`), and the
     tape says so in ``any_diverged``. Each record's gradients are taken on
-    the dataset it carries, and with ``population`` on its oracle sample.
-    Statistics at the final logged state are not included: sums run over
-    pre-update states only.
+    the dataset it carries, and with ``population`` on its oracle sample;
+    ``leave_one_out`` adds the data-dependent bound's gaps, which need
+    n - 1 > b. Statistics at the final logged state are not included: sums
+    run over pre-update states only.
+
+    One run at a time, a state chunk at a time (:func:`_run_chunks`): the
+    tape keeps each chunk's (K, R) scalars, and no d x d array outlives its
+    run's pass.
     """
     config, runs, _ = _usable_runs(records)
     if any(rec.weights is None for rec in runs):
         raise ConfigError("tape requires record_weights=True runs")
-    factor = minibatch_factor(config.n, config.b)
-    shape = (len(runs[0].steps) - 1, len(runs), runs[0].final_w.shape[0])
-    grad, raw_c = np.empty(shape), np.empty(shape + shape[-1:])
-    pop_grad, raw_pop = ((np.empty_like(grad), np.empty_like(raw_c)) if population
-                         else (None, None))
+    if leave_one_out and config.n - 1 <= config.b:
+        raise ConfigError(f"data-dependent bound needs n-1 > b, got "
+                          f"n={config.n}, b={config.b}")
+    shape = (len(runs[0].steps) - 1, len(runs))
+    grad = np.empty(shape + runs[0].final_w.shape)
+    pop_grad = np.empty_like(grad) if population else None
+    fields = {}
     for r, rec in enumerate(runs):
-        problem = build_problem(rec.config.spec)
-        ws, dataset, oracle = rec.weights[:-1], rec.dataset, rec.oracle
-        sigma, grad[:, r] = problem.grad_moments(ws, dataset.features,
-                                                 dataset.labels)
-        raw_c[:, r] = factor * sigma
-        if population:
-            raw_pop[:, r], pop_grad[:, r] = problem.grad_moments(
-                ws, oracle.features, oracle.labels)
+        for part, chunk in _run_chunks(
+                rec, grad[:, r], None if pop_grad is None else pop_grad[:, r],
+                leave_one_out):
+            for name, value in chunk.items():
+                _put(fields, name, value, (part, r), shape)
     return TrajectoryTape(
         steps=runs[0].steps[:-1] + 1,
         grad=grad,
-        gnc=SpdMatrix.from_matrix(raw_c),
-        trace_c=np.trace(raw_c, axis1=-2, axis2=-1),
         pop_grad=pop_grad,
-        pop_gnc=SpdMatrix.from_matrix(raw_pop) if population else None,
-        trace_pop=np.trace(raw_pop, axis1=-2, axis2=-1) if population else None,
+        **fields,
         runs=tuple(runs),
         any_diverged=len(runs) < len(records),
     )
@@ -304,12 +405,12 @@ def traj_bound_isotropic(tape, g_tilde="zero", R=1.0):
     if bad.size:
         raise NumericalError(f"h1 <= 0 at step {tape.steps[bad[0]]}")
 
+
     def evaluate(scale):
-        gnc = tape.gnc.refloored(scale)
-        h2s = np.mean(log_det(gnc), axis=1)
+        h2s = np.mean(tape.log_det_c[scale], axis=1)
         terms = d * np.log(h1s / d) - h2s
         total = cfg.log_every * float(terms.sum())
-        return [total / cfg.n], gnc.floored, total, terms, h2s
+        return [total / cfg.n], tape.floored_c.any(), total, terms, h2s
 
     components = {}
     roots, total, terms, h2s = _floor_sensitive(evaluate, flags, components)
@@ -368,8 +469,11 @@ def traj_bound_anisotropic(tape, R=1.0):
     two agree when b C_t equals the population GNC); it is not the minimum
     over c~, which sits at tr(pop GNC^{-1} C_t) / d. The diagonal-alignment
     decomposition (sum over coordinates of the log ratio of diagonal
-    entries) is reported as an extra series; it upper bounds the full term
-    for SPD matrices.
+    entries) is reported as an extra series. It is no bound on the term:
+    Hadamard's inequality puts each log det below its diagonal sum, but the
+    term is a difference of two, so the series is at least the term only
+    where C_t is diagonal. With correlated C_t it can fall below it, as it
+    does at every step of the logistic benchmark runs.
     """
     if not tape.has_population:
         raise ConfigError("anisotropic bound needs a tape built with population=True")
@@ -377,17 +481,17 @@ def traj_bound_anisotropic(tape, R=1.0):
     flags = _trajectory_flags(cfg, tape.any_diverged)
     d = tape.dim
     log_b = d * np.log(cfg.b)
+    diag_terms = np.mean(tape.log_diag_pop - tape.log_diag_c - log_b, axis=1)
 
     def evaluate(scale):
-        pop, c = tape.pop_gnc.refloored(scale), tape.gnc.refloored(scale)
-        terms = np.mean(log_det(pop) - log_det(c) - log_b, axis=1)
-        diag_terms = np.mean(trace_log_diag(pop.matrix)
-                             - trace_log_diag(c.matrix) - log_b, axis=1)
+        terms = np.mean(tape.log_det_pop[scale] - tape.log_det_c[scale] - log_b,
+                        axis=1)
         total = cfg.log_every * float(terms.sum())
-        return [total / cfg.n], pop.floored or c.floored, total, terms, diag_terms
+        floored = tape.floored_pop.any() or tape.floored_c.any()
+        return [total / cfg.n], floored, total, terms
 
     components = {}
-    roots, total, terms, diag_terms = _floor_sensitive(evaluate, flags, components)
+    roots, total, terms = _floor_sensitive(evaluate, flags, components)
     components.update({"term_sum": total,
                        "diag_term_sum": cfg.log_every * float(diag_terms.sum())})
     return _report("trajectory-anisotropic", roots, flags, components,
@@ -400,9 +504,10 @@ def _loo_log_det_gaps(grads, c_full, trace_c, b):
     """The mean over all n leave-one-out subsets J of log det C - log det C_J
     at each state of ``grads`` (a family's ``state_gradients`` of K states),
     as {floor scale: (K,)} at 1x and FLOOR_SENSITIVITY_SCALE x the floor,
-    and whether a floor fired at 1x. ``c_full`` holds the K matrices C =
-    Sigma/b as one stacked SpdMatrix and ``trace_c`` their (K,) unfloored
-    traces; see :func:`traj_bound_data_dependent`."""
+    and (K,) whether a floor touched C or one of its C_J at 1x. ``c_full``
+    holds the K matrices C = Sigma/b as one stacked SpdMatrix and
+    ``trace_c`` their (K,) unfloored traces; see
+    :func:`traj_bound_data_dependent`."""
     n, d = grads.features.shape[0], c_full.dim
     m = n - 1
     # Where C is unfloored its floored and raw eigenvalues agree, so the
@@ -419,20 +524,20 @@ def _loo_log_det_gaps(grads, c_full, trace_c, b):
     # hold for fewer J, so the 10x pass needs every C_J the 1x pass needs.
     exact = {scale: (lower_j > eigenvalue_floor(trace_j / d, scale))
              & ~c_full.refloored(scale).floored_each[:, None]
-             for scale in (1.0, FLOOR_SENSITIVITY_SCALE)}
+             for scale in FLOOR_SCALES}
     closed = np.zeros((len(trace_c), n))
     closed[exact[1.0]] = (-d * np.log1p(1.0 / m)
                           - np.log1p(-lev[exact[1.0]] / m))
     gaps = {scale: closed.mean(axis=1) for scale in exact}
     log_det_c = {scale: log_det(c_full.refloored(scale)) for scale in exact}
-    floored = not free.all()
+    floored = ~free
     for k in np.flatnonzero(~exact[FLOOR_SENSITIVITY_SCALE].all(axis=1)):
         rows = np.flatnonzero(~exact[FLOOR_SENSITIVITY_SCALE][k])
         log_det_cj, floored_cj = _replayed_log_dets(grads.per_example(k), rows, b)
         for scale, ex in exact.items():
             replayed = log_det_c[scale][k] - log_det_cj[scale][~ex[k, rows]]
             gaps[scale][k] = np.mean(np.concatenate([closed[k, ex[k]], replayed]))
-        floored = floored or bool(floored_cj[~exact[1.0][k, rows]].any())
+        floored[k] |= floored_cj[~exact[1.0][k, rows]].any()
     return gaps, floored
 
 
@@ -444,7 +549,7 @@ def _replayed_log_dets(grads, rows, b):
     LOO_STATE_CHUNK at a time, as stacks, and refloored, so the replay holds
     at most that many d x d matrices, not n."""
     log_dets = {scale: np.empty(len(rows))
-                for scale in (1.0, FLOOR_SENSITIVITY_SCALE)}
+                for scale in FLOOR_SCALES}
     floored = np.empty(len(rows), dtype=bool)
     for lo in range(0, len(rows), LOO_STATE_CHUNK):
         part = slice(lo, lo + LOO_STATE_CHUNK)
@@ -462,59 +567,49 @@ def traj_bound_data_dependent(tape, M=1.0):
 
     Uses the within-batch scaling convention C = Sigma/b for both the full
     and the subsample GNCs: the leave-one-out identities below are exact
-    only under it. The tape holds the exact-factor GNC
-    ``minibatch_factor(n, b) * Sigma``, so the bound rescales the tape's
-    eigenvalues and traces by 1/(b minibatch_factor(n, b)) = (n-1)/(n-b)
-    (1.018 at n = 500, b = 10). Per step the term is (b-1) d/(n-1)^2 plus
-    the mean over leave-one-out subsets J of log det C - log det C_J; the
-    core averages sqrt(sum of terms) across the tape's runs, keeping the
-    dataset expectation outside the square root.
+    only under it. Per step the term is (b-1) d/(n-1)^2 plus the mean over
+    leave-one-out subsets J of log det C - log det C_J, the tape's
+    ``loo_gap`` (built with ``leave_one_out=True``); the core averages
+    sqrt(sum of terms) across the tape's runs, keeping the dataset
+    expectation outside the square root.
 
-    The mean is exact over all n subsets. With m = n - 1 and u_i = g_i - mean,
-    dropping example i gives Sigma_J = (n/m) Sigma - (n/m^2) u_i u_i^T, so by
-    the matrix determinant lemma log det C_J = log det C + d log(n/m)
-    + log1p(-l_i/m) with the leverage l_i = u_i^T Sigma^{-1} u_i.
+    The tape computes the gaps in its pass over each run, exactly over all n
+    subsets (:func:`_loo_log_det_gaps`). Its C is the exact-factor GNC
+    ``minibatch_factor(n, b) * Sigma`` of that pass's decomposition, with
+    eigenvalues and trace rescaled by 1/(b minibatch_factor(n, b)) =
+    (n-1)/(n-b) (1.018 at n = 500, b = 10). With m = n - 1 and u_i = g_i -
+    mean, dropping example i gives Sigma_J = (n/m) Sigma - (n/m^2) u_i
+    u_i^T, so by the matrix determinant lemma log det C_J = log det C + d
+    log(n/m) + log1p(-l_i/m) with the leverage l_i = u_i^T Sigma^{-1} u_i.
 
-    A run's logged states go LOO_STATE_CHUNK at a time, through the
-    family's ``state_gradients`` on the dataset the run carries. Per chunk,
-    C comes from the tape's eigendecompositions and all n leverages of
-    every state whose C is unfloored from ``leverages``: O(n d^2) per state,
-    and on the logistic family GEMMs that form no per-example gradient.
-    Where a floor could touch C or C_J (for instance when example i alone
-    carries a direction) that C_J is built and floored explicitly from the
-    state's per-example gradients, at O(n d^2 + d^3) each, in stacks of
-    LOO_STATE_CHUNK C_J. Each state evaluates its per-example gradients at
-    most once: the quadratic and MLP families keep the chunk's (K, n, d)
-    gradients for the leverages and the replays. The 10x-floor sensitivity
-    terms come from the same pass: each C and C_J is decomposed once and
-    refloored.
+    Each chunk of LOO_STATE_CHUNK states goes through the family's
+    ``state_gradients`` on the dataset the run carries, whose
+    ``leverages`` give all n leverages of every state whose C is
+    unfloored: O(n d^2) per state, and on the logistic family GEMMs that
+    form no per-example gradient. Where a floor could touch C or C_J (for
+    instance when example i alone carries a direction) that C_J is built
+    and floored explicitly from the state's per-example gradients, at O(n
+    d^2 + d^3) each, in stacks of LOO_STATE_CHUNK C_J. The gaps evaluate
+    each state's per-example gradients at most once: the quadratic and MLP
+    families keep the chunk's (K, n, d) gradients for the leverages and the
+    replays (their moments take one more pass per state).
+    The 10x-floor sensitivity terms come from the same pass: each C and C_J
+    is decomposed once and refloored.
     """
+    if tape.loo_gap is None:
+        raise ConfigError("data-dependent bound needs a tape built with "
+                          "leave_one_out=True")
     cfg = tape.config
     n, b = cfg.n, cfg.b
-    if n - 1 <= b:
-        raise ConfigError(f"data-dependent bound needs n-1 > b, got n={n}, b={b}")
     flags = _trajectory_flags(cfg, tape.any_diverged)
     const = (b - 1) * tape.dim / (n - 1) ** 2
-    to_loo = (n - 1) / (n - b)
-
-    # terms[scale][r] holds run r's per-step terms at that floor scale.
-    terms = {1.0: [], FLOOR_SENSITIVITY_SCALE: []}
-    floored = False
-    for r, rec in enumerate(tape.runs):
-        problem = build_problem(rec.config.spec)
-        ws, data = rec.weights[:-1], rec.dataset
-        c, trace_c = tape.gnc[:, r].scaled(to_loo), to_loo * tape.trace_c[:, r]
-        chunks = []
-        for lo in range(0, len(ws), LOO_STATE_CHUNK):
-            part = slice(lo, lo + LOO_STATE_CHUNK)
-            grads = problem.state_gradients(ws[part], data.features, data.labels)
-            chunks.append(_loo_log_det_gaps(grads, c[part], trace_c[part], b))
-        floored = floored or any(f for _, f in chunks)
-        for scale, rows in terms.items():
-            rows.append(const + np.concatenate([g[scale] for g, _ in chunks]))
+    # terms[scale][r] holds run r's per-step terms at that floor scale, each
+    # run's contiguous as its sum reads them.
+    terms = {scale: (const + gap).T.copy() for scale, gap in tape.loo_gap.items()}
 
     def evaluate(scale):
-        return [cfg.log_every * float(t.sum()) for t in terms[scale]], floored
+        return ([cfg.log_every * float(t.sum()) for t in terms[scale]],
+                tape.loo_floored.any())
 
     components = {"constant_per_step": const}
     roots, = _floor_sensitive(evaluate, flags, components)

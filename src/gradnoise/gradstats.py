@@ -6,11 +6,12 @@ every caller applies its own batch scale to the result. The one other place
 is each problem family's ``grad_moments``, which gives the same moments at a
 stack of states: the logistic family from chunked GEMMs over the features
 without forming the gradients, the others through ``gnc_from_grads``. The
-trajectory tape makes one such call per run and dataset. The data-dependent
-trajectory bound takes its covariances from the tape and reads each
+trajectory tape makes one such call per run and dataset. For the
+data-dependent trajectory bound's leave-one-out gaps the tape's pass takes
+each chunk of states' covariances from its own decomposition and reads each
 family's ``state_gradients`` only for the leverages u^T C^{-1} u of the
 centered per-example gradients u under one stacked
-:class:`~gradnoise.linalg.SpdMatrix` C per state: on the logistic family
+:class:`~gradnoise.linalg.SpdMatrix` C per chunk: on the logistic family
 from the ``grad_leverages`` GEMM kernel, on the others from one kept pass
 of per-example gradients per state.
 
@@ -20,8 +21,8 @@ gradient around the full-batch mean (Sigma_t in most derivations);
 ``(n - b) / (b (n - 1))`` to give the covariance of a size-b batch mean (C_t).
 The data-dependent trajectory bound uses the large-n simplification
 ``C_t = Sigma_t / b`` instead, because the leave-one-out enumeration
-identities it relies on are exact only under that convention; it reads the
-tape's exact-factor GNC and rescales it by ``(n - 1) / (n - b)``.
+identities it relies on are exact only under that convention; the tape
+rescales its exact-factor GNC by ``(n - 1) / (n - b)`` for it.
 """
 
 import numpy as np

@@ -490,7 +490,8 @@ def _reports(config, names, oracle=None):
     terminal state. They record their weights and the tape is built only
     for tape bounds, and the tape's population half only for the bounds
     that read it: ``traj-anisotropic`` and, with the population-gradient
-    ``g_tilde``, the bounds that take ``g_tilde``. ``terminal-loo`` pairs
+    ``g_tilde``, the bounds that take ``g_tilde``; its leave-one-out gaps
+    only for ``traj-data-dependent``. ``terminal-loo`` pairs
     the runs with their leave-one-out runs. ``oracle`` is passed on to
     ``run_ensemble``.
     """
@@ -504,10 +505,12 @@ def _reports(config, names, oracle=None):
     gen = estimate_generalization_error(runs)
     inputs = {"records": runs, "ensemble": runs}
     if "tape" in families:
-        inputs["tape"] = bounds_mod.tape_from_records(runs, population=(
-            "traj-anisotropic" in names
-            or (config.g_tilde == "population-gradient"
-                and any("g_tilde" in _BOUND_TABLE[name][2] for name in names))))
+        inputs["tape"] = bounds_mod.tape_from_records(
+            runs, population=(
+                "traj-anisotropic" in names
+                or (config.g_tilde == "population-gradient"
+                    and any("g_tilde" in _BOUND_TABLE[name][2] for name in names))),
+            leave_one_out="traj-data-dependent" in names)
     if "pairs" in families:
         inputs["pairs"] = _loo_pairs(runs)
     reports = []

@@ -3,7 +3,8 @@
 They check the library against independent formulas and are kept out of
 ``src/`` because no library code calls them: the Hutchinson trace and the
 spectral summary, the per-state gradient snapshot and the leave-one-out
-pieces, Gaussian KL arithmetic, the quadratic family's analytic population
+pieces, the trajectory tape's scalars from whole-run stacks, Gaussian KL
+arithmetic, the quadratic family's analytic population
 moments, the closed-form prior objectives behind the bounds, and a frozen copy
 of the MLP kernels written with numpy's own class-axis reductions and no
 in-place steps, which the library's kernels must match bit for bit.
@@ -15,8 +16,8 @@ import numpy as np
 
 from gradnoise.errors import CapabilityError, ConfigError, InvalidInputError
 from gradnoise.gradstats import gnc_from_grads, minibatch_factor
-from gradnoise.linalg import SpdMatrix, log_det
-from gradnoise.problems import QuadraticSpec, _teacher_params
+from gradnoise.linalg import SpdMatrix, log_det, trace_log_diag
+from gradnoise.problems import QuadraticSpec, _teacher_params, build_problem
 from gradnoise.seeding import substream
 from gradnoise.spectral import stability_gap, top_eigenvalue
 
@@ -261,3 +262,56 @@ def mlp_sample(spec, rng, n):
         (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1), spec.classes - 1
     )
     return feats, labels
+
+
+def stacked_tape_scalars(records, floor_scales, leave_one_out=None):
+    """The trajectory tape's per-state fields of the records, which must all
+    be usable, the way the tape took them before it went a chunk of states
+    at a time: every run's moments on its dataset and oracle, stacked (K,
+    R, d, d); one decomposition of each whole stack; then ``log_det`` at
+    each of ``floor_scales`` (``refloored``), ``trace_log_diag`` of the 1x
+    reconstruction and the floored flags.
+
+    ``leave_one_out``, a pair (the library's gap kernel, a state chunk),
+    adds the ``loo_gap`` and ``loo_floored`` fields as the data-dependent
+    bound took them then: each run's states a chunk at a time through
+    ``state_gradients``, against slices of the whole stack of C rescaled
+    to Sigma/b. So it checks where the tape cuts its decompositions, not
+    the kernel, which the enumeration tests pin.
+    """
+    cfg = records[0].config
+    n, b = cfg.n, cfg.b
+    problem = build_problem(cfg.spec)
+    raw = {"c": [], "pop": []}
+    for rec in records:
+        ws = rec.weights[:-1]
+        sigma, _ = problem.grad_moments(ws, rec.dataset.features, rec.dataset.labels)
+        raw["c"].append(minibatch_factor(n, b) * sigma)
+        raw["pop"].append(problem.grad_moments(ws, rec.oracle.features,
+                                               rec.oracle.labels)[0])
+    out, stacks = {}, {}
+    for suffix, mats in raw.items():
+        mats = np.stack(mats, axis=1)
+        stacks[suffix] = spd = SpdMatrix.from_matrix(mats)
+        out[f"trace_{suffix}"] = np.trace(mats, axis1=-2, axis2=-1)
+        out[f"log_det_{suffix}"] = {s: log_det(spd.refloored(s)) for s in floor_scales}
+        out[f"floored_{suffix}"] = spd.floored_each
+        out[f"log_diag_{suffix}"] = trace_log_diag(spd)
+    if leave_one_out is not None:
+        gaps, chunk = leave_one_out
+        to_loo = (n - 1) / (n - b)
+        shape = out["trace_c"].shape
+        out["loo_gap"] = {s: np.empty(shape) for s in floor_scales}
+        out["loo_floored"] = np.empty(shape, dtype=bool)
+        for r, rec in enumerate(records):
+            c = stacks["c"][:, r].scaled(to_loo)
+            for lo in range(0, shape[0], chunk):
+                part = slice(lo, lo + chunk)
+                got, out["loo_floored"][part, r] = gaps(
+                    problem.state_gradients(rec.weights[:-1][part],
+                                            rec.dataset.features,
+                                            rec.dataset.labels),
+                    c[part], to_loo * out["trace_c"][part, r], b)
+                for s in floor_scales:
+                    out["loo_gap"][s][part, r] = got[s]
+    return out

@@ -8,6 +8,7 @@ leave-one-out minimizer shift on quadratics.
 """
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,6 +46,7 @@ from gradnoise.errors import ConfigError, GradnoiseError, NumericalError, Stabil
 from gradnoise.gradstats import gnc_from_grads
 from gradnoise.linalg import SpdMatrix, log_det
 from gradnoise.problems import (
+    GRAD_MOMENT_CHUNK,
     Dataset,
     LogisticProblem,
     LogisticSpec,
@@ -61,6 +63,7 @@ from oracles import (
     gaussian_kl,
     isotropic_step_kl,
     isotropic_terminal_kl,
+    stacked_tape_scalars,
 )
 
 
@@ -84,9 +87,10 @@ def make_step(grad, raw_gnc, step=1, pop_grad=None, raw_pop=None,
 
 
 def make_tape(runs, n=10, b=1, scale=1, mode="sde", any_diverged=False):
-    """A tape of hand-made steps, ``runs[r][k]`` the k-th step of run r. Its
-    config logs every ``scale`` updates and runs ``scale`` updates per step
-    at eta 0.1."""
+    """A tape of hand-made steps, ``runs[r][k]`` the k-th step of run r, its
+    per-state scalars from the tape pass's own helper and no leave-one-out
+    gaps. Its config logs every ``scale`` updates and runs ``scale`` updates
+    per step at eta 0.1."""
     first = runs[0][0]
     dim = first.grad.shape[0]
     config = TrainConfig(
@@ -99,14 +103,14 @@ def make_tape(runs, n=10, b=1, scale=1, mode="sde", any_diverged=False):
                          for k in range(len(runs[0]))])
 
     raw_pop = None if first.raw_pop is None else stack("raw_pop")
+    _, scalars = bounds._tape_scalars(stack("raw_gnc"), raw_pop)
     return TrajectoryTape(
         steps=np.array([st.step for st in runs[0]]),
         grad=stack("grad"),
-        gnc=SpdMatrix.from_matrix(stack("raw_gnc")),
-        trace_c=stack("trace_c"),
         pop_grad=None if first.pop_grad is None else stack("pop_grad"),
-        pop_gnc=None if raw_pop is None else SpdMatrix.from_matrix(raw_pop),
-        trace_pop=None if raw_pop is None else np.trace(raw_pop, axis1=-2, axis2=-1),
+        **{**scalars, "trace_c": stack("trace_c")},
+        loo_gap=None,
+        loo_floored=None,
         runs=tuple(SimpleNamespace(config=config) for _ in runs),
         any_diverged=any_diverged,
     )
@@ -395,14 +399,30 @@ class TestAnisotropicTrajectory:
                                    report.per_step_terms, rtol=1e-12)
 
     def test_diag_decomposition_upper_bounds_correlated_case(self):
-        """Hadamard: log det <= sum of log diagonal entries, so dropping the
-        population matrix's correlations can only loosen the numerator."""
+        """With a correlated population GNC and a diagonal C_t (here C = I),
+        the series is above the term. Hadamard: log det <= sum of log
+        diagonal entries, so dropping the population matrix's correlations
+        can only loosen the numerator, and a diagonal C_t leaves the
+        subtracted log det as it is. The premise is the diagonal C_t."""
         pop = np.array([[1.0, 0.8], [0.8, 1.0]])
         step = make_step(np.zeros(2), np.eye(2), pop_grad=np.zeros(2),
                          raw_pop=pop)
         report = traj_bound_anisotropic(make_tape([[step]], n=10, b=1))
         assert (report.extra_series["diag_alignment"][0]
                 > report.per_step_terms[0])
+
+    def test_diag_decomposition_falls_below_the_term_for_correlated_c(self):
+        """The series bounds nothing once C_t is correlated: with a diagonal
+        population GNC, Hadamard's gap of C_t enters with a minus sign, so
+        the series (0 here) is below the term, -log det C_t = -log 0.36."""
+        c = np.array([[1.0, 0.8], [0.8, 1.0]])
+        step = make_step(np.zeros(2), c, pop_grad=np.zeros(2), raw_pop=np.eye(2))
+        report = traj_bound_anisotropic(make_tape([[step]], n=10, b=1))
+        assert report.extra_series["diag_alignment"][0] == pytest.approx(
+            0.0, abs=1e-12)
+        assert report.per_step_terms[0] == pytest.approx(-np.log(0.36), rel=1e-12)
+        assert (report.extra_series["diag_alignment"][0]
+                < report.per_step_terms[0])
 
     def test_negative_sum_is_surfaced_not_clipped(self):
         step = make_step(np.zeros(2), np.eye(2), pop_grad=np.zeros(2),
@@ -470,7 +490,7 @@ class TestDataDependentTrajectory:
         kernels; the step size cancels inside the KL."""
         cfg = quad_config(steps=3)
         rec = train_run(cfg)
-        report = traj_bound_data_dependent(tape_from_records([rec]))
+        report = traj_bound_data_dependent(tape_from_records([rec], leave_one_out=True))
         problem = build_problem(cfg.spec)
         dataset = generate_dataset(cfg.spec, cfg.effective_dataset_seed, cfg.n)
         n, b = cfg.n, cfg.b
@@ -499,22 +519,23 @@ class TestDataDependentTrajectory:
                              scatter=np.zeros((2, 2)), pop_oracle_size=100)
         cfg = quad_config(spec=spec, n=6, b=1, steps=2)
         rec = train_run(cfg)
-        report = traj_bound_data_dependent(tape_from_records([rec]))
+        report = traj_bound_data_dependent(tape_from_records([rec], leave_one_out=True))
         np.testing.assert_allclose(report.per_step_terms, 0.0, atol=1e-12)
         assert report.components["constant_per_step"] == 0.0
 
     def test_constant_term_scales_with_batch_size(self):
         cfg = quad_config(n=8, b=2, steps=2)
         rec = train_run(cfg)
-        report = traj_bound_data_dependent(tape_from_records([rec]))
+        report = traj_bound_data_dependent(tape_from_records([rec], leave_one_out=True))
         assert report.components["constant_per_step"] == pytest.approx(
             (2 - 1) * 2 / (8 - 1) ** 2)
 
     def test_dataset_mean_stays_outside_the_square_root(self):
         recs = [train_run(quad_config(seed=s, dataset_seed=s, steps=2))
                 for s in (0, 1)]
-        both = traj_bound_data_dependent(tape_from_records(recs))
-        singles = [traj_bound_data_dependent(tape_from_records([r])).core
+        both = traj_bound_data_dependent(tape_from_records(recs, leave_one_out=True))
+        singles = [traj_bound_data_dependent(
+                       tape_from_records([r], leave_one_out=True)).core
                    for r in recs]
         assert both.core == pytest.approx(np.mean(singles), rel=1e-12)
 
@@ -522,11 +543,11 @@ class TestDataDependentTrajectory:
         cfg = quad_config(n=4, b=3, steps=2)
         rec = train_run(cfg)
         with pytest.raises(ConfigError):
-            traj_bound_data_dependent(tape_from_records([rec]))
+            traj_bound_data_dependent(tape_from_records([rec], leave_one_out=True))
 
     def test_n14_averages_over_all_14_subsets(self):
         rec = train_run(quad_config(n=14, b=1, steps=2))
-        report = traj_bound_data_dependent(tape_from_records([rec]))
+        report = traj_bound_data_dependent(tape_from_records([rec], leave_one_out=True))
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
 
@@ -536,7 +557,7 @@ class TestDataDependentTrajectory:
                              scatter=random_spd(np.random.default_rng(3), 5),
                              pop_oracle_size=100)
         rec = train_run(quad_config(spec=spec, n=40, b=2, steps=4))
-        report = traj_bound_data_dependent(tape_from_records([rec]))
+        report = traj_bound_data_dependent(tape_from_records([rec], leave_one_out=True))
         assert "floored-log" not in report.flags
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
@@ -550,7 +571,7 @@ class TestDataDependentTrajectory:
                              center=np.zeros(5), scatter=np.eye(5),
                              pop_oracle_size=100)
         rec = train_run(quad_config(spec=spec, n=n, b=1, steps=3))
-        report = traj_bound_data_dependent(tape_from_records([rec]))
+        report = traj_bound_data_dependent(tape_from_records([rec], leave_one_out=True))
         assert "floored-log" in report.flags
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
@@ -562,13 +583,13 @@ class TestDataDependentTrajectory:
     def test_one_replay_and_one_eigh_per_matrix_when_floored(self, monkeypatch):
         """n = 4 < d = 5 floors C at every state, so every C_J is built
         explicitly; the 10x pass reuses those decompositions and gradients.
-        C comes from the tape's decomposition, and each C_J is decomposed
-        once, within one stacked ``eigh`` of each state's C_J."""
+        C comes from the tape pass's one decomposition of the run's chunk,
+        and each C_J is decomposed once, within one stacked ``eigh`` of each
+        state's C_J. The bound itself only reduces the tape."""
         spec = QuadraticSpec(curvature=np.diag([0.5, 0.8, 1.0, 1.3, 1.6]),
                              center=np.zeros(5), scatter=np.eye(5),
                              pop_oracle_size=100)
         rec = train_run(quad_config(spec=spec, n=4, b=1, steps=3))
-        tape = tape_from_records([rec])
         eighs, grad_passes = [], []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
@@ -576,25 +597,27 @@ class TestDataDependentTrajectory:
         per_example_grads = QuadraticProblem.per_example_grads
         monkeypatch.setattr(QuadraticProblem, "per_example_grads",
                             lambda *a: grad_passes.append(a) or per_example_grads(*a))
+        tape = tape_from_records([rec], leave_one_out=True)
+        # The run's moments take one pass per state, and one more per state
+        # serves the replay of its C_J; a floored C needs no leverages.
+        assert len(grad_passes) == 3 + 3
+        # The chunk's C, then each state's 4 C_J as one stack; the record
+        # carries its dataset, so no draw takes the scatter root.
+        assert [m.shape for m in eighs] == [(3, 5, 5)] + [(4, 5, 5)] * 3
         report = traj_bound_data_dependent(tape)
         assert "core_at_10x_floor" in report.components
-        # One pass per state serves the replay of its C_J; a floored C needs
-        # no leverages.
-        assert len(grad_passes) == 3
-        # Each state's 4 C_J as one stack; the record carries its dataset,
-        # so no draw takes the scatter root.
-        assert [m.shape for m in eighs] == [(4, 5, 5)] * 3
+        assert len(grad_passes) == 6 and len(eighs) == 4
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_chunks_split_states_and_replays_alike(self, monkeypatch):
-        """At a chunk of 2 the three states go as 2 + 1 and each state's six
-        C_J replays as 2 + 2 + 2 stacks; the terms still equal the
-        enumeration, and each state's gradients are evaluated once."""
+        """At a chunk of 2 the three states go as 2 + 1, each chunk's C as
+        one stack, and each state's six C_J replays as 2 + 2 + 2 stacks; the
+        terms still equal the enumeration, and each state's gradients are
+        evaluated once for its moments and once for its replays."""
         spec = QuadraticSpec(curvature=np.diag([0.5, 0.8, 1.0, 1.3, 1.6]),
                              center=np.zeros(5), scatter=np.eye(5),
                              pop_oracle_size=100)
         rec = train_run(quad_config(spec=spec, n=6, b=1, steps=3))
-        tape = tape_from_records([rec])
         eighs, grad_passes, chunks = [], [], []
         eigh = np.linalg.eigh
         monkeypatch.setattr(bounds, "LOO_STATE_CHUNK", 2)
@@ -607,17 +630,25 @@ class TestDataDependentTrajectory:
         monkeypatch.setattr(QuadraticProblem, "state_gradients",
                             lambda self, ws, *a: chunks.append(len(ws))
                             or state_gradients(self, ws, *a))
-        report = traj_bound_data_dependent(tape)
+        report = traj_bound_data_dependent(
+            tape_from_records([rec], leave_one_out=True))
         monkeypatch.undo()
         assert chunks == [2, 1]
-        assert len(grad_passes) == 3
-        assert eighs == [(2, 5, 5)] * 9
+        assert len(grad_passes) == 3 + 3
+        assert eighs == ([(2, 5, 5)] + [(2, 5, 5)] * 6
+                         + [(1, 5, 5)] + [(2, 5, 5)] * 3)
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
 
+    def test_tape_without_leave_one_out_is_rejected(self):
+        rec = train_run(quad_config(steps=2))
+        with pytest.raises(ConfigError, match="leave_one_out"):
+            traj_bound_data_dependent(tape_from_records([rec]))
+
     def test_value_is_core_times_loss_bound(self):
         rec = train_run(quad_config(steps=2))
-        report = traj_bound_data_dependent(tape_from_records([rec]), M=4.0)
+        report = traj_bound_data_dependent(
+            tape_from_records([rec], leave_one_out=True), M=4.0)
         assert report.value == report.core * 4.0
 
 
@@ -648,7 +679,7 @@ class TestLogisticDataDependentTrajectory:
         run's states fill two chunks and part of a third."""
         rec = logistic_record(d=3, n=30, l2=l2, b=3, steps=2 * LOO_STATE_CHUNK + 3)
         calls = count_per_example_grads(monkeypatch)
-        report = traj_bound_data_dependent(tape_from_records([rec]))
+        report = traj_bound_data_dependent(tape_from_records([rec], leave_one_out=True))
         assert calls == []
         monkeypatch.undo()
         assert "floored-log" not in report.flags
@@ -661,7 +692,7 @@ class TestLogisticDataDependentTrajectory:
         """At d = 5, n = 6 leaves every C_J rank-deficient and n = 5 floors C
         itself, so every C_J is built explicitly."""
         rec = logistic_record(d=5, n=n, l2=0.05, b=1, steps=3)
-        report = traj_bound_data_dependent(tape_from_records([rec]))
+        report = traj_bound_data_dependent(tape_from_records([rec], leave_one_out=True))
         assert "floored-log" in report.flags
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
@@ -679,9 +710,9 @@ class TestLogisticDataDependentTrajectory:
         rec = logistic_record(d=2, n=8, b=1, steps=4, dataset_seed=0)
         rec = dataclasses.replace(
             rec, weights=np.array([1.0, 8.0, 9.0, 2.0, 1.0])[:, None] * np.ones(2))
-        tape = tape_from_records([rec])
         calls = count_per_example_grads(monkeypatch)
-        report = traj_bound_data_dependent(tape)
+        report = traj_bound_data_dependent(
+            tape_from_records([rec], leave_one_out=True))
         assert len(calls) == 2
         monkeypatch.undo()
         np.testing.assert_allclose(report.per_step_terms,
@@ -691,11 +722,12 @@ class TestLogisticDataDependentTrajectory:
     @pytest.mark.parametrize("l2", [0.0, 0.05])
     def test_unfloored_run_takes_its_covariances_from_the_tape(self, l2,
                                                               monkeypatch):
-        """On an unfloored run the bound decomposes no matrix and computes no
-        moment: every C is the tape's GNC, rescaled, and only the leverage
-        kernel runs."""
+        """On an unfloored run the leave-one-out gaps decompose no matrix and
+        compute no moment of their own: each chunk's C is the tape pass's
+        one decomposition of that chunk, rescaled, from the run's one
+        ``grad_moments`` call, and only the leverage kernel runs. The bound
+        then only reduces the tape."""
         rec = logistic_record(d=3, n=30, l2=l2, b=3, steps=2 * LOO_STATE_CHUNK + 3)
-        tape = tape_from_records([rec])
         decompositions, moments, leverages = [], [], []
         from_matrix = SpdMatrix.from_matrix
         grad_moments = LogisticProblem.grad_moments
@@ -706,11 +738,15 @@ class TestLogisticDataDependentTrajectory:
                             lambda *a: moments.append(1) or grad_moments(*a))
         monkeypatch.setattr(LogisticProblem, "grad_leverages",
                             lambda *a: leverages.append(1) or grad_leverages(*a))
+        tape = tape_from_records([rec], leave_one_out=True)
+        # One stack of C per chunk of states, one moment call per run.
+        assert len(decompositions) == 3 and len(moments) == 1
+        assert len(leverages) == 3  # one per chunk of states
         report = traj_bound_data_dependent(tape)
         monkeypatch.undo()
         assert "floored-log" not in report.flags
-        assert decompositions == [] and moments == []
-        assert len(leverages) == 3  # one per chunk of states
+        assert len(decompositions) == 3 and len(moments) == 1
+        assert len(leverages) == 3
 
 
 @pytest.mark.parametrize("spec, n, b", [
@@ -718,19 +754,24 @@ class TestLogisticDataDependentTrajectory:
                   l2=0.05, pop_oracle_size=100), 30, 3),
     (MlpSpec(in_dim=3, hidden=4, classes=3, teacher_seed=7,
              pop_oracle_size=100), 40, 8)], ids=["logistic", "mlp-floored"])
-def test_rescaled_tape_gnc_is_the_leave_one_out_c(spec, n, b):
-    """The data-dependent bound's C = Sigma/b is the tape's exact-factor GNC
-    rescaled by (n - 1)/(n - b): to 1e-12 relative (floored eigenvalues
+def test_rescaled_tape_gnc_is_the_leave_one_out_c(spec, n, b, monkeypatch):
+    """The data-dependent gaps' C = Sigma/b is the tape pass's exact-factor
+    GNC rescaled by (n - 1)/(n - b): to 1e-12 relative (floored eigenvalues
     against the largest of their matrix, traces against themselves) it is a
     fresh decomposition of Sigma/b, and it floors the same matrices. Every
     MLP C floors (its logit gradients sum to zero over the classes); no
     logistic C does."""
     records = [train_run(quad_config(spec=spec, n=n, b=b, steps=4, seed=s))
                for s in (0, 1)]
-    tape = tape_from_records(records)
+    seen = []
+    gaps = bounds._loo_log_det_gaps
+    monkeypatch.setattr(bounds, "_loo_log_det_gaps",
+                        lambda grads, c, trace_c, b: seen.append((c, trace_c))
+                        or gaps(grads, c, trace_c, b))
+    tape = tape_from_records(records, leave_one_out=True)
+    assert len(seen) == len(records)  # one chunk of 4 states per run
     problem = build_problem(spec)
-    for r, rec in enumerate(records):
-        got = tape.gnc[:, r].scaled((n - 1) / (n - b))
+    for r, (rec, (got, trace_c)) in enumerate(zip(records, seen)):
         sigma, _ = problem.grad_moments(rec.weights[:-1], rec.dataset.features,
                                         rec.dataset.labels)
         want = SpdMatrix.from_matrix(sigma / b)
@@ -739,8 +780,83 @@ def test_rescaled_tape_gnc_is_the_leave_one_out_c(spec, n, b):
         assert np.all(np.abs(got.eigenvalues - want.eigenvalues)
                       <= 1e-12 * want.eigenvalues[:, -1:])
         np.testing.assert_allclose(
-            (n - 1) / (n - b) * tape.trace_c[:, r],
-            np.trace(sigma, axis1=-2, axis2=-1) / b, rtol=1e-12)
+            trace_c, np.trace(sigma, axis1=-2, axis2=-1) / b, rtol=1e-12)
+        assert np.array_equal(trace_c, (n - 1) / (n - b) * tape.trace_c[:, r])
+
+
+CHUNK_CASES = {
+    "logistic": (LogisticSpec(dim=4, mean0=-0.5 * np.ones(4), mean1=0.5 * np.ones(4),
+                              l2=0.05, pop_oracle_size=100), 30, 3),
+    "mlp-floored": (MlpSpec(in_dim=3, hidden=4, classes=3, teacher_seed=7,
+                            pop_oracle_size=100), 40, 8),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("steps", [1, LOO_STATE_CHUNK - 1, LOO_STATE_CHUNK,
+                                   LOO_STATE_CHUNK + 1, 2 * LOO_STATE_CHUNK + 1])
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_chunked_tape_scalars_equal_one_decomposition_of_each_run_stack(case, steps):
+    """Wherever the tape's pass cuts a run's states into chunks, every
+    per-state field it keeps (traces, log-determinants at both floor
+    scales, diagonal log sums, floored flags and the leave-one-out gaps)
+    equals bit for bit the same field from one decomposition of the whole
+    (K, R, d, d) stack: a stacked ``eigh`` and its reconstruction are
+    per matrix what a sub-stack's are. The gaps' leverage kernels see the
+    same chunks of states either way (on the logistic family its GEMMs
+    round by the number of states). Every MLP C floors, so there every
+    C_J is replayed; no logistic C does."""
+    spec, n, b = CHUNK_CASES[case]
+    records = [train_run(quad_config(spec=spec, n=n, b=b, steps=steps, seed=s))
+               for s in (0, 1)]
+    tape = tape_from_records(records, population=True, leave_one_out=True)
+    want = stacked_tape_scalars(records, (1.0, FLOOR_SENSITIVITY_SCALE),
+                                (bounds._loo_log_det_gaps, LOO_STATE_CHUNK))
+    assert tape.n_steps == steps
+    assert set(want) == {f"{name}_{suffix}" for suffix in ("c", "pop") for name in
+                         ("trace", "log_det", "floored", "log_diag")} | {
+                             "loo_gap", "loo_floored"}
+    for name, value in want.items():
+        got = getattr(tape, name)
+        for scale in value if isinstance(value, dict) else [None]:
+            pair = (got, value) if scale is None else (got[scale], value[scale])
+            assert pair[0].shape == (steps, 2), (name, scale)
+            assert np.array_equal(*pair), (name, scale)
+    assert tape.floored_c.all() == (case == "mlp-floored")
+    assert tape.floored_c.any() == (case == "mlp-floored")
+
+
+def test_tape_and_bounds_hold_one_run_and_one_chunk_of_matrices():
+    """The tape's pass holds one run's (K, d, d) moments and one chunk's
+    d x d arrays, never a (K, R, d, d) stack: the traced peak of building a
+    tape with both halves and the leave-one-out gaps and of the four tape
+    bounds, above what is live at entry, stays below a bound written from
+    that design (numpy reports its buffers to ``tracemalloc``). A tape of
+    (K, R, d, d) stacks would hold 10.2 MB per stack here."""
+    d, n, b, states, grid = 40, 200, 10, 100, (4, 2)
+    spec = LogisticSpec(dim=d, mean0=-0.5 * np.ones(d), mean1=0.5 * np.ones(d),
+                        pop_oracle_size=1000)
+    records = run_ensemble(quad_config(spec=spec, n=n, b=b, steps=states),
+                           *grid, terminal_only=False)
+    f8, runs, packed = 8, grid[0] * grid[1], d * (d + 1) // 2
+    bound = (2 * states * d * d * f8  # one run's C and P moments
+             + 8 * LOO_STATE_CHUNK * d * d * f8  # one chunk's d x d arrays
+             # the moment kernel's row-chunk products and (K, ...) sums
+             + 2 * GRAD_MOMENT_CHUNK * packed * f8 + 4 * states * packed * f8
+             + 2 * states * runs * d * f8  # the tape's grad and pop_grad
+             + 2**20)  # smaller arrays
+    tracemalloc.start()
+    try:
+        tape = tape_from_records(records, population=True, leave_one_out=True)
+        reports = [traj_bound_isotropic(tape, "population-gradient"),
+                   traj_bound_langevin(tape, "population-gradient"),
+                   traj_bound_anisotropic(tape), traj_bound_data_dependent(tape)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tape.n_steps == states and tape.n_runs == runs
+    assert all(np.isfinite(rep.core) for rep in reports)
+    assert peak < bound, (peak, bound)
 
 
 class TestTapeFromRecords:
@@ -765,27 +881,39 @@ class TestTapeFromRecords:
         rec = train_run(quad_config(steps=2))
         plain = tape_from_records([rec])
         assert not plain.has_population
-        assert plain.pop_gnc is None and plain.pop_grad is None
-        pop = tape_from_records([rec], population=True)
+        assert plain.trace_pop is None and plain.pop_grad is None
+        assert plain.log_det_pop is None and plain.log_diag_c is None
+        assert plain.loo_gap is None and plain.loo_floored is None
+        pop = tape_from_records([rec], population=True, leave_one_out=True)
         assert pop.has_population
-        assert pop.pop_gnc.raw_eigenvalues.shape == (2, 1, 2)
+        for field in ("trace_pop", "floored_pop", "log_diag_pop", "log_diag_c",
+                      "loo_floored"):
+            assert getattr(pop, field).shape == (2, 1), field
+        for field in ("log_det_c", "log_det_pop", "loo_gap"):
+            assert sorted(getattr(pop, field)) == [1.0, FLOOR_SENSITIVITY_SCALE]
+            for scale, values in getattr(pop, field).items():
+                assert values.shape == (2, 1), (field, scale)
 
-    def test_one_eigendecomposition_per_stack(self, monkeypatch):
-        """The training and the population GNCs of every (step, run) are
-        decomposed as two stacks, one ``eigh`` call each."""
-        records = [train_run(quad_config(steps=3, seed=s)) for s in (0, 1)]
+    @pytest.mark.parametrize("steps", [3, LOO_STATE_CHUNK + 1])
+    def test_one_eigendecomposition_per_stack(self, monkeypatch, steps):
+        """The training and the population GNCs of every chunk of a run's
+        states are decomposed as two stacks, one ``eigh`` call each: one
+        chunk of 3 states, or a full chunk and one of a single state."""
+        records = [train_run(quad_config(steps=steps, seed=s)) for s in (0, 1)]
         eighs = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda m: eighs.append(m.shape) or eigh(m))
         tape = tape_from_records(records, population=True)
-        assert eighs == [(3, 2, 2, 2)] * 2
-        assert tape.grad.shape == (3, 2, 2) and tape.trace_pop.shape == (3, 2)
+        sizes = [3] if steps == 3 else [LOO_STATE_CHUNK, 1]
+        assert eighs == [(k, 2, 2) for k in sizes for _ in range(2)] * 2
+        assert (tape.grad.shape == (steps, 2, 2)
+                and tape.trace_pop.shape == (steps, 2))
 
     def test_tape_statistics_match_direct_recomputation(self):
         cfg = quad_config(steps=2)
         rec = train_run(cfg)
-        tape = tape_from_records([rec])
+        tape = tape_from_records([rec], population=True)
         problem = build_problem(cfg.spec)
         dataset = generate_dataset(cfg.spec, cfg.effective_dataset_seed, cfg.n)
         grads = problem.per_example_grads(rec.weights[0], dataset.features,
@@ -793,13 +921,19 @@ class TestTapeFromRecords:
         np.testing.assert_allclose(tape.grad[0, 0], grads.mean(axis=0), rtol=1e-12)
         assert tape.config.lr_at(tape.steps[0]) == 0.1
         mean = grads.mean(axis=0)
-        sigma = grads.T @ grads / cfg.n - np.outer(mean, mean)
-        np.testing.assert_allclose(tape.gnc.matrix[0, 0], sigma, atol=1e-12)  # b=1 factor 1
+        sigma = grads.T @ grads / cfg.n - np.outer(mean, mean)  # b=1 factor 1
+        np.testing.assert_allclose(tape.trace_c[0, 0], np.trace(sigma), rtol=1e-12)
+        np.testing.assert_allclose(tape.log_det_c[1.0][0, 0],
+                                   np.linalg.slogdet(sigma)[1], rtol=1e-12)
+        np.testing.assert_allclose(tape.log_diag_c[0, 0],
+                                   np.sum(np.log(np.diag(sigma))), rtol=1e-12)
 
     def test_logistic_tape_forms_no_per_example_gradient(self, monkeypatch):
         """The logistic tape takes every moment from ``grad_moments``'
         GEMMs, on the training set and the oracle, and agrees with the
-        per-state moments to rounding."""
+        per-state moments to rounding: the traces to 1e-12 relative, the
+        floored log-determinants and diagonal log sums (taken from the
+        reconstruction) to 1e-12 per eigenvalue or diagonal entry."""
         spec = LogisticSpec(dim=3, mean0=-0.5 * np.ones(3), mean1=0.5 * np.ones(3),
                             l2=0.05, pop_oracle_size=300)
         cfg = quad_config(spec=spec, n=12, b=3, steps=4)
@@ -812,21 +946,28 @@ class TestTapeFromRecords:
         factor = (cfg.n - cfg.b) / (cfg.b * (cfg.n - 1))
         for r, rec in enumerate(records):
             for k, w in enumerate(rec.weights[:-1]):
-                for data, grad, gnc, scale in [
-                        (rec.dataset, tape.grad, tape.gnc, factor),
-                        (rec.oracle, tape.pop_grad, tape.pop_gnc, 1.0)]:
+                for data, grad, suffix, scale in [
+                        (rec.dataset, tape.grad, "c", factor),
+                        (rec.oracle, tape.pop_grad, "pop", 1.0)]:
                     sigma, mean = gnc_from_grads(problem.per_example_grads(
                         w, data.features, data.labels))
                     np.testing.assert_allclose(grad[k, r], mean, rtol=1e-12)
-                    # gnc.matrix is rebuilt from the eigendecomposition.
-                    np.testing.assert_allclose(
-                        gnc.matrix[k, r], scale * sigma, rtol=1e-12,
-                        atol=1e-12 * scale * np.abs(sigma).max())
+                    want = SpdMatrix.from_matrix(scale * sigma)
+                    got = {name: getattr(tape, f"{name}_{suffix}")
+                           for name in ("trace", "log_det", "log_diag")}
+                    np.testing.assert_allclose(got["trace"][k, r],
+                                               scale * np.trace(sigma), rtol=1e-12)
+                    for scale_f in (1.0, FLOOR_SENSITIVITY_SCALE):
+                        assert abs(got["log_det"][scale_f][k, r] - log_det(
+                            want.refloored(scale_f))) <= 3 * 1e-12
+                    assert abs(got["log_diag"][k, r]
+                               - linalg.trace_log_diag(want)) <= 3 * 1e-12
 
 
 def test_tape_bounds_equal_a_loop_over_steps_and_runs():
     """The three tape bounds reduce (step, run) arrays; their per-step terms
-    equal a literal loop over steps and runs of one-matrix statistics, to a
+    equal a literal loop over steps and runs of one-matrix statistics (each
+    state's GNCs from its run's moments, decomposed alone), to a
     tolerance of 8 float64 epsilons (the dot products may run in another
     order than the reductions)."""
     spec = LogisticSpec(dim=3, mean0=-0.5 * np.ones(3), mean1=0.5 * np.ones(3),
@@ -835,17 +976,22 @@ def test_tape_bounds_equal_a_loop_over_steps_and_runs():
                for s in range(3)]
     tape = tape_from_records(records, population=True)
     d, log_b = tape.dim, tape.dim * np.log(tape.config.b)
-
-    def one(stack, k, r):
-        return SpdMatrix(stack.raw_eigenvalues[k, r], stack.eigenvectors[k, r],
-                         float(stack.mean_eigenvalue[k, r]))
+    problem = build_problem(spec)
+    factor = (12 - 3) / (3 * (12 - 1))
+    # Each run's moments as the tape takes them, one matrix decomposed at a
+    # time.
+    moments = [(problem.grad_moments(rec.weights[:-1], rec.dataset.features,
+                                     rec.dataset.labels)[0] * factor,
+                problem.grad_moments(rec.weights[:-1], rec.oracle.features,
+                                     rec.oracle.labels)[0])
+               for rec in records]
 
     iso, lang, aniso = [], [], []
     for k in range(tape.n_steps):
         h1, h2, sq, gap = [], [], [], []
         for r in range(tape.n_runs):
             diff = tape.grad[k, r] - tape.pop_grad[k, r]
-            c, pop = one(tape.gnc, k, r), one(tape.pop_gnc, k, r)
+            c, pop = (SpdMatrix.from_matrix(m[k]) for m in moments[r])
             h1.append(float(diff @ diff) + tape.trace_c[k, r])
             h2.append(log_det(c))
             sq.append(float(diff @ diff))
@@ -865,7 +1011,8 @@ def test_tape_bounds_equal_a_loop_over_steps_and_runs():
     tape_from_records,
     # The data-dependent bound reads a tape, so the tape rejects the records.
     pytest.param(lambda records: traj_bound_data_dependent(
-        tape_from_records(records)), id="traj_bound_data_dependent"),
+        tape_from_records(records, leave_one_out=True)),
+        id="traj_bound_data_dependent"),
     terminal_bound_gradient_accum])
 @pytest.mark.parametrize("field, values", [("n", (6, 8)), ("steps", (3, 5))])
 def test_record_fed_bounds_reject_mismatched_records(bound, field, values):
@@ -875,7 +1022,7 @@ def test_record_fed_bounds_reject_mismatched_records(bound, field, values):
 
 
 def _five_trajectory_reports(records):
-    tape = tape_from_records(records, population=True)
+    tape = tape_from_records(records, population=True, leave_one_out=True)
     return [traj_bound_isotropic(tape), traj_bound_langevin(tape),
             traj_bound_anisotropic(tape), traj_bound_data_dependent(tape),
             terminal_bound_gradient_accum(records)]
@@ -1423,7 +1570,7 @@ def _floored_bound_runs():
         "traj-anisotropic": lambda: traj_bound_anisotropic(
             tape_from_records(records, population=True)),
         "traj-data-dependent": lambda: traj_bound_data_dependent(
-            tape_from_records(records)),
+            tape_from_records(records, leave_one_out=True)),
         "terminal-general": lambda: terminal_bound_general(ens),
         "terminal-anisotropic": lambda: terminal_bound_anisotropic(ens),
         "fim-takeuchi": lambda: fim_takeuchi_bound(ens),

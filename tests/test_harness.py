@@ -643,6 +643,29 @@ class TestBoundsCommands:
         oracle = cfg.train.spec.pop_oracle_size
         assert rows == [cfg.train.n, *[oracle] * population] * 2
 
+    @pytest.mark.parametrize("names, leave_one_out", [
+        (["traj-data-dependent"], True),
+        (["traj-isotropic", "traj-data-dependent"], True),
+        (["traj-isotropic", "traj-langevin", "traj-anisotropic"], False)])
+    def test_tape_takes_leave_one_out_gaps_only_for_the_bound_reading_them(
+            self, monkeypatch, names, leave_one_out):
+        """The tape's pass computes the leave-one-out gaps, and calls a
+        family's ``state_gradients``, only when ``traj-data-dependent`` is
+        named."""
+        cfg = self.traj_config(bounds=names)
+        seen, chunks = [], []
+        tape_from_records = bounds.tape_from_records
+        monkeypatch.setattr(bounds, "tape_from_records",
+                            lambda runs, **kw: seen.append(kw)
+                            or tape_from_records(runs, **kw))
+        state_gradients = problems.QuadraticProblem.state_gradients
+        monkeypatch.setattr(problems.QuadraticProblem, "state_gradients",
+                            lambda self, *a: chunks.append(1)
+                            or state_gradients(self, *a))
+        cmd_bounds_traj(cfg)
+        assert [kw["leave_one_out"] for kw in seen] == [leave_one_out]
+        assert bool(chunks) == leave_one_out
+
     def test_records_carry_weights_only_for_a_tape(self, monkeypatch):
         """``terminal-gradient-accum`` reads only logged scalars, so alone it
         gets records without weights."""
