@@ -30,6 +30,11 @@ take the stack, each run still draws from its own substreams in its own
 order, and each run's record is bit-identical to that run trained alone. A
 single run is a group of one. An ensemble skips the oracle loss before step T
 (``run_ensemble``), so its ``test_loss`` is the one exception.
+
+Full-batch steps (SDE and GLD) read the family's reduced data
+(``full_batch_data``), built once per weight stack: on the quadratic, each
+run's feature mean, not its n rows. ``mean_grad`` gives the same bits on it
+as on the full data, so the records do not depend on the reduction.
 """
 
 import math
@@ -50,7 +55,10 @@ DIVERGENCE_THRESHOLD = 1e12
 BATCH_BLOCK = 256
 # Steps per noise block. Not part of the noise stream (see the module
 # docstring), so it is sized for memory: a grid holds R x NOISE_BLOCK x k
-# normals at once.
+# normals at once. Larger blocks bought no time: on the quadratic SDE
+# benchmark's command (64 runs, k = 50, bench seed 1, two fresh processes
+# per size, 2 vCPU) the ``_noise_block`` calls took 12-17 ms at 16, 15-19
+# at 32 and 17-22 at 64, and peak RSS rose from 39.0 MB to 40.7 and 43.9.
 NOISE_BLOCK = 16
 
 
@@ -380,10 +388,15 @@ def _noise_stack(problem, runs, w):
     return np.array([run.noise_sqrt.T for run in runs]).transpose(0, 2, 1)
 
 
-def _dataset_stack(runs, spec):
-    """The runs' datasets as one stack: (R, n, p) features, (R, n) labels."""
-    return Dataset(np.array([run.dataset.features for run in runs]),
-                   np.array([run.dataset.labels for run in runs]), None, spec)
+def _step_data(problem, runs, config):
+    """What the runs' stacked step reads: their datasets as one stack,
+    (R, n, p) features and (R, n) labels, or for a full-batch (SDE or GLD)
+    step the family's ``full_batch_data`` of that stack."""
+    features = np.array([run.dataset.features for run in runs])
+    labels = np.array([run.dataset.labels for run in runs])
+    if config.mode != "sgd":
+        features, labels = problem.full_batch_data(features, labels)
+    return Dataset(features, labels, None, config.spec)
 
 
 def _run_group(configs, datasets, oracle, *, oracle_at_end=False):
@@ -391,7 +404,8 @@ def _run_group(configs, datasets, oracle, *, oracle_at_end=False):
     trains on ``datasets[i]``.
 
     The live runs advance as one (R, d) weight stack over the stack of their
-    datasets: each step is one call of the mode's step function. Every run
+    datasets (``_step_data``, rebuilt only when a run leaves): each step is
+    one call of the mode's step function. Every run
     draws its batches or normals a block of steps at a time from its own
     substreams, in the order a single run does, so each record is
     bit-identical to the same config run as a group of one. A run whose
@@ -435,7 +449,7 @@ def _run_group(configs, datasets, oracle, *, oracle_at_end=False):
     if not live:
         return [run.record() for run in runs]
     w = np.array([run.w0 for run in live])
-    data = _dataset_stack(live, config.spec)
+    data = _step_data(problem, live, config)
     noise_sqrt = block = drawn = None
     with np.errstate(all="ignore"):
         for t in range(1, config.steps + 1):
@@ -459,13 +473,14 @@ def _run_group(configs, datasets, oracle, *, oracle_at_end=False):
                 w = new
                 continue
             finite = np.isfinite(new).all(axis=1)
+            tail = new.copy() if t in tails else None
             keep = []
             for i, run in enumerate(live):
                 if not finite[i]:
                     run.stop(w[i], diverged_step=t)
                     continue
-                if t in tails:
-                    run.tail_weights.append(new[i].copy())
+                if tail is not None:
+                    run.tail_weights.append(tail[i])
                 if t in logged and not run.log_state(t, new[i], eta):
                     run.stop(new[i], diverged_step=t)
                     continue
@@ -475,7 +490,7 @@ def _run_group(configs, datasets, oracle, *, oracle_at_end=False):
                 if not live:
                     break
                 new = new[keep]
-                data = _dataset_stack(live, config.spec)
+                data = _step_data(problem, live, config)
                 noise_sqrt = None
                 if block is not None:
                     block = block[keep]

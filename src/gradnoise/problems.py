@@ -21,6 +21,14 @@ features and labels shared by all rows or stacked per row ((R, m, p) and
 ``np.matmul`` on stacks whose slices have the layout of the one-vector
 operands, so each row is bit-identical to the gradient of that row alone.
 
+Every family's ``full_batch_data(features, labels)`` returns the smallest
+data on which ``mean_grad`` gives the full-batch mean gradient of
+``(features, labels)`` bit for bit at every w, stacked or not. The quadratic
+family's gradient reads only the feature mean, so it returns that mean as
+one row; the logistic and MLP families return their inputs. Full-batch
+steps (``dynamics``' SDE and GLD) read this data, so a family that can
+reduce its data does so once, not at every step.
+
 Every family's ``hessian_operator(w, features, labels)`` computes what the
 Hessian at ``w`` needs once and returns the map ``v -> H v``; ``hvp`` is one
 application of it, and callers that apply H many times at one state build
@@ -348,6 +356,12 @@ class QuadraticProblem:
     def mean_grad(self, w, features, labels):
         return np.matmul(self.a, (w - features.mean(axis=-2))[..., None])[..., 0]
 
+    def full_batch_data(self, features, labels):
+        """The feature mean as one row, and one label column. ``mean_grad``
+        reduces that row to the same mean: a one-row mean is exact, so the
+        gradient keeps its bits at every w."""
+        return features.mean(axis=-2, keepdims=True), labels[..., :1]
+
     def grad_moments(self, ws, features, labels):
         return _moments_by_state(self, ws, features, labels)
 
@@ -398,6 +412,10 @@ class LogisticProblem:
         coef = -sign / (1.0 + np.exp(m))
         grad = np.matmul(features.swapaxes(-1, -2), coef[..., None])[..., 0]
         return grad / coef.shape[-1] + self.l2 * w
+
+    def full_batch_data(self, features, labels):
+        """The inputs: the gradient reads every example."""
+        return features, labels
 
     def grad_moments(self, ws, features, labels):
         """The per-example gradient moments at each row of the (K, d) stack
@@ -609,6 +627,10 @@ class MlpProblem:
             np.matmul(d_logits.swapaxes(-1, -2), hid).reshape(lead + (-1,)),
             d_logits.sum(axis=-2),
         ], axis=-1)
+
+    def full_batch_data(self, features, labels):
+        """The inputs: the gradient reads every example."""
+        return features, labels
 
     def grad_moments(self, ws, features, labels):
         return _moments_by_state(self, ws, features, labels)

@@ -91,8 +91,11 @@ def top_eigenvalue(problem, w, dataset, tol=1e-7, max_iter=500, seed=0,
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
     d = problem.dim
-    rng = substream(seed, *seed_labels)
+    # A warm start draws from the substream only at a breakdown, so it builds
+    # the stream only then; the fresh vector is still the stream's first draw.
+    rng = substream(seed, *seed_labels) if start is None else None
     v0 = _unit_start(rng.standard_normal(d) if start is None else start, d)
+    eps = np.finfo(float).eps
     hess = problem.hessian_operator(w, dataset.features, dataset.labels)
     m = min(NCV, d)
     basis = np.empty((m, d))
@@ -117,11 +120,13 @@ def top_eigenvalue(problem, w, dataset, tol=1e-7, max_iter=500, seed=0,
             beta = np.linalg.norm(r)
             thetas, s = np.linalg.eigh(tri[lo:j + 1, lo:j + 1])
             k = np.argmax(np.abs(thetas))
-            if j + 1 < m and beta <= np.finfo(float).eps * np.linalg.norm(hv):
+            if j + 1 < m and beta <= eps * np.linalg.norm(hv):
                 # Breakdown: the block spans an invariant subspace of H.
                 if exact is None or abs(thetas[k]) > abs(exact[0]):
                     exact = (thetas[k], s[:, k] @ basis[lo:j + 1])
                 lo = j + 1
+                if rng is None:
+                    rng = substream(seed, *seed_labels)
                 r = _orthogonalize(rng.standard_normal(d), basis[:j + 1])
             elif beta * abs(s[-1, k]) <= tol * abs(thetas[k]):
                 theta, y = thetas[k], s[:, k] @ basis[lo:j + 1]

@@ -909,6 +909,37 @@ class TestGroupStepper:
         for rec in ens:
             assert_ensemble_record_matches(rec, train_run(rec.config))
 
+    @pytest.mark.parametrize("mode", ["sde", "gld"])
+    def test_quadratic_full_batch_steps_read_one_row_per_run(self, monkeypatch,
+                                                             mode):
+        """On the setup above, each step is one ``mean_grad`` call on the
+        family's reduced data, (R, 1, p) features and (R, 1) labels, and R
+        follows the runs still in the stack after each one leaves."""
+        shapes = []
+        real_build = dynamics.build_problem
+
+        def recording_build(spec):
+            problem = real_build(spec)
+            mean_grad = problem.mean_grad
+
+            def recorded(w, features, labels):
+                shapes.append((w.shape, features.shape, labels.shape))
+                return mean_grad(w, features, labels)
+
+            problem.mean_grad = recorded
+            return problem
+
+        monkeypatch.setattr(dynamics, "build_problem", recording_build)
+        cfg = base_config(spec=quad_spec(a=np.diag([4.0, 1.0])), mode=mode,
+                          lr_schedule=((1, 1.0),), steps=1000)
+        ens = run_ensemble(cfg, 1, 6)
+        last = [rec.diverged_step for rec in ens]
+        assert None not in last and len(set(last)) >= 2
+        assert len(shapes) == max(last)
+        for t, shape in enumerate(shapes, start=1):
+            rows = sum(step >= t for step in last)
+            assert shape == ((rows, 2), (rows, 1, 2), (rows, 1))
+
     @pytest.mark.parametrize("mode", ["sgd", "sde"])
     def test_grid_where_one_datasets_runs_overflow(self, mode):
         """Two datasets in one stack. On the first, one example carries the

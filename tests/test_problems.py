@@ -101,6 +101,39 @@ class TestDerivatives:
             assert np.array_equal(batched[r], problem.mean_grad(
                 w[r], data.features[idx[r]], data.labels[idx[r]]))
 
+    def test_quadratic_full_batch_data_keeps_the_gradient_bits(self):
+        """The quadratic's reduced data is one row per dataset, and
+        ``mean_grad`` on it equals the full-data gradient bit for bit at
+        random w, for one (n, p) dataset and for an (R, n, p) stack."""
+        spec = quadratic_spec(d=4)
+        problem = build_problem(spec)
+        rng = np.random.default_rng(12)
+        stack = [generate_dataset(spec, seed=s, n=37) for s in range(5)]
+        features = np.array([data.features for data in stack])
+        labels = np.array([data.labels for data in stack])
+        reduced = problem.full_batch_data(features, labels)
+        assert reduced[0].shape == (5, 1, 4) and reduced[1].shape == (5, 1)
+        for _ in range(20):
+            w = rng.standard_normal((5, 4)) * rng.choice([1e-3, 1.0, 1e3])
+            assert np.array_equal(problem.mean_grad(w, *reduced),
+                                  problem.mean_grad(w, features, labels))
+            for r, data in enumerate(stack):
+                single = problem.full_batch_data(data.features, data.labels)
+                assert single[0].shape == (1, 4) and single[1].shape == (1,)
+                assert np.array_equal(
+                    problem.mean_grad(w[r], *single),
+                    problem.mean_grad(w[r], data.features, data.labels))
+
+    @pytest.mark.parametrize("spec", [logistic_spec(), mlp_spec()],
+                             ids=lambda s: s.family)
+    def test_full_batch_data_of_a_family_without_a_reduction(self, spec):
+        """The logistic and MLP gradients read every example: their reduced
+        data is the very arrays they were given."""
+        problem = build_problem(spec)
+        data = generate_dataset(spec, seed=3, n=12)
+        features, labels = problem.full_batch_data(data.features, data.labels)
+        assert features is data.features and labels is data.labels
+
     def test_one_vector_mean_grad_is_the_plain_formula(self):
         """The stack-ready forms reduce, for one vector, to the products
         they replaced: A (w - mean z) and X^T c / m + l2 w."""

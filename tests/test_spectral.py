@@ -4,6 +4,7 @@ HVP-based solvers' refusal of non-finite products."""
 import numpy as np
 import pytest
 
+from gradnoise import spectral
 from gradnoise.bounds import influence_estimate
 from gradnoise.dynamics import TrainConfig, train_run
 from gradnoise.errors import ConfigError, NumericalError, StabilityError
@@ -216,6 +217,37 @@ class TestTopEigenvalue:
         assert report.converged
         assert report.lambda_1 == pytest.approx(vals[top], rel=1e-12)
         assert abs(report.vector[top]) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["warm", "warm-breakdown", "cold"])
+    def test_substream_is_built_only_when_drawn_from(self, monkeypatch, case):
+        """A warm start builds no substream unless it breaks down; a cold
+        start or a breakdown builds one. A warm-started breakdown's fresh
+        vector is the first draw of ``substream(seed, *seed_labels)``,
+        orthogonalized against the start."""
+        built = []
+        monkeypatch.setattr(spectral, "substream",
+                            lambda *a: built.append(a) or substream(*a))
+        problem, dataset = quadratic_problem(np.diag([1.0, 2.0, 3.0]))
+        applied = []
+
+        class Recording(CountingProblem):
+            def hessian_operator(self, w, features, labels):
+                hess = self.problem.hessian_operator(w, features, labels)
+                return lambda v: applied.append(v.copy()) or hess(v)
+
+        start = {"warm": np.ones(3), "warm-breakdown": np.array([1.0, 0, 0]),
+                 "cold": None}[case]
+        report = top_eigenvalue(Recording(problem), np.zeros(3), dataset,
+                                seed=3, seed_labels=("spectral", 7), start=start)
+        assert report.converged
+        assert report.lambda_1 == pytest.approx(3.0, rel=1e-12)
+        assert built == ([] if case == "warm" else [(3, "spectral", 7)])
+        if case == "warm-breakdown":
+            basis = np.array([[1.0, 0.0, 0.0]])
+            fresh = spectral._orthogonalize(
+                substream(3, "spectral", 7).standard_normal(3), basis)
+            np.testing.assert_array_equal(applied[1],
+                                          fresh / np.linalg.norm(fresh))
 
     @pytest.mark.parametrize("start", [
         np.ones(2), np.ones((3, 1)), np.zeros(3), np.array([1.0, np.nan, 0.0]),
