@@ -109,9 +109,9 @@ class TrajectoryTape:
     (K, R)} holds the mean over the n leave-one-out subsets J of log det C -
     log det C_J under the convention C = Sigma/b, and ``loo_floored``
     whether a floor touched C or one of its C_J at 1x (see
-    :func:`traj_bound_data_dependent`). The ``pop`` fields are None without
-    population statistics, the ``loo`` fields without leave-one-out, and
-    the ``log_diag`` fields without P.
+    :func:`traj_bound_data_dependent`). These eight optional fields default
+    to None: the ``pop`` fields without population statistics, the ``loo``
+    fields without leave-one-out, and the ``log_diag`` fields without P.
 
     ``runs`` are the usable records, in the run order of the arrays, and
     ``config`` the TrainConfig they share; its n, b, T, mode and schedule
@@ -124,19 +124,19 @@ class TrajectoryTape:
 
     steps: np.ndarray
     grad: np.ndarray
-    pop_grad: np.ndarray | None
     trace_c: np.ndarray
     log_det_c: dict
     floored_c: np.ndarray
-    log_diag_c: np.ndarray | None
-    trace_pop: np.ndarray | None
-    log_det_pop: dict | None
-    floored_pop: np.ndarray | None
-    log_diag_pop: np.ndarray | None
-    loo_gap: dict | None
-    loo_floored: np.ndarray | None
     runs: tuple
     any_diverged: bool
+    pop_grad: np.ndarray | None = None
+    log_diag_c: np.ndarray | None = None
+    trace_pop: np.ndarray | None = None
+    log_det_pop: dict | None = None
+    floored_pop: np.ndarray | None = None
+    log_diag_pop: np.ndarray | None = None
+    loo_gap: dict | None = None
+    loo_floored: np.ndarray | None = None
 
     @property
     def config(self):
@@ -187,80 +187,67 @@ def _usable_runs(records):
     return cfg, runs, [] if len(runs) == len(records) else ["diverged-runs"]
 
 
-def _stack_scalars(raw, diag):
+def _stack_scalars(raw, name, diag):
     """One stacked decomposition of the raw GNCs ``raw`` (any leading axes,
-    the matrices on the last two) and their per-matrix scalars over those
-    axes: the unfloored ``trace``, ``log_det`` {floor scale: log det at that
-    floor}, whether the 1x floor fired (``floored``) and, with ``diag``,
-    ``log_diag``: :func:`trace_log_diag` of the 1x floored reconstruction."""
+    the matrices on the last two) and their tape fields over those axes,
+    suffixed ``name``: the unfloored ``trace``, ``log_det`` {floor scale:
+    log det at that floor}, whether the 1x floor fired (``floored``) and,
+    with ``diag``, ``log_diag``: :func:`trace_log_diag` of the 1x floored
+    reconstruction."""
     spd = SpdMatrix.from_matrix(raw)
-    return spd, {
-        "trace": np.trace(raw, axis1=-2, axis2=-1),
-        "log_det": {scale: log_det(spd.refloored(scale)) for scale in FLOOR_SCALES},
-        "floored": spd.floored_each,
-        "log_diag": trace_log_diag(spd) if diag else None,
+    fields = {
+        f"trace_{name}": np.trace(raw, axis1=-2, axis2=-1),
+        f"log_det_{name}": {scale: log_det(spd.refloored(scale))
+                            for scale in FLOOR_SCALES},
+        f"floored_{name}": spd.floored_each,
     }
+    if diag:
+        fields[f"log_diag_{name}"] = trace_log_diag(spd)
+    return spd, fields
 
 
-def _tape_scalars(raw_c, raw_pop=None):
-    """The decomposition of a stack of raw GNCs C and the tape's per-state
-    fields of C and, given, of the population GNCs ``raw_pop``
-    (:func:`_stack_scalars`, named as in :class:`TrajectoryTape`). The
-    ``pop`` fields are None without ``raw_pop``, and so are the
-    ``log_diag`` fields, which only the population-shaped bound reads."""
-    c, scalars = _stack_scalars(raw_c, diag=raw_pop is not None)
-    pop = (dict.fromkeys(scalars) if raw_pop is None
-           else _stack_scalars(raw_pop, diag=True)[1])
-    return c, {**{f"{k}_c": v for k, v in scalars.items()},
-               **{f"{k}_pop": v for k, v in pop.items()}}
+def _join(parts, join):
+    """The field dicts ``parts``, which share their keys, joined key by key
+    with ``join``; a {floor scale: array} field is joined scale by scale."""
+    return {name: _join([p[name] for p in parts], join) if isinstance(value, dict)
+            else join([p[name] for p in parts])
+            for name, value in parts[0].items()}
 
 
-def _run_chunks(rec, grad, pop_grad, leave_one_out):
-    """Yield (state slice, tape fields) over one record's pre-update states,
-    LOO_STATE_CHUNK at a time, after writing their mean training (and, if
-    ``pop_grad`` is given, oracle-sample) gradients into ``grad`` (and
-    ``pop_grad``), (K, d) each.
+def _run_fields(rec, population, leave_one_out):
+    """One record's tape fields over its pre-update states: the (K, d) mean
+    training gradients ``grad`` and the (K,) per-state fields of C, and with
+    ``population`` the oracle-sample ``pop_grad`` and the fields of P.
 
-    The run's moments come from one ``grad_moments`` call per sample; each
-    chunk's C (and P) are decomposed as one stack by :func:`_tape_scalars`,
-    and with ``leave_one_out`` the chunk's ``state_gradients`` and that
+    The run's moments come from one ``grad_moments`` call per sample. Its
+    states go LOO_STATE_CHUNK at a time: each chunk's C (and P) are
+    decomposed as one stack (:func:`_stack_scalars`), and with
+    ``leave_one_out`` the chunk's ``state_gradients`` and that
     decomposition give its ``loo_gap`` and ``loo_floored``
-    (:func:`_loo_log_det_gaps`)."""
+    (:func:`_loo_log_det_gaps`). The chunks' fields are concatenated, so no
+    d x d array outlives its chunk but the run's moments."""
     cfg = rec.config
     problem = build_problem(cfg.spec)
     ws, data, oracle = rec.weights[:-1], rec.dataset, rec.oracle
-    raw_c, grad[:] = problem.grad_moments(ws, data.features, data.labels)
+    raw_c, grad = problem.grad_moments(ws, data.features, data.labels)
     raw_c *= minibatch_factor(cfg.n, cfg.b)
-    raw_pop = None
-    if pop_grad is not None:
-        raw_pop, pop_grad[:] = problem.grad_moments(ws, oracle.features,
-                                                    oracle.labels)
+    fields = {"grad": grad}
+    if population:
+        raw_pop, fields["pop_grad"] = problem.grad_moments(ws, oracle.features,
+                                                           oracle.labels)
     to_loo = (cfg.n - 1) / (cfg.n - cfg.b)
+    chunks = []
     for lo in range(0, len(ws), LOO_STATE_CHUNK):
         part = slice(lo, lo + LOO_STATE_CHUNK)
-        c, fields = _tape_scalars(raw_c[part],
-                                  None if raw_pop is None else raw_pop[part])
-        fields["loo_gap"] = fields["loo_floored"] = None
+        c, chunk = _stack_scalars(raw_c[part], "c", diag=population)
+        if population:
+            chunk.update(_stack_scalars(raw_pop[part], "pop", diag=True)[1])
         if leave_one_out:
             grads = problem.state_gradients(ws[part], data.features, data.labels)
-            fields["loo_gap"], fields["loo_floored"] = _loo_log_det_gaps(
-                grads, c.scaled(to_loo), to_loo * fields["trace_c"], cfg.b)
-        yield part, fields
-
-
-def _put(out, name, value, index, shape):
-    """Write one chunk's ``value`` of tape field ``name`` (an array, a
-    {floor scale: array} dict or None) at ``index`` of the (K, R) array
-    ``out[name]``, allocating it on first use."""
-    if isinstance(value, dict):
-        for scale, v in value.items():
-            _put(out.setdefault(name, {}), scale, v, index, shape)
-    elif value is None:
-        out[name] = None
-    else:
-        if out.get(name) is None:
-            out[name] = np.empty(shape, dtype=value.dtype)
-        out[name][index] = value
+            chunk["loo_gap"], chunk["loo_floored"] = _loo_log_det_gaps(
+                grads, c.scaled(to_loo), to_loo * chunk["trace_c"], cfg.b)
+        chunks.append(chunk)
+    return {**fields, **_join(chunks, np.concatenate)}
 
 
 def tape_from_records(records, population=False, leave_one_out=False):
@@ -275,8 +262,8 @@ def tape_from_records(records, population=False, leave_one_out=False):
     n - 1 > b. Statistics at the final logged state are not included: sums
     run over pre-update states only.
 
-    One run at a time, a state chunk at a time (:func:`_run_chunks`): the
-    tape keeps each chunk's (K, R) scalars, and no d x d array outlives its
+    One pass per run (:func:`_run_fields`) gives its (K, ...) fields, and
+    the runs' fields are stacked on axis 1: no d x d array outlives its
     run's pass.
     """
     config, runs, _ = _usable_runs(records)
@@ -285,20 +272,10 @@ def tape_from_records(records, population=False, leave_one_out=False):
     if leave_one_out and config.n - 1 <= config.b:
         raise ConfigError(f"data-dependent bound needs n-1 > b, got "
                           f"n={config.n}, b={config.b}")
-    shape = (len(runs[0].steps) - 1, len(runs))
-    grad = np.empty(shape + runs[0].final_w.shape)
-    pop_grad = np.empty_like(grad) if population else None
-    fields = {}
-    for r, rec in enumerate(runs):
-        for part, chunk in _run_chunks(
-                rec, grad[:, r], None if pop_grad is None else pop_grad[:, r],
-                leave_one_out):
-            for name, value in chunk.items():
-                _put(fields, name, value, (part, r), shape)
+    fields = _join([_run_fields(rec, population, leave_one_out) for rec in runs],
+                   lambda parts: np.stack(parts, axis=1))
     return TrajectoryTape(
         steps=runs[0].steps[:-1] + 1,
-        grad=grad,
-        pop_grad=pop_grad,
         **fields,
         runs=tuple(runs),
         any_diverged=len(runs) < len(records),

@@ -396,7 +396,7 @@ def _step_data(problem, runs, config):
     labels = np.array([run.dataset.labels for run in runs])
     if config.mode != "sgd":
         features, labels = problem.full_batch_data(features, labels)
-    return Dataset(features, labels, None, config.spec)
+    return Dataset(features, labels, None)
 
 
 def _run_group(configs, datasets, oracle, *, oracle_at_end=False):

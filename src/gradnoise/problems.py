@@ -21,13 +21,20 @@ features and labels shared by all rows or stacked per row ((R, m, p) and
 ``np.matmul`` on stacks whose slices have the layout of the one-vector
 operands, so each row is bit-identical to the gradient of that row alone.
 
+The private base class ``_Family`` holds what the families share, and a
+family overrides only where it differs: the defaults ``has_accuracy`` (True;
+not on the quadratic) and ``has_constant_noise`` (False; True on the
+quadratic), ``full_batch_data``, ``grad_moments`` and ``state_gradients``.
+Each family keeps its own ``per_example_grads``, ``mean_loss``, ``mean_grad``
+and ``hvp``, the methods the benchmark tracer wraps by name on each class.
+
 Every family's ``full_batch_data(features, labels)`` returns the smallest
 data on which ``mean_grad`` gives the full-batch mean gradient of
 ``(features, labels)`` bit for bit at every w, stacked or not. The quadratic
 family's gradient reads only the feature mean, so it returns that mean as
-one row; the logistic and MLP families return their inputs. Full-batch
-steps (``dynamics``' SDE and GLD) read this data, so a family that can
-reduce its data does so once, not at every step.
+one row; ``_Family`` returns the inputs. Full-batch steps (``dynamics``'
+SDE and GLD) read this data, so a family that can reduce its data does so
+once, not at every step.
 
 Every family's ``hessian_operator(w, features, labels)`` computes what the
 Hessian at ``w`` needs once and returns the map ``v -> H v``; ``hvp`` is one
@@ -38,8 +45,9 @@ Every family's ``grad_moments(ws, features, labels)`` returns, for each row
 w of a (K, d) weight stack, ``gnc_from_grads(per_example_grads(w, ...))``:
 the (K, d, d) single-draw noise covariances and the (K, d) mean gradients.
 The logistic family builds them from GEMMs over row chunks without forming
-any per-example gradient; the quadratic and MLP families loop over the
-states, so their moments keep the bits of the one-state formula.
+any per-example gradient; ``_Family``'s, which the quadratic and MLP
+families use, loops over the states, so their moments keep the bits of the
+one-state formula.
 ``state_gradients(ws, features, labels)`` wraps the same stack for the
 data-dependent trajectory bound, which takes the moments from the
 trajectory tape: its ``leverages(index, c)`` (the leverages u^T C^{-1} u of
@@ -98,14 +106,13 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     seed: int
-    spec: object
 
     def __len__(self):
         return self.features.shape[0]
 
     def subset(self, indices):
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx], self.labels[idx], self.seed, self.spec)
+        return Dataset(self.features[idx], self.labels[idx], self.seed)
 
 
 @dataclass(frozen=True)
@@ -217,7 +224,7 @@ def generate_dataset(spec, seed, n):
         raise ConfigError(f"dataset size must be >= 1, got {n}")
     rng = substream(seed, "train-data")
     feats, labels = _sample(spec, rng, n)
-    return Dataset(feats, labels, seed, spec)
+    return Dataset(feats, labels, seed)
 
 
 def population_oracle_sample(spec, seed):
@@ -230,19 +237,7 @@ def population_oracle_sample(spec, seed):
         raise ConfigError("pop_oracle_size must be >= 1")
     rng = substream(seed, "population-oracle")
     feats, labels = _sample(spec, rng, spec.pop_oracle_size)
-    return Dataset(feats, labels, seed, spec)
-
-
-def _moments_by_state(problem, ws, features, labels):
-    """``gnc_from_grads`` of the per-example gradients at each row of the
-    (K, d) stack ``ws``, stacked as ((K, d, d), (K, d)): ``grad_moments``
-    for a family without a stacked kernel."""
-    sigma = np.empty((len(ws), problem.dim, problem.dim))
-    mean = np.empty((len(ws), problem.dim))
-    for k, w in enumerate(ws):
-        sigma[k], mean[k] = gnc_from_grads(problem.per_example_grads(
-            w, features, labels))
-    return sigma, mean
+    return Dataset(feats, labels, seed)
 
 
 class _StateGradients:
@@ -328,7 +323,35 @@ def _softmax(logits):
     return e
 
 
-class QuadraticProblem:
+class _Family:
+    """What the three problem families share, each overridden only where a
+    family differs: the defaults ``has_accuracy`` and ``has_constant_noise``,
+    the identity ``full_batch_data``, and the per-state ``grad_moments`` and
+    ``state_gradients`` built on the family's ``per_example_grads``."""
+
+    has_accuracy = True
+    has_constant_noise = False
+
+    def full_batch_data(self, features, labels):
+        """The inputs: the gradient reads every example."""
+        return features, labels
+
+    def grad_moments(self, ws, features, labels):
+        """``gnc_from_grads`` of the per-example gradients at each row of the
+        (K, d) stack ``ws``, stacked as ((K, d, d), (K, d)), one state at a
+        time, so each keeps the bits of the one-state formula."""
+        sigma = np.empty((len(ws), self.dim, self.dim))
+        mean = np.empty((len(ws), self.dim))
+        for k, w in enumerate(ws):
+            sigma[k], mean[k] = gnc_from_grads(self.per_example_grads(
+                w, features, labels))
+        return sigma, mean
+
+    def state_gradients(self, ws, features, labels):
+        return _StateGradients(self, ws, features, labels)
+
+
+class QuadraticProblem(_Family):
     """ℓ(w, z) = 0.5 (w - z)^T A (w - z); Hessian A everywhere.
 
     The centered per-example gradients (x̄ - x_i) A do not depend on w, so
@@ -362,12 +385,6 @@ class QuadraticProblem:
         gradient keeps its bits at every w."""
         return features.mean(axis=-2, keepdims=True), labels[..., :1]
 
-    def grad_moments(self, ws, features, labels):
-        return _moments_by_state(self, ws, features, labels)
-
-    def state_gradients(self, ws, features, labels):
-        return _StateGradients(self, ws, features, labels)
-
     def hessian_operator(self, w, features, labels):
         a = self.a
         return lambda v: a @ np.asarray(v, dtype=float)
@@ -376,11 +393,8 @@ class QuadraticProblem:
         return self.hessian_operator(w, features, labels)(v)
 
 
-class LogisticProblem:
+class LogisticProblem(_Family):
     """Binary logistic regression with labels in {0, 1} and optional L2 term."""
-
-    has_accuracy = True
-    has_constant_noise = False
 
     def __init__(self, spec):
         self.spec = spec
@@ -412,10 +426,6 @@ class LogisticProblem:
         coef = -sign / (1.0 + np.exp(m))
         grad = np.matmul(features.swapaxes(-1, -2), coef[..., None])[..., 0]
         return grad / coef.shape[-1] + self.l2 * w
-
-    def full_batch_data(self, features, labels):
-        """The inputs: the gradient reads every example."""
-        return features, labels
 
     def grad_moments(self, ws, features, labels):
         """The per-example gradient moments at each row of the (K, d) stack
@@ -533,7 +543,7 @@ def _teacher_params(spec):
     return w1, b1, w2, b2
 
 
-class MlpProblem:
+class MlpProblem(_Family):
     """One-hidden-layer tanh network with softmax cross-entropy.
 
     The flat parameter vector packs (W1, b1, W2, b2) in that order. Gradients
@@ -548,9 +558,6 @@ class MlpProblem:
     gives the same bits as the plain formula, and the class sums the same
     bits as numpy's for fewer than 8 classes.
     """
-
-    has_accuracy = True
-    has_constant_noise = False
 
     def __init__(self, spec):
         self.spec = spec
@@ -627,16 +634,6 @@ class MlpProblem:
             np.matmul(d_logits.swapaxes(-1, -2), hid).reshape(lead + (-1,)),
             d_logits.sum(axis=-2),
         ], axis=-1)
-
-    def full_batch_data(self, features, labels):
-        """The inputs: the gradient reads every example."""
-        return features, labels
-
-    def grad_moments(self, ws, features, labels):
-        return _moments_by_state(self, ws, features, labels)
-
-    def state_gradients(self, ws, features, labels):
-        return _StateGradients(self, ws, features, labels)
 
     def hessian_operator(self, w, features, labels):
         w1, b1, w2, b2, hid, logits = self._forward(w, features)

@@ -384,7 +384,7 @@ def test_criterion_12_influence_small_vs_large_n():
                              pop_oracle_size=100)
         problem = build_problem(spec)
         data = Dataset(features=np.array([[0.0], [2.0]]), labels=np.zeros(2),
-                       seed=0, spec=spec)
+                       seed=0)
         est = influence_estimate(problem, np.array([1.0]), data, index=0)
         assert est[0] == pytest.approx(0.5, abs=1e-12)
         assert est[0] * 2 / (2 - 1) == pytest.approx(1.0, abs=1e-10)

@@ -102,15 +102,15 @@ def make_tape(runs, n=10, b=1, scale=1, mode="sde", any_diverged=False):
         return np.array([[getattr(run[k], field) for run in runs]
                          for k in range(len(runs[0]))])
 
-    raw_pop = None if first.raw_pop is None else stack("raw_pop")
-    _, scalars = bounds._tape_scalars(stack("raw_gnc"), raw_pop)
+    population = first.raw_pop is not None
+    _, scalars = bounds._stack_scalars(stack("raw_gnc"), "c", diag=population)
+    if population:
+        scalars.update(bounds._stack_scalars(stack("raw_pop"), "pop", diag=True)[1])
     return TrajectoryTape(
         steps=np.array([st.step for st in runs[0]]),
         grad=stack("grad"),
         pop_grad=None if first.pop_grad is None else stack("pop_grad"),
         **{**scalars, "trace_c": stack("trace_c")},
-        loo_gap=None,
-        loo_floored=None,
         runs=tuple(SimpleNamespace(config=config) for _ in runs),
         any_diverged=any_diverged,
     )
@@ -1437,7 +1437,7 @@ class TestInfluence:
                              pop_oracle_size=100)
         problem = build_problem(spec)
         data = Dataset(features=np.array([[0.0], [2.0]]),
-                       labels=np.zeros(2), seed=0, spec=spec)
+                       labels=np.zeros(2), seed=0)
         return problem, data
 
     def test_two_point_case_shows_the_finite_sample_gap(self):
@@ -1468,7 +1468,7 @@ class TestInfluence:
                              pop_oracle_size=100)
         problem = build_problem(spec)
         data = Dataset(features=np.array([[-1.0], [0.0], [1.0]]),
-                       labels=np.zeros(3), seed=0, spec=spec)
+                       labels=np.zeros(3), seed=0)
         est = influence_estimate(problem, np.zeros(1), data, index=1)
         assert np.all(est == 0.0)
 

@@ -725,7 +725,7 @@ def assert_records_identical(got, want, skip=()):
             continue
         a, b = getattr(got, field.name), getattr(want, field.name)
         if field.name in ("dataset", "oracle"):
-            assert a.seed == b.seed and a.spec is b.spec, field.name
+            assert a.seed == b.seed, field.name
             assert np.array_equal(a.features, b.features), field.name
             assert np.array_equal(a.labels, b.labels), field.name
         elif field.name == "config":
@@ -841,7 +841,7 @@ class TestGroupStepper:
         features = np.zeros((400, 2))
         features[:, 1] = np.random.default_rng(0).standard_normal(400)
         features[7, 0] = 1.0
-        dataset = Dataset(features, np.zeros(400), 0, spec)
+        dataset = Dataset(features, np.zeros(400), 0)
         cfg = TrainConfig(spec=spec, n=400, b=1, lr_schedule=((1, 1.0),),
                           steps=300, w0=np.zeros(2), log_every=log_every)
         configs = [replace(cfg, seed=seed) for seed in range(6)]
@@ -877,7 +877,7 @@ class TestGroupStepper:
         cfg = base_config(n=20, b=4, steps=30, log_every=10, record_weights=True)
         oracle = population_oracle_sample(cfg.spec, 0)
         near = generate_dataset(cfg.spec, 1, cfg.n)
-        far = Dataset(near.features + 1e7, near.labels, 2, cfg.spec)
+        far = Dataset(near.features + 1e7, near.labels, 2)
         datasets = [near, far, near]
         configs = [replace(cfg, seed=s, dataset_seed=ds.seed)
                    for s, ds in enumerate(datasets)]
@@ -951,7 +951,7 @@ class TestGroupStepper:
         features = outlier.features.copy()
         features[:, 0] = 0.0
         features[:, 1] = np.random.default_rng(1).standard_normal(400)
-        quiet = Dataset(features, np.zeros(400), 1, outlier.spec)
+        quiet = Dataset(features, np.zeros(400), 1)
         configs = [replace(cfg, mode=mode, dataset_seed=dataset.seed)
                    for dataset in (outlier, quiet) for cfg in configs[:4]]
         datasets = [outlier] * 4 + [quiet] * 4

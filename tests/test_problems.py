@@ -434,6 +434,32 @@ class TestSpecs:
         np.testing.assert_allclose(centered.T @ centered / len(oracle), gnc, atol=0.02)
 
 
+# The methods each family overrides from ``_Family``; the others it inherits.
+FAMILY_OVERRIDES = {
+    problems.QuadraticProblem: {"full_batch_data"},
+    problems.LogisticProblem: {"grad_moments", "state_gradients"},
+    problems.MlpProblem: set(),
+}
+
+
+@pytest.mark.parametrize("cls", sorted(FAMILY_OVERRIDES, key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+class TestFamilyLayout:
+    """The benchmark tracer wraps a problem method only where the class's
+    own ``__dict__`` holds it, and CI pins the traced counts, so a traced
+    method moved into the shared base class would silently go untraced."""
+
+    def test_traced_methods_are_defined_on_each_class(self, cls):
+        for name in ("per_example_grads", "mean_loss", "mean_grad", "hvp"):
+            assert name in vars(cls), name
+
+    def test_shared_methods_come_from_the_base_unless_overridden(self, cls):
+        for name in ("grad_moments", "state_gradients", "full_batch_data"):
+            owner = next(k for k in cls.__mro__ if name in vars(k))
+            want = cls if name in FAMILY_OVERRIDES[cls] else problems._Family
+            assert owner is want, name
+
+
 class TestAccuracyAndPacking:
     def test_quadratic_has_no_accuracy(self):
         problem = build_problem(quadratic_spec())
