@@ -4,16 +4,21 @@ A JSON experiment config fully determines every output file; re-running a
 command with the same config reproduces the files byte for byte. Floats are
 written with the %.17g format (round-trip exact), file writes happen only in
 the orchestrator after runs complete, and ensembles run serially in a fixed
-grid order.
+grid order. :func:`run_cli` runs each command on one OpenBLAS thread (unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set), so the bytes do not
+depend on the machine's core count either.
 
 Exit-code contract for :func:`run_cli`: 0 success, 2 configuration error,
 3 numerical or divergence error.
 """
 
 import argparse
+import ctypes
 import json
 import numbers
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -634,6 +639,62 @@ _COMMANDS = {
 }
 
 
+# (get, set) thread-count entry points of OpenBLAS under the names its builds
+# export; numpy's wheels ship the first pair.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls():
+    """(get, set) of the thread count of each OpenBLAS the process loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.lower()}
+    except OSError:  # no /proc/self/maps outside Linux
+        return []
+    controls = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread; restore each count on exit.
+
+    The bounds are read off many small d x d matrices (tape covariances,
+    leave-one-out log-dets, Hessians), too small to gain from a second
+    thread: it stalled an occasional call by 100 ms and spun a second core.
+    The bits of a stacked ``eigh`` or GEMM also depend on the thread count.
+    A count the user asked for through ``OPENBLAS_NUM_THREADS`` or
+    ``OMP_NUM_THREADS`` is left alone.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        controls = []
+    else:
+        controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, previous):
+            put(count)
+
+
 def run_cli(argv):
     """Argument parsing and dispatch; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -648,19 +709,20 @@ def run_cli(argv):
         p.add_argument("--jobs", type=int, default=None,
                        help="accepted and ignored: ensembles run serially")
     args = parser.parse_args(argv)
-    try:
-        config = load_experiment_config(args.config, seed_override=args.seed,
-                                        out_override=args.out)
-        result = _COMMANDS[args.command](config, out_dir=config.out_dir)
-        if args.command == "train" and result[0]["diverged"]:
-            print("run diverged at step "
-                  f"{result[0]['diverged_step']}; partial record written",
-                  file=sys.stderr)
+    with _one_blas_thread():
+        try:
+            config = load_experiment_config(
+                args.config, seed_override=args.seed, out_override=args.out)
+            result = _COMMANDS[args.command](config, out_dir=config.out_dir)
+            if args.command == "train" and result[0]["diverged"]:
+                print("run diverged at step "
+                      f"{result[0]['diverged_step']}; partial record written",
+                      file=sys.stderr)
+                return 3
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except GradnoiseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except GradnoiseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     return 0

@@ -2,7 +2,9 @@
 
 Each test starts a fresh interpreter, so what an earlier test imported cannot
 hide an import the package itself makes. ``sys.modules["scipy"] = None``
-makes every ``import scipy...`` fail there with ImportError.
+makes every ``import scipy...`` fail there with ImportError. The OpenBLAS
+thread count is read in a fresh interpreter too: it is process state, and
+one that loaded only numpy holds one OpenBLAS.
 """
 
 import csv
@@ -12,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,10 +57,80 @@ assert np.allclose(estimate * 50 / 49, exact, rtol=0, atol=1e-8), estimate
 """
 
 
-def _python(code, *args):
+# Records numpy's OpenBLAS thread count before and after importing the
+# harness, then inside and after run_cli: a wrapped train command (exit 0), a
+# missing config (exit 2, the command never starts) and a wrapped compare
+# command that raises. Unless the environment names a count, the script sets
+# 3 before the calls, a count no default gives on a 1- or 2-core machine, so
+# that a restore shows. Prints null where no OpenBLAS is found.
+BLAS_THREADS = """
+import ctypes, json, os, sys
+import numpy
+
+def controls():
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")):
+                get, put = (getattr(lib, name.format(op)) for op in ("get", "set"))
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+found = controls()
+if found is None:
+    print(json.dumps(None))
+    sys.exit()
+get, put = found
+out = {"before_import": get()}
+from gradnoise import harness
+out["after_import"] = get()
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    put(3)
+out["set"] = get()
+
+inside = []
+train = harness._COMMANDS["train"]
+
+def recording(config, out_dir=None):
+    inside.append(get())
+    return train(config, out_dir=out_dir)
+
+def failing(config, out_dir=None):
+    inside.append(get())
+    raise RuntimeError("raised inside the command")
+
+harness._COMMANDS["train"] = recording
+harness._COMMANDS["compare"] = failing
+tmp = sys.argv[1]
+codes, after = [], []
+for command, config in (("train", "train"), ("train", "missing"),
+                        ("compare", "train")):
+    argv = [command, "--config", f"{tmp}/{config}.json", "--out", f"{tmp}/out"]
+    try:
+        codes.append(harness.run_cli(argv))
+    except RuntimeError:
+        codes.append("raised")
+    after.append(get())
+out.update(inside=inside, codes=codes, after=after)
+print(json.dumps(out))
+"""
+
+
+def _python(code, *args, env=None):
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+                          env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -83,3 +157,37 @@ def test_importing_the_harness_loads_no_scipy():
         "print(json.dumps(sorted(sys.modules)))"))
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
     assert "numpy.random" in loaded
+
+
+def _blas_threads(tmp_path, **env):
+    (tmp_path / "train.json").write_text(json.dumps(
+        {"problem": QUAD, "train": {"n": 20, "b": 4, "lr": 0.1, "steps": 10},
+         "seed": 1}))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    out = json.loads(_python(BLAS_THREADS, tmp_path, env=dict(base, **env)))
+    if out is None:
+        pytest.skip("no OpenBLAS found")
+    return out
+
+
+def test_run_cli_runs_on_one_blas_thread_and_restores_the_count(tmp_path):
+    """Importing the harness leaves the count alone; run_cli sets 1 for the
+    command and restores the count it found after exit 0, after a config
+    error (exit 2) and after a command that raises."""
+    out = _blas_threads(tmp_path)
+    assert out["after_import"] == out["before_import"]
+    assert out["set"] == 3
+    assert out["codes"] == [0, 2, "raised"]
+    assert out["inside"] == [1, 1]
+    assert out["after"] == [3, 3, 3]
+
+
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_run_cli_keeps_a_blas_thread_count_set_in_the_environment(tmp_path,
+                                                                  variable):
+    out = _blas_threads(tmp_path, **{variable: "2"})
+    assert out["before_import"] == out["after_import"] == out["set"] == 2
+    assert out["codes"] == [0, 2, "raised"]
+    assert out["inside"] == [2, 2]
+    assert out["after"] == [2, 2, 2]
