@@ -3,8 +3,12 @@
 
 Records full weight trajectories for a handful of runs, rebuilds the
 per-step gradient statistics, and prints every trajectory bound side by
-side. The anisotropic core is never above the isotropic one; the gap is
-what a data-aligned prior covariance buys.
+side. The isotropic and anisotropic cores are the same per-step KL against
+a round prior and against one shaped like the population GNC, each at its
+best scale. Here, with the zero reference, the anisotropic core sits below
+the isotropic one; the gap is what a data-aligned prior covariance buys.
+Nothing forces that order: unless the population GNC is a multiple of the
+identity, the round prior is not among the shaped ones.
 """
 
 import dataclasses

@@ -1,7 +1,7 @@
 """Generalization-bound estimators evaluated from runs of the dynamics module.
 
-Two families live here. Trajectory bounds fold per-step KL surrogate terms
-over an entire run (statistics taken at each pre-update state); terminal
+Two families live here. Trajectory bounds fold per-step KL terms over an
+entire run (statistics taken at each pre-update state); terminal
 bounds look only at the distribution of final weights across an ensemble,
 a sequence of TrajectoryRecords sharing their run shape (the records of
 ``dynamics.run_ensemble``), grouped by the seed of the dataset each carries.
@@ -25,10 +25,12 @@ trajectories flag diverged runs and a logging cadence above 1 by one rule
 as well (:func:`_trajectory_flags`). A TrajectoryTape holds its runs'
 per-step statistics as arrays laid out (step, run, ...): mean gradients
 and, of each GNC, only per-state scalars (traces, floored log-determinants
-at both floor scales, diagonal log sums, floored flags and the
-leave-one-out log-det gaps), built one run and LOO_STATE_CHUNK states at a
-time so that no d x d array outlives its chunk. The four tape bounds are
-reductions of those arrays over the run axis.
+at both floor scales, floored flags, the quadratic terms of the
+population-shaped prior and the leave-one-out log-det gaps), built one run
+and LOO_STATE_CHUNK states at a time so that no d x d array outlives its
+chunk. The four tape bounds are reductions of those arrays over the run
+axis; the isotropic and anisotropic ones share one per-step prior KL
+(:func:`_prior_kl_terms`).
 
 Six bounds use eigenvalue-floored matrices: trajectory isotropic,
 anisotropic and data-dependent, terminal general and anisotropic, and
@@ -55,7 +57,6 @@ from .linalg import (
     SpdMatrix,
     eigenvalue_floor,
     log_det,
-    trace_log_diag,
 )
 from .problems import build_problem, dense_hessian
 from .spectral import stability_gap
@@ -103,15 +104,18 @@ class TrajectoryTape:
     matrix: ``trace_c``/``trace_pop`` the unfloored traces,
     ``log_det_c``/``log_det_pop`` {floor scale: log det of the floored
     matrix} at 1x and FLOOR_SENSITIVITY_SCALE x, ``floored_c``/``floored_pop``
-    whether the 1x floor fired, and, on a tape with P,
-    ``log_diag_c``/``log_diag_pop`` the :func:`trace_log_diag` of the 1x
-    floored reconstructions. With leave-one-out, ``loo_gap`` {floor scale:
-    (K, R)} holds the mean over the n leave-one-out subsets J of log det C -
-    log det C_J under the convention C = Sigma/b, and ``loo_floored``
-    whether a floor touched C or one of its C_J at 1x (see
+    whether the 1x floor fired, and, on a tape with P, the quadratic terms
+    of the prior P that ``traj-anisotropic`` reads, with P floored at each
+    floor scale: ``inv_trace_pop`` {floor scale: tr(P^-1 C)} against the
+    unfloored C, and ``mahalanobis_pop`` {g-tilde kind: {floor scale:
+    (G - g~)^T P^-1 (G - g~)}} for both kinds :func:`_reference_gradient`
+    accepts. With leave-one-out, ``loo_gap`` {floor scale: (K, R)} holds
+    the mean over the n leave-one-out subsets J of log det C - log det C_J
+    under the convention C = Sigma/b, and ``loo_floored`` whether a floor
+    touched C or one of its C_J at 1x (see
     :func:`traj_bound_data_dependent`). These eight optional fields default
-    to None: the ``pop`` fields without population statistics, the ``loo``
-    fields without leave-one-out, and the ``log_diag`` fields without P.
+    to None: the ``pop`` fields without population statistics and the
+    ``loo`` fields without leave-one-out.
 
     ``runs`` are the usable records, in the run order of the arrays, and
     ``config`` the TrainConfig they share; its n, b, T, mode and schedule
@@ -130,11 +134,11 @@ class TrajectoryTape:
     runs: tuple
     any_diverged: bool
     pop_grad: np.ndarray | None = None
-    log_diag_c: np.ndarray | None = None
     trace_pop: np.ndarray | None = None
     log_det_pop: dict | None = None
     floored_pop: np.ndarray | None = None
-    log_diag_pop: np.ndarray | None = None
+    inv_trace_pop: dict | None = None
+    mahalanobis_pop: dict | None = None
     loo_gap: dict | None = None
     loo_floored: np.ndarray | None = None
 
@@ -187,23 +191,39 @@ def _usable_runs(records):
     return cfg, runs, [] if len(runs) == len(records) else ["diverged-runs"]
 
 
-def _stack_scalars(raw, name, diag):
+def _stack_scalars(raw, name):
     """One stacked decomposition of the raw GNCs ``raw`` (any leading axes,
     the matrices on the last two) and their tape fields over those axes,
     suffixed ``name``: the unfloored ``trace``, ``log_det`` {floor scale:
-    log det at that floor}, whether the 1x floor fired (``floored``) and,
-    with ``diag``, ``log_diag``: :func:`trace_log_diag` of the 1x floored
-    reconstruction."""
+    log det at that floor} and whether the 1x floor fired (``floored``)."""
     spd = SpdMatrix.from_matrix(raw)
-    fields = {
+    return spd, {
         f"trace_{name}": np.trace(raw, axis1=-2, axis2=-1),
         f"log_det_{name}": {scale: log_det(spd.refloored(scale))
                             for scale in FLOOR_SCALES},
         f"floored_{name}": spd.floored_each,
     }
-    if diag:
-        fields[f"log_diag_{name}"] = trace_log_diag(spd)
-    return spd, fields
+
+
+def _prior_scalars(pop, raw_c, grad, pop_grad):
+    """The tape fields ``inv_trace_pop`` and ``mahalanobis_pop`` (see
+    :class:`TrajectoryTape`) of the prior P, given as the stacked SpdMatrix
+    ``pop``, against the raw GNCs ``raw_c`` and the mean gradients ``grad``
+    and ``pop_grad``, over their shared leading axes. The diagonals of Q^T C
+    Q and the squares of Q^T (G - g~), Q the eigenvectors of P, are taken
+    once and divided by P's floored eigenvalues at each floor scale, so no
+    floored P is rebuilt."""
+    q = pop.eigenvectors
+
+    def over_scales(rotated):
+        return {scale: np.sum(rotated / pop.refloored(scale).eigenvalues, axis=-1)
+                for scale in FLOOR_SCALES}
+
+    return {"inv_trace_pop": over_scales(np.sum(q * (raw_c @ q), axis=-2)),
+            "mahalanobis_pop": {
+                kind: over_scales(np.sum(q * diff[..., None], axis=-2) ** 2)
+                for kind, diff in (("zero", grad),
+                                   ("population-gradient", grad - pop_grad))}}
 
 
 def _join(parts, join):
@@ -221,7 +241,8 @@ def _run_fields(rec, population, leave_one_out):
 
     The run's moments come from one ``grad_moments`` call per sample. Its
     states go LOO_STATE_CHUNK at a time: each chunk's C (and P) are
-    decomposed as one stack (:func:`_stack_scalars`), and with
+    decomposed as one stack (:func:`_stack_scalars`), P's decomposition
+    gives the prior's quadratic terms (:func:`_prior_scalars`), and with
     ``leave_one_out`` the chunk's ``state_gradients`` and that
     decomposition give its ``loo_gap`` and ``loo_floored``
     (:func:`_loo_log_det_gaps`). The chunks' fields are concatenated, so no
@@ -239,9 +260,11 @@ def _run_fields(rec, population, leave_one_out):
     chunks = []
     for lo in range(0, len(ws), LOO_STATE_CHUNK):
         part = slice(lo, lo + LOO_STATE_CHUNK)
-        c, chunk = _stack_scalars(raw_c[part], "c", diag=population)
+        c, chunk = _stack_scalars(raw_c[part], "c")
         if population:
-            chunk.update(_stack_scalars(raw_pop[part], "pop", diag=True)[1])
+            pop, pop_fields = _stack_scalars(raw_pop[part], "pop")
+            chunk.update(pop_fields, **_prior_scalars(
+                pop, raw_c[part], grad[part], fields["pop_grad"][part]))
         if leave_one_out:
             grads = problem.state_gradients(ws[part], data.features, data.labels)
             chunk["loo_gap"], chunk["loo_floored"] = _loo_log_det_gaps(
@@ -361,55 +384,68 @@ def _trajectory_flags(cfg, any_diverged):
         ["approximate-cadence"] if cfg.log_every > 1 else [])
 
 
+def _prior_kl_terms(tape, q, gap):
+    """Twice the per-step KL from each step's Gaussian transitions to a
+    prior shaped by a fixed matrix P, at the prior scale that minimizes it.
+
+    Per run, step t moves N(w - eta G_t, eta^2 C_t) against the prior
+    N(w - eta g~_t, eta^2 c~ P_t); the step size cancels, and twice the KL
+    is q/c~ - d + d log c~ + gap with the (K, R) arrays ``q`` = (G - g~)^T
+    P^-1 (G - g~) + tr(P^-1 C) and ``gap`` = log det P - log det C. One
+    scale c~ = mean_r q / d, shared by the runs, minimizes their mean, which
+    leaves the (K,) terms d log(mean_r q / d) + mean_r gap.
+    """
+    qs = np.mean(q, axis=1)
+    bad = np.flatnonzero(qs <= 0)
+    if bad.size:
+        raise NumericalError(f"prior quadratic term <= 0 at step {tape.steps[bad[0]]}")
+    return tape.dim * np.log(qs / tape.dim) + np.mean(gap, axis=1)
+
+
+def _prior_kl_bound(name, tape, g_tilde, R, quadratic, gap, floored,
+                    components, extra_series=None):
+    """The report of a trajectory bound whose per-step terms are
+    :func:`_prior_kl_terms` of ``quadratic(scale)`` and ``gap(scale)`` at
+    each floor scale, ``floored`` whether a 1x floor fired. The core is
+    sqrt of (1/n) times the (cadence-rescaled) sum of the terms, reported
+    as ``term_sum`` ahead of ``components``."""
+    cfg = tape.config
+    flags = _trajectory_flags(cfg, tape.any_diverged)
+
+    def evaluate(scale):
+        terms = _prior_kl_terms(tape, quadratic(scale), gap(scale))
+        total = cfg.log_every * float(terms.sum())
+        return [total / cfg.n], floored, total, terms
+
+    head = {}
+    roots, total, terms = _floor_sensitive(evaluate, flags, head)
+    head["term_sum"] = total
+    return _report(name, roots, flags, {**head, **components}, tape.n_runs,
+                   _run_setting(cfg), R=R, g_tilde=g_tilde,
+                   per_step_terms=terms, extra_series=extra_series)
+
+
 def traj_bound_isotropic(tape, g_tilde="zero", R=1.0):
     """Trajectory bound with the best isotropic Gaussian prior per step.
 
-    Per accumulated step the term is d log(h1/d) - h2 with h1 the mean of
+    The per-step prior KL of :func:`_prior_kl_terms` with P = I: per
+    accumulated step the term is d log(h1/d) - h2 with h1 the mean of
     ||G_t - g_tilde||^2 + tr C_t across runs (``g_tilde`` is "zero" or
     "population-gradient", see :func:`_reference_gradient`) and h2 the mean
     log-determinant of the floored mini-batch GNC; the core is sqrt of (1/n)
-    times the (cadence-rescaled) sum. With the population-gradient reference
-    the report also carries the identity estimate of h1 (population GNC
-    trace over b) and the per-step terms it induces, which is the form the
-    anisotropic comparison applies to.
+    times the (cadence-rescaled) sum.
     """
-    cfg = tape.config
-    flags = _trajectory_flags(cfg, tape.any_diverged)
-    d = tape.dim
     diff = tape.grad - _reference_gradient(g_tilde, tape)
-    h1s = np.mean(np.vecdot(diff, diff) + tape.trace_c, axis=1)
-    bad = np.flatnonzero(h1s <= 0)
-    if bad.size:
-        raise NumericalError(f"h1 <= 0 at step {tape.steps[bad[0]]}")
-
-
-    def evaluate(scale):
-        h2s = np.mean(tape.log_det_c[scale], axis=1)
-        terms = d * np.log(h1s / d) - h2s
-        total = cfg.log_every * float(terms.sum())
-        return [total / cfg.n], tape.floored_c.any(), total, terms, h2s
-
-    components = {}
-    roots, total, terms, h2s = _floor_sensitive(evaluate, flags, components)
-    components.update({
-        "term_sum": total,
-        "h1_mean": float(h1s.mean()),
-        "h2_mean": float(h2s.mean()),
-        "sigma_star_sq_final": float(h1s[-1] / d),
-    })
-    extra = {"h1": h1s, "h2": h2s}
-    if g_tilde == "population-gradient":
-        id_h1 = np.mean(tape.trace_pop / cfg.b, axis=1)
-        with np.errstate(divide="ignore"):
-            id_terms = d * np.log(id_h1 / d) - h2s
-        extra["identity_h1"] = id_h1
-        extra["identity_per_step_terms"] = id_terms
-        components["h1_identity_mean"] = float(id_h1.mean())
-        components["h1_discrepancy_mean"] = float(np.mean(np.abs(h1s - id_h1)))
-    return _report("trajectory-isotropic", roots, flags, components,
-                   tape.n_runs, _run_setting(cfg), R=R,
-                   g_tilde=g_tilde, per_step_terms=terms,
-                   extra_series=extra)
+    q = np.vecdot(diff, diff) + tape.trace_c
+    h1s = np.mean(q, axis=1)
+    h2s = np.mean(tape.log_det_c[1.0], axis=1)
+    return _prior_kl_bound(
+        "trajectory-isotropic", tape, g_tilde, R, lambda scale: q,
+        lambda scale: -tape.log_det_c[scale], tape.floored_c.any(), {
+            "h1_mean": float(h1s.mean()),
+            "h2_mean": float(h2s.mean()),
+            "sigma_star_sq_final": float(h1s[-1] / tape.dim),
+        }, extra_series={"h1": h1s, "h2": h2s})
 
 
 def traj_bound_langevin(tape, g_tilde="zero", R=1.0):
@@ -437,44 +473,33 @@ def traj_bound_langevin(tape, g_tilde="zero", R=1.0):
                    extra_series={"loose_per_step_terms": loose})
 
 
-def traj_bound_anisotropic(tape, R=1.0):
+def traj_bound_anisotropic(tape, g_tilde="zero", R=1.0):
     """Trajectory bound with a population-shaped prior per step.
 
-    Per-step term: mean across runs of log det(pop GNC) - log det(b * C_t).
-    That is twice the KL against the prior covariance c~ pop GNC at
-    c~ = 1/b, with its cross term b tr(pop GNC^{-1} C_t) replaced by d (the
-    two agree when b C_t equals the population GNC); it is not the minimum
-    over c~, which sits at tr(pop GNC^{-1} C_t) / d. The diagonal-alignment
-    decomposition (sum over coordinates of the log ratio of diagonal
-    entries) is reported as an extra series. It is no bound on the term:
-    Hadamard's inequality puts each log det below its diagonal sum, but the
-    term is a difference of two, so the series is at least the term only
-    where C_t is diagonal. With correlated C_t it can fall below it, as it
-    does at every step of the logistic benchmark runs.
+    The per-step prior KL of :func:`_prior_kl_terms` with P_t the
+    population GNC: per accumulated step the term is d log(mean_r q / d) +
+    mean_r(log det P_t - log det C_t), with q = (G_t - g~)^T P_t^-1 (G_t -
+    g~) + tr(P_t^-1 C_t) from the tape's ``mahalanobis_pop`` and
+    ``inv_trace_pop`` (``g_tilde`` as in :func:`traj_bound_isotropic`); the
+    core is sqrt of (1/n) times the (cadence-rescaled) sum. With P_t = I
+    this is the isotropic term.
+
+    The component ``surrogate_term_sum`` is the sum of the mean across runs
+    of log det P_t - log det(b C_t): the KL at c~ = 1/b with its cross term
+    b tr(P_t^-1 C_t) replaced by d and the mean term dropped. It is not a
+    KL and bounds none.
     """
     if not tape.has_population:
         raise ConfigError("anisotropic bound needs a tape built with population=True")
-    cfg = tape.config
-    flags = _trajectory_flags(cfg, tape.any_diverged)
-    d = tape.dim
-    log_b = d * np.log(cfg.b)
-    diag_terms = np.mean(tape.log_diag_pop - tape.log_diag_c - log_b, axis=1)
-
-    def evaluate(scale):
-        terms = np.mean(tape.log_det_pop[scale] - tape.log_det_c[scale] - log_b,
-                        axis=1)
-        total = cfg.log_every * float(terms.sum())
-        floored = tape.floored_pop.any() or tape.floored_c.any()
-        return [total / cfg.n], floored, total, terms
-
-    components = {}
-    roots, total, terms = _floor_sensitive(evaluate, flags, components)
-    components.update({"term_sum": total,
-                       "diag_term_sum": cfg.log_every * float(diag_terms.sum())})
-    return _report("trajectory-anisotropic", roots, flags, components,
-                   tape.n_runs, _run_setting(cfg), R=R,
-                   per_step_terms=terms,
-                   extra_series={"diag_alignment": diag_terms})
+    _reference_gradient(g_tilde, tape)  # rejects an unknown kind
+    surrogate = np.mean(tape.log_det_pop[1.0] - tape.log_det_c[1.0]
+                        - tape.dim * np.log(tape.config.b), axis=1)
+    return _prior_kl_bound(
+        "trajectory-anisotropic", tape, g_tilde, R,
+        lambda scale: tape.mahalanobis_pop[g_tilde][scale] + tape.inv_trace_pop[scale],
+        lambda scale: tape.log_det_pop[scale] - tape.log_det_c[scale],
+        tape.floored_pop.any() or tape.floored_c.any(),
+        {"surrogate_term_sum": tape.config.log_every * float(surrogate.sum())})
 
 
 def _loo_log_det_gaps(grads, c_full, trace_c, b):

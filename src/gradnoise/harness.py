@@ -57,7 +57,7 @@ TRAJECTORY_CSV_HEADER = ("step", "train_loss", "test_loss", "grad_norm_sq",
 _BOUND_TABLE = {
     "traj-isotropic": ("tape", "traj_bound_isotropic", ("g_tilde", "R")),
     "traj-langevin": ("tape", "traj_bound_langevin", ("g_tilde", "R")),
-    "traj-anisotropic": ("tape", "traj_bound_anisotropic", ("R",)),
+    "traj-anisotropic": ("tape", "traj_bound_anisotropic", ("g_tilde", "R")),
     "traj-data-dependent": ("tape", "traj_bound_data_dependent", ("M",)),
     "terminal-gradient-accum": ("records", "terminal_bound_gradient_accum",
                                 ("R",)),
@@ -494,11 +494,12 @@ def _reports(config, names, oracle=None):
     states (family "tape" or "records"); otherwise they are read at their
     terminal state. They record their weights and the tape is built only
     for tape bounds, and the tape's population half only for the bounds
-    that read it: ``traj-anisotropic`` and, with the population-gradient
-    ``g_tilde``, the bounds that take ``g_tilde``; its leave-one-out gaps
-    only for ``traj-data-dependent``. ``terminal-loo`` pairs
-    the runs with their leave-one-out runs. ``oracle`` is passed on to
-    ``run_ensemble``.
+    that read it: ``traj-anisotropic``, whose prior is shaped by the
+    population GNC whatever its ``g_tilde``, and, with the
+    population-gradient ``g_tilde``, every bound that takes ``g_tilde``;
+    its leave-one-out gaps only for ``traj-data-dependent``.
+    ``terminal-loo`` pairs the runs with their leave-one-out runs.
+    ``oracle`` is passed on to ``run_ensemble``.
     """
     _check_loo_size(names, config.train.n, config.train.b, "train.b")
     families = {_BOUND_TABLE[name][0] for name in names}

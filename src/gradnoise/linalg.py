@@ -8,9 +8,9 @@ carries its eigendecomposition and applies the eigenvalue floor;
 :func:`eigenvalue_floor` is the one floor rule.
 
 Convention: ``tr log M`` is evaluated as the log-determinant of the floored
-matrix (sum of logs of floored eigenvalues). The diagonal-only variant is
-exposed separately as :func:`trace_log_diag` for diagnostic curves; it is not
-used inside any bound.
+matrix (sum of logs of floored eigenvalues). The diagonal-only variant
+:func:`trace_log_diag` is used by no bound; it stays public because
+``perfbench/tracer.py`` wraps it by name.
 
 The stationary covariance of SGD around a minimum
 (:func:`solve_stationary_covariance`) is solved in the eigenbasis of the

@@ -16,7 +16,7 @@ import numpy as np
 
 from gradnoise.errors import CapabilityError, ConfigError, InvalidInputError
 from gradnoise.gradstats import gnc_from_grads, minibatch_factor
-from gradnoise.linalg import SpdMatrix, log_det, trace_log_diag
+from gradnoise.linalg import SpdMatrix, log_det
 from gradnoise.problems import QuadraticSpec, _teacher_params, build_problem
 from gradnoise.seeding import substream
 from gradnoise.spectral import stability_gap, top_eigenvalue
@@ -202,16 +202,29 @@ def isotropic_step_kl(sigma_sq, h1, h2, d):
     return 0.5 * (h1 / sigma_sq - d + d * np.log(sigma_sq) - h2)
 
 
-def anisotropic_prior_objective(c_tilde, pop_gnc, gnc):
+def anisotropic_prior_objective(c_tilde, pop_gnc, gnc, mahalanobis=0.0):
     """Twice the per-step KL against a population-shaped prior with scale
-    c_tilde; minimized at c_tilde = tr(pop_gnc^{-1} gnc) / d.
+    c_tilde, ``mahalanobis`` the mean term (G - g~)^T pop_gnc^{-1} (G - g~);
+    minimized at c_tilde = (tr(pop_gnc^{-1} gnc) + mahalanobis) / d.
     """
     if c_tilde <= 0:
         raise ConfigError("c_tilde must be positive")
     d = pop_gnc.dim
     cross = pop_gnc.inv_trace_product(gnc.matrix)
     return (d * np.log(c_tilde) + log_det(pop_gnc) - log_det(gnc) - d
-            + cross / c_tilde)
+            + (cross + mahalanobis) / c_tilde)
+
+
+def identity_form_terms(tape, h2):
+    """Isotropic per-step terms d log(h1/d) - h2 with h1 the identity
+    estimate, the mean across runs of tr P / b (P the population GNC of a
+    tape with population statistics), and ``h2`` the isotropic report's
+    series: the isotropic term had b C_t equalled P_t and the reference
+    gradient been the population one.
+    """
+    d = tape.dim
+    h1 = np.mean(tape.trace_pop / tape.config.b, axis=1)
+    return d * np.log(h1 / d) - h2
 
 
 def isotropic_terminal_kl(sigma_sq, msd, d, eta, b):
@@ -264,13 +277,15 @@ def mlp_sample(spec, rng, n):
     return feats, labels
 
 
-def stacked_tape_scalars(records, floor_scales, leave_one_out=None):
+def stacked_tape_scalars(records, floor_scales, prior, leave_one_out=None):
     """The trajectory tape's per-state fields of the records, which must all
     be usable, the way the tape took them before it went a chunk of states
     at a time: every run's moments on its dataset and oracle, stacked (K,
     R, d, d); one decomposition of each whole stack; then ``log_det`` at
-    each of ``floor_scales`` (``refloored``), ``trace_log_diag`` of the 1x
-    reconstruction and the floored flags.
+    each of ``floor_scales`` (``refloored``) and the floored flags; and
+    ``prior``, the library's kernel of the population-shaped prior's
+    quadratic terms, applied once to the whole stacks of P, C and the mean
+    gradients.
 
     ``leave_one_out``, a pair (the library's gap kernel, a state chunk),
     adds the ``loo_gap`` and ``loo_floored`` fields as the data-dependent
@@ -283,12 +298,14 @@ def stacked_tape_scalars(records, floor_scales, leave_one_out=None):
     n, b = cfg.n, cfg.b
     problem = build_problem(cfg.spec)
     raw = {"c": [], "pop": []}
+    grads = {"c": [], "pop": []}
     for rec in records:
         ws = rec.weights[:-1]
-        sigma, _ = problem.grad_moments(ws, rec.dataset.features, rec.dataset.labels)
-        raw["c"].append(minibatch_factor(n, b) * sigma)
-        raw["pop"].append(problem.grad_moments(ws, rec.oracle.features,
-                                               rec.oracle.labels)[0])
+        for suffix, data in (("c", rec.dataset), ("pop", rec.oracle)):
+            sigma, grad = problem.grad_moments(ws, data.features, data.labels)
+            raw[suffix].append(sigma)
+            grads[suffix].append(grad)
+        raw["c"][-1] *= minibatch_factor(n, b)
     out, stacks = {}, {}
     for suffix, mats in raw.items():
         mats = np.stack(mats, axis=1)
@@ -296,7 +313,8 @@ def stacked_tape_scalars(records, floor_scales, leave_one_out=None):
         out[f"trace_{suffix}"] = np.trace(mats, axis1=-2, axis2=-1)
         out[f"log_det_{suffix}"] = {s: log_det(spd.refloored(s)) for s in floor_scales}
         out[f"floored_{suffix}"] = spd.floored_each
-        out[f"log_diag_{suffix}"] = trace_log_diag(spd)
+    out.update(prior(stacks["pop"], np.stack(raw["c"], axis=1),
+                     *(np.stack(grads[suffix], axis=1) for suffix in ("c", "pop"))))
     if leave_one_out is not None:
         gaps, chunk = leave_one_out
         to_loo = (n - 1) / (n - b)

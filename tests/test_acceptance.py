@@ -52,6 +52,7 @@ from oracles import (
     GaussianDist,
     anisotropic_prior_objective,
     gaussian_kl,
+    identity_form_terms,
     isotropic_step_kl,
     isotropic_terminal_kl,
     loo_quantities,
@@ -201,34 +202,25 @@ def test_criterion_06_anisotropic_never_looser_than_isotropic():
                    for s in (0, 1)]
         tape = tape_from_records(records, population=True)
         iso = traj_bound_isotropic(tape, "population-gradient")
-        aniso = traj_bound_anisotropic(tape)
-        identity_terms = iso.extra_series["identity_per_step_terms"]
+        aniso = traj_bound_anisotropic(tape, "population-gradient")
+        # The isotropic terms had b C_t equalled the population GNC.
+        identity_terms = identity_form_terms(tape, iso.extra_series["h2"])
         assert np.all(aniso.per_step_terms <= identity_terms + 1e-12)
 
         def running_cores(terms):
             sums = np.cumsum(terms) * tape.config.log_every / tape.config.n
             return np.sqrt(np.maximum(sums, 0.0))
 
-        assert np.all(running_cores(aniso.per_step_terms)
-                      <= running_cores(identity_terms) + 1e-12)
-
-        # Equal-diagonal population GNC: the two forms coincide exactly.
-        c_val, b_val = 0.7, 2
-        step = make_step(np.zeros(2), np.diag([0.2, 0.4]),
-                         pop_grad=np.zeros(2),
-                         raw_pop=c_val * np.eye(2))
-        flat = make_tape([[step]], n=10, b=b_val)
-        aniso_eq = traj_bound_anisotropic(flat)
-        iso_eq = traj_bound_isotropic(flat, "population-gradient")
-        gap = abs(aniso_eq.per_step_terms[0]
-                  - iso_eq.extra_series["identity_per_step_terms"][0])
-        assert gap <= 1e-9
+        for terms in (identity_terms, iso.per_step_terms):
+            assert np.all(running_cores(aniso.per_step_terms)
+                          <= running_cores(terms) + 1e-12)
 
 
 def test_criterion_07_closed_form_prior_scales_beat_grids():
-    """The closed forms are grid-optimal, and the isotropic trajectory and
-    terminal bounds evaluate them at their minimizers: half a per-step term,
-    and n core^2 / 2, equal the closed-form KL there."""
+    """The closed forms are grid-optimal, and the isotropic and anisotropic
+    trajectory bounds and the isotropic terminal bound evaluate them at
+    their minimizers: half a per-step term, and n core^2 / 2, equal the
+    closed-form KL there."""
     with criterion(7, "closed-form prior scales are grid-optimal"):
         rng = np.random.default_rng(70)
         grid = np.geomspace(1e-4, 1e4, 1000)
@@ -246,14 +238,34 @@ def test_criterion_07_closed_form_prior_scales_beat_grids():
             kl = traj_bound_isotropic(make_tape([[step]])).per_step_terms[0] / 2
             assert kl == pytest.approx(star, rel=1e-12)
             assert best - kl >= -1e-9
+        # The mean term's gradients come from their own stream, so the
+        # matrices (and every later draw of ``rng``) are those the
+        # objective without it was checked on.
+        grads = np.random.default_rng(71)
         for _ in range(100):
             d = int(rng.integers(1, 6))
-            pop = SpdMatrix.from_matrix(random_spd(rng, d, min_eig=0.2))
-            gnc = SpdMatrix.from_matrix(random_spd(rng, d, min_eig=0.2))
+            raw_pop = random_spd(rng, d, min_eig=0.2)
+            raw_c = random_spd(rng, d, min_eig=0.2)
+            pop, gnc = SpdMatrix.from_matrix(raw_pop), SpdMatrix.from_matrix(raw_c)
             c_star = pop.inv_trace_product(gnc.matrix) / d
             star = anisotropic_prior_objective(c_star, pop, gnc)
             best = min(anisotropic_prior_objective(c, pop, gnc) for c in grid)
             assert best - star >= -1e-9
+            # With the mean term, as traj-anisotropic evaluates it: the
+            # library's term is the objective (twice the KL) at its
+            # minimizer c~* = mean q / d.
+            grad, ref = grads.standard_normal((2, d))
+            mean_term = float((grad - ref) @ np.linalg.solve(raw_pop, grad - ref))
+            c_star = (pop.inv_trace_product(raw_c) + mean_term) / d
+            star = anisotropic_prior_objective(c_star, pop, gnc, mean_term)
+            best = min(anisotropic_prior_objective(c, pop, gnc, mean_term)
+                       for c in grid)
+            assert best - star >= -1e-9
+            step = make_step(grad, raw_c, pop_grad=ref, raw_pop=raw_pop)
+            kl = traj_bound_anisotropic(make_tape([[step]]),
+                                        "population-gradient").per_step_terms[0] / 2
+            assert kl == pytest.approx(star / 2, rel=1e-12, abs=1e-12)
+            assert best / 2 - kl >= -1e-9
         for _ in range(100):
             d = int(rng.integers(1, 9))
             msd = float(rng.uniform(0.0, 5.0))

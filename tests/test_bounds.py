@@ -88,9 +88,10 @@ def make_step(grad, raw_gnc, step=1, pop_grad=None, raw_pop=None,
 
 def make_tape(runs, n=10, b=1, scale=1, mode="sde", any_diverged=False):
     """A tape of hand-made steps, ``runs[r][k]`` the k-th step of run r, its
-    per-state scalars from the tape pass's own helper and no leave-one-out
-    gaps. Its config logs every ``scale`` updates and runs ``scale`` updates
-    per step at eta 0.1."""
+    per-state scalars from the tape pass's own helpers and no leave-one-out
+    gaps; a step with a population GNC needs its ``pop_grad``. Its config
+    logs every ``scale`` updates and runs ``scale`` updates per step at eta
+    0.1."""
     first = runs[0][0]
     dim = first.grad.shape[0]
     config = TrainConfig(
@@ -102,10 +103,11 @@ def make_tape(runs, n=10, b=1, scale=1, mode="sde", any_diverged=False):
         return np.array([[getattr(run[k], field) for run in runs]
                          for k in range(len(runs[0]))])
 
-    population = first.raw_pop is not None
-    _, scalars = bounds._stack_scalars(stack("raw_gnc"), "c", diag=population)
-    if population:
-        scalars.update(bounds._stack_scalars(stack("raw_pop"), "pop", diag=True)[1])
+    _, scalars = bounds._stack_scalars(stack("raw_gnc"), "c")
+    if first.raw_pop is not None:
+        pop, pop_scalars = bounds._stack_scalars(stack("raw_pop"), "pop")
+        scalars.update(pop_scalars, **bounds._prior_scalars(
+            pop, stack("raw_gnc"), stack("grad"), stack("pop_grad")))
     return TrajectoryTape(
         steps=np.array([st.step for st in runs[0]]),
         grad=stack("grad"),
@@ -283,20 +285,17 @@ class TestIsotropicTrajectory:
         assert "approximate-cadence" in report.flags
         assert "diverged-runs" in report.flags
 
-    def test_population_reference_reports_identity_form(self):
+    def test_population_reference_enters_h1(self):
         rng = np.random.default_rng(4)
         pop = random_spd(rng, 2, min_eig=0.3)
         step = make_step(rng.standard_normal(2), random_spd(rng, 2, min_eig=0.3),
                          pop_grad=rng.standard_normal(2), raw_pop=pop)
-        b = 4
-        report = traj_bound_isotropic(
-            make_tape([[step]], n=8, b=b),
-            "population-gradient")
-        extra = report.extra_series
-        assert extra["identity_h1"][0] == pytest.approx(np.trace(pop) / b)
-        expected_term = 2 * np.log(extra["identity_h1"][0] / 2.0) - extra["h2"][0]
-        assert extra["identity_per_step_terms"][0] == pytest.approx(expected_term)
-        assert "h1_discrepancy_mean" in report.components
+        report = traj_bound_isotropic(make_tape([[step]], n=8, b=4),
+                                      "population-gradient")
+        diff = step.grad - step.pop_grad
+        assert report.extra_series["h1"][0] == pytest.approx(
+            diff @ diff + step.trace_c, rel=1e-12)
+        assert sorted(report.extra_series) == ["h1", "h2"]
 
     def test_population_reference_requires_population_tape(self):
         tape = make_tape([[make_step([1.0], [[1.0]])]], n=10)
@@ -368,8 +367,8 @@ class TestLangevinTrajectory:
 
 class TestAnisotropicTrajectory:
     def test_matched_population_shape_vanishes(self):
-        """pop GNC = b * C means the population-shaped prior matches the
-        transition exactly; the log-det ratio cancels the log b term."""
+        """pop GNC = b * C and G = g-tilde make the prior at scale 1/b the
+        transition exactly, so the KL at its minimizer is zero."""
         rng = np.random.default_rng(6)
         c = random_spd(rng, 3, min_eig=0.2)
         b = 2
@@ -379,87 +378,77 @@ class TestAnisotropicTrajectory:
         assert report.core == pytest.approx(0.0, abs=1e-6)
 
     def test_diagonal_worked_example(self):
-        # d = 2, b = 1, pop = diag(1, 4), C = I: term = log 4.
+        # d = 2, pop = diag(1, 4), C = I, G = g-tilde = 0: q = tr(pop^-1 C)
+        # = 1.25, so the term is 2 log(1.25 / 2) + log 4 = log 1.5625.
         step = make_step(np.zeros(2), np.eye(2), pop_grad=np.zeros(2),
                          raw_pop=np.diag([1.0, 4.0]))
         report = traj_bound_anisotropic(make_tape([[step]], n=10, b=1))
-        assert report.per_step_terms[0] == pytest.approx(np.log(4.0), rel=1e-12)
-        assert report.core == pytest.approx(np.sqrt(np.log(4.0) / 10.0), rel=1e-12)
+        assert report.per_step_terms[0] == pytest.approx(np.log(1.5625), rel=1e-12)
+        assert report.core == pytest.approx(np.sqrt(np.log(1.5625) / 10.0),
+                                            rel=1e-12)
+
+    def test_mean_term_follows_the_reference_gradient(self):
+        """With pop = C = I the log-det gap is 0 and tr(pop^-1 C) = d, so
+        the term is d log(1 + |G - g~|^2 / d): |G|^2 = 4 under the zero
+        reference and |G - g_pop|^2 = 1 under the population one; an unknown
+        reference kind is a config error."""
+        step = make_step([2.0, 0.0], np.eye(2), pop_grad=[1.0, 0.0],
+                         raw_pop=np.eye(2))
+        tape = make_tape([[step]], n=10, b=1)
+        for g_tilde, sq in (("zero", 4.0), ("population-gradient", 1.0)):
+            report = traj_bound_anisotropic(tape, g_tilde)
+            assert report.per_step_terms[0] == pytest.approx(
+                2 * np.log1p(sq / 2), rel=1e-12)
+            assert report.config["g_tilde"] == g_tilde
+        with pytest.raises(ConfigError):
+            traj_bound_anisotropic(tape, "mean")
 
     def test_requires_population_tape(self):
         tape = make_tape([[make_step([1.0], [[1.0]])]], n=10)
         with pytest.raises(ConfigError):
             traj_bound_anisotropic(tape)
 
-    def test_diag_decomposition_matches_for_diagonal_matrices(self):
-        step = make_step(np.zeros(2), np.diag([0.5, 2.0]), pop_grad=np.zeros(2),
-                         raw_pop=np.diag([1.0, 3.0]))
-        report = traj_bound_anisotropic(make_tape([[step]], n=10, b=1))
-        np.testing.assert_allclose(report.extra_series["diag_alignment"],
-                                   report.per_step_terms, rtol=1e-12)
-
-    def test_diag_decomposition_upper_bounds_correlated_case(self):
-        """With a correlated population GNC and a diagonal C_t (here C = I),
-        the series is above the term. Hadamard: log det <= sum of log
-        diagonal entries, so dropping the population matrix's correlations
-        can only loosen the numerator, and a diagonal C_t leaves the
-        subtracted log det as it is. The premise is the diagonal C_t."""
-        pop = np.array([[1.0, 0.8], [0.8, 1.0]])
-        step = make_step(np.zeros(2), np.eye(2), pop_grad=np.zeros(2),
-                         raw_pop=pop)
-        report = traj_bound_anisotropic(make_tape([[step]], n=10, b=1))
-        assert (report.extra_series["diag_alignment"][0]
-                > report.per_step_terms[0])
-
-    def test_diag_decomposition_falls_below_the_term_for_correlated_c(self):
-        """The series bounds nothing once C_t is correlated: with a diagonal
-        population GNC, Hadamard's gap of C_t enters with a minus sign, so
-        the series (0 here) is below the term, -log det C_t = -log 0.36."""
-        c = np.array([[1.0, 0.8], [0.8, 1.0]])
-        step = make_step(np.zeros(2), c, pop_grad=np.zeros(2), raw_pop=np.eye(2))
-        report = traj_bound_anisotropic(make_tape([[step]], n=10, b=1))
-        assert report.extra_series["diag_alignment"][0] == pytest.approx(
-            0.0, abs=1e-12)
-        assert report.per_step_terms[0] == pytest.approx(-np.log(0.36), rel=1e-12)
-        assert (report.extra_series["diag_alignment"][0]
-                < report.per_step_terms[0])
-
-    def test_negative_sum_is_surfaced_not_clipped(self):
+    def test_shrunk_population_shape_is_matched_by_the_prior_scale(self):
+        """pop = 0.01 I against C = I: the prior scale 100 matches the
+        transition, so the KL term is 0, while the surrogate the report
+        keeps as a component, log det pop - log det(b C), is 2 log 0.01."""
         step = make_step(np.zeros(2), np.eye(2), pop_grad=np.zeros(2),
                          raw_pop=0.01 * np.eye(2))
         report = traj_bound_anisotropic(make_tape([[step]], n=10, b=1))
-        assert report.per_step_terms[0] == pytest.approx(2 * np.log(0.01))
-        assert report.core == 0.0
-        assert "nonpositive-sum" in report.flags
+        assert report.per_step_terms[0] == pytest.approx(0.0, abs=1e-12)
+        assert report.components["surrogate_term_sum"] == pytest.approx(
+            2 * np.log(0.01), rel=1e-12)
+        assert "nonpositive-sum" not in report.flags
 
-    def test_ordering_against_isotropic_identity_form(self):
-        """The anisotropic per-step term never exceeds the isotropic term
-        evaluated with the identity h1 = tr(pop)/b, since both subtract the
-        same h2 and AM-GM bounds log det(pop) by d log(tr(pop)/d)."""
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_terms_are_nonnegative(self, seed):
+        """Each term is twice a mean of KLs at one shared prior scale, so no
+        term is negative while no floor fires."""
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        runs = [[make_step(rng.standard_normal(d), random_spd(rng, d, min_eig=0.1),
+                           pop_grad=rng.standard_normal(d),
+                           raw_pop=random_spd(rng, d, min_eig=0.1))]
+                for _ in range(3)]
+        tape = make_tape(runs, n=5)
+        for g_tilde in ("zero", "population-gradient"):
+            assert traj_bound_anisotropic(tape, g_tilde).per_step_terms[0] >= -1e-12
+
+    @pytest.mark.parametrize("g_tilde", ["zero", "population-gradient"])
+    def test_isotropic_population_shape_gives_the_isotropic_terms(self, g_tilde):
+        """With P = c I the prior family is the isotropic one, so both
+        bounds minimize over the same priors: q is h1 / c and the log-det
+        gap d log c - log det C, and the per-step terms agree to rounding."""
         rng = np.random.default_rng(7)
-        for b in (1, 3):
-            steps = [
-                make_step(rng.standard_normal(3),
-                          random_spd(rng, 3, min_eig=0.2),
-                          pop_grad=rng.standard_normal(3),
-                          raw_pop=random_spd(rng, 3, min_eig=0.2))
-                for _ in range(5)
-            ]
-            tape = make_tape([steps], n=10, b=b)
-            aniso = traj_bound_anisotropic(tape)
-            iso = traj_bound_isotropic(tape, "population-gradient")
-            identity_terms = iso.extra_series["identity_per_step_terms"]
-            assert np.all(aniso.per_step_terms <= identity_terms + 1e-12)
-
-    def test_ordering_is_tight_for_isotropic_population(self):
-        c = 0.7
-        step = make_step(np.zeros(2), np.diag([0.2, 0.4]),
-                         pop_grad=np.zeros(2), raw_pop=c * np.eye(2))
-        tape = make_tape([[step]], n=10, b=2)
-        aniso = traj_bound_anisotropic(tape)
-        iso = traj_bound_isotropic(tape, "population-gradient")
-        assert aniso.per_step_terms[0] == pytest.approx(
-            iso.extra_series["identity_per_step_terms"][0], abs=1e-9)
+        runs = [[make_step(rng.standard_normal(3), random_spd(rng, 3, min_eig=0.2),
+                           pop_grad=rng.standard_normal(3),
+                           raw_pop=0.7 * np.eye(3))
+                 for _ in range(5)] for _ in range(3)]
+        tape = make_tape(runs, n=10, b=3)
+        np.testing.assert_allclose(
+            traj_bound_anisotropic(tape, g_tilde).per_step_terms,
+            traj_bound_isotropic(tape, g_tilde).per_step_terms, rtol=1e-12)
 
 
 def brute_force_loo_terms(rec, eps_scale=1.0):
@@ -799,10 +788,11 @@ CHUNK_CASES = {
 def test_chunked_tape_scalars_equal_one_decomposition_of_each_run_stack(case, steps):
     """Wherever the tape's pass cuts a run's states into chunks, every
     per-state field it keeps (traces, log-determinants at both floor
-    scales, diagonal log sums, floored flags and the leave-one-out gaps)
-    equals bit for bit the same field from one decomposition of the whole
-    (K, R, d, d) stack: a stacked ``eigh`` and its reconstruction are
-    per matrix what a sub-stack's are. The gaps' leverage kernels see the
+    scales, floored flags, the prior's quadratic terms and the
+    leave-one-out gaps) equals bit for bit the same field from one
+    decomposition of the whole (K, R, d, d) stack: a stacked ``eigh`` and
+    the stacked products of its eigenvectors are per matrix what a
+    sub-stack's are. The gaps' leverage kernels see the
     same chunks of states either way (on the logistic family its GEMMs
     round by the number of states). Every MLP C floors, so there every
     C_J is replayed; no logistic C does."""
@@ -811,17 +801,25 @@ def test_chunked_tape_scalars_equal_one_decomposition_of_each_run_stack(case, st
                for s in (0, 1)]
     tape = tape_from_records(records, population=True, leave_one_out=True)
     want = stacked_tape_scalars(records, (1.0, FLOOR_SENSITIVITY_SCALE),
+                                bounds._prior_scalars,
                                 (bounds._loo_log_det_gaps, LOO_STATE_CHUNK))
     assert tape.n_steps == steps
     assert set(want) == {f"{name}_{suffix}" for suffix in ("c", "pop") for name in
-                         ("trace", "log_det", "floored", "log_diag")} | {
-                             "loo_gap", "loo_floored"}
+                         ("trace", "log_det", "floored")} | {
+                             "inv_trace_pop", "mahalanobis_pop", "loo_gap",
+                             "loo_floored"}
+
+    def compare(got, value, where):
+        if isinstance(value, dict):
+            assert sorted(got) == sorted(value), where
+            for key in value:
+                compare(got[key], value[key], (*where, key))
+        else:
+            assert got.shape == (steps, 2), where
+            assert np.array_equal(got, value), where
+
     for name, value in want.items():
-        got = getattr(tape, name)
-        for scale in value if isinstance(value, dict) else [None]:
-            pair = (got, value) if scale is None else (got[scale], value[scale])
-            assert pair[0].shape == (steps, 2), (name, scale)
-            assert np.array_equal(*pair), (name, scale)
+        compare(getattr(tape, name), value, (name,))
     assert tape.floored_c.all() == (case == "mlp-floored")
     assert tape.floored_c.any() == (case == "mlp-floored")
 
@@ -882,17 +880,36 @@ class TestTapeFromRecords:
         plain = tape_from_records([rec])
         assert not plain.has_population
         assert plain.trace_pop is None and plain.pop_grad is None
-        assert plain.log_det_pop is None and plain.log_diag_c is None
+        assert plain.log_det_pop is None and plain.inv_trace_pop is None
+        assert plain.mahalanobis_pop is None
         assert plain.loo_gap is None and plain.loo_floored is None
         pop = tape_from_records([rec], population=True, leave_one_out=True)
         assert pop.has_population
-        for field in ("trace_pop", "floored_pop", "log_diag_pop", "log_diag_c",
-                      "loo_floored"):
+        for field in ("trace_pop", "floored_pop", "loo_floored"):
             assert getattr(pop, field).shape == (2, 1), field
-        for field in ("log_det_c", "log_det_pop", "loo_gap"):
-            assert sorted(getattr(pop, field)) == [1.0, FLOOR_SENSITIVITY_SCALE]
-            for scale, values in getattr(pop, field).items():
-                assert values.shape == (2, 1), (field, scale)
+        by_scale = [pop.log_det_c, pop.log_det_pop, pop.loo_gap, pop.inv_trace_pop,
+                    *pop.mahalanobis_pop.values()]
+        assert sorted(pop.mahalanobis_pop) == ["population-gradient", "zero"]
+        for field in by_scale:
+            assert sorted(field) == [1.0, FLOOR_SENSITIVITY_SCALE]
+            assert all(values.shape == (2, 1) for values in field.values())
+
+    def test_population_tape_reconstructs_no_matrix(self, monkeypatch):
+        """The tape and the bounds reading its population half take every
+        scalar from the stacked eigenpairs: no floored reconstruction
+        ``SpdMatrix.matrix`` of a C or P is formed."""
+        records = [train_run(quad_config(steps=LOO_STATE_CHUNK + 1, seed=s))
+                   for s in (0, 1)]
+
+        def no_matrix(self):
+            raise AssertionError("a floored reconstruction was formed")
+
+        monkeypatch.setattr(SpdMatrix, "matrix", property(no_matrix))
+        tape = tape_from_records(records, population=True)
+        for g_tilde in ("zero", "population-gradient"):
+            for bound in (traj_bound_isotropic, traj_bound_langevin,
+                          traj_bound_anisotropic):
+                assert np.isfinite(bound(tape, g_tilde).core)
 
     @pytest.mark.parametrize("steps", [3, LOO_STATE_CHUNK + 1])
     def test_one_eigendecomposition_per_stack(self, monkeypatch, steps):
@@ -925,15 +942,22 @@ class TestTapeFromRecords:
         np.testing.assert_allclose(tape.trace_c[0, 0], np.trace(sigma), rtol=1e-12)
         np.testing.assert_allclose(tape.log_det_c[1.0][0, 0],
                                    np.linalg.slogdet(sigma)[1], rtol=1e-12)
-        np.testing.assert_allclose(tape.log_diag_c[0, 0],
-                                   np.sum(np.log(np.diag(sigma))), rtol=1e-12)
+        oracle = rec.oracle
+        ograds = problem.per_example_grads(rec.weights[0], oracle.features,
+                                           oracle.labels)
+        pop, pop_mean = gnc_from_grads(ograds)
+        np.testing.assert_allclose(tape.inv_trace_pop[1.0][0, 0],
+                                   np.trace(np.linalg.solve(pop, sigma)), rtol=1e-12)
+        for kind, diff in (("zero", mean), ("population-gradient", mean - pop_mean)):
+            np.testing.assert_allclose(tape.mahalanobis_pop[kind][1.0][0, 0],
+                                       diff @ np.linalg.solve(pop, diff), rtol=1e-12)
 
     def test_logistic_tape_forms_no_per_example_gradient(self, monkeypatch):
         """The logistic tape takes every moment from ``grad_moments``'
         GEMMs, on the training set and the oracle, and agrees with the
-        per-state moments to rounding: the traces to 1e-12 relative, the
-        floored log-determinants and diagonal log sums (taken from the
-        reconstruction) to 1e-12 per eigenvalue or diagonal entry."""
+        per-state moments to rounding: the traces and the prior's quadratic
+        terms to 1e-12 relative, the floored log-determinants to 1e-12 per
+        eigenvalue."""
         spec = LogisticSpec(dim=3, mean0=-0.5 * np.ones(3), mean1=0.5 * np.ones(3),
                             l2=0.05, pop_oracle_size=300)
         cfg = quad_config(spec=spec, n=12, b=3, steps=4)
@@ -946,6 +970,7 @@ class TestTapeFromRecords:
         factor = (cfg.n - cfg.b) / (cfg.b * (cfg.n - 1))
         for r, rec in enumerate(records):
             for k, w in enumerate(rec.weights[:-1]):
+                moments = {}
                 for data, grad, suffix, scale in [
                         (rec.dataset, tape.grad, "c", factor),
                         (rec.oracle, tape.pop_grad, "pop", 1.0)]:
@@ -953,15 +978,26 @@ class TestTapeFromRecords:
                         w, data.features, data.labels))
                     np.testing.assert_allclose(grad[k, r], mean, rtol=1e-12)
                     want = SpdMatrix.from_matrix(scale * sigma)
+                    moments[suffix] = (scale * sigma, want, mean)
                     got = {name: getattr(tape, f"{name}_{suffix}")
-                           for name in ("trace", "log_det", "log_diag")}
+                           for name in ("trace", "log_det")}
                     np.testing.assert_allclose(got["trace"][k, r],
                                                scale * np.trace(sigma), rtol=1e-12)
                     for scale_f in (1.0, FLOOR_SENSITIVITY_SCALE):
                         assert abs(got["log_det"][scale_f][k, r] - log_det(
                             want.refloored(scale_f))) <= 3 * 1e-12
-                    assert abs(got["log_diag"][k, r]
-                               - linalg.trace_log_diag(want)) <= 3 * 1e-12
+                (raw_c, _, mean), (_, pop, pop_mean) = moments["c"], moments["pop"]
+                for scale_f in (1.0, FLOOR_SENSITIVITY_SCALE):
+                    prior = pop.refloored(scale_f)
+                    np.testing.assert_allclose(
+                        tape.inv_trace_pop[scale_f][k, r],
+                        prior.inv_trace_product(raw_c), rtol=1e-12)
+                    for kind, diff in (("zero", mean),
+                                       ("population-gradient", mean - pop_mean)):
+                        np.testing.assert_allclose(
+                            tape.mahalanobis_pop[kind][scale_f][k, r],
+                            prior.inv_trace_product(np.outer(diff, diff)),
+                            rtol=1e-12)
 
 
 def test_tape_bounds_equal_a_loop_over_steps_and_runs():
@@ -975,7 +1011,7 @@ def test_tape_bounds_equal_a_loop_over_steps_and_runs():
     records = [train_run(quad_config(spec=spec, n=12, b=3, steps=4, seed=s))
                for s in range(3)]
     tape = tape_from_records(records, population=True)
-    d, log_b = tape.dim, tape.dim * np.log(tape.config.b)
+    d = tape.dim
     problem = build_problem(spec)
     factor = (12 - 3) / (3 * (12 - 1))
     # Each run's moments as the tape takes them, one matrix decomposed at a
@@ -988,22 +1024,23 @@ def test_tape_bounds_equal_a_loop_over_steps_and_runs():
 
     iso, lang, aniso = [], [], []
     for k in range(tape.n_steps):
-        h1, h2, sq, gap = [], [], [], []
+        h1, h2, sq, q, gap = [], [], [], [], []
         for r in range(tape.n_runs):
             diff = tape.grad[k, r] - tape.pop_grad[k, r]
             c, pop = (SpdMatrix.from_matrix(m[k]) for m in moments[r])
             h1.append(float(diff @ diff) + tape.trace_c[k, r])
             h2.append(log_det(c))
             sq.append(float(diff @ diff))
-            gap.append(log_det(pop) - log_det(c) - log_b)
+            q.append(pop.inv_trace_product(moments[r][0][k] + np.outer(diff, diff)))
+            gap.append(log_det(pop) - log_det(c))
         iso.append(d * np.log(np.mean(h1) / d) - np.mean(h2))
         lang.append(np.log1p(np.mean(sq) / d))
-        aniso.append(np.mean(gap))
+        aniso.append(d * np.log(np.mean(q) / d) + np.mean(gap))
     tol = 8 * np.finfo(float).eps
     for report, loop in [
             (traj_bound_isotropic(tape, "population-gradient"), iso),
             (traj_bound_langevin(tape, "population-gradient"), lang),
-            (traj_bound_anisotropic(tape), aniso)]:
+            (traj_bound_anisotropic(tape, "population-gradient"), aniso)]:
         np.testing.assert_allclose(report.per_step_terms, loop, rtol=tol)
 
 

@@ -23,7 +23,9 @@ QUAD = {"family": "quadratic", "dim": 2, "curvature": 1.0, "scatter": 1.0,
         "pop_oracle_size": 300}
 # Per case: its config, the bound functions it must reach and the linalg
 # functions it must reach (the tape's pass decomposes each chunk's GNCs and
-# takes their log-determinants and diagonal log sums).
+# takes their log-determinants), and the wrapped linalg functions it must not
+# reach: every tape scalar comes from the stacked eigenpairs, so no bound
+# takes the diagonal log sums of a floored reconstruction.
 CASES = {
     "bounds-terminal": (
         {"problem": QUAD,
@@ -32,7 +34,7 @@ CASES = {
          "ensemble": {"dataset_seeds": 2, "run_seeds": 2}},
         ("terminal_bound_general", "terminal_bound_anisotropic",
          "terminal_bound_isotropic", "terminal_bound_loo", "fim_takeuchi_bound"),
-        (),
+        (), (),
     ),
     "bounds-traj": (
         {"problem": QUAD,
@@ -41,7 +43,7 @@ CASES = {
         ("tape_from_records", "traj_bound_isotropic", "traj_bound_langevin",
          "traj_bound_anisotropic", "traj_bound_data_dependent",
          "terminal_bound_gradient_accum"),
-        ("spd_from_matrix", "log_det", "trace_log_diag"),
+        ("spd_from_matrix", "log_det"), ("trace_log_diag",),
     ),
 }
 
@@ -72,12 +74,14 @@ def _traced_metrics(command, config, tmp_path):
 
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_traced_run_reaches_every_bound(command, tmp_path):
-    config, functions, linalg_functions = CASES[command]
+    config, functions, linalg_functions, unreached = CASES[command]
     metrics = _traced_metrics(command, config, tmp_path)
     for name in functions:
         assert metrics[f"bounds.{name}.calls"] >= 1, name
     for name in linalg_functions:
         assert metrics[f"linalg.{name}.calls"] >= 1, name
+    for name in unreached:
+        assert metrics[f"linalg.{name}.calls"] == 0, name
     assert metrics["dynamics.sde_step.calls"] >= 1
     # run.py adds these two itself; every other per-layer metric must come
     # from the spans, or a traced benchmark run fails looking it up.
