@@ -11,7 +11,6 @@ from .bounds import (
     BoundReport,
     TrajectoryTape,
     fim_takeuchi_bound,
-    influence_estimate,
     report_to_json_dict,
     tape_from_records,
     terminal_bound_anisotropic,

@@ -45,7 +45,6 @@ constant divisor for fim-takeuchi; each root argument is clipped at 0, and
 the report is flagged ``nonpositive-sum`` once if any was negative.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +67,9 @@ FLOOR_SENSITIVITY_SCALE = 10.0
 # leverages and explicit C_J go through the same sizes: the C_J replays of a
 # state are decomposed this many at a time. So this sizes every d x d array
 # the pass holds (a chunk's eigenvectors, floored reconstructions and C_J)
-# beside the run's (K, d, d) moments, and every (states, n) leverage array,
-# and on the quadratic and MLP families the (states, n, d) per-example
-# gradients. Picked from the peak RSS of the logistic trajectory benchmark
+# beside the run's (K, d, d) moments, and every (states, n) leverage array.
+# Per-example gradients are held one state at a time, whatever the chunk.
+# Picked from the peak RSS of the logistic trajectory benchmark
 # (n = 500, d = 20, 100 states a run) when it sized only the leave-one-out
 # pass: 49.5-49.8 MB at 16 and 32 states against 49.3 before chunking
 # existed, 50.3 at 50, 50.8 at 64 and 52.3 at 100. In-process that bound
@@ -243,10 +242,10 @@ def _run_fields(rec, population, leave_one_out):
     states go LOO_STATE_CHUNK at a time: each chunk's C (and P) are
     decomposed as one stack (:func:`_stack_scalars`), P's decomposition
     gives the prior's quadratic terms (:func:`_prior_scalars`), and with
-    ``leave_one_out`` the chunk's ``state_gradients`` and that
-    decomposition give its ``loo_gap`` and ``loo_floored``
-    (:func:`_loo_log_det_gaps`). The chunks' fields are concatenated, so no
-    d x d array outlives its chunk but the run's moments."""
+    ``leave_one_out`` the chunk's states and that decomposition give its
+    ``loo_gap`` and ``loo_floored`` (:func:`_loo_log_det_gaps`). The
+    chunks' fields are concatenated, so no d x d array outlives its chunk
+    but the run's moments."""
     cfg = rec.config
     problem = build_problem(cfg.spec)
     ws, data, oracle = rec.weights[:-1], rec.dataset, rec.oracle
@@ -266,9 +265,9 @@ def _run_fields(rec, population, leave_one_out):
             chunk.update(pop_fields, **_prior_scalars(
                 pop, raw_c[part], grad[part], fields["pop_grad"][part]))
         if leave_one_out:
-            grads = problem.state_gradients(ws[part], data.features, data.labels)
             chunk["loo_gap"], chunk["loo_floored"] = _loo_log_det_gaps(
-                grads, c.scaled(to_loo), to_loo * chunk["trace_c"], cfg.b)
+                problem, ws[part], data, c.scaled(to_loo),
+                to_loo * chunk["trace_c"], cfg.b)
         chunks.append(chunk)
     return {**fields, **_join(chunks, np.concatenate)}
 
@@ -502,22 +501,27 @@ def traj_bound_anisotropic(tape, g_tilde="zero", R=1.0):
         {"surrogate_term_sum": tape.config.log_every * float(surrogate.sum())})
 
 
-def _loo_log_det_gaps(grads, c_full, trace_c, b):
+def _loo_log_det_gaps(problem, ws, data, c_full, trace_c, b):
     """The mean over all n leave-one-out subsets J of log det C - log det C_J
-    at each state of ``grads`` (a family's ``state_gradients`` of K states),
-    as {floor scale: (K,)} at 1x and FLOOR_SENSITIVITY_SCALE x the floor,
-    and (K,) whether a floor touched C or one of its C_J at 1x. ``c_full``
-    holds the K matrices C = Sigma/b as one stacked SpdMatrix and
-    ``trace_c`` their (K,) unfloored traces; see
-    :func:`traj_bound_data_dependent`."""
-    n, d = grads.features.shape[0], c_full.dim
+    at each row of the (K, d) state stack ``ws`` on the Dataset ``data``, as
+    {floor scale: (K,)} at 1x and FLOOR_SENSITIVITY_SCALE x the floor, and
+    (K,) whether a floor touched C or one of its C_J at 1x. ``c_full`` holds
+    the K matrices C = Sigma/b as one stacked SpdMatrix and ``trace_c``
+    their (K,) unfloored traces; see :func:`traj_bound_data_dependent`.
+
+    The leverages of the states whose C is unfloored come from one
+    ``problem.grad_leverages`` call; each state that replays some C_J
+    evaluates its per-example gradients once more for the replay, so no
+    gradient array outlives its state."""
+    n, d = len(data), c_full.dim
     m = n - 1
     # Where C is unfloored its floored and raw eigenvalues agree, so the
     # leverages and the interlacing bound serve both floor scales. Where it
     # is floored every C_J is built, and its leverages are not needed.
     free = ~c_full.floored_each
     lev, sq = np.zeros((2, len(trace_c), n))
-    lev[free], sq[free] = grads.leverages(free, c_full[free])
+    lev[free], sq[free] = problem.grad_leverages(ws[free], data.features,
+                                                 data.labels, c_full[free])
     lev /= b
     trace_j = (n / m) * trace_c[:, None] - (n / m**2) * sq / b
     lower_j = (n / m) * c_full.eigenvalues[:, :1] * (1.0 - lev / m)
@@ -535,7 +539,8 @@ def _loo_log_det_gaps(grads, c_full, trace_c, b):
     floored = ~free
     for k in np.flatnonzero(~exact[FLOOR_SENSITIVITY_SCALE].all(axis=1)):
         rows = np.flatnonzero(~exact[FLOOR_SENSITIVITY_SCALE][k])
-        log_det_cj, floored_cj = _replayed_log_dets(grads.per_example(k), rows, b)
+        log_det_cj, floored_cj = _replayed_log_dets(
+            problem.per_example_grads(ws[k], data.features, data.labels), rows, b)
         for scale, ex in exact.items():
             replayed = log_det_c[scale][k] - log_det_cj[scale][~ex[k, rows]]
             gaps[scale][k] = np.mean(np.concatenate([closed[k, ex[k]], replayed]))
@@ -585,16 +590,15 @@ def traj_bound_data_dependent(tape, M=1.0):
     log(n/m) + log1p(-l_i/m) with the leverage l_i = u_i^T Sigma^{-1} u_i.
 
     Each chunk of LOO_STATE_CHUNK states goes through the family's
-    ``state_gradients`` on the dataset the run carries, whose
-    ``leverages`` give all n leverages of every state whose C is
-    unfloored: O(n d^2) per state, and on the logistic family GEMMs that
-    form no per-example gradient. Where a floor could touch C or C_J (for
-    instance when example i alone carries a direction) that C_J is built
-    and floored explicitly from the state's per-example gradients, at O(n
-    d^2 + d^3) each, in stacks of LOO_STATE_CHUNK C_J. The gaps evaluate
-    each state's per-example gradients at most once: the quadratic and MLP
-    families keep the chunk's (K, n, d) gradients for the leverages and the
-    replays (their moments take one more pass per state).
+    ``grad_leverages`` on the dataset the run carries, which gives all n
+    leverages of every state whose C is unfloored: O(n d^2) per state, and
+    on the logistic family GEMMs that form no per-example gradient. Where a
+    floor could touch C or C_J (for instance when example i alone carries
+    a direction) that C_J is built and floored explicitly from the state's
+    per-example gradients, evaluated for the replay, at O(n d^2 + d^3)
+    each, in stacks of LOO_STATE_CHUNK C_J. On the quadratic and MLP
+    families the leverages take one gradient pass per unfloored state and
+    a replay one more; their moments take one pass per state.
     The 10x-floor sensitivity terms come from the same pass: each C and C_J
     is decomposed once and refloored.
     """
@@ -880,57 +884,6 @@ def terminal_bound_loo(pairs, M=1.0):
         components["lambda_frobenius_distance_mean"] = float(np.mean(frob))
     return _report("terminal-loo", [(b / (2.0 * eta)) * s for s in sq_means],
                    flags, components, len(clean), _run_setting(cfg), M=M)
-
-
-def influence_estimate(problem, w_star, dataset, index, cg_tol=1e-10,
-                       damping=0.0, grad_norm_threshold=1e-3):
-    """First-order estimate of the weight shift from dropping one example.
-
-    Solves H x = grad of the dropped example's loss at ``w_star`` by
-    conjugate gradients from x = 0 on the HVP operator (with optional
-    Tikhonov damping) and returns x / n. CG stops once the residual is at
-    most ``cg_tol`` times the gradient's norm; more than ``10 d + 50``
-    products, or a non-finite one, raise NumericalError. Warns when
-    ``w_star`` does not look like a minimum.
-    The estimate carries the well-known 1/n vs 1/(n-1) finite-sample gap:
-    multiplying by n/(n-1) recovers the exact shift on quadratic problems.
-    """
-    n = len(dataset)
-    if not 0 <= index < n:
-        raise ConfigError(f"index {index} out of range for dataset of size {n}")
-    full_grad = problem.mean_grad(w_star, dataset.features, dataset.labels)
-    gnorm = float(np.linalg.norm(full_grad))
-    if gnorm > grad_norm_threshold:
-        warnings.warn(
-            f"influence_estimate called away from a minimum "
-            f"(gradient norm {gnorm:.3g})", stacklevel=2)
-    grads = problem.per_example_grads(
-        w_star, dataset.features[index:index + 1], dataset.labels[index:index + 1])
-    g = grads[0]
-    if not np.any(g):
-        return np.zeros(problem.dim)
-
-    hess = problem.hessian_operator(w_star, dataset.features, dataset.labels)
-    target = cg_tol * np.linalg.norm(g)
-    max_products = 10 * problem.dim + 50
-    x = np.zeros(problem.dim)
-    r = g.copy()
-    p = r.copy()
-    rho = r @ r
-    for _ in range(max_products):
-        if np.sqrt(rho) <= target:
-            return x / n
-        q = hess(p) + damping * p if damping else hess(p)
-        if not np.isfinite(q).all():
-            raise NumericalError("non-finite Hessian-vector product")
-        step = rho / (p @ q)
-        x += step * p
-        r -= step * q
-        rho, rho_prev = r @ r, rho
-        p = r + (rho / rho_prev) * p
-    raise NumericalError(
-        f"conjugate gradients did not converge in {max_products} products "
-        f"(residual {np.sqrt(rho):.3g})")
 
 
 def fim_takeuchi_bound(ensemble, M=1.0):

@@ -309,7 +309,6 @@ class _Run:
         self.series = {k: [] for k in _SERIES}
         self.weights = []
         self.tail_weights = []
-        self.noise_sqrt = None
         self.lanczos_start = None
         self.final_w = None
         self.diverged_step = None
@@ -376,16 +375,11 @@ class _Run:
 def _noise_stack(problem, runs, w):
     """The (R, d, n) stack of the runs' noise factors at the rows of ``w``.
 
-    A factor that does not depend on w (``has_constant_noise``) is built once
-    per run, at its first step. Each slice keeps the layout of the run's own
-    factor (a transposed view), so the stacked product is bit-identical to
-    the run's ``F @ z``.
+    Each slice keeps the layout of the run's own factor (a transposed view),
+    so the stacked product is bit-identical to the run's ``F @ z``.
     """
-    for run, w_run in zip(runs, w):
-        if run.noise_sqrt is None or not problem.has_constant_noise:
-            run.noise_sqrt = _noise_transform(problem, w_run, run.dataset,
-                                              run.factor)
-    return np.array([run.noise_sqrt.T for run in runs]).transpose(0, 2, 1)
+    return np.array([_noise_transform(problem, w_run, run.dataset, run.factor).T
+                     for run, w_run in zip(runs, w)]).transpose(0, 2, 1)
 
 
 def _step_data(problem, runs, config):
@@ -491,7 +485,10 @@ def _run_group(configs, datasets, oracle, *, oracle_at_end=False):
                     break
                 new = new[keep]
                 data = _step_data(problem, live, config)
-                noise_sqrt = None
+                # Fancy indexing keeps the stack's transposed layout, so a
+                # factor that does not depend on w is not built again.
+                if noise_sqrt is not None:
+                    noise_sqrt = noise_sqrt[keep]
                 if block is not None:
                     block = block[keep]
             w = new

@@ -1,19 +1,9 @@
 """Gradient statistics: the noise covariance and its mini-batch scale.
 
-``gnc_from_grads`` is the one place the package forms the single-draw
-covariance ``Sigma = g^T g / n - mean mean^T`` from per-example gradients;
-every caller applies its own batch scale to the result. The one other place
-is each problem family's ``grad_moments``, which gives the same moments at a
-stack of states: the logistic family from chunked GEMMs over the features
-without forming the gradients, the others through ``gnc_from_grads``. The
-trajectory tape makes one such call per run and dataset. For the
-data-dependent trajectory bound's leave-one-out gaps the tape's pass takes
-each chunk of states' covariances from its own decomposition and reads each
-family's ``state_gradients`` only for the leverages u^T C^{-1} u of the
-centered per-example gradients u under one stacked
-:class:`~gradnoise.linalg.SpdMatrix` C per chunk: on the logistic family
-from the ``grad_leverages`` GEMM kernel, on the others from one kept pass
-of per-example gradients per state.
+``gnc_from_grads`` forms the single-draw covariance
+``Sigma = g^T g / n - mean mean^T`` from an array of per-example gradients;
+every caller applies its own batch scale to the result. Each problem
+family's ``grad_moments`` gives the same moments at a stack of states.
 
 Naming: ``empirical_gnc`` is the covariance of one random per-example
 gradient around the full-batch mean (Sigma_t in most derivations);

@@ -63,8 +63,7 @@ _BOUND_TABLE = {
                                 ("R",)),
     "terminal-general": ("ensemble", "terminal_bound_general", ("R",)),
     "terminal-anisotropic": ("ensemble", "terminal_bound_anisotropic", ("R",)),
-    "terminal-isotropic": ("ensemble", "terminal_bound_isotropic",
-                           ("reference", "R")),
+    "terminal-isotropic": ("ensemble", "terminal_bound_isotropic", ("R",)),
     "terminal-loo": ("pairs", "terminal_bound_loo", ("M",)),
     "fim-takeuchi": ("ensemble", "fim_takeuchi_bound", ("M",)),
 }
@@ -88,14 +87,12 @@ SWEEP_BOUNDS = _bounds_of("ensemble")
 class ExperimentConfig:
     """Validated experiment description; see the README for the JSON schema.
 
-    A top-level, ``ensemble`` or ``stationary`` key the JSON config leaves
-    out takes the field default here (``stationary.modes`` fills
-    ``stationary_modes``).
+    A top-level or ``ensemble`` key the JSON config leaves out takes the
+    field default here.
     """
 
     train: TrainConfig
     bound_names: tuple = ()
-    stationary_modes: tuple = STATIONARY_MODES
     dataset_seeds: int = 2
     run_seeds: int = 2
     sweep_n: tuple = ()
@@ -103,7 +100,6 @@ class ExperimentConfig:
     g_tilde: str = "population-gradient"
     R: float = 1.0
     M: float = 1.0
-    reference: str = "grand-mean"
     compare_seeds: int = 10
 
 
@@ -191,13 +187,12 @@ def _json_bool(value):
 # value's type and range. A key the config leaves out is not passed on, so the
 # field default of ExperimentConfig, TrainConfig or the problem spec applies.
 _TOP = {
-    "problem": dict, "train": dict, "ensemble": dict, "stationary": dict,
+    "problem": dict, "train": dict, "ensemble": dict,
     "bounds": _names_in(_BOUND_TABLE),
     "sweep_n": lambda ns: tuple(map(_COUNT, ns)),
     "seed": _SEED, "oracle_seed": _SEED, "out_dir": str,
     "g_tilde": _one_of("zero", "population-gradient"),
     "R": _finite_float, "M": _finite_float,
-    "reference": _one_of("grand-mean", "init"),
     "compare_seeds": _COUNT,
 }
 _TRAIN = {
@@ -211,7 +206,6 @@ _TRAIN = {
     "log_lambda1": _json_bool,
 }
 _ENSEMBLE = {"dataset_seeds": _COUNT, "run_seeds": _COUNT}
-_STATIONARY = {"modes": _names_in(STATIONARY_MODES)}
 # problem.family -> the keys that family takes besides family itself and
 # pop_oracle_size, which every family takes.
 _PROBLEM = {
@@ -310,8 +304,6 @@ def load_experiment_config(source, seed_override=None, out_override=None):
                        {"pop_oracle_size": _COUNT, **_PROBLEM[family]}, unknown)
     train = _section("train", top.pop("train", {}), _TRAIN, unknown)
     ensemble = _section("ensemble", top.pop("ensemble", {}), _ENSEMBLE, unknown)
-    stationary = _section("stationary", top.pop("stationary", {}), _STATIONARY,
-                          unknown)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
 
@@ -321,8 +313,6 @@ def load_experiment_config(source, seed_override=None, out_override=None):
         top["out_dir"] = str(out_override)
     if "bounds" in top:
         top["bound_names"] = top.pop("bounds")
-    if "modes" in stationary:
-        top["stationary_modes"] = stationary["modes"]
     if ("lr" in train) == ("lr_schedule" in train):
         raise ConfigError("train config needs exactly one of lr, lr_schedule")
     schedule = (train.pop("lr_schedule") if "lr_schedule" in train
@@ -588,7 +578,7 @@ def cmd_stationary(config, out_dir=None):
         "lambda": [[float(x) for x in row] for row in empirical],
         "tail_samples": int(tail.shape[0]),
     }}
-    for mode in config.stationary_modes:
+    for mode in STATIONARY_MODES:
         lam = solve_stationary_covariance(h, c, eta, mode=mode, b=train.b)
         entry = {
             "lambda": [[float(x) for x in row] for row in lam],

@@ -24,7 +24,7 @@ operands, so each row is bit-identical to the gradient of that row alone.
 The private base class ``_Family`` holds what the families share, and a
 family overrides only where it differs: the defaults ``has_accuracy`` (True;
 not on the quadratic) and ``has_constant_noise`` (False; True on the
-quadratic), ``full_batch_data``, ``grad_moments`` and ``state_gradients``.
+quadratic), ``full_batch_data``, ``grad_moments`` and ``grad_leverages``.
 Each family keeps its own ``per_example_grads``, ``mean_loss``, ``mean_grad``
 and ``hvp``, the methods the benchmark tracer wraps by name on each class.
 
@@ -41,20 +41,19 @@ Hessian at ``w`` needs once and returns the map ``v -> H v``; ``hvp`` is one
 application of it, and callers that apply H many times at one state build
 the operator once.
 
-Every family's ``grad_moments(ws, features, labels)`` returns, for each row
-w of a (K, d) weight stack, ``gnc_from_grads(per_example_grads(w, ...))``:
-the (K, d, d) single-draw noise covariances and the (K, d) mean gradients.
-The logistic family builds them from GEMMs over row chunks without forming
-any per-example gradient; ``_Family``'s, which the quadratic and MLP
-families use, loops over the states, so their moments keep the bits of the
-one-state formula.
-``state_gradients(ws, features, labels)`` wraps the same stack for the
-data-dependent trajectory bound, which takes the moments from the
-trajectory tape: its ``leverages(index, c)`` (the leverages u^T C^{-1} u of
-the centered per-example gradients u under a stacked :class:`SpdMatrix` C,
-and their squared norms) and its ``per_example(k)``. On the logistic family
-the leverages come from the GEMM kernel ``grad_leverages``; on the others
-every state's per-example gradients are evaluated once and shared by both.
+Every family has two stack kernels over the rows w of a (K, d) weight
+stack. ``grad_moments(ws, features, labels)`` returns
+``gnc_from_grads(per_example_grads(w, ...))`` of each: the (K, d, d)
+single-draw noise covariances and the (K, d) mean gradients.
+``grad_leverages(ws, features, labels, c)`` returns, for the
+data-dependent trajectory bound, the leverages u^T C^{-1} u of each
+state's centered per-example gradients u under a stacked
+:class:`SpdMatrix` C, and their squared norms. The logistic family
+builds both from GEMMs over row chunks without forming any per-example
+gradient; ``_Family``'s, which the quadratic and MLP families use, loop
+over the states and evaluate each state's per-example gradients in the
+call, so they keep the bits of the one-state formula and no gradient
+outlives its state.
 
 Population-level expectations are estimated on a large "population oracle"
 sample drawn from a stream disjoint from every training dataset.
@@ -240,54 +239,6 @@ def population_oracle_sample(spec, seed):
     return Dataset(feats, labels, seed)
 
 
-class _StateGradients:
-    """The per-example gradients of ``problem`` at the rows of a (K, d) state
-    stack ``ws``, with their leave-one-out leverages: what
-    ``state_gradients`` gives for a family without a stacked kernel.
-
-    Each state's gradients are evaluated at most once, on first use, and
-    kept while the object lives, so the leverages and any explicit
-    leave-one-out covariance of one state read one pass. The leverages loop
-    over the states with the one-state formula, so they keep its bits.
-    """
-
-    def __init__(self, problem, ws, features, labels):
-        self.problem, self.ws = problem, ws
-        self.features, self.labels = features, labels
-        self._grads = {}
-
-    def per_example(self, k):
-        """The (n, d) per-example gradients at ``ws[k]``."""
-        if k not in self._grads:
-            self._grads[k] = self.problem.per_example_grads(
-                self.ws[k], self.features, self.labels)
-        return self._grads[k]
-
-    def leverages(self, index, c):
-        """The leverages u^T C^{-1} u and squared norms |u|^2, (K', n) each,
-        of the centered per-example gradients u at the states ``ws[index]``,
-        with C^{-1} from the floored eigenpairs of the stacked SpdMatrix
-        ``c`` of those states; here ``sum_j (u . q_j)^2 / lambda_j``."""
-        states = np.arange(len(self.ws))[index]
-        lev = np.empty((len(states), len(self.features)))
-        sq = np.empty_like(lev)
-        for j, k in enumerate(states):
-            grads = self.per_example(k)
-            u = grads - grads.mean(axis=0)
-            lev[j] = np.sum((u @ c.eigenvectors[j]) ** 2 / c.eigenvalues[j], axis=1)
-            sq[j] = np.sum(u * u, axis=1)
-        return lev, sq
-
-
-class _LogisticStateGradients(_StateGradients):
-    """:class:`_StateGradients` whose leverages come from the logistic
-    family's GEMM kernel, which forms no per-example gradient."""
-
-    def leverages(self, index, c):
-        return self.problem.grad_leverages(self.ws[index], self.features,
-                                           self.labels, c)
-
-
 def _gradient_coefficients(margins, sign):
     """The logistic per-example gradient coefficients ``-sign *
     sigmoid(-sign * margins)``, in place of the margins ``x . w``."""
@@ -327,7 +278,7 @@ class _Family:
     """What the three problem families share, each overridden only where a
     family differs: the defaults ``has_accuracy`` and ``has_constant_noise``,
     the identity ``full_batch_data``, and the per-state ``grad_moments`` and
-    ``state_gradients`` built on the family's ``per_example_grads``."""
+    ``grad_leverages`` built on the family's ``per_example_grads``."""
 
     has_accuracy = True
     has_constant_noise = False
@@ -347,8 +298,20 @@ class _Family:
                 w, features, labels))
         return sigma, mean
 
-    def state_gradients(self, ws, features, labels):
-        return _StateGradients(self, ws, features, labels)
+    def grad_leverages(self, ws, features, labels, c):
+        """The leverages u^T C^{-1} u and squared norms |u|^2, (K, n) each,
+        of the centered per-example gradients u at each row of the (K, d)
+        stack ``ws``, with C^{-1} from the floored eigenpairs of the stacked
+        SpdMatrix ``c``: here ``sum_j (u . q_j)^2 / lambda_j``, one state at
+        a time, so each keeps the bits of the one-state formula."""
+        lev = np.empty((len(ws), len(features)))
+        sq = np.empty_like(lev)
+        for k, w in enumerate(ws):
+            grads = self.per_example_grads(w, features, labels)
+            u = grads - grads.mean(axis=0)
+            lev[k] = np.sum((u @ c.eigenvectors[k]) ** 2 / c.eigenvalues[k], axis=1)
+            sq[k] = np.sum(u * u, axis=1)
+        return lev, sq
 
 
 class QuadraticProblem(_Family):
@@ -458,15 +421,12 @@ class LogisticProblem(_Family):
                                                - mean[:, iu] * mean[:, ju])
         return sigma, mean + self.l2 * ws
 
-    def state_gradients(self, ws, features, labels):
-        return _LogisticStateGradients(self, ws, features, labels)
-
     def grad_leverages(self, ws, features, labels, c):
         """The leverages u^T C^{-1} u and squared norms |u|^2, (K, n) each,
         of the centered per-example gradients u at each row of the (K, d)
         stack ``ws``, with C^{-1} from the floored eigenpairs of the stacked
         SpdMatrix ``c``; equal to the per-state formula of
-        :class:`_StateGradients` up to rounding.
+        :meth:`_Family.grad_leverages` up to rounding.
 
         u_i = c_i x_i - mean, with mean the mean of the c_i x_i: the l2 term
         cancels. So with M = C^{-1}, l_i = c_i^2 x_i^T M x_i

@@ -5,16 +5,18 @@ They check the library against independent formulas and are kept out of
 spectral summary, the per-state gradient snapshot and the leave-one-out
 pieces, the trajectory tape's scalars from whole-run stacks, Gaussian KL
 arithmetic, the quadratic family's analytic population
-moments, the closed-form prior objectives behind the bounds, and a frozen copy
+moments, the closed-form prior objectives behind the bounds, a frozen copy
 of the MLP kernels written with numpy's own class-axis reductions and no
-in-place steps, which the library's kernels must match bit for bit.
+in-place steps, which the library's kernels must match bit for bit, and
+the influence-function estimate of a leave-one-out weight shift.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from gradnoise.errors import CapabilityError, ConfigError, InvalidInputError
+from gradnoise.errors import CapabilityError, ConfigError, InvalidInputError, NumericalError
 from gradnoise.gradstats import gnc_from_grads, minibatch_factor
 from gradnoise.linalg import SpdMatrix, log_det
 from gradnoise.problems import QuadraticSpec, _teacher_params, build_problem
@@ -289,8 +291,8 @@ def stacked_tape_scalars(records, floor_scales, prior, leave_one_out=None):
 
     ``leave_one_out``, a pair (the library's gap kernel, a state chunk),
     adds the ``loo_gap`` and ``loo_floored`` fields as the data-dependent
-    bound took them then: each run's states a chunk at a time through
-    ``state_gradients``, against slices of the whole stack of C rescaled
+    bound took them then: each run's states a chunk at a time through the
+    gap kernel, against slices of the whole stack of C rescaled
     to Sigma/b. So it checks where the tape cuts its decompositions, not
     the kernel, which the enumeration tests pin.
     """
@@ -326,10 +328,59 @@ def stacked_tape_scalars(records, floor_scales, prior, leave_one_out=None):
             for lo in range(0, shape[0], chunk):
                 part = slice(lo, lo + chunk)
                 got, out["loo_floored"][part, r] = gaps(
-                    problem.state_gradients(rec.weights[:-1][part],
-                                            rec.dataset.features,
-                                            rec.dataset.labels),
-                    c[part], to_loo * out["trace_c"][part, r], b)
+                    problem, rec.weights[:-1][part], rec.dataset, c[part],
+                    to_loo * out["trace_c"][part, r], b)
                 for s in floor_scales:
                     out["loo_gap"][s][part, r] = got[s]
     return out
+
+
+def influence_estimate(problem, w_star, dataset, index, cg_tol=1e-10,
+                       damping=0.0, grad_norm_threshold=1e-3):
+    """First-order estimate of the weight shift from dropping one example.
+
+    Solves H x = grad of the dropped example's loss at ``w_star`` by
+    conjugate gradients from x = 0 on the HVP operator (with optional
+    Tikhonov damping) and returns x / n. CG stops once the residual is at
+    most ``cg_tol`` times the gradient's norm; more than ``10 d + 50``
+    products, or a non-finite one, raise NumericalError. Warns when
+    ``w_star`` does not look like a minimum.
+    The estimate carries the well-known 1/n vs 1/(n-1) finite-sample gap:
+    multiplying by n/(n-1) recovers the exact shift on quadratic problems.
+    """
+    n = len(dataset)
+    if not 0 <= index < n:
+        raise ConfigError(f"index {index} out of range for dataset of size {n}")
+    full_grad = problem.mean_grad(w_star, dataset.features, dataset.labels)
+    gnorm = float(np.linalg.norm(full_grad))
+    if gnorm > grad_norm_threshold:
+        warnings.warn(
+            f"influence_estimate called away from a minimum "
+            f"(gradient norm {gnorm:.3g})", stacklevel=2)
+    grads = problem.per_example_grads(
+        w_star, dataset.features[index:index + 1], dataset.labels[index:index + 1])
+    g = grads[0]
+    if not np.any(g):
+        return np.zeros(problem.dim)
+
+    hess = problem.hessian_operator(w_star, dataset.features, dataset.labels)
+    target = cg_tol * np.linalg.norm(g)
+    max_products = 10 * problem.dim + 50
+    x = np.zeros(problem.dim)
+    r = g.copy()
+    p = r.copy()
+    rho = r @ r
+    for _ in range(max_products):
+        if np.sqrt(rho) <= target:
+            return x / n
+        q = hess(p) + damping * p if damping else hess(p)
+        if not np.isfinite(q).all():
+            raise NumericalError("non-finite Hessian-vector product")
+        step = rho / (p @ q)
+        x += step * p
+        r -= step * q
+        rho, rho_prev = r @ r, rho
+        p = r + (rho / rho_prev) * p
+    raise NumericalError(
+        f"conjugate gradients did not converge in {max_products} products "
+        f"(residual {np.sqrt(rho):.3g})")

@@ -16,7 +16,6 @@ from scipy.stats import multivariate_normal, spearmanr
 from _acceptance_report import criterion
 from fd_utils import check_hvp, check_mean_grad, check_per_example_grads
 from gradnoise.bounds import (
-    influence_estimate,
     tape_from_records,
     terminal_bound_anisotropic,
     terminal_bound_general,
@@ -53,6 +52,7 @@ from oracles import (
     anisotropic_prior_objective,
     gaussian_kl,
     identity_form_terms,
+    influence_estimate,
     isotropic_step_kl,
     isotropic_terminal_kl,
     loo_quantities,

@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     "generate_dataset",
     "gld_step",
     "gnc_from_grads",
-    "influence_estimate",
     "load_experiment_config",
     "log_det",
     "loo_train",

@@ -9,6 +9,7 @@ leave-one-out minimizer shift on quadratics.
 
 import dataclasses
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,6 @@ from gradnoise.bounds import (
     BoundReport,
     TrajectoryTape,
     fim_takeuchi_bound,
-    influence_estimate,
     report_to_json_dict,
     tape_from_records,
     terminal_bound_anisotropic,
@@ -61,6 +61,7 @@ from oracles import (
     GaussianDist,
     anisotropic_prior_objective,
     gaussian_kl,
+    influence_estimate,
     isotropic_step_kl,
     isotropic_terminal_kl,
     stacked_tape_scalars,
@@ -601,8 +602,10 @@ class TestDataDependentTrajectory:
     def test_chunks_split_states_and_replays_alike(self, monkeypatch):
         """At a chunk of 2 the three states go as 2 + 1, each chunk's C as
         one stack, and each state's six C_J replays as 2 + 2 + 2 stacks; the
-        terms still equal the enumeration, and each state's gradients are
-        evaluated once for its moments and once for its replays."""
+        terms still equal the enumeration. Each state's C is unfloored but
+        some of its C_J may floor, so its gradients are evaluated once for
+        its moments, once for its leverages and once for its replays: no
+        gradient array is kept from the leverages for the replay."""
         spec = QuadraticSpec(curvature=np.diag([0.5, 0.8, 1.0, 1.3, 1.6]),
                              center=np.zeros(5), scatter=np.eye(5),
                              pop_oracle_size=100)
@@ -615,19 +618,44 @@ class TestDataDependentTrajectory:
         per_example_grads = QuadraticProblem.per_example_grads
         monkeypatch.setattr(QuadraticProblem, "per_example_grads",
                             lambda *a: grad_passes.append(a) or per_example_grads(*a))
-        state_gradients = QuadraticProblem.state_gradients
-        monkeypatch.setattr(QuadraticProblem, "state_gradients",
-                            lambda self, ws, *a: chunks.append(len(ws))
-                            or state_gradients(self, ws, *a))
+        gaps = bounds._loo_log_det_gaps
+        monkeypatch.setattr(bounds, "_loo_log_det_gaps",
+                            lambda problem, ws, *a: chunks.append(len(ws))
+                            or gaps(problem, ws, *a))
         report = traj_bound_data_dependent(
             tape_from_records([rec], leave_one_out=True))
         monkeypatch.undo()
         assert chunks == [2, 1]
-        assert len(grad_passes) == 3 + 3
+        assert len(grad_passes) == 3 + 3 + 3
         assert eighs == ([(2, 5, 5)] + [(2, 5, 5)] * 6
                          + [(1, 5, 5)] + [(2, 5, 5)] * 3)
         np.testing.assert_allclose(report.per_step_terms,
                                    brute_force_loo_terms(rec), rtol=0, atol=1e-10)
+
+    def test_no_per_example_gradient_outlives_its_state(self, monkeypatch):
+        """The gaps evaluate a state's per-example gradients where they use
+        them and keep none for later states: whenever a gradient pass
+        starts, at most one earlier pass's array is still alive (the one
+        the loop is about to replace), over a run that fills a chunk of
+        states and starts another."""
+        rec = train_run(quad_config(steps=LOO_STATE_CHUNK + 1))
+        alive, arrays = [], []
+        per_example_grads = QuadraticProblem.per_example_grads
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in arrays))
+            grads = per_example_grads(*args)
+            arrays.append(weakref.ref(grads))
+            return grads
+
+        monkeypatch.setattr(QuadraticProblem, "per_example_grads", tracked)
+        tape = tape_from_records([rec], leave_one_out=True)
+        monkeypatch.undo()
+        # No C floors, so every state's leverages take a gradient pass
+        # beside its moments.
+        assert not tape.floored_c.any()
+        assert len(alive) >= 2 * tape.n_steps
+        assert max(alive) <= 1
 
     def test_tape_without_leave_one_out_is_rejected(self):
         rec = train_run(quad_config(steps=2))
@@ -755,8 +783,9 @@ def test_rescaled_tape_gnc_is_the_leave_one_out_c(spec, n, b, monkeypatch):
     seen = []
     gaps = bounds._loo_log_det_gaps
     monkeypatch.setattr(bounds, "_loo_log_det_gaps",
-                        lambda grads, c, trace_c, b: seen.append((c, trace_c))
-                        or gaps(grads, c, trace_c, b))
+                        lambda problem, ws, data, c, trace_c, b:
+                        seen.append((c, trace_c))
+                        or gaps(problem, ws, data, c, trace_c, b))
     tape = tape_from_records(records, leave_one_out=True)
     assert len(seen) == len(records)  # one chunk of 4 states per run
     problem = build_problem(spec)

@@ -16,7 +16,6 @@ from gradnoise import bounds, dynamics, harness, problems
 from gradnoise.dynamics import TrainConfig
 from gradnoise.errors import ConfigError, GradnoiseError
 from gradnoise.harness import (
-    STATIONARY_MODES,
     SWEEP_BOUNDS,
     TERMINAL_BOUNDS,
     TRAJ_BOUNDS,
@@ -131,21 +130,19 @@ class TestConfigLoading:
     @given(extra=st.fixed_dictionaries({
         section: st.sets(st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True),
                          max_size=3)
-        for section in ("", "train", "ensemble", "stationary", "problem")}))
+        for section in ("", "train", "ensemble", "problem")}))
     def test_unknown_keys_named_exactly(self, extra):
         raw = quad_raw()
         raw["ensemble"] = {"dataset_seeds": 2}
-        raw["stationary"] = {"modes": ["general", "small-lr"]}
         allowed = {
             "": {"problem", "train", "bounds", "ensemble", "sweep_n", "seed",
-                 "oracle_seed", "out_dir", "g_tilde", "R", "M", "reference",
-                 "compare_seeds", "stationary"},
+                 "oracle_seed", "out_dir", "g_tilde", "R", "M",
+                 "compare_seeds"},
             "train": {"n", "b", "lr", "lr_schedule", "steps", "mode",
                       "log_every", "record_weights", "burn_in", "w0",
                       "dataset_seed", "tail_checkpoints", "tail_spacing",
                       "log_lambda1"},
             "ensemble": {"dataset_seeds", "run_seeds"},
-            "stationary": {"modes"},
             "problem": {"family", "dim", "curvature", "center", "scatter",
                         "pop_oracle_size"},
         }
@@ -163,20 +160,17 @@ class TestConfigLoading:
     @pytest.mark.parametrize("dotted, value", [
         pytest.param(dotted, value, id=dotted) for dotted, value in (
             ("train.log_alignment", True), ("train.cov_refresh", 10),
-            ("train.init_scale", 2.0), ("stationary.b", 2))])
+            ("train.init_scale", 2.0),
+            ("stationary", {"modes": ["small-lr"], "b": 2}),
+            ("reference", "init"))])
     def test_removed_key_rejected(self, dotted, value):
-        section, key = dotted.split(".")
+        *section, key = dotted.split(".")
         raw = quad_raw()
-        raw[section] = {**raw.get(section, {}), key: value}
+        target = raw[section[0]] if section else raw
+        target[key] = value
         with pytest.raises(ConfigError,
                            match=f"^unknown config keys: {dotted}$"):
             load_experiment_config(raw)
-
-    def test_stationary_modes_default_to_all_four(self):
-        default = load_experiment_config(quad_raw())
-        assert default.stationary_modes == STATIONARY_MODES
-        raw = {**quad_raw(), "stationary": {"modes": ["small-lr"]}}
-        assert load_experiment_config(raw).stationary_modes == ("small-lr",)
 
     def test_exactly_one_learning_rate_spelling(self):
         raw = quad_raw()
@@ -467,12 +461,16 @@ class TestCli:
     ])
     def test_bad_stationary_section_fails_before_training(
             self, tmp_path, capsys, monkeypatch, key, section):
+        """The removed ``stationary`` section is an unknown key, named as a
+        whole, not by the ``key`` it carries, before any run trains."""
         calls = []
         monkeypatch.setattr(harness, "train_run",
                             lambda *a, **k: calls.append(a))
         path = write_config(tmp_path, {**quad_raw(), "stationary": section})
         assert run_cli(["stationary", "--config", str(path)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown config keys: stationary\n" in err
+        assert key not in err
         assert calls == []
 
 
@@ -649,19 +647,17 @@ class TestBoundsCommands:
         (["traj-isotropic", "traj-langevin", "traj-anisotropic"], False)])
     def test_tape_takes_leave_one_out_gaps_only_for_the_bound_reading_them(
             self, monkeypatch, names, leave_one_out):
-        """The tape's pass computes the leave-one-out gaps, and calls a
-        family's ``state_gradients``, only when ``traj-data-dependent`` is
-        named."""
+        """The tape's pass computes the leave-one-out gaps only when
+        ``traj-data-dependent`` is named."""
         cfg = self.traj_config(bounds=names)
         seen, chunks = [], []
         tape_from_records = bounds.tape_from_records
         monkeypatch.setattr(bounds, "tape_from_records",
                             lambda runs, **kw: seen.append(kw)
                             or tape_from_records(runs, **kw))
-        state_gradients = problems.QuadraticProblem.state_gradients
-        monkeypatch.setattr(problems.QuadraticProblem, "state_gradients",
-                            lambda self, *a: chunks.append(1)
-                            or state_gradients(self, *a))
+        gaps = bounds._loo_log_det_gaps
+        monkeypatch.setattr(bounds, "_loo_log_det_gaps",
+                            lambda *a: chunks.append(1) or gaps(*a))
         cmd_bounds_traj(cfg)
         assert [kw["leave_one_out"] for kw in seen] == [leave_one_out]
         assert bool(chunks) == leave_one_out

@@ -256,8 +256,8 @@ def per_state_leverages(problem, ws, data, c):
 
 
 class TestGradLeverages:
-    """``grad_leverages`` and ``state_gradients`` at a stack of states
-    against the per-state formula ``sum_j (u . q_j)^2 / lambda_j``."""
+    """Each family's ``grad_leverages`` at a stack of states against the
+    per-state formula ``sum_j (u . q_j)^2 / lambda_j``."""
 
     CHUNK = problems.GRAD_MOMENT_CHUNK
 
@@ -291,28 +291,12 @@ class TestGradLeverages:
             np.testing.assert_allclose(sq[j], want_sq[j], rtol=1e-12,
                                        atol=1e-12 * scale)
 
-    def test_logistic_state_gradients_take_the_kernels(self):
-        """The logistic ``state_gradients`` reads ``grad_leverages`` at the
-        selected states, bit for bit."""
-        spec = logistic_spec(d=5, l2=0.05)
-        problem = build_problem(spec)
-        data = generate_dataset(spec, seed=3, n=40)
-        ws = np.random.default_rng(4).standard_normal((5, 5))
-        index = np.array([True, False, True, True, False])
-        grads = problem.state_gradients(ws, data.features, data.labels)
-        sigma, _ = problem.grad_moments(ws, data.features, data.labels)
-        c = SpdMatrix.from_matrix(sigma[index] / 3.0)
-        lev, sq = grads.leverages(index, c)
-        want_lev, want_sq = problem.grad_leverages(ws[index], data.features,
-                                                   data.labels, c)
-        assert np.array_equal(lev, want_lev) and np.array_equal(sq, want_sq)
-
     @pytest.mark.parametrize("spec", [quadratic_spec(), mlp_spec()],
                              ids=lambda s: s.family)
     def test_loop_families_keep_the_per_state_bits(self, spec, monkeypatch):
-        """Leverages and per-example gradients of the selected states equal
-        the one-state formulas bit for bit, and they share one per-example
-        gradient pass per state."""
+        """``_Family.grad_leverages`` at the selected states equals the
+        one-state formula bit for bit, with one per-example gradient pass
+        per state."""
         problem = build_problem(spec)
         data = generate_dataset(spec, seed=1, n=12)
         ws = np.random.default_rng(2).standard_normal((4, problem.dim)) * 0.5
@@ -323,16 +307,30 @@ class TestGradLeverages:
         per_example_grads = type(problem).per_example_grads
         monkeypatch.setattr(type(problem), "per_example_grads",
                             lambda *a: calls.append(1) or per_example_grads(*a))
-        grads = problem.state_gradients(ws, data.features, data.labels)
-        lev, sq = grads.leverages(index, c)
-        kept = [grads.per_example(k) for k in range(len(ws))]
-        assert len(calls) == len(ws)
+        lev, sq = problem.grad_leverages(ws[index], data.features, data.labels, c)
+        assert len(calls) == index.sum()
         monkeypatch.undo()
-        assert all(np.array_equal(
-            g, problem.per_example_grads(w, data.features, data.labels))
-            for g, w in zip(kept, ws))
         want_lev, want_sq = per_state_leverages(problem, ws[index], data, c)
         assert np.array_equal(lev, want_lev) and np.array_equal(sq, want_sq)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_empty_stack_takes_no_gradient_pass(self, spec, monkeypatch):
+        """A stack with no states, as the leave-one-out pass hands over for
+        a chunk whose every C floors, gives (0, n) leverages and squared
+        norms without evaluating any per-example gradient."""
+        problem = build_problem(spec)
+        data = generate_dataset(spec, seed=1, n=12)
+        ws = np.random.default_rng(2).standard_normal((3, problem.dim)) * 0.5
+        sigma, _ = problem.grad_moments(ws, data.features, data.labels)
+        none = np.zeros(len(ws), dtype=bool)
+        c = SpdMatrix.from_matrix(sigma / 2.0)[none]
+        calls = []
+        per_example_grads = type(problem).per_example_grads
+        monkeypatch.setattr(type(problem), "per_example_grads",
+                            lambda *a: calls.append(1) or per_example_grads(*a))
+        lev, sq = problem.grad_leverages(ws[none], data.features, data.labels, c)
+        assert lev.shape == sq.shape == (0, len(data))
+        assert calls == []
 
 
 class TestDatasets:
@@ -437,7 +435,7 @@ class TestSpecs:
 # The methods each family overrides from ``_Family``; the others it inherits.
 FAMILY_OVERRIDES = {
     problems.QuadraticProblem: {"full_batch_data"},
-    problems.LogisticProblem: {"grad_moments", "state_gradients"},
+    problems.LogisticProblem: {"grad_moments", "grad_leverages"},
     problems.MlpProblem: set(),
 }
 
@@ -454,7 +452,7 @@ class TestFamilyLayout:
             assert name in vars(cls), name
 
     def test_shared_methods_come_from_the_base_unless_overridden(self, cls):
-        for name in ("grad_moments", "state_gradients", "full_batch_data"):
+        for name in ("grad_moments", "grad_leverages", "full_batch_data"):
             owner = next(k for k in cls.__mro__ if name in vars(k))
             want = cls if name in FAMILY_OVERRIDES[cls] else problems._Family
             assert owner is want, name

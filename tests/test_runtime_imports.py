@@ -37,23 +37,13 @@ TERMINAL = {"problem": QUAD,
 WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
-import numpy as np
-from gradnoise.bounds import influence_estimate
 from gradnoise.harness import run_cli
-from gradnoise.problems import QuadraticSpec, build_problem, generate_dataset
 
 tmp = sys.argv[1]
 for command, name in (("train", "train"), ("bounds-terminal", "terminal")):
     code = run_cli([command, "--config", f"{tmp}/{name}.json",
                     "--out", f"{tmp}/{name}"])
     assert code == 0, (command, code)
-spec = QuadraticSpec(curvature=np.diag([0.5, 1.0, 2.0]), center=np.zeros(3),
-                     scatter=1.0, pop_oracle_size=50)
-dataset = generate_dataset(spec, seed=0, n=50)
-w_star = dataset.features.mean(axis=0)
-estimate = influence_estimate(build_problem(spec), w_star, dataset, index=3)
-exact = (w_star - dataset.features[3]) / 49
-assert np.allclose(estimate * 50 / 49, exact, rtol=0, atol=1e-8), estimate
 """
 
 
@@ -135,9 +125,9 @@ def _python(code, *args, env=None):
     return proc.stdout
 
 
-def test_commands_and_influence_run_without_scipy(tmp_path):
-    """train with log_lambda1, bounds-terminal with fim-takeuchi and
-    terminal-loo, and influence_estimate, with scipy unimportable."""
+def test_commands_run_without_scipy(tmp_path):
+    """train with log_lambda1 and bounds-terminal with fim-takeuchi and
+    terminal-loo, with scipy unimportable."""
     (tmp_path / "train.json").write_text(json.dumps(TRAIN))
     (tmp_path / "terminal.json").write_text(json.dumps(TERMINAL))
     _python(WITHOUT_SCIPY, tmp_path)

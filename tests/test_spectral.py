@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gradnoise import spectral
-from gradnoise.bounds import influence_estimate
 from gradnoise.dynamics import TrainConfig, train_run
 from gradnoise.errors import ConfigError, NumericalError, StabilityError
 from gradnoise.linalg import solve_stationary_covariance
@@ -19,7 +18,7 @@ from gradnoise.problems import (
 )
 from gradnoise.seeding import substream
 from gradnoise.spectral import stability_gap, top_eigenvalue
-from oracles import hessian_trace, spectral_report
+from oracles import hessian_trace, influence_estimate, spectral_report
 
 
 def quadratic_problem(a):
