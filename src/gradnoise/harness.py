@@ -5,8 +5,8 @@ command with the same config reproduces the files byte for byte. Floats are
 written with the %.17g format (round-trip exact), file writes happen only in
 the orchestrator after runs complete, and ensembles run serially in a fixed
 grid order. :func:`run_cli` runs each command on one OpenBLAS thread (unless
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set), so the bytes do not
-depend on the machine's core count either.
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` names a positive count), so
+the bytes do not depend on the machine's core count either.
 
 Exit-code contract for :func:`run_cli`: 0 success, 2 configuration error,
 3 numerical or divergence error.
@@ -631,7 +631,8 @@ _COMMANDS = {
 
 
 # (get, set) thread-count entry points of OpenBLAS under the names its builds
-# export; numpy's wheels ship the first pair.
+# export; numpy's wheels ship the first pair. Those wheels and plain builds
+# alike export ``blas_thread_shutdown_``, which joins the worker pool, unprefixed.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -641,7 +642,11 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 
 def _openblas_thread_controls():
-    """(get, set) of the thread count of each OpenBLAS the process loaded."""
+    """(get, set, park) of each OpenBLAS the process loaded.
+
+    ``park`` joins the library's worker threads, or is None where the library
+    does not export it.
+    """
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps
@@ -656,51 +661,81 @@ def _openblas_thread_controls():
                 get, put = getattr(lib, get_name), getattr(lib, set_name)
                 get.restype, get.argtypes = ctypes.c_int, []
                 put.restype, put.argtypes = None, [ctypes.c_int]
-                controls.append((get, put))
+                park = getattr(lib, "blas_thread_shutdown_", None)
+                if park is not None:
+                    park.restype, park.argtypes = ctypes.c_int, []
+                controls.append((get, put, park))
                 break
     return controls
 
 
+def _names_a_thread_count(value):
+    """Whether an environment value names a thread count: a positive integer.
+    OpenBLAS reads ``""`` and ``"0"`` as unset."""
+    try:
+        return int(value) > 0
+    except ValueError:
+        return False
+
+
 @contextmanager
 def _one_blas_thread():
-    """Run the body on one OpenBLAS thread; restore each count on exit.
+    """Run the body on one OpenBLAS thread, with no idle worker spinning.
 
     The bounds are read off many small d x d matrices (tape covariances,
     leave-one-out log-dets, Hessians), too small to gain from a second
     thread: it stalled an occasional call by 100 ms and spun a second core.
     The bits of a stacked ``eigh`` or GEMM also depend on the thread count.
+
+    Setting the count to 1 leaves the pool's worker threads alive, and an
+    idle worker busy-waits for about 0.1 s of CPU after its last job (and
+    after numpy loads OpenBLAS) before it sleeps. So after pinning each
+    library to one thread, this parks its pool: ``blas_thread_shutdown_``
+    exits and joins the workers, as OpenBLAS's own fork handler does. On exit
+    each count is restored and the pool parked again, since raising the
+    count starts fresh workers; the next BLAS call that uses threads starts
+    the pool anew. A library without the shutdown export is only pinned.
+
     A count the user asked for through ``OPENBLAS_NUM_THREADS`` or
-    ``OMP_NUM_THREADS`` is left alone.
+    ``OMP_NUM_THREADS`` is left alone, pool and all. Only a positive integer
+    names a count: OpenBLAS reads ``""`` or ``"0"`` as unset and takes the
+    core count, which would make the output bytes depend on it.
     """
-    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+    if any(_names_a_thread_count(os.environ.get(name, ""))
+           for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
         controls = []
     else:
         controls = _openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-    for _, put in controls:
+    previous = [get() for get, _, _ in controls]
+    for _, put, park in controls:
         put(1)
+        if park is not None:
+            park()
     try:
         yield
     finally:
-        for (_, put), count in zip(controls, previous):
+        for (_, put, park), count in zip(controls, previous):
             put(count)
+            if park is not None:
+                park()
 
 
 def run_cli(argv):
     """Argument parsing and dispatch; returns the process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="gradnoise",
-        description="SGD gradient-noise analysis and generalization bounds")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=None,
-                       help="accepted and ignored: ensembles run serially")
-    args = parser.parse_args(argv)
     with _one_blas_thread():
+        parser = argparse.ArgumentParser(
+            prog="gradnoise",
+            description="SGD gradient-noise analysis and generalization bounds")
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name in _COMMANDS:
+            p = sub.add_parser(name)
+            p.add_argument("--config", required=True,
+                           help="JSON experiment config")
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--out", default=None)
+            p.add_argument("--jobs", type=int, default=None,
+                           help="accepted and ignored: ensembles run serially")
+        args = parser.parse_args(argv)
         try:
             config = load_experiment_config(
                 args.config, seed_override=args.seed, out_override=args.out)

@@ -604,24 +604,35 @@ class MlpProblem(_Family):
         two_hid = 2.0 * hid
 
         def apply(v):
+            # The temporaries are updated in place, in the order of the plain
+            # formulas (products commute bit for bit), so the bits match them.
             v1, c1, v2, c2 = self.unpack(v)
             # Forward sweep of the R-operator.
-            r_pre = features @ v1.T + c1
-            r_hid = tanh_deriv * r_pre
-            r_logits = hid @ v2.T + r_hid @ w2.T + c2
-            p_r = probs * r_logits
-            # d_logits is probs minus a constant, so it moves with the softmax.
-            r_dlogits = p_r - probs * _class_reduce(np.add, p_r)
+            r_hid = features @ v1.T
+            r_hid += c1
+            r_hid *= tanh_deriv
+            r_dlogits = hid @ v2.T
+            r_dlogits += r_hid @ w2.T
+            r_dlogits += c2
+            # d_logits is probs minus a constant, so it moves with the
+            # softmax: with p_r = probs * r_logits, r_dlogits is
+            # p_r - probs * (the class sum of p_r).
+            r_dlogits *= probs
+            r_dlogits -= probs * _class_reduce(np.add, r_dlogits)
 
             # Backward sweep: differentiate each gradient quantity along v.
-            r_dhid = d_logits @ v2 + r_dlogits @ w2
-            r_dpre = tanh_deriv * r_dhid - two_hid * r_hid * d_hid
-            return self.pack(
-                r_dpre.T @ features / n,
-                r_dpre.sum(axis=0) / n,
-                (r_dlogits.T @ hid + d_logits.T @ r_hid) / n,
-                r_dlogits.sum(axis=0) / n,
-            )
+            r_dpre = d_logits @ v2
+            r_dpre += r_dlogits @ w2
+            r_dpre *= tanh_deriv
+            r_curv = two_hid * r_hid
+            r_curv *= d_hid
+            r_dpre -= r_curv
+            r_w2 = r_dlogits.T @ hid
+            r_w2 += d_logits.T @ r_hid
+            packed = self.pack(r_dpre.T @ features, r_dpre.sum(axis=0),
+                               r_w2, r_dlogits.sum(axis=0))
+            packed /= n
+            return packed
 
         return apply
 

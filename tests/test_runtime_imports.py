@@ -50,9 +50,11 @@ for command, name in (("train", "train"), ("bounds-terminal", "terminal")):
 # Records numpy's OpenBLAS thread count before and after importing the
 # harness, then inside and after run_cli: a wrapped train command (exit 0), a
 # missing config (exit 2, the command never starts) and a wrapped compare
-# command that raises. Unless the environment names a count, the script sets
-# 3 before the calls, a count no default gives on a 1- or 2-core machine, so
-# that a restore shows. Prints null where no OpenBLAS is found.
+# command that raises. With "set" as its second argument the script sets 3
+# before the calls, a count no default gives on a 1- or 2-core machine, so
+# that a restore shows. It also records the process's OS threads inside each
+# command and after each call, and the count and threads after a 600 x 600
+# GEMM that follows the calls. Prints null where no OpenBLAS is found.
 BLAS_THREADS = """
 import ctypes, json, os, sys
 import numpy
@@ -73,36 +75,41 @@ def controls():
                 get, put = (getattr(lib, name.format(op)) for op in ("get", "set"))
                 get.restype, get.argtypes = ctypes.c_int, []
                 put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
+                return get, put, hasattr(lib, "blas_thread_shutdown_")
     return None
+
+def os_threads():
+    return len(os.listdir("/proc/self/task"))
 
 found = controls()
 if found is None:
     print(json.dumps(None))
     sys.exit()
-get, put = found
-out = {"before_import": get()}
+get, put, parks = found
+out = {"parks": parks, "before_import": get()}
 from gradnoise import harness
 out["after_import"] = get()
-if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+if sys.argv[2] == "set":
     put(3)
 out["set"] = get()
 
-inside = []
+inside, inside_threads = [], []
 train = harness._COMMANDS["train"]
 
 def recording(config, out_dir=None):
     inside.append(get())
+    inside_threads.append(os_threads())
     return train(config, out_dir=out_dir)
 
 def failing(config, out_dir=None):
     inside.append(get())
+    inside_threads.append(os_threads())
     raise RuntimeError("raised inside the command")
 
 harness._COMMANDS["train"] = recording
 harness._COMMANDS["compare"] = failing
 tmp = sys.argv[1]
-codes, after = [], []
+codes, after, after_threads = [], [], []
 for command, config in (("train", "train"), ("train", "missing"),
                         ("compare", "train")):
     argv = [command, "--config", f"{tmp}/{config}.json", "--out", f"{tmp}/out"]
@@ -111,7 +118,12 @@ for command, config in (("train", "train"), ("train", "missing"),
     except RuntimeError:
         codes.append("raised")
     after.append(get())
-out.update(inside=inside, codes=codes, after=after)
+    after_threads.append(os_threads())
+a = numpy.ones((600, 600))
+a @ a
+out.update(inside=inside, codes=codes, after=after,
+           inside_threads=inside_threads, after_threads=after_threads,
+           after_gemm=get(), after_gemm_threads=os_threads())
 print(json.dumps(out))
 """
 
@@ -149,13 +161,15 @@ def test_importing_the_harness_loads_no_scipy():
     assert "numpy.random" in loaded
 
 
-def _blas_threads(tmp_path, **env):
+def _blas_threads(tmp_path, set_count=True, **env):
     (tmp_path / "train.json").write_text(json.dumps(
         {"problem": QUAD, "train": {"n": 20, "b": 4, "lr": 0.1, "steps": 10},
          "seed": 1}))
     base = {k: v for k, v in os.environ.items()
             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    out = json.loads(_python(BLAS_THREADS, tmp_path, env=dict(base, **env)))
+    out = json.loads(_python(BLAS_THREADS, tmp_path,
+                             "set" if set_count else "keep",
+                             env=dict(base, **env)))
     if out is None:
         pytest.skip("no OpenBLAS found")
     return out
@@ -173,11 +187,35 @@ def test_run_cli_runs_on_one_blas_thread_and_restores_the_count(tmp_path):
     assert out["after"] == [3, 3, 3]
 
 
+def test_run_cli_parks_the_idle_blas_pool_and_a_gemm_restarts_it(tmp_path):
+    """No OpenBLAS worker lives inside a command or after run_cli returns; the
+    next threaded GEMM starts the pool again at the restored count."""
+    out = _blas_threads(tmp_path)
+    if not out["parks"]:
+        pytest.skip("OpenBLAS exports no blas_thread_shutdown_")
+    assert out["inside_threads"] == [1, 1]
+    assert out["after_threads"] == [1, 1, 1]
+    assert out["after_gemm"] == 3
+    assert out["after_gemm_threads"] > 1
+
+
 @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
 def test_run_cli_keeps_a_blas_thread_count_set_in_the_environment(tmp_path,
                                                                   variable):
-    out = _blas_threads(tmp_path, **{variable: "2"})
+    out = _blas_threads(tmp_path, set_count=False, **{variable: "2"})
     assert out["before_import"] == out["after_import"] == out["set"] == 2
     assert out["codes"] == [0, 2, "raised"]
     assert out["inside"] == [2, 2]
     assert out["after"] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("value", ["", "0"])
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_run_cli_pins_where_the_environment_names_no_count(tmp_path, variable,
+                                                          value):
+    """OpenBLAS reads an empty or zero variable as unset and takes the core
+    count, so run_cli pins one thread as if the variable were absent."""
+    out = _blas_threads(tmp_path, **{variable: value})
+    assert out["codes"] == [0, 2, "raised"]
+    assert out["inside"] == [1, 1]
+    assert out["after"] == [3, 3, 3]
