@@ -288,7 +288,9 @@ def _tail_steps(config):
             for k in range(config.tail_checkpoints)}
 
 
-_SERIES = ("steps", "train_loss", "test_loss", "grad_norm_sq", "trace_c",
+# The per-logged-step series of a record, in the column order of its
+# trajectory CSV; lambda1 and gap are logged only with ``log_lambda1``.
+SERIES = ("steps", "train_loss", "test_loss", "grad_norm_sq", "trace_c",
           "dist_init", "lambda1", "gap")
 
 
@@ -306,7 +308,7 @@ class _Run:
         self.w0 = _initial_weights(config, problem)
         self.rng_batch = substream(config.seed, "batch")
         self.rng_noise = substream(config.seed, "noise")
-        self.series = {k: [] for k in _SERIES}
+        self.series = {k: [] for k in SERIES}
         self.weights = []
         self.tail_weights = []
         self.lanczos_start = None
@@ -351,19 +353,16 @@ class _Run:
         self.diverged_step = diverged_step
 
     def record(self):
-        config, series = self.config, self.series
+        config = self.config
+        series = {k: np.array(v, dtype=int if k == "steps" else None)
+                  for k, v in self.series.items()}
+        if not config.log_lambda1:
+            series["lambda1"] = series["gap"] = None
         return TrajectoryRecord(
             config=config,
             dataset=self.dataset,
             oracle=self.oracle,
-            steps=np.array(series["steps"], dtype=int),
-            train_loss=np.array(series["train_loss"]),
-            test_loss=np.array(series["test_loss"]),
-            grad_norm_sq=np.array(series["grad_norm_sq"]),
-            trace_c=np.array(series["trace_c"]),
-            dist_init=np.array(series["dist_init"]),
-            lambda1=np.array(series["lambda1"]) if config.log_lambda1 else None,
-            gap=np.array(series["gap"]) if config.log_lambda1 else None,
+            **series,
             weights=np.array(self.weights) if config.record_weights else None,
             tail_weights=np.array(self.tail_weights) if self.tail_weights else None,
             final_w=self.final_w,

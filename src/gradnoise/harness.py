@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .dynamics import MODES, TrainConfig, loo_train, run_ensemble, train_run
+from .dynamics import MODES, SERIES, TrainConfig, loo_train, run_ensemble, train_run
 from .errors import CapabilityError, ConfigError, GradnoiseError
 from .gradstats import empirical_gnc, minibatch_gnc
 from .linalg import (
@@ -43,8 +43,7 @@ from .problems import (
     population_oracle_sample,
 )
 
-TRAJECTORY_CSV_HEADER = ("step", "train_loss", "test_loss", "grad_norm_sq",
-                         "trace_c", "dist_init", "lambda1", "gap")
+TRAJECTORY_CSV_HEADER = ("step",) + SERIES[1:]
 
 # Bound name -> (input family, name of its function in ``bounds``, the
 # ExperimentConfig fields it takes as keywords). The families are "tape" (a
@@ -156,11 +155,13 @@ def _float_array(value):
 
 
 def _names_in(allowed):
-    """Cast to a tuple of names, each one of ``allowed``."""
+    """Cast to a nonempty tuple of names, each one of ``allowed``."""
     def cast(value):
         if not isinstance(value, (list, tuple)) or not all(
                 isinstance(x, str) for x in value):
             raise TypeError("expected a list of names")
+        if not value:
+            raise ValueError("expected at least one name")
         bad = [x for x in value if x not in allowed]
         if bad:
             raise ValueError("unknown names " + ", ".join(sorted(bad)))
@@ -192,7 +193,7 @@ _TOP = {
     "sweep_n": lambda ns: tuple(map(_COUNT, ns)),
     "seed": _SEED, "oracle_seed": _SEED, "out_dir": str,
     "g_tilde": _one_of("zero", "population-gradient"),
-    "R": _finite_float, "M": _finite_float,
+    "R": _rate, "M": _rate,
     "compare_seeds": _COUNT,
 }
 _TRAIN = {
@@ -352,14 +353,11 @@ def _write_json(path, payload):
 
 
 def _trajectory_rows(record):
-    k = len(record.steps)
-    nan = float("nan")
-    lam = record.lambda1 if record.lambda1 is not None else [nan] * k
-    gap = record.gap if record.gap is not None else [nan] * k
-    for i in range(k):
-        yield (int(record.steps[i]), record.train_loss[i], record.test_loss[i],
-               record.grad_norm_sq[i], record.trace_c[i], record.dist_init[i],
-               lam[i], gap[i])
+    """The ``TRAJECTORY_CSV_HEADER`` rows of ``record``, one per logged
+    state; NaN in a column the run did not log."""
+    nan = [float("nan")] * len(record.steps)
+    columns = (getattr(record, name) for name in SERIES)
+    return zip(*(nan if col is None else col for col in columns))
 
 
 def estimate_generalization_error(runs):
@@ -415,15 +413,19 @@ def _mean_curves(records):
 
 def cmd_compare(config, out_dir=None):
     """Paired SGD vs SDE runs; seed-averaged curves and terminal agreement
-    over each mode's non-diverged runs."""
+    over each mode's non-diverged runs. Pair i runs seed ``train.seed + i``
+    on the dataset of seed ``train.effective_dataset_seed + i``."""
     spec = config.train.spec
     problem = build_problem(spec)
     oracle = population_oracle_sample(spec, config.train.oracle_seed)
     recs = {"sgd": [], "sde": []}
-    for seed in range(config.train.seed, config.train.seed + config.compare_seeds):
-        dataset = generate_dataset(spec, seed, config.train.n)
+    for i in range(config.compare_seeds):
+        seed = config.train.seed + i
+        dataset_seed = config.train.effective_dataset_seed + i
+        dataset = generate_dataset(spec, dataset_seed, config.train.n)
         for mode in ("sgd", "sde"):
-            cfg = replace(config.train, mode=mode, seed=seed, dataset_seed=seed)
+            cfg = replace(config.train, mode=mode, seed=seed,
+                          dataset_seed=dataset_seed)
             recs[mode].append(train_run(cfg, dataset, oracle))
     summary = {
         "n_seeds": config.compare_seeds,

@@ -20,6 +20,11 @@ features and labels shared by all rows or stacked per row ((R, m, p) and
 (R, m)), and returns the (R, d) gradients. It computes them with
 ``np.matmul`` on stacks whose slices have the layout of the one-vector
 operands, so each row is bit-identical to the gradient of that row alone.
+The MLP's parameter layout (``MlpProblem.unpack`` and ``pack``) and its
+forward pass (``_mlp_forward``) take one state or such a stack, so its
+``mean_grad`` and its per-state kernels share one copy of each; the
+logistic family's gradient coefficient is one function
+(``_gradient_coefficients``) for the same reason.
 
 The private base class ``_Family`` holds what the families share, and a
 family overrides only where it differs: the defaults ``has_accuracy`` (True;
@@ -241,7 +246,8 @@ def population_oracle_sample(spec, seed):
 
 def _gradient_coefficients(margins, sign):
     """The logistic per-example gradient coefficients ``-sign *
-    sigmoid(-sign * margins)``, in place of the margins ``x . w``."""
+    sigmoid(-sign * margins)``, in place of the margins ``x . w``: the one
+    formula of the logistic gradient, whatever the stack."""
     margins *= sign
     np.exp(margins, out=margins)
     margins += 1.0
@@ -364,29 +370,23 @@ class LogisticProblem(_Family):
         self.l2 = spec.l2
         self.dim = spec.dim
 
-    def _margins(self, w, features, labels):
-        sign = 2.0 * labels - 1.0
-        return sign, sign * (features @ w)
-
     def per_example_losses(self, w, features, labels):
-        _, m = self._margins(w, features, labels)
+        m = (2.0 * labels - 1.0) * (features @ w)
         return np.logaddexp(0.0, -m) + 0.5 * self.l2 * float(w @ w)
 
     def mean_loss(self, w, features, labels):
         return float(np.mean(self.per_example_losses(w, features, labels)))
 
     def per_example_grads(self, w, features, labels):
-        sign, m = self._margins(w, features, labels)
-        coef = -sign / (1.0 + np.exp(m))  # -sign * sigmoid(-margin)
+        coef = _gradient_coefficients(features @ w, 2.0 * labels - 1.0)
         grads = coef[:, None] * features
         if self.l2:
             grads += self.l2 * w
         return grads
 
     def mean_grad(self, w, features, labels):
-        sign = 2.0 * labels - 1.0
-        m = sign * np.matmul(features, w[..., None])[..., 0]
-        coef = -sign / (1.0 + np.exp(m))
+        coef = _gradient_coefficients(np.matmul(features, w[..., None])[..., 0],
+                                      2.0 * labels - 1.0)
         grad = np.matmul(features.swapaxes(-1, -2), coef[..., None])[..., 0]
         return grad / coef.shape[-1] + self.l2 * w
 
@@ -482,13 +482,15 @@ class LogisticProblem(_Family):
 
 
 def _mlp_forward(w1, b1, w2, b2, features):
-    """Hidden activations and logits of the tanh network, computed in place:
-    no temporaries besides the two results."""
-    hid = features @ w1.T
-    hid += b1
+    """Hidden activations and logits of the tanh network at one state or at
+    a stack of states (the parameters of ``MlpProblem.unpack``, with features
+    shared or stacked per state), computed in place: no temporaries besides
+    the two results."""
+    hid = features @ w1.swapaxes(-1, -2)
+    hid += b1[..., None, :]
     np.tanh(hid, out=hid)
-    logits = hid @ w2.T
-    logits += b2
+    logits = hid @ w2.swapaxes(-1, -2)
+    logits += b2[..., None, :]
     return hid, logits
 
 
@@ -506,7 +508,8 @@ def _teacher_params(spec):
 class MlpProblem(_Family):
     """One-hidden-layer tanh network with softmax cross-entropy.
 
-    The flat parameter vector packs (W1, b1, W2, b2) in that order. Gradients
+    The flat parameter vector packs (W1, b1, W2, b2) in that order; only
+    ``unpack``, ``pack`` and ``dim`` know the layout. Gradients
     come from hand-derived backpropagation. ``hessian_operator`` runs the
     forward pass, softmax and backward seeds once per state and returns the
     R-operator (directional derivative of the backward pass) at that state, so
@@ -527,17 +530,24 @@ class MlpProblem(_Family):
         self.dim = self.h * self.p + self.h + self.k * self.h + self.k
 
     def unpack(self, w):
+        """(W1, b1, W2, b2) of one weight vector, or of each row of an
+        (R, d) stack with a leading R axis, as views of ``w``."""
         p, h, k = self.p, self.h, self.k
         w = np.asarray(w, dtype=float)
+        lead = w.shape[:-1]
         i = 0
-        w1 = w[i:i + h * p].reshape(h, p); i += h * p
-        b1 = w[i:i + h]; i += h
-        w2 = w[i:i + k * h].reshape(k, h); i += k * h
-        b2 = w[i:i + k]
+        w1 = w[..., i:i + h * p].reshape(lead + (h, p)); i += h * p
+        b1 = w[..., i:i + h]; i += h
+        w2 = w[..., i:i + k * h].reshape(lead + (k, h)); i += k * h
+        b2 = w[..., i:i + k]
         return w1, b1, w2, b2
 
     def pack(self, w1, b1, w2, b2):
-        return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
+        """The inverse of ``unpack``: one vector, or one row per leading
+        index of the parameters."""
+        lead = b1.shape[:-1]
+        return np.concatenate([w1.reshape(lead + (-1,)), b1,
+                               w2.reshape(lead + (-1,)), b2], axis=-1)
 
     def _forward(self, w, features):
         w1, b1, w2, b2 = self.unpack(w)
@@ -562,38 +572,22 @@ class MlpProblem(_Family):
     def per_example_grads(self, w, features, labels):
         w1, b1, w2, b2, hid, logits = self._forward(w, features)
         _, d_logits = self._backward_seeds(logits, labels)
-        d_hid = d_logits @ w2
-        d_pre = (1.0 - hid * hid) * d_hid
-        n = features.shape[0]
-        grads = np.empty((n, self.dim))
-        grads[:, : self.h * self.p] = np.einsum("nh,np->nhp", d_pre, features).reshape(n, -1)
-        i = self.h * self.p
-        grads[:, i:i + self.h] = d_pre
-        i += self.h
-        grads[:, i:i + self.k * self.h] = np.einsum("nk,nh->nkh", d_logits, hid).reshape(n, -1)
-        i += self.k * self.h
-        grads[:, i:] = d_logits
-        return grads
+        d_pre = (1.0 - hid * hid) * (d_logits @ w2)
+        return self.pack(np.einsum("nh,np->nhp", d_pre, features), d_pre,
+                         np.einsum("nk,nh->nkh", d_logits, hid), d_logits)
 
     def mean_grad(self, w, features, labels):
-        p, h, k = self.p, self.h, self.k
-        i, j, l = h * p, h * p + h, h * p + h + k * h
-        lead = w.shape[:-1]
-        w1 = w[..., :i].reshape(lead + (h, p))
-        w2 = w[..., j:l].reshape(lead + (k, h))
-        hid = np.tanh(np.matmul(features, w1.swapaxes(-1, -2)) + w[..., None, i:j])
-        d_logits = _softmax(np.matmul(hid, w2.swapaxes(-1, -2)) + w[..., None, l:])
+        _, _, w2, _, hid, logits = self._forward(w, features)
+        d_logits = _softmax(logits)
         # Subtracting the one-hot labels (1.0 or 0.0) is exact, like
         # subtracting 1.0 at each label, and needs no stacked fancy index.
-        d_logits -= labels[..., None] == np.arange(k)
+        d_logits -= labels[..., None] == np.arange(self.k)
         d_logits /= features.shape[-2]
         d_pre = (1.0 - hid * hid) * np.matmul(d_logits, w2)
-        return np.concatenate([
-            np.matmul(d_pre.swapaxes(-1, -2), features).reshape(lead + (-1,)),
-            d_pre.sum(axis=-2),
-            np.matmul(d_logits.swapaxes(-1, -2), hid).reshape(lead + (-1,)),
-            d_logits.sum(axis=-2),
-        ], axis=-1)
+        return self.pack(np.matmul(d_pre.swapaxes(-1, -2), features),
+                         d_pre.sum(axis=-2),
+                         np.matmul(d_logits.swapaxes(-1, -2), hid),
+                         d_logits.sum(axis=-2))
 
     def hessian_operator(self, w, features, labels):
         w1, b1, w2, b2, hid, logits = self._forward(w, features)

@@ -241,12 +241,12 @@ def isotropic_terminal_kl(sigma_sq, msd, d, eta, b):
 
 
 def mlp_forward(problem, w, features):
-    """The MLP forward pass with one temporary per operation:
-    (w1, b1, w2, b2, pre, hid, logits)."""
+    """The MLP forward pass with one temporary per operation, at one state
+    or at an (R, d) stack of them: (w1, b1, w2, b2, pre, hid, logits)."""
     w1, b1, w2, b2 = problem.unpack(w)
-    pre = features @ w1.T + b1
+    pre = features @ w1.swapaxes(-1, -2) + b1[..., None, :]
     hid = np.tanh(pre)
-    logits = hid @ w2.T + b2
+    logits = hid @ w2.swapaxes(-1, -2) + b2[..., None, :]
     return w1, b1, w2, b2, pre, hid, logits
 
 

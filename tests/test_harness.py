@@ -396,6 +396,8 @@ class TestTrainCommand:
         pytest.param("problem.l2", {**quad_raw(), "problem": {
             "family": "logistic", "dim": 2, "l2": "nan"}}, id="problem.l2-nan"),
         pytest.param("R", {**quad_raw(), "R": "2"}, id="R-numeric-string"),
+        pytest.param("R", {**quad_raw(), "R": -2.0}, id="R-neg"),
+        pytest.param("M", {**quad_raw(), "M": 0}, id="M-0"),
         pytest.param("problem.cov", {**quad_raw(), "problem": {
             "family": "logistic", "dim": 2, "cov": True}}, id="problem.cov-true"),
         pytest.param("problem.balance", {**quad_raw(), "problem": {
@@ -436,6 +438,19 @@ class TestTrainCommand:
         path = write_config(tmp_path, {**quad_raw(), "compare_seeds": seeds})
         assert run_cli(["compare", "--config", str(path)]) == 2
         assert "compare_seeds" in capsys.readouterr().err
+
+    def test_cli_empty_bounds_list_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        """An empty ``bounds`` list names no bound to evaluate: it is a
+        config error, not the command's default set."""
+        calls = []
+        monkeypatch.setattr(harness, "run_ensemble",
+                            lambda *a, **k: calls.append(a))
+        path = write_config(tmp_path, {**quad_raw(), "bounds": []})
+        for command in ("bounds-terminal", "bounds-traj", "sweep-n"):
+            assert run_cli([command, "--config", str(path)]) == 2
+            assert "bad value for bounds" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestCli:
@@ -548,6 +563,34 @@ class TestCompareCommand:
         assert len(lines) == len(kept[0].steps)
         assert float(lines[-1].split(",")[2]) == np.mean(
             [r.test_loss[-1] for r in kept])
+
+    def test_pairs_read_the_dataset_seed(self, tmp_path, monkeypatch):
+        """Pair i runs seed ``seed + i`` on the dataset of seed
+        ``dataset_seed + i``; a ``dataset_seed`` equal to ``seed`` writes
+        the bytes of the unset key, and another one other bytes."""
+        runs = []
+        run = harness.train_run
+
+        def train_run(c, dataset, *a):
+            runs.append((c.mode, c.seed, c.dataset_seed, dataset.seed))
+            return run(c, dataset, *a)
+
+        monkeypatch.setattr(harness, "train_run", train_run)
+        outputs = {}
+        for name, dataset_seed in (("unset", None), ("equal", 1), ("other", 77)):
+            raw = {**quad_raw(), "compare_seeds": 2, "seed": 1}
+            if dataset_seed is not None:
+                raw["train"]["dataset_seed"] = dataset_seed
+            runs.clear()
+            cmd_compare(load_experiment_config(raw), out_dir=tmp_path / name)
+            base = 1 if dataset_seed is None else dataset_seed
+            assert runs == [(mode, 1 + i, base + i, base + i)
+                            for i in range(2) for mode in ("sgd", "sde")]
+            outputs[name] = {f.name: f.read_bytes()
+                             for f in sorted((tmp_path / name).iterdir())}
+        assert outputs["equal"] == outputs["unset"]
+        assert outputs["other"]["compare_summary.json"] != (
+            outputs["unset"]["compare_summary.json"])
 
     def test_curves_average_every_column(self, tmp_path):
         """With ``log_lambda1`` the curves carry the seed mean of lambda1 and

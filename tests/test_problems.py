@@ -476,6 +476,23 @@ class TestAccuracyAndPacking:
         w = np.arange(problem.dim, dtype=float)
         np.testing.assert_array_equal(problem.pack(*problem.unpack(w)), w)
 
+    def test_mlp_stacked_unpack_matches_each_row(self):
+        """A (R, d) stack unpacks to the rows' parameters with a leading R
+        axis, and packs back to the stack; one vector keeps its shapes."""
+        spec = mlp_spec()
+        problem = build_problem(spec)
+        stack = np.arange(3 * problem.dim, dtype=float).reshape(3, problem.dim)
+        parts = problem.unpack(stack)
+        for r, row in enumerate(stack):
+            one = problem.unpack(row)
+            assert [a.shape for a in one] == [
+                (spec.hidden, spec.in_dim), (spec.hidden,),
+                (spec.classes, spec.hidden), (spec.classes,)]
+            for part, want in zip(parts, one):
+                np.testing.assert_array_equal(part[r], want)
+            np.testing.assert_array_equal(problem.pack(*one), row)
+        np.testing.assert_array_equal(problem.pack(*parts), stack)
+
     def test_mlp_teacher_init_beats_chance(self):
         """Labels are sampled from the teacher's softmax, so even the teacher
         cannot hit 100%; it should still clear chance (1/3) decisively."""
